@@ -83,9 +83,6 @@ from .surface import (
     NormalizedSurface,
     ScatterSample,
     augment_zero_maturity,
-    build_interpolator,
-    interpolate,
-    normalized_li_price,
 )
 from .synth import synth_chain
 from .variance_gamma import (

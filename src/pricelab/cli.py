@@ -26,11 +26,11 @@ import os
 import sys
 from pathlib import Path
 
-from . import harness, market_data, reporting, synth
-from .errors import PricelabError
+from . import market_data, reporting, synth
+from .errors import NoAtmPairs, PricelabError
 from .estimators import EstimatorLabel, PredictStatus, fit, predict
-from .harness import DEFAULT_MASTER_SEED, ProtocolConfig, load_config, run_protocol
-from .market_data import OptionKind, load_chains, save_chains
+from .harness import DEFAULT_MASTER_SEED, ProtocolConfig, load_config, parse_kind, run_protocol
+from .market_data import load_chains, save_chains
 from .parity import estimate_dividend_curve, itm_parity_records
 from .variance_gamma import vg_calibrate
 
@@ -45,13 +45,6 @@ def _master_seed(args: argparse.Namespace) -> int:
         except ValueError:
             raise ValueError(f"{_ENV_SEED} must be an integer, got {env!r}") from None
     return args.seed
-
-
-def _parse_kind(text: str) -> OptionKind:
-    try:
-        return {"put": OptionKind.PUT, "call": OptionKind.CALL}[text.lower()]
-    except KeyError:
-        raise ValueError(f"kind must be put or call, got {text!r}") from None
 
 
 def _load_input(path: str) -> list[market_data.DailyChain]:
@@ -114,10 +107,14 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
     records = []
     unmatched = 0
+    no_pairs = 0
     for chain in chains:
         liquid = market_data.filter_liquidity(chain)
-        curve = estimate_dividend_curve(liquid)
-        day_records, skipped = itm_parity_records(liquid, curve)
+        try:
+            day_records, skipped = itm_parity_records(liquid, estimate_dividend_curve(liquid))
+        except NoAtmPairs:
+            no_pairs += 1
+            continue
         records.extend(day_records)
         unmatched += skipped
     merged = reporting.aggregate(
@@ -126,6 +123,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     out = _out_dir(args) / "audit.csv"
     reporting.write_report_csv(merged, out)
     print(reporting.render_reports([merged]))
+    if no_pairs:
+        print(f"skipped {no_pairs} of {len(chains)} days without ATM put-call pairs")
     print(f"wrote {out}")
     return 0
 
@@ -137,7 +136,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.labels:
         overrides["labels"] = tuple(s.strip().upper() for s in args.labels.split(","))
     if args.kind:
-        overrides["kind"] = _parse_kind(args.kind)
+        overrides["kind"] = parse_kind(args.kind)
     if args.trim:
         overrides["trim"] = True
     if args.fraction is not None:
@@ -147,8 +146,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.workers is not None:
         overrides["workers"] = args.workers
     config = dataclasses.replace(config, **overrides)
-    for name in config.labels:
-        EstimatorLabel(name)
 
     result = run_protocol(chains, config)
     out = _out_dir(args)
@@ -163,7 +160,7 @@ def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
     chain = _single_day(chains, args.date)
     liquid = market_data.filter_liquidity(chain)
-    kind = _parse_kind(args.kind)
+    kind = parse_kind(args.kind)
     quotes = [
         (q.strike, q.tau, q.mid)
         for q in liquid.quotes
@@ -190,14 +187,13 @@ def _cmd_price(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
     chain = _single_day(chains, args.date)
     liquid = market_data.filter_liquidity(chain)
-    kind = _parse_kind(args.kind)
+    kind = parse_kind(args.kind)
     label = EstimatorLabel(args.label.upper())
     try:
         curve = estimate_dividend_curve(liquid)
     except PricelabError:
         curve = None
-    day = liquid.of_kind(kind)
-    estimator = fit(label, kind, day.quotes, liquid.env, curve=curve)
+    estimator = fit(label, kind, liquid.quotes, liquid.env, curve=curve)
 
     queries = []
     with open(args.queries, newline="") as handle:

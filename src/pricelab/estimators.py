@@ -1,23 +1,25 @@
 """The pricing estimators under evaluation, behind one fit/predict surface.
 
-Labels:
+Every label but VG smooths a target over the day's training quotes:
 
-    LI      linear interpolation of prices in normalized coordinates
-    BS      linear interpolation of implied vols, repriced through the
-            pricing formula with the day's dividend curve
-    NW      kernel regression of prices on raw (strike, tau), Silverman
-            bandwidths
-    NWCV    same, bandwidths by leave-one-out cross-validation
-    BSNW    kernel regression of implied vols, repriced
-    BSNWCV  same, cross-validated bandwidths
+    label   target       smoother
+    LI      price        LI: linear interpolation in normalized coordinates
+    LIB     price        LI, on quotes augmented with fictitious expiring options
+    BS      implied vol  LI
+    NW      price        NW: kernel regression on raw (strike, tau), Silverman bandwidths
+    NWCV    price        NW, bandwidths by leave-one-out cross-validation
+    BSNW    implied vol  NW
+    BSNWCV  implied vol  NWCV
     VG      Variance-Gamma parametric fit
-    LIB     LI on quotes augmented with fictitious expiring options
 
-LI, BS, and LIB are hull-domain estimators: outside the convex hull of
-their training samples (in normalized coordinates) they return the
-OUTSIDE_HULL marker. The kernel and parametric labels answer every
-query but flag extrapolation whenever the query leaves the training
-hull, so downstream reports can split errors by hull membership.
+The implied-vol target smooths Black-Scholes vols (quotes that admit none
+are dropped) and reprices them with the day's dividend curve.
+
+LI-smoothed labels are hull-domain estimators: outside the convex hull
+of their training samples (in normalized coordinates) they return the
+OUTSIDE_HULL marker. NW and VG answer every query but flag extrapolation
+whenever the query leaves that same hull, so downstream reports can
+split errors by hull membership.
 """
 
 from __future__ import annotations
@@ -25,18 +27,20 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError
 
-from .black_scholes import BsInputs, bs_price, implied_vol
-from .errors import InsufficientData, NoArbitrageViolation, NoConvergence, PricelabError
+from .black_scholes import BsInputs, bs_price, fill_implied_vols
+from .errors import InsufficientData, PricelabError
 from .kernel import NwModel, loo_cv_bandwidths, nw_estimate, silverman_bandwidths
-from .market_data import MarketEnv, OptionKind, OptionQuote
+from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from .parity import DividendCurve
-from .surface import OUTSIDE_HULL, augment_zero_maturity, normalized_li_price, normalized_li_values
+from .surface import OUTSIDE_HULL, augment_zero_maturity, normalized_domain, normalized_li_values
 from .variance_gamma import vg_calibrate, vg_price_quadrature
+
+# What fits and predictions raise on data they cannot handle; callers record FAILED.
+ESTIMATOR_ERRORS = (PricelabError, ValueError, ArithmeticError)
 
 
 class EstimatorLabel(enum.Enum):
@@ -69,32 +73,6 @@ class Prediction:
     extrapolated: bool = False
 
 
-class _TrainingHull:
-    """Membership test for the raw (strike, tau) training scatter, used to
-    flag extrapolation. Falls back to the bounding box when the points
-    cannot span a triangulation."""
-
-    def __init__(self, strikes: np.ndarray, taus: np.ndarray):
-        points = np.column_stack([strikes, taus])
-        self._tri = None
-        if len(points) >= 3:
-            try:
-                tri = Delaunay(points)
-                if tri.simplices.size:
-                    self._tri = tri
-            except QhullError:
-                self._tri = None
-        self._lo = points.min(axis=0)
-        self._hi = points.max(axis=0)
-
-    def contains(self, strike: float, tau: float) -> bool:
-        if self._tri is not None:
-            return bool(self._tri.find_simplex((strike, tau)) >= 0)
-        return bool(
-            self._lo[0] <= strike <= self._hi[0] and self._lo[1] <= tau <= self._hi[1]
-        )
-
-
 @dataclass(frozen=True)
 class PricingEstimator:
     """A fitted estimator: immutable, so predictions are safe to run
@@ -109,10 +87,6 @@ class PricingEstimator:
     meta: dict = field(default_factory=dict)
 
 
-def _usable(quotes: Sequence[OptionQuote], kind: OptionKind) -> list[OptionQuote]:
-    return [q for q in quotes if q.kind == kind and q.tau >= 0.0]
-
-
 def _require(quotes: list, label: EstimatorLabel, minimum: int) -> None:
     if len(quotes) < minimum:
         raise InsufficientData(
@@ -120,26 +94,49 @@ def _require(quotes: list, label: EstimatorLabel, minimum: int) -> None:
         )
 
 
-def _invert_vols(
-    quotes: Sequence[OptionQuote], env: MarketEnv, dividend_at: Callable[[float], float]
-) -> tuple[list[OptionQuote], list[float], int]:
-    """Implied vols for the quotes that admit one; returns the kept
-    quotes, their vols, and the dropped count."""
-    kept: list[OptionQuote] = []
-    vols: list[float] = []
-    dropped = 0
-    for q in quotes:
-        if q.tau <= 0.0 or q.mid <= 0.0:
-            dropped += 1
-            continue
-        try:
-            vols.append(
-                implied_vol(q.kind, q.mid, env.spot, q.strike, env.rate, dividend_at(q.tau), q.tau)
-            )
-            kept.append(q)
-        except (NoArbitrageViolation, NoConvergence, ValueError):
-            dropped += 1
-    return kept, vols, dropped
+_PRICE, _VOL = "price", "implied vol"
+
+
+class _Smoother(NamedTuple):
+    """Fits values at (strike, tau) points, from at least min_quotes
+    quotes, all at positive tau when positive_tau is set. build(strikes,
+    taus, values, spot, value_scale) returns the value function, the hull
+    test and the fit's meta entries."""
+
+    min_quotes: int
+    positive_tau: bool
+    build: Callable
+
+
+def _li(strikes, taus, values, spot, value_scale):
+    surf = normalized_li_values(strikes, taus, values, spot, value_scale)
+    return surf.value_at, surf.in_domain, {"coords": "normalized"}
+
+
+def _nw(select_bandwidths):
+    def build(strikes, taus, values, spot, value_scale):
+        bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values)
+        model = NwModel(strikes, taus, values, bandwidths)
+        meta = {"coords": "raw", "bandwidths": (bandwidths.eps1, bandwidths.eps2)}
+        return lambda k, t: nw_estimate(model, k, t), normalized_domain(strikes, taus, spot), meta
+
+    return build
+
+
+_LI = _Smoother(3, False, _li)
+_NW = _Smoother(1, True, _nw(lambda points, values: silverman_bandwidths(points)))
+_NWCV = _Smoother(3, True, _nw(lambda points, values: loo_cv_bandwidths(points, values)))
+
+# Every label but VG, as (target, smoother). LIB also augments its quotes.
+_RECIPES = {
+    EstimatorLabel.LI: (_PRICE, _LI),
+    EstimatorLabel.LIB: (_PRICE, _LI),
+    EstimatorLabel.BS: (_VOL, _LI),
+    EstimatorLabel.NW: (_PRICE, _NW),
+    EstimatorLabel.NWCV: (_PRICE, _NWCV),
+    EstimatorLabel.BSNW: (_VOL, _NW),
+    EstimatorLabel.BSNWCV: (_VOL, _NWCV),
+}
 
 
 def fit(
@@ -160,115 +157,62 @@ def fit(
     Raises InsufficientData when too few usable quotes remain for the
     label, and propagates calibration or geometry failures.
     """
-    quotes = _usable(quotes, kind)
-    if curve is not None:
-        dividend_at: Callable[[float], float] = curve.value_at
-    else:
-        flat = env.div_hist
-        dividend_at = lambda tau: flat
+    label = EstimatorLabel(label)
+    quotes = [q for q in quotes if q.kind == kind and q.tau >= 0.0]
+    dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
     meta: dict = {"n_train": len(quotes)}
+    if label is EstimatorLabel.VG:
+        return _fit_vg(kind, quotes, env, dividend_at, meta)
 
-    if label is EstimatorLabel.LI:
-        _require(quotes, label, 3)
-        surf = normalized_li_price(quotes, kind, env.spot)
-        meta["coords"] = "normalized"
-        return PricingEstimator(label, kind, env, surf.value_at, surf.in_domain, meta)
-
+    target, smoother = _RECIPES[label]
+    if target is _VOL:
+        filled, meta["dropped_noninvertible"] = fill_implied_vols(DailyChain(env, tuple(quotes)), curve)
+        quotes = [q for q in filled.quotes if q.implied_vol is not None]
+    if smoother.positive_tau:
+        quotes = [q for q in quotes if q.tau > 0.0]
+    _require(quotes, label, smoother.min_quotes)
     if label is EstimatorLabel.LIB:
-        _require(quotes, label, 3)
         augmented = augment_zero_maturity(
             quotes, kind, env.spot, strike_range=lib_strike_range, expiry=env.date
         )
-        surf = normalized_li_price(augmented, kind, env.spot)
-        meta["coords"] = "normalized"
         meta["n_fictitious"] = len(augmented) - len(quotes)
-        return PricingEstimator(label, kind, env, surf.value_at, surf.in_domain, meta)
+        quotes = augmented
 
-    if label is EstimatorLabel.BS:
-        kept, vols, dropped = _invert_vols(quotes, env, dividend_at)
-        _require(kept, label, 3)
-        strikes = np.array([q.strike for q in kept])
-        taus = np.array([q.tau for q in kept])
-        surf = normalized_li_values(strikes, taus, np.array(vols), env.spot, value_scale=1.0)
-        meta.update({"coords": "normalized", "dropped_noninvertible": dropped})
+    strikes = np.array([q.strike for q in quotes])
+    taus = np.array([q.tau for q in quotes])
+    if target is _VOL:
+        values, value_scale = np.array([q.implied_vol for q in quotes]), 1.0
+    else:
+        values, value_scale = np.array([q.mid for q in quotes]), env.spot
+    value_at, hull_fn, smoother_meta = smoother.build(strikes, taus, values, env.spot, value_scale)
+    meta.update(smoother_meta)
+    if target is _PRICE:
+        return PricingEstimator(label, kind, env, value_at, hull_fn, meta)
 
-        def price_fn(strike: float, tau: float):
-            vol = surf.value_at(strike, tau)
-            if vol is OUTSIDE_HULL:
-                return OUTSIDE_HULL
-            return bs_price(
-                BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau)
-            )
+    def price_fn(strike: float, tau: float):
+        vol = value_at(strike, tau)
+        if vol is OUTSIDE_HULL:
+            return OUTSIDE_HULL
+        return bs_price(BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau))
 
-        return PricingEstimator(label, kind, env, price_fn, surf.in_domain, meta)
+    return PricingEstimator(label, kind, env, price_fn, hull_fn, meta)
 
-    if label in (EstimatorLabel.NW, EstimatorLabel.NWCV):
-        pricable = [q for q in quotes if q.tau > 0.0]
-        _require(pricable, label, 3 if label is EstimatorLabel.NWCV else 1)
-        strikes = np.array([q.strike for q in pricable])
-        taus = np.array([q.tau for q in pricable])
-        prices = np.array([q.mid for q in pricable])
-        points = np.column_stack([strikes, taus])
-        if label is EstimatorLabel.NWCV:
-            bandwidths = loo_cv_bandwidths(points, prices)
-        else:
-            bandwidths = silverman_bandwidths(points)
-        model = NwModel(strikes, taus, prices, bandwidths)
-        hull = _TrainingHull(strikes, taus)
-        meta.update({"coords": "raw", "bandwidths": (bandwidths.eps1, bandwidths.eps2)})
-        return PricingEstimator(
-            label, kind, env, lambda k, t: nw_estimate(model, k, t), hull.contains, meta
-        )
 
-    if label in (EstimatorLabel.BSNW, EstimatorLabel.BSNWCV):
-        kept, vols, dropped = _invert_vols(quotes, env, dividend_at)
-        _require(kept, label, 3 if label is EstimatorLabel.BSNWCV else 1)
-        strikes = np.array([q.strike for q in kept])
-        taus = np.array([q.tau for q in kept])
-        vols = np.array(vols)
-        points = np.column_stack([strikes, taus])
-        # Vols are smoothed on the same raw coordinates as prices.
-        if label is EstimatorLabel.BSNWCV:
-            bandwidths = loo_cv_bandwidths(points, vols)
-        else:
-            bandwidths = silverman_bandwidths(points)
-        model = NwModel(strikes, taus, vols, bandwidths)
-        hull = _TrainingHull(strikes, taus)
-        meta.update({
-            "coords": "raw",
-            "dropped_noninvertible": dropped,
-            "bandwidths": (bandwidths.eps1, bandwidths.eps2),
-        })
-
-        def price_fn(strike: float, tau: float):
-            vol = nw_estimate(model, strike, tau)
-            return bs_price(
-                BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau)
-            )
-
-        return PricingEstimator(label, kind, env, price_fn, hull.contains, meta)
-
-    if label is EstimatorLabel.VG:
-        pricable = [q for q in quotes if q.tau > 0.0 and q.mid > 0.0]
-        _require(pricable, label, 3)
-        triples = [(q.strike, q.tau, q.mid) for q in pricable]
-        dividend = dividend_at(float(np.median([q.tau for q in pricable])))
-        params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend)
-        strikes = np.array([q.strike for q in pricable])
-        taus = np.array([q.tau for q in pricable])
-        hull = _TrainingHull(strikes, taus)
-        meta.update({
-            "params": (params.theta, params.sigma, params.alpha),
-            "objective": objective,
-            "dividend": dividend,
-        })
-        return PricingEstimator(
-            label, kind, env,
-            lambda k, t: vg_price_quadrature(kind, env.spot, k, env.rate, dividend, t, params),
-            hull.contains, meta,
-        )
-
-    raise ValueError(f"unknown label {label!r}")
+def _fit_vg(kind: OptionKind, quotes: list[OptionQuote], env: MarketEnv,
+            dividend_at: Callable[[float], float], meta: dict) -> PricingEstimator:
+    pricable = [q for q in quotes if q.tau > 0.0 and q.mid > 0.0]
+    _require(pricable, EstimatorLabel.VG, 3)
+    hull_fn = normalized_domain([q.strike for q in pricable], [q.tau for q in pricable], env.spot)
+    triples = [(q.strike, q.tau, q.mid) for q in pricable]
+    dividend = dividend_at(float(np.median([q.tau for q in pricable])))
+    params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend)
+    meta.update(params=(params.theta, params.sigma, params.alpha), objective=objective,
+                dividend=dividend)
+    return PricingEstimator(
+        EstimatorLabel.VG, kind, env,
+        lambda k, t: vg_price_quadrature(kind, env.spot, k, env.rate, dividend, t, params),
+        hull_fn, meta,
+    )
 
 
 def predict(estimator: PricingEstimator, strike: float, tau: float) -> Prediction:
@@ -285,7 +229,7 @@ def predict(estimator: PricingEstimator, strike: float, tau: float) -> Predictio
         raise ValueError(f"strike must be positive, got {strike}")
     try:
         value = estimator.price_fn(strike, tau)
-    except (PricelabError, ValueError, FloatingPointError):
+    except ESTIMATOR_ERRORS:
         return Prediction(price=None, status=PredictStatus.FAILED)
     if value is OUTSIDE_HULL:
         return Prediction(price=None, status=PredictStatus.OUTSIDE_HULL)

@@ -24,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .black_scholes import fill_implied_vols
-from .errors import NoAtmPairs, PricelabError
-from .estimators import EstimatorLabel, PredictStatus, fit, predict
+from .errors import NoAtmPairs
+from .estimators import ESTIMATOR_ERRORS, EstimatorLabel, PredictStatus, fit, predict
 from .market_data import (
     DEFAULT_MAX_IV,
     DEFAULT_MIN_PRICE,
@@ -37,18 +37,12 @@ from .market_data import (
     trim,
 )
 from .parity import DividendCurve, estimate_dividend_curve
-from .reporting import (
-    CDF_THRESHOLDS,
-    ErrorReport,
-    ErrorStatus,
-    PARTITIONS,
-    PricingError,
-    aggregate,
-)
+from .reporting import PARTITIONS, ErrorReport, ErrorStatus, PricingError, aggregate
 
 DEFAULT_MASTER_SEED = 20120103
 DEFAULT_TRAIN_FRACTION = 0.9
 DEFAULT_SPOT_TOLERANCE = 0.05
+_BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
@@ -57,11 +51,6 @@ __all__ = [
     "ProtocolConfig",
     "ProtocolResult",
     "CrossDateMatch",
-    "ErrorReport",
-    "PricingError",
-    "ErrorStatus",
-    "CDF_THRESHOLDS",
-    "aggregate",
     "day_seed",
     "split_day",
     "prepare_day",
@@ -69,6 +58,7 @@ __all__ = [
     "run_protocol",
     "cross_date_report",
     "load_config",
+    "parse_kind",
 ]
 
 
@@ -127,6 +117,16 @@ class ProtocolConfig:
     partitions: tuple[str, ...] = ("all", "hull", "nohull", "gt1")
     workers: int = 1
 
+    def __post_init__(self):
+        self.resolved_labels()
+        for name in self.partitions:
+            if name not in PARTITIONS:
+                raise ValueError(f"unknown partition {name!r}, expected one of {sorted(PARTITIONS)}")
+        if not (0.0 < self.fraction < 1.0):
+            raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
     def resolved_labels(self) -> tuple[EstimatorLabel, ...]:
         return tuple(EstimatorLabel(name) for name in self.labels)
 
@@ -180,28 +180,22 @@ def evaluate_day(
         estimator = fit(
             label, kind, train, day.env, curve=curve, lib_strike_range=lib_strike_range
         )
-    except (PricelabError, ValueError):
+    except ESTIMATOR_ERRORS:
         estimator = None
 
     records: list[PricingError] = []
     for q in test:
         if estimator is None:
-            records.append(
-                PricingError(
-                    date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
-                    true_price=q.mid, est_price=None, rel_error=None, status=ErrorStatus.FAILED,
-                )
-            )
-            continue
-        prediction = predict(estimator, q.strike, q.tau)
-        if prediction.status is PredictStatus.OUTSIDE_HULL:
-            status, est_price, rel = ErrorStatus.OUTSIDE_HULL, None, None
-        elif prediction.status is PredictStatus.FAILED:
             status, est_price, rel = ErrorStatus.FAILED, None, None
         else:
-            est_price = prediction.price
-            rel = abs(1.0 - est_price / q.mid)
-            status = ErrorStatus.EXTRAPOLATED if prediction.extrapolated else ErrorStatus.PRICED
+            prediction = predict(estimator, q.strike, q.tau)
+            if prediction.status is PredictStatus.PRICED:
+                est_price = prediction.price
+                rel = abs(1.0 - est_price / q.mid)
+                status = ErrorStatus.EXTRAPOLATED if prediction.extrapolated else ErrorStatus.PRICED
+            else:
+                # OUTSIDE_HULL and FAILED carry the same names in both enums.
+                status, est_price, rel = ErrorStatus(prediction.status.value), None, None
         records.append(
             PricingError(
                 date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
@@ -256,9 +250,6 @@ def run_protocol(chains: Sequence[DailyChain], config: ProtocolConfig = Protocol
     results are collected in input order, so the outcome does not depend
     on scheduling.
     """
-    for name in config.partitions:
-        if name not in PARTITIONS:
-            raise ValueError(f"unknown partition {name!r}")
     jobs = [(chain, config) for chain in sorted(chains, key=lambda c: c.env.date)]
     if config.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
@@ -320,11 +311,22 @@ def cross_date_report(
     return matches
 
 
+def _lookup(table: dict, text: str, what: str):
+    try:
+        return table[text.lower()]
+    except KeyError:
+        raise ValueError(f"bad {what} {text!r}, expected one of {'/'.join(table)}") from None
+
+
+def parse_kind(text: str) -> OptionKind:
+    return _lookup({"put": OptionKind.PUT, "call": OptionKind.CALL}, text, "kind")
+
+
 def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
     """Read key=value lines (hash comments allowed) into a ProtocolConfig.
 
     Keys: master_seed, fraction, labels (comma list), kind (put/call),
-    trim (true/false), min_ttm_days, min_volume, max_iv, min_price,
+    trim (true/false, 1/0 or yes/no), min_ttm_days, min_volume, max_iv, min_price,
     partitions (comma list), workers.
     """
     values: dict[str, str] = {}
@@ -337,19 +339,13 @@ def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> Pr
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
 
-    def parse_kind(text: str) -> OptionKind:
-        try:
-            return {"put": OptionKind.PUT, "call": OptionKind.CALL}[text.lower()]
-        except KeyError:
-            raise ValueError(f"bad kind {text!r}, expected put or call") from None
-
     updates: dict = {}
     casts = {
         "master_seed": int,
         "fraction": float,
         "labels": lambda t: tuple(s.strip().upper() for s in t.split(",") if s.strip()),
         "kind": parse_kind,
-        "trim": lambda t: t.lower() in ("true", "1", "yes"),
+        "trim": lambda t: _lookup(_BOOLEANS, t, "boolean"),
         "min_ttm_days": int,
         "min_volume": int,
         "max_iv": float,

@@ -260,17 +260,17 @@ def save_chains(chains: Iterable[DailyChain], path: str | Path, include_iv: bool
                 row = [
                     env.date.isoformat(),
                     q.kind.value,
-                    repr(q.strike),
+                    repr(float(q.strike)),
                     q.expiry.isoformat(),
-                    repr(q.bid),
-                    repr(q.ask),
+                    repr(float(q.bid)),
+                    repr(float(q.ask)),
                     str(q.volume),
-                    repr(env.spot),
-                    repr(env.rate),
-                    repr(env.div_hist),
+                    repr(float(env.spot)),
+                    repr(float(env.rate)),
+                    repr(float(env.div_hist)),
                 ]
                 if include_iv:
-                    row.append("" if q.implied_vol is None else repr(q.implied_vol))
+                    row.append("" if q.implied_vol is None else repr(float(q.implied_vol)))
                 writer.writerow(row)
 
 

@@ -8,8 +8,10 @@ of the samples get the OUTSIDE_HULL marker rather than an extrapolated
 number: outside the hull the interpolant is simply not defined.
 
 When the samples are collinear (a single-maturity day, say) the
-triangulation degenerates and callers fall back to 1-D piecewise-linear
-interpolation along the line's parameter.
+triangulation degenerates and build_surface falls back to 1-D
+piecewise-linear interpolation along the line's parameter.
+normalized_domain gives the same domain test without fitting values, for
+estimators that price everywhere but flag queries outside it.
 
 augment_zero_maturity appends fictitious expiring options whose prices
 are their intrinsic payoffs, widening the hull down to tau = 0 so
@@ -21,13 +23,14 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.interpolate import LinearNDInterpolator
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateGeometry
-from .market_data import DAYS_PER_YEAR, OptionKind, OptionQuote
+from .market_data import OptionKind, OptionQuote
 
 # Points closer than this (in both coordinates) are merged, values averaged.
 _DUPLICATE_TOL = 1e-12
@@ -91,27 +94,32 @@ def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> Scat
     return ScatterSample(merged_points, merged_values)
 
 
+def _triangulate(points: np.ndarray) -> Delaunay:
+    """Delaunay triangulation of the points. Raises DegenerateGeometry when
+    they are fewer than three or collinear."""
+    if len(points) < 3:
+        raise DegenerateGeometry(f"{len(points)} distinct points cannot span a triangulation")
+    try:
+        tri = Delaunay(points)
+    except QhullError as exc:
+        raise DegenerateGeometry(f"triangulation failed: {exc}") from None
+    if tri.simplices.size == 0:
+        raise DegenerateGeometry("triangulation produced no triangles")
+    return tri
+
+
 class LinearInterpolator:
     """Barycentric-linear interpolant over a Delaunay triangulation.
 
     Exact at the sample points, affine on each triangle, and defined on
-    the closed convex hull of the samples.
+    the closed convex hull of the samples. Raises DegenerateGeometry when
+    the points are collinear or fewer than three.
     """
 
     def __init__(self, sample: ScatterSample):
         sample = merge_duplicates(sample)
-        if len(sample.values) < 3:
-            raise DegenerateGeometry(
-                f"{len(sample.values)} distinct points cannot span a triangulation"
-            )
-        try:
-            self._tri = Delaunay(sample.points)
-        except QhullError as exc:
-            raise DegenerateGeometry(f"triangulation failed: {exc}") from None
-        if self._tri.simplices.size == 0:
-            raise DegenerateGeometry("triangulation produced no triangles")
+        self._tri = _triangulate(sample.points)
         self._interp = LinearNDInterpolator(self._tri, sample.values)
-        self.sample = sample
 
     def contains(self, point) -> bool:
         """Closed-hull membership: boundary points count as inside."""
@@ -143,26 +151,10 @@ class Linear1DInterpolator:
         direction = vt[0]
         params = (points - center) @ direction
         order = np.argsort(params)
-        params, values = params[order], values[order]
-        span = float(params[-1] - params[0])
+        self._params, self._values = params[order], values[order]
+        span = float(self._params[-1] - self._params[0])
         if span <= 0.0:
             raise DegenerateGeometry("all points coincide; no line to interpolate along")
-
-        # Coincident parameters can survive the 2-D merge only if the
-        # points differ off-line by more than the merge tolerance, which
-        # the collinearity of the inputs rules out; still, average them.
-        keep_params, keep_values = [params[0]], [values[0]]
-        counts = [1]
-        for t, v in zip(params[1:], values[1:]):
-            if t - keep_params[-1] <= _DUPLICATE_TOL:
-                keep_values[-1] += v
-                counts[-1] += 1
-            else:
-                keep_params.append(t)
-                keep_values.append(v)
-                counts.append(1)
-        self._params = np.asarray(keep_params)
-        self._values = np.asarray(keep_values) / np.asarray(counts)
         self._center = center
         self._direction = direction
         self._tol = _LINE_TOL * max(1.0, span)
@@ -183,25 +175,13 @@ class Linear1DInterpolator:
         return float(np.interp(along, self._params, self._values))
 
 
-def build_interpolator(sample: ScatterSample) -> LinearInterpolator:
-    """Triangulate and wrap the sample. Raises DegenerateGeometry when the
-    points are collinear or fewer than three; callers then fall back to
-    Linear1DInterpolator."""
-    return LinearInterpolator(sample)
-
-
 def build_surface(sample: ScatterSample):
-    """build_interpolator with the collinear fallback applied."""
+    """LinearInterpolator, falling back to Linear1DInterpolator when the
+    points are collinear."""
     try:
-        return build_interpolator(sample)
+        return LinearInterpolator(sample)
     except DegenerateGeometry:
         return Linear1DInterpolator(sample)
-
-
-def interpolate(interp, query):
-    """Evaluate at one query point; OUTSIDE_HULL when the query is not in
-    the interpolant's domain."""
-    return interp.evaluate(query)
 
 
 class NormalizedSurface:
@@ -240,20 +220,17 @@ def normalized_li_values(strikes, taus, values, spot: float, value_scale: float)
     return NormalizedSurface(build_surface(sample), spot, value_scale)
 
 
-def normalized_li_price(quotes, kind: OptionKind, spot: float) -> NormalizedSurface:
-    """Fit the normalized price surface to one day's quotes of one kind.
-
-    Predictions are spot * interpolant(strike/spot, tau); scaling spot,
-    strikes, and prices together leaves the interpolant unchanged, so
-    predictions scale with the quotes.
-    """
-    selected = [q for q in quotes if q.kind == kind]
-    if not selected:
-        raise ValueError("no quotes of the requested kind")
-    strikes = np.array([q.strike for q in selected])
-    taus = np.array([q.tau for q in selected])
-    prices = np.array([q.mid for q in selected])
-    return normalized_li_values(strikes, taus, prices, spot, value_scale=spot)
+def normalized_domain(strikes, taus, spot: float) -> Callable[[float, float], bool]:
+    """The in_domain test of normalized_li_values over these points, built
+    without a value interpolant when the points span a triangulation."""
+    points = np.column_stack([np.asarray(strikes, dtype=float) / spot, taus])
+    try:
+        tri = _triangulate(points)
+    except DegenerateGeometry:
+        # Collinear points: the segment of the 1-D fallback; its values are never read.
+        line = Linear1DInterpolator(ScatterSample(points, np.zeros(len(points))))
+        return lambda strike, tau: line.contains((strike / spot, tau))
+    return lambda strike, tau: bool(tri.find_simplex((strike / spot, tau)) >= 0)
 
 
 def augment_zero_maturity(

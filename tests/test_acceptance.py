@@ -307,3 +307,29 @@ def test_8_hull_accounting_and_augmentation():
         # The augmented hull must reach quotes the plain hull missed,
         # and never lose one it had.
         assert promoted > 0
+
+# Per-label status counts on the acceptance world, as
+# (priced, extrapolated, outside_hull, failed). Integer counts do not
+# depend on the machine, so any drift of the hull test shows here.
+_PINNED_STATUS_COUNTS = {
+    "LI": (69, 0, 11, 0),
+    "LIB": (77, 0, 3, 0),
+    "BS": (69, 0, 11, 0),
+    "NW": (69, 11, 0, 0),
+    "NWCV": (69, 11, 0, 0),
+    "BSNW": (69, 11, 0, 0),
+    "BSNWCV": (69, 11, 0, 0),
+}
+
+
+def test_hull_accounting_counts_are_pinned():
+    config, result = world_protocol()
+    extra = run_protocol(_WORLD["chains"], ProtocolConfig(trim=True, labels=("BSNW", "BSNWCV")))
+    statuses = (ErrorStatus.PRICED, ErrorStatus.EXTRAPOLATED,
+                ErrorStatus.OUTSIDE_HULL, ErrorStatus.FAILED)
+    tally = defaultdict(int)
+    for record in result.errors + extra.errors:
+        tally[(record.label, record.status)] += 1
+    counts = {label: tuple(tally[(label, status)] for status in statuses)
+              for label in _PINNED_STATUS_COUNTS}
+    assert counts == _PINNED_STATUS_COUNTS

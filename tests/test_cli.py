@@ -72,6 +72,28 @@ def test_audit_reports_parity_errors(tmp_path, capsys):
     assert report.extra == {"unmatched_itm": 0.0}
 
 
+def test_audit_skips_days_without_atm_pairs(tmp_path, capsys):
+    source = synth_into(capsys, tmp_path / "data", "--days", 2)
+    lines = source.read_text().splitlines()
+    header, rows = lines[0], lines[1:]
+    second_day = max(row.split(",")[0] for row in rows)
+    # The second day keeps only its puts, so it has no put-call pairs.
+    kept = [row for row in rows if row.split(",")[0] != second_day or row.split(",")[1] == "P"]
+    source.write_text("\n".join([header, *kept]) + "\n")
+
+    code, out, err = run(capsys, "audit", "--input", source, "--output-dir", tmp_path / "mixed")
+    assert code == 0, err
+    assert "skipped 1 of 2 days without ATM put-call pairs" in out
+
+    first_only = tmp_path / "first.csv"
+    first_only.write_text("\n".join([header, *(r for r in rows if r.split(",")[0] != second_day)]) + "\n")
+    code, out, _ = run(capsys, "audit", "--input", first_only, "--output-dir", tmp_path / "first")
+    assert code == 0
+    assert "skipped" not in out
+    audit = (tmp_path / "mixed" / "audit.csv").read_bytes()
+    assert audit == (tmp_path / "first" / "audit.csv").read_bytes()
+
+
 def test_evaluate_then_report(tmp_path, capsys):
     source = synth_into(capsys, tmp_path / "data", "--days", 3)
     out_dir = tmp_path / "reports"
@@ -97,6 +119,33 @@ def test_evaluate_rejects_unknown_label(tmp_path, capsys):
                        "--output-dir", tmp_path, "--labels", "NOPE")
     assert code == 2
     assert "NOPE" in err
+
+
+@pytest.mark.parametrize(
+    "flags, fragment",
+    [
+        (("--labels", "XX"), "XX"),
+        (("--labels", "LI,XX"), "XX"),
+        (("--fraction", 2), "fraction"),
+        (("--partitions", "all,bogus"), "bogus"),
+        (("--workers", 0), "workers"),
+    ],
+)
+def test_evaluate_rejects_bad_config_values(tmp_path, capsys, flags, fragment):
+    source = synth_into(capsys, tmp_path)
+    code, _, err = run(capsys, "evaluate", "--input", source, "--output-dir", tmp_path, *flags)
+    assert code == 2
+    assert fragment in err
+
+
+def test_evaluate_rejects_bad_config_file(tmp_path, capsys):
+    source = synth_into(capsys, tmp_path)
+    config = tmp_path / "protocol.cfg"
+    config.write_text("trim = ture\n")
+    code, _, err = run(capsys, "evaluate", "--input", source, "--output-dir", tmp_path,
+                       "--config", config)
+    assert code == 2
+    assert "ture" in err
 
 
 def test_calibrate_vg_recovers_parameters(tmp_path, capsys):

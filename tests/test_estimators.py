@@ -11,6 +11,7 @@ from pricelab.estimators import (
     HULL_LABELS,
     EstimatorLabel,
     PredictStatus,
+    PricingEstimator,
     fit,
     predict,
 )
@@ -147,12 +148,43 @@ def test_vg_label_recovers_generating_params(bs_day):
     assert est.meta["objective"] <= 1e-8
     for q in quotes:
         assert predict(est, q.strike, q.tau).price == pytest.approx(q.mid, rel=1e-4)
-    # Single-maturity training: the hull test falls back to the strike
-    # and maturity bounding box.
+    # Single-maturity training: the hull is the segment of strikes at
+    # that maturity.
     beyond = predict(est, 100.0, tau + 0.2)
     assert beyond.status is PredictStatus.PRICED
     assert beyond.extrapolated
     assert not predict(est, 100.0, tau).extrapolated
+
+
+def test_kernel_labels_flag_queries_off_a_collinear_training_segment(bs_day):
+    # Training quotes on one line that is not axis-aligned: strikes 90..110
+    # at 30..90 days. Their hull is that segment, not its bounding box.
+    env = bs_day.env
+    quotes = []
+    for strike, days in zip((90.0, 95.0, 100.0, 105.0, 110.0), (30, 45, 60, 75, 90)):
+        price = bs_price(BsInputs(CALL, env.spot, strike, env.rate, 0.013, 0.2, days / 365.0))
+        quotes.append(
+            OptionQuote(kind=CALL, strike=strike, expiry=env.date + timedelta(days=days),
+                        ttm_days=days, bid=price, ask=price, volume=500)
+        )
+    # NWCV is left out: its cross-validated bandwidths shrink until the
+    # off-segment query's kernel weights underflow.
+    for label in (L.NW, L.BSNW, L.BSNWCV):
+        est = fit(label, CALL, quotes, env)
+        on_segment = predict(est, 100.0, 60 / 365.0)
+        assert on_segment.status is PredictStatus.PRICED
+        assert not on_segment.extrapolated
+        off_segment = predict(est, 90.0, 90 / 365.0)
+        assert off_segment.status is PredictStatus.PRICED
+        assert off_segment.extrapolated
+
+
+def test_predict_turns_arithmetic_errors_into_failures(bs_day):
+    def divide_by_zero(strike, tau):
+        return strike / 0.0
+
+    est = PricingEstimator(L.VG, CALL, bs_day.env, divide_by_zero, lambda k, t: True)
+    assert predict(est, 100.0, 0.5).status is PredictStatus.FAILED
 
 
 def test_insufficient_data(bs_day):
@@ -162,6 +194,12 @@ def test_insufficient_data(bs_day):
             fit(label, CALL, few, bs_day.env)
     with pytest.raises(InsufficientData):
         fit(L.NW, CALL, [], bs_day.env)
+
+
+def test_fit_filters_kind(bs_day):
+    puts = [q for q in bs_day.quotes if q.kind is PUT]
+    with pytest.raises(InsufficientData):
+        fit(L.LI, CALL, puts, bs_day.env)
 
 
 def test_nw_minimal_fits(bs_day):

@@ -7,6 +7,7 @@ import pytest
 
 from pricelab.harness import (
     DEFAULT_MASTER_SEED,
+    DaySplit,
     ProtocolConfig,
     cross_date_report,
     day_seed,
@@ -18,6 +19,7 @@ from pricelab.harness import (
 )
 from pricelab.market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from pricelab.reporting import ErrorStatus
+from pricelab.variance_gamma import VgParams, vg_price_quadrature
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
 DAY = date(2012, 1, 3)
@@ -131,6 +133,24 @@ def test_evaluate_day_marks_whole_day_failed_on_fit_error():
     records = evaluate_day("LI", day, split)  # 2 training quotes, LI needs 3
     assert len(records) == 1
     assert records[0].status is ErrorStatus.FAILED
+    assert records[0].est_price is None
+
+
+def test_evaluate_day_vg_fails_cleanly_on_one_day_put():
+    # Quadrature cannot price a 1-day option (it divides by zero), so the
+    # calibration on this training side raises ZeroDivisionError.
+    env = MarketEnv(date=DAY, spot=100.0, rate=0.02, div_hist=0.01)
+    params = VgParams(0.0, 0.3, 3.0)
+    terms = [(95.0, 1), (100.0, 30), (105.0, 30), (100.0, 91), (95.0, 91)]
+    quotes = tuple(
+        make_quote(PUT, strike, days,
+                   vg_price_quadrature(PUT, 100.0, strike, 0.02, 0.01, days / 365.0, params)
+                   if days > 3 else 1.0)
+        for strike, days in terms
+    )
+    split = DaySplit(date=DAY, train=(0, 1, 2, 3), test=(4,), seed=0)
+    records = evaluate_day("VG", DailyChain(env, quotes), split)
+    assert [r.status for r in records] == [ErrorStatus.FAILED]
     assert records[0].est_price is None
 
 
@@ -259,6 +279,11 @@ def test_load_config_partial_keeps_base(tmp_path):
         ("master_seed 7\n", "key=value"),
         ("unknown_key=3\n", "unknown config key"),
         ("kind=straddle\n", "bad kind"),
+        ("trim = ture\n", "bad boolean"),
+        ("labels = LI,XX\n", "'XX' is not a valid EstimatorLabel"),
+        ("fraction = 2\n", "fraction must be in"),
+        ("partitions = all,bogus\n", "unknown partition 'bogus'"),
+        ("workers = 0\n", "workers must be at least 1"),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, text, fragment):
@@ -266,3 +291,25 @@ def test_load_config_rejects_bad_input(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "overrides, fragment",
+    [
+        (dict(labels=("LI", "XX")), "'XX' is not a valid EstimatorLabel"),
+        (dict(fraction=0.0), "fraction must be in"),
+        (dict(fraction=1.0), "fraction must be in"),
+        (dict(partitions=("bogus",)), "unknown partition 'bogus'"),
+        (dict(workers=0), "workers must be at least 1"),
+    ],
+)
+def test_protocol_config_rejects_bad_values(overrides, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        ProtocolConfig(**overrides)
+
+
+@pytest.mark.parametrize("text, value", [("yes", True), ("1", True), ("No", False), ("0", False)])
+def test_load_config_trim_spellings(tmp_path, text, value):
+    path = tmp_path / "trim.cfg"
+    path.write_text(f"trim = {text}\n")
+    assert load_config(path).trim is value

@@ -2,6 +2,7 @@
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from pricelab.errors import ChainParseError
@@ -90,6 +91,19 @@ def test_round_trip_preserves_implied_vol(tmp_path, bs_day):
     save_chains([chain], path, include_iv=True)
     loaded = load_chains(path)[0]
     assert all(q.implied_vol == 0.21 for q in loaded.quotes)
+
+
+def test_round_trip_of_numpy_scalars(tmp_path):
+    env = MarketEnv(date=DATE, spot=np.float64(100.0), rate=np.float64(0.02),
+                    div_hist=np.float64(0.01))
+    quote = make_quote(strike=np.float64(100.0), bid=np.float64(5.0), ask=np.float64(5.2),
+                       volume=np.int64(500), implied_vol=np.float64(0.2))
+    path = tmp_path / "chains.csv"
+    save_chains([DailyChain(env, (quote,))], path, include_iv=True)
+    assert "np." not in path.read_text()
+    (loaded,) = load_chains(path)
+    assert loaded.env == env
+    assert loaded.quotes == (quote,)
 
 
 def test_multi_day_round_trip(tmp_path, bs_days):

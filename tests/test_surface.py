@@ -14,11 +14,9 @@ from pricelab.surface import (
     LinearInterpolator,
     ScatterSample,
     augment_zero_maturity,
-    build_interpolator,
     build_surface,
-    interpolate,
     merge_duplicates,
-    normalized_li_price,
+    normalized_domain,
     normalized_li_values,
 )
 
@@ -36,6 +34,14 @@ def make_quote(kind, strike, ttm_days, mid):
         ask=mid,
         volume=1000,
     )
+
+
+def price_surface(quotes, spot):
+    """The normalized price surface that LI fits to the quotes."""
+    strikes = [q.strike for q in quotes]
+    taus = [q.tau for q in quotes]
+    mids = [q.mid for q in quotes]
+    return normalized_li_values(strikes, taus, mids, spot, value_scale=spot)
 
 
 def affine_sample(rng, n=25, a=0.3, b=1.7, c=-0.9):
@@ -75,7 +81,7 @@ def test_merge_duplicates_keeps_distinct_points():
 def test_interpolator_exact_at_samples():
     rng = np.random.default_rng(2)
     sample, _ = affine_sample(rng)
-    interp = build_interpolator(sample)
+    interp = LinearInterpolator(sample)
     for point, value in zip(sample.points, sample.values):
         assert interp.evaluate(point) == pytest.approx(value, abs=1e-12)
         assert interp.contains(point)
@@ -86,7 +92,7 @@ def test_interpolator_reproduces_affine_functions():
     # convex combination of samples must return the affine value.
     rng = np.random.default_rng(9)
     sample, (a, b, c) = affine_sample(rng)
-    interp = build_interpolator(sample)
+    interp = LinearInterpolator(sample)
     for _ in range(200):
         weights = rng.dirichlet(np.ones(len(sample.values)))
         query = weights @ sample.points
@@ -98,10 +104,10 @@ def test_interpolator_rejects_outside_hull():
     sample = ScatterSample(
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0, 1.0])
     )
-    interp = build_interpolator(sample)
+    interp = LinearInterpolator(sample)
     assert interp.evaluate((0.9, 0.9)) is OUTSIDE_HULL
     assert not interp.contains((0.9, 0.9))
-    assert interpolate(interp, (-0.1, 0.5)) is OUTSIDE_HULL
+    assert interp.evaluate((-0.1, 0.5)) is OUTSIDE_HULL
     # Boundary counts as inside: a vertex and an edge midpoint.
     assert interp.contains((0.0, 0.0))
     assert interp.evaluate((0.5, 0.5)) == pytest.approx(1.0)
@@ -109,12 +115,12 @@ def test_interpolator_rejects_outside_hull():
 
 def test_interpolator_requires_spanning_points():
     with pytest.raises(DegenerateGeometry):
-        build_interpolator(ScatterSample(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2)))
+        LinearInterpolator(ScatterSample(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2)))
     collinear = ScatterSample(
         np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]), np.zeros(3)
     )
     with pytest.raises(DegenerateGeometry):
-        build_interpolator(collinear)
+        LinearInterpolator(collinear)
 
 
 def test_build_surface_falls_back_to_line():
@@ -150,12 +156,12 @@ def test_normalized_price_surface_scales_with_quotes():
             (90.0, 120, 13.0), (100.0, 120, 6.5), (110.0, 120, 3.0),
         ]
     ]
-    surface = normalized_li_price(quotes, CALL, 100.0)
+    surface = price_surface(quotes, 100.0)
     scale = 7.0
     scaled = [
         make_quote(CALL, q.strike * scale, q.ttm_days, q.mid * scale) for q in quotes
     ]
-    scaled_surface = normalized_li_price(scaled, CALL, 100.0 * scale)
+    scaled_surface = price_surface(scaled, 100.0 * scale)
 
     for strike, tau in [(95.0, 30 / 365.0), (105.0, 0.2), (100.0, 0.3)]:
         base = surface.value_at(strike, tau)
@@ -168,12 +174,6 @@ def test_normalized_price_surface_scales_with_quotes():
     assert not surface.in_domain(80.0, 0.2)
 
 
-def test_normalized_price_surface_filters_kind():
-    quotes = [make_quote(PUT, 100.0, 30, 5.0)]
-    with pytest.raises(ValueError):
-        normalized_li_price(quotes, CALL, 100.0)
-
-
 def test_normalized_values_keep_vol_scale():
     strikes = [90.0, 100.0, 110.0, 90.0, 110.0]
     taus = [0.1, 0.2, 0.1, 0.3, 0.3]
@@ -182,6 +182,31 @@ def test_normalized_values_keep_vol_scale():
     assert surface.value_at(100.0, 0.2) == pytest.approx(0.2, abs=1e-12)
     with pytest.raises(ValueError):
         normalized_li_values(strikes, taus, vols, spot=0.0, value_scale=1.0)
+
+
+def test_normalized_domain_matches_surface_domain():
+    rng = np.random.default_rng(4)
+    strikes = rng.uniform(80.0, 120.0, 30)
+    taus = rng.uniform(0.05, 1.0, 30)
+    surface = normalized_li_values(strikes, taus, np.ones(30), spot=100.0, value_scale=1.0)
+    inside = normalized_domain(strikes, taus, spot=100.0)
+    queries = zip(rng.uniform(70.0, 130.0, 400), rng.uniform(0.0, 1.1, 400))
+    flags = [(inside(k, t), surface.in_domain(k, t)) for k, t in queries]
+    assert all(a == b for a, b in flags)
+    assert {a for a, _ in flags} == {True, False}
+
+
+def test_normalized_domain_of_collinear_points_is_their_segment():
+    strikes = [90.0, 95.0, 100.0, 105.0, 110.0]
+    taus = [d / 365.0 for d in (30, 45, 60, 75, 90)]
+    inside = normalized_domain(strikes, taus, spot=100.0)
+    assert inside(100.0, 60 / 365.0)
+    assert inside(95.0, 45 / 365.0)
+    # Inside the bounding box, off the segment.
+    assert not inside(90.0, 90 / 365.0)
+    assert not inside(115.0, 105 / 365.0)
+    with pytest.raises(DegenerateGeometry):
+        normalized_domain([100.0, 100.0], [0.5, 0.5], spot=100.0)
 
 
 def test_augment_zero_maturity_pins_payoff():
@@ -199,7 +224,7 @@ def test_augment_zero_maturity_pins_payoff():
         assert q.mid == max(q.strike - 100.0, 0.0)
         assert q.expiry == min(x.expiry for x in quotes)
 
-    surface = normalized_li_price(augmented, PUT, 100.0)
+    surface = price_surface(augmented, 100.0)
     assert surface.in_domain(100.0, 0.0)
     assert surface.value_at(110.0, 0.0) == pytest.approx(10.0, abs=1e-9)
     assert surface.value_at(95.0, 0.0) == pytest.approx(0.0, abs=1e-9)
