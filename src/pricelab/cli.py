@@ -28,11 +28,11 @@ from pathlib import Path
 
 from . import market_data, reporting, synth
 from .errors import NoAtmPairs, PricelabError
-from .estimators import EstimatorLabel, PredictStatus, fit, predict
+from .estimators import EstimatorLabel, PredictStatus, PricingEstimator, fit, predict
 from .harness import DEFAULT_MASTER_SEED, ProtocolConfig, load_config, parse_kind, run_protocol
 from .market_data import load_chains, save_chains
 from .parity import estimate_dividend_curve, itm_parity_records
-from .variance_gamma import vg_calibrate
+from .variance_gamma import vg_eta
 
 _ENV_SEED = "PRICELAB_SEED"
 
@@ -156,44 +156,36 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
-    chains = _load_input(args.input)
-    chain = _single_day(chains, args.date)
+def _fit_day(args: argparse.Namespace, label: EstimatorLabel) -> PricingEstimator:
+    """Fit one label on the liquid quotes of the day picked by --date,
+    with the day's parity dividend curve (div_hist without ATM pairs)."""
+    chain = _single_day(_load_input(args.input), args.date)
     liquid = market_data.filter_liquidity(chain)
     kind = parse_kind(args.kind)
-    quotes = [
-        (q.strike, q.tau, q.mid)
-        for q in liquid.quotes
-        if q.kind == kind and q.tau > 0.0 and q.mid > 0.0
-    ]
-    if not quotes:
-        raise ValueError(f"no usable {args.kind} quotes on {chain.env.date}")
-    params, objective = vg_calibrate(
-        quotes, kind, liquid.env.spot, liquid.env.rate, liquid.env.div_hist
-    )
+    try:
+        curve = estimate_dividend_curve(liquid)
+    except PricelabError:
+        curve = None
+    return fit(label, kind, liquid.quotes, liquid.env, curve=curve)
+
+
+def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
+    meta = _fit_day(args, EstimatorLabel.VG).meta
+    theta, sigma, alpha = meta["params"]
+    eta, objective = vg_eta(theta, sigma, alpha), meta["objective"]
     out = _out_dir(args) / "vg_params.csv"
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["theta", "sigma", "alpha", "eta", "objective"])
-        writer.writerow([repr(params.theta), repr(params.sigma), repr(params.alpha),
-                         repr(params.eta), repr(objective)])
-    print(f"theta={params.theta:.6g} sigma={params.sigma:.6g} alpha={params.alpha:.6g} "
-          f"eta={params.eta:.6g} objective={objective:.3e}")
+        writer.writerow([repr(theta), repr(sigma), repr(alpha), repr(eta), repr(objective)])
+    print(f"theta={theta:.6g} sigma={sigma:.6g} alpha={alpha:.6g} "
+          f"eta={eta:.6g} objective={objective:.3e}")
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    chains = _load_input(args.input)
-    chain = _single_day(chains, args.date)
-    liquid = market_data.filter_liquidity(chain)
-    kind = parse_kind(args.kind)
-    label = EstimatorLabel(args.label.upper())
-    try:
-        curve = estimate_dividend_curve(liquid)
-    except PricelabError:
-        curve = None
-    estimator = fit(label, kind, liquid.quotes, liquid.env, curve=curve)
+    estimator = _fit_day(args, EstimatorLabel(args.label.upper()))
 
     queries = []
     with open(args.queries, newline="") as handle:
@@ -216,7 +208,7 @@ def _cmd_price(args: argparse.Namespace) -> int:
                 status = prediction.status.value
                 price_text = ""
             writer.writerow([repr(strike), repr(tau), price_text, status])
-    print(f"priced {len(queries)} queries with {label.value} -> {out}")
+    print(f"priced {len(queries)} queries with {estimator.label.value} -> {out}")
     return 0
 
 

@@ -220,8 +220,8 @@ def predict(estimator: PricingEstimator, strike: float, tau: float) -> Predictio
 
     Hull-domain labels return OUTSIDE_HULL status outside their training
     hull; unrestricted labels always price but flag extrapolation there.
-    Numerical failures at a query (kernel underflow, quadrature trouble)
-    come back as FAILED, never as exceptions.
+    Numerical failures at a query (kernel underflow, say) come back as
+    FAILED, never as exceptions.
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")

@@ -16,6 +16,7 @@ import dataclasses
 import datetime as dt
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -246,13 +247,14 @@ class ProtocolResult:
 def run_protocol(chains: Sequence[DailyChain], config: ProtocolConfig = ProtocolConfig()) -> ProtocolResult:
     """Evaluate every label over every day and aggregate by partition.
 
-    Days run independently (optionally across a bounded worker pool);
-    results are collected in input order, so the outcome does not depend
-    on scheduling.
+    Days run independently (optionally across a worker pool, at most one
+    process per day and per CPU); results are collected in input order,
+    so the outcome does not depend on scheduling.
     """
     jobs = [(chain, config) for chain in sorted(chains, key=lambda c: c.env.date)]
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_day = list(pool.map(_evaluate_one_day, jobs))
     else:
         per_day = [_evaluate_one_day(job) for job in jobs]

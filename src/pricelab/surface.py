@@ -137,8 +137,8 @@ class Linear1DInterpolator:
     """Fallback for collinear samples: interpolate along the line's parameter.
 
     The line is the least-squares direction through the points; queries
-    off the line (beyond a small perpendicular slack) or beyond the
-    parameter range are outside the domain.
+    off the line or beyond the parameter range, each by more than a small
+    slack, are outside the domain.
     """
 
     def __init__(self, sample: ScatterSample):
@@ -166,7 +166,7 @@ class Linear1DInterpolator:
         perp = offset - along * self._direction
         if float(np.hypot(perp[0], perp[1])) > self._tol:
             return False
-        return self._params[0] <= along <= self._params[-1]
+        return self._params[0] - self._tol <= along <= self._params[-1] + self._tol
 
     def evaluate(self, point):
         if not self.contains(point):

@@ -1,11 +1,12 @@
 """End-to-end command-line runs, in process via main(argv)."""
 
 import csv
+import dataclasses
 
 import pytest
 
 from pricelab.cli import main
-from pricelab.market_data import load_chains
+from pricelab.market_data import DailyChain, load_chains, save_chains
 from pricelab.reporting import read_report_csv
 
 
@@ -51,6 +52,14 @@ def test_seed_env_must_be_integer(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "synth", "--output-dir", tmp_path)
     assert code == 2
     assert "PRICELAB_SEED" in err
+
+
+def test_synth_vg_prices_one_day_maturities(tmp_path, capsys):
+    source = synth_into(
+        capsys, tmp_path, "--model", "vg",
+        "--theta", 0, "--sigma", 0.3, "--alpha", 3, "--maturities", "1,30,91",
+    )
+    assert all(q.mid > 0.0 for q in load_chains(source)[0].quotes if q.ttm_days == 1)
 
 
 def test_ingest_normalizes(tmp_path, capsys):
@@ -164,6 +173,23 @@ def test_calibrate_vg_recovers_parameters(tmp_path, capsys):
     sigma, alpha, theta = (float(row[k]) for k in ("sigma", "alpha", "theta"))
     assert sigma**2 / alpha == pytest.approx(0.3**2 / 3.0, rel=1e-2)
     assert abs(theta / alpha) < 1e-3
+
+
+def test_calibrate_vg_uses_the_parity_dividend_curve(tmp_path, capsys):
+    # The quotes carry a 1% dividend, which the day's put-call pairs
+    # reveal; the 3% historical estimate in the file would keep every
+    # model price off its quote.
+    source = synth_into(
+        capsys, tmp_path, "--model", "vg", "--dividend", 0.01,
+        "--theta", 0.0, "--sigma", 0.3, "--alpha", 3.0, "--maturities", "91,182",
+    )
+    [day] = load_chains(source)
+    save_chains([DailyChain(dataclasses.replace(day.env, div_hist=0.03), day.quotes)], source)
+    code, _, err = run(capsys, "calibrate-vg", "--input", source, "--output-dir", tmp_path)
+    assert code == 0, err
+    with (tmp_path / "vg_params.csv").open(newline="") as handle:
+        row = next(csv.DictReader(handle))
+    assert float(row["objective"]) < 1e-12
 
 
 def test_single_day_commands_need_a_date(tmp_path, capsys):

@@ -136,22 +136,22 @@ def test_evaluate_day_marks_whole_day_failed_on_fit_error():
     assert records[0].est_price is None
 
 
-def test_evaluate_day_vg_fails_cleanly_on_one_day_put():
-    # Quadrature cannot price a 1-day option (it divides by zero), so the
-    # calibration on this training side raises ZeroDivisionError.
+def test_evaluate_day_vg_prices_with_a_one_day_put_in_training():
+    # The 1-day put's clock is singular at zero; the log-clock trapezoid
+    # prices it, so calibration recovers the model and the held-out put,
+    # left of the training hull, prices flagged as extrapolated.
     env = MarketEnv(date=DAY, spot=100.0, rate=0.02, div_hist=0.01)
     params = VgParams(0.0, 0.3, 3.0)
     terms = [(95.0, 1), (100.0, 30), (105.0, 30), (100.0, 91), (95.0, 91)]
     quotes = tuple(
         make_quote(PUT, strike, days,
-                   vg_price_quadrature(PUT, 100.0, strike, 0.02, 0.01, days / 365.0, params)
-                   if days > 3 else 1.0)
+                   vg_price_quadrature(PUT, 100.0, strike, 0.02, 0.01, days / 365.0, params))
         for strike, days in terms
     )
     split = DaySplit(date=DAY, train=(0, 1, 2, 3), test=(4,), seed=0)
-    records = evaluate_day("VG", DailyChain(env, quotes), split)
-    assert [r.status for r in records] == [ErrorStatus.FAILED]
-    assert records[0].est_price is None
+    [record] = evaluate_day("VG", DailyChain(env, quotes), split)
+    assert record.status is ErrorStatus.EXTRAPOLATED
+    assert record.rel_error < 1e-6
 
 
 def test_run_protocol_aggregates(bs_days):
@@ -175,6 +175,38 @@ def test_run_protocol_deterministic_and_parallel(bs_days):
     assert serial.errors == again.errors
     parallel = run_protocol(bs_days[:4], ProtocolConfig(labels=("LI", "NW"), workers=2))
     assert parallel.errors == serial.errors
+
+
+@pytest.mark.parametrize(
+    "workers, n_days, cpus, pool_size",
+    [(64, 3, 16, 3), (64, 5, 4, 4), (3, 5, 16, 3), (8, 5, None, None), (8, 1, 16, None)],
+)
+def test_run_protocol_clamps_workers_to_days_and_cpus(bs_days, monkeypatch,
+                                                      workers, n_days, cpus, pool_size):
+    import pricelab.harness as harness
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    config = ProtocolConfig(labels=("LI",), workers=workers)
+    result = run_protocol(bs_days[:n_days], config)
+    # A pool of one process is no pool: the days run in this process.
+    assert sizes == ([] if pool_size is None else [pool_size])
+    assert result.errors == run_protocol(bs_days[:n_days], ProtocolConfig(labels=("LI",))).errors
 
 
 def test_run_protocol_rejects_unknown_partition(bs_days):

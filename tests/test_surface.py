@@ -209,6 +209,18 @@ def test_normalized_domain_of_collinear_points_is_their_segment():
         normalized_domain([100.0, 100.0], [0.5, 0.5], spot=100.0)
 
 
+def test_line_interpolator_returns_every_sample_including_the_ends():
+    # Projecting an end sample onto the fitted line can land a rounding
+    # error outside the sample parameters; the slack along the line
+    # keeps both ends in the domain.
+    points = np.array([[m, d / 365.0] for m, d in
+                       zip((0.9, 0.95, 1.0, 1.05, 1.1), (30, 45, 60, 75, 90))])
+    values = np.array([0.11, 0.07, 0.04, 0.02, 0.01])
+    surface = Linear1DInterpolator(ScatterSample(points, values))
+    for point, value in zip(points, values):
+        assert surface.evaluate(point) == pytest.approx(value, rel=1e-12)
+
+
 def test_augment_zero_maturity_pins_payoff():
     quotes = [
         make_quote(PUT, strike, days, mid)
