@@ -25,9 +25,9 @@ def main():
     print("\nin-hull reports:")
     print(render_reports([result.report(label, "hull") for label in config.labels]))
 
-    out = Path(tempfile.mkdtemp(prefix="pricelab_reports_"))
-    written = result.write(out)
-    print(f"\nwrote {len(written)} CSVs to {out} (byte-identical on rerun)")
+    with tempfile.TemporaryDirectory(prefix="pricelab_reports_") as out:
+        written = result.write(Path(out))
+        print(f"\nwrote {len(written)} CSVs to {out} (byte-identical on rerun)")
 
     matches = cross_date_report(chains)
     print(f"\ncross-date: {len(matches)} same-contract pairs on near-identical spots; "

@@ -51,7 +51,7 @@ def main():
     print(f"\nsame price under the c={c} rescaled triple: "
           f"|diff| = {abs(rescaled - quad):.2e}")
 
-    print("\ncalibrating to a noiseless 40-quote day (about a second)...")
+    print("\ncalibrating to a noiseless 40-quote day (a fraction of a second)...")
     day = synth_chain("vg", theta=0.0, sigma=0.3, alpha=3.0,
                       strikes=list(np.linspace(90.0, 120.0, 10)),
                       maturities_days=(91, 182, 273, 365))[0]

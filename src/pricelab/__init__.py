@@ -28,7 +28,6 @@ from .errors import (
     NoConvergence,
     NumericalUnderflow,
     PricelabError,
-    QuadratureFailure,
 )
 from .estimators import (
     EstimatorLabel,
@@ -88,7 +87,6 @@ from .synth import synth_chain
 from .variance_gamma import (
     VgMcResult,
     VgParams,
-    gamma_expectation,
     has_finite_variance,
     vg_calibrate,
     vg_eta,

@@ -41,10 +41,6 @@ class DomainViolation(PricelabError):
     """Parameters fall outside the model's admissible domain."""
 
 
-class QuadratureFailure(PricelabError):
-    """Adaptive quadrature could not meet its tolerance within budget."""
-
-
 class CalibrationFailure(PricelabError):
     """The calibration simplex stalled before meeting its tolerance."""
 

@@ -142,8 +142,12 @@ def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.n
     if np.any(log_denominator < _LOG_FLOOR):
         return float("inf")
     predictions = np.maximum(shifted @ values / denom, 0.0)
-    ratios = 1.0 - predictions / values[keep]
-    return float(np.sum(ratios * ratios))
+    # A kept value near zero can send its ratio or square past the float
+    # range; the objective is then +inf, which the search already scores
+    # as the worst candidate, so the overflow is expected, not a fault.
+    with np.errstate(over="ignore"):
+        ratios = 1.0 - predictions / values[keep]
+        return float(np.sum(ratios * ratios))
 
 
 def loo_cv_bandwidths(points, values) -> Bandwidths:

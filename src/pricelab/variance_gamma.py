@@ -36,14 +36,22 @@ log(clock) on a fixed grid to the integrand less its zero-clock limit
 density that remainder decays like e^{(T + 1/2) x} to the left and like
 e^{-(alpha - w) e^x} to the right, with w = theta + sigma^2/2, so the
 rule converges geometrically (Trefethen & Weideman, SIAM Review 2014),
-even at the shortest maturities. vg_price_mc averages the integrand
-over seeded clock draws. Adaptive quadrature remains only in
-gamma_expectation, a test reference for moments.
+even at the shortest maturities. The rule prices all strikes of one
+maturity as one (strikes x nodes) array; a single strike is the
+one-row case. vg_price_mc averages the integrand over seeded clock
+draws.
 
-Calibration runs Nelder-Mead on the sum of squared relative pricing
-errors with an infinite penalty outside the domain. Distinct parameter
-triples can price a sparse quote set almost identically, so treat fitted
-parameters as a pricing device, not as identified quantities.
+Prices depend on the triple only through theta/alpha and sigma^2/alpha:
+(c theta, c sigma^2, c alpha) rescales the clock by 1/c and the
+conditional variance by c, which leaves the law of the log-price
+unchanged. Only two parameters are identified, as in Madan, Carr & Chang
+(European Finance Review 1998), who fix the clock's variance rate. So
+calibration runs Nelder-Mead over the two coordinates (theta/alpha,
+sigma/sqrt(alpha)) of the alpha = 1 triple, on the sum of squared
+relative pricing errors with an infinite penalty outside the domain, and
+returns the same law at the starting alpha. Distinct pairs can still
+price a sparse quote set almost identically, so treat fitted parameters
+as a pricing device.
 """
 
 from __future__ import annotations
@@ -51,27 +59,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr
 
-from .errors import CalibrationFailure, DomainViolation, QuadratureFailure
+from .errors import CalibrationFailure, DomainViolation
 from .market_data import OptionKind
-
-# Quadrature budget and tolerances: the result must carry an error
-# estimate within REL_TOL of itself (or the caller's absolute floor)
-# after at most LIMIT adaptive subdivisions.
-_REL_TOL = 1e-8
-_EPSREL = 1e-10
-_QUAD_LIMIT = 500
-
-# Beyond this log clock value every term's exponent is hopelessly
-# negative; short-circuiting also keeps power substitutions from
-# overflowing on the quadrature's far probes.
-_LOG_CLOCK_CUTOFF = 700.0
 
 # Trapezoid grid in x = log(clock). Below -70 the integrand less its limit
 # is O(e^-35) of the legs; the right end is where its exponent falls below
@@ -128,72 +123,6 @@ class VgMcResult:
     seed: int
 
 
-def gamma_expectation(f: Callable[[float], float] | None, shape: float, rate: float,
-                      abs_floor: float = 1e-12,
-                      log_f: Callable[[float], float] | None = None) -> float:
-    """E[f(X)] for X ~ Gamma(shape, rate) by adaptive quadrature.
-
-    Pass log_f instead of f for integrands that grow exponentially (the
-    moment generating function, say): the quadrature probes clock values
-    far beyond the bulk, where only the log of the product is
-    representable. Raises QuadratureFailure when the reported error
-    exceeds max(1e-8 |result|, abs_floor) or the budget runs out.
-
-    The substitution u = rate * x maps the expectation onto the unit-rate
-    weight u^{shape-1} e^{-u} / Gamma(shape); for shape < 1 a further
-    power substitution v = u^shape removes the endpoint singularity.
-    """
-    if shape <= 0.0 or rate <= 0.0:
-        raise ValueError(f"shape and rate must be positive, got ({shape}, {rate})")
-    if (f is None) == (log_f is None):
-        raise ValueError("pass exactly one of f and log_f")
-
-    # weighted(clock, log_weight): f times the weight, density included;
-    # zero_value: f at zero clock, times the weight's non-singular factor.
-    if log_f is not None:
-        weighted = lambda g, log_w: math.exp(log_f(g) + log_w)
-        zero_value = math.exp(log_f(0.0))
-    else:
-        weighted = lambda g, log_w: f(g) * math.exp(log_w)
-        zero_value = f(0.0)
-
-    log_gamma = gammaln(shape)
-    if shape < 1.0:
-        inv_shape = 1.0 / shape
-        log_gamma1 = gammaln(shape + 1.0)
-
-        def integrand(v: float) -> float:
-            if v <= 0.0:
-                return zero_value * math.exp(-log_gamma1)
-            log_u = math.log(v) * inv_shape
-            if log_u > _LOG_CLOCK_CUTOFF:
-                return 0.0
-            u = math.exp(log_u)
-            return weighted(u / rate, -u - log_gamma1)
-
-    else:
-
-        def integrand(u: float) -> float:
-            if u <= 0.0:
-                return zero_value * math.exp(-log_gamma) if shape == 1.0 else 0.0
-            if u > math.exp(_LOG_CLOCK_CUTOFF):
-                return 0.0
-            return weighted(u / rate, (shape - 1.0) * math.log(u) - u - log_gamma)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        result = quad(integrand, 0.0, np.inf, epsabs=abs_floor, epsrel=_EPSREL,
-                      limit=_QUAD_LIMIT, full_output=1)
-    if len(result) > 3:
-        raise QuadratureFailure(f"quadrature did not converge: {result[3]}")
-    value, abserr = result[0], result[1]
-    if abserr > max(_REL_TOL * abs(value), abs_floor):
-        raise QuadratureFailure(
-            f"quadrature error estimate {abserr} exceeds tolerance for value {value}"
-        )
-    return value
-
-
 def _legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float,
           tau: float, params: VgParams) -> tuple[float, float, float, float]:
     """(a, A, B, limit): log-forwardness, the two discounted legs, and the
@@ -211,13 +140,14 @@ def _legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: f
     return a, leg_spot, leg_strike, max(leg_strike - leg_spot, 0.0)
 
 
-def _conditional_price_vec(kind: OptionKind, spot: float, strike: float, rate: float,
-                           dividend: float, tau: float, params: VgParams,
-                           clocks: np.ndarray, log_weight=0.0) -> np.ndarray:
+def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
+                           log_weight=0.0) -> np.ndarray:
     """Conditional price at each clock times e^log_weight, the integrand of
-    both pricing routes. The weight joins the growth factor's exponent, so
-    a Gamma log-density cannot overflow against it; Monte Carlo passes 0."""
-    a, leg_spot, leg_strike, zero_limit = _legs(kind, spot, strike, rate, dividend, tau, params)
+    both pricing routes, given _legs of one strike or their strike columns
+    (which broadcast against the clocks). The weight joins the growth
+    factor's exponent, so a Gamma log-density cannot overflow against it;
+    Monte Carlo passes 0."""
+    a, leg_spot, leg_strike, zero_limit = legs
     sigma = params.sigma
     growth = params.theta + 0.5 * sigma * sigma
 
@@ -235,23 +165,33 @@ def _conditional_price_vec(kind: OptionKind, spot: float, strike: float, rate: f
     return np.where(positive, values, zero_limit * weight)
 
 
-def vg_price_quadrature(kind: OptionKind, spot: float, strike: float, rate: float,
-                        dividend: float, tau: float, params: VgParams) -> float:
-    """Price by the trapezoid rule over the Gamma clock in x = log(clock).
-    Deterministic; tiny negative rounding residue is clamped to zero."""
-    zero_limit = _legs(kind, spot, strike, rate, dividend, tau, params)[3]
+def _maturity_prices(kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
+                     dividend: float, tau: float, params: VgParams) -> np.ndarray:
+    """Trapezoid prices of one maturity's strikes over the Gamma clock in
+    x = log(clock), as one (strikes x nodes) array. Each row is computed
+    exactly as a lone strike would be, so the prices do not depend on
+    which strikes are priced together."""
+    legs = np.array([_legs(kind, spot, k, rate, dividend, tau, params) for k in strikes])
+    columns = legs.T[:, :, None]
+    zero_limit = columns[3]
     alpha = params.alpha
     growth = params.theta + 0.5 * params.sigma * params.sigma
     x_max = math.log(_TAIL_EXPONENT / (alpha - max(growth, 0.0)))
     x = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
     clocks = np.exp(x)
     log_density = tau * math.log(alpha) - gammaln(tau) + tau * x - alpha * clocks
-    values = _conditional_price_vec(kind, spot, strike, rate, dividend, tau, params,
-                                    clocks, log_density)
+    values = _conditional_price_vec(kind, columns, params, clocks, log_density)
     # Less its zero-clock limit the integrand vanishes at both ends, so the
     # trapezoid rule is a plain sum; the limit integrates to itself.
-    remainder = float(np.sum(values - zero_limit * np.exp(log_density)))
-    return max(zero_limit + _LOG_CLOCK_STEP * remainder, 0.0)
+    remainder = np.sum(values - zero_limit * np.exp(log_density), axis=1)
+    return np.maximum(legs[:, 3] + _LOG_CLOCK_STEP * remainder, 0.0)
+
+
+def vg_price_quadrature(kind: OptionKind, spot: float, strike: float, rate: float,
+                        dividend: float, tau: float, params: VgParams) -> float:
+    """Price by the trapezoid rule over the Gamma clock in x = log(clock).
+    Deterministic; tiny negative rounding residue is clamped to zero."""
+    return float(_maturity_prices(kind, spot, (strike,), rate, dividend, tau, params)[0])
 
 
 def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
@@ -266,6 +206,7 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
     """
     if n < 2:
         raise ValueError(f"need at least two paths, got {n}")
+    legs = _legs(kind, spot, strike, rate, dividend, tau, params)
     if not has_finite_variance(params):
         warnings.warn(
             "2 theta + sigma^2 >= alpha: payoff variance is infinite and the "
@@ -275,7 +216,7 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
         )
     rng = np.random.default_rng(seed)
     clocks = rng.gamma(shape=tau, scale=1.0 / params.alpha, size=n)
-    values = _conditional_price_vec(kind, spot, strike, rate, dividend, tau, params, clocks)
+    values = _conditional_price_vec(kind, legs, params, clocks)
     price = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n))
     return VgMcResult(price=price, stderr=stderr, n=n, seed=seed)
@@ -291,10 +232,13 @@ def vg_calibrate(
 ) -> tuple[VgParams, float]:
     """Fit (theta, sigma, alpha) to (strike, tau, price) triples.
 
-    Minimizes sum |(model - price)/price|^2 with Nelder-Mead from the
-    given start, scoring inadmissible triples +inf so the simplex stays
-    inside the domain. Deterministic given the start. Returns the
-    fitted parameters and the attained objective.
+    Minimizes sum |(model - price)/price|^2 with Nelder-Mead over the two
+    identified coordinates (theta/alpha, sigma/sqrt(alpha)), pricing the
+    alpha = 1 triple and scoring inadmissible points +inf so the simplex
+    stays inside the domain. The quotes are grouped by tau once, and each
+    maturity's strikes are priced in one array. Deterministic given the
+    start. Returns the fitted law at the start's alpha, and the attained
+    objective.
 
     Raises CalibrationFailure if the simplex stalls before reaching the
     1e-10 objective spread within 2000 iterations, and ValueError on an
@@ -309,21 +253,29 @@ def vg_calibrate(
     except DomainViolation as exc:
         raise ValueError(f"inadmissible start {init}: {exc}") from None
 
+    by_tau: dict[float, tuple[list[float], list[float]]] = {}
+    for strike, tau, price in quotes:
+        strikes, prices = by_tau.setdefault(tau, ([], []))
+        strikes.append(strike)
+        prices.append(price)
+    groups = [(tau, strikes, np.asarray(prices)) for tau, (strikes, prices) in by_tau.items()]
+
     def objective(x: np.ndarray) -> float:
-        theta, sigma, alpha = float(x[0]), float(x[1]), float(x[2])
-        if sigma <= 0.0 or alpha <= 0.0 or theta + 0.5 * sigma * sigma >= alpha:
+        theta, sigma = float(x[0]), float(x[1])
+        if sigma <= 0.0 or theta + 0.5 * sigma * sigma >= 1.0:
             return float("inf")
-        params = VgParams(theta, sigma, alpha)
+        params = VgParams(theta, sigma, 1.0)
         total = 0.0
-        for strike, tau, price in quotes:
-            model = vg_price_quadrature(kind, spot, strike, rate, dividend, tau, params)
-            ratio = (model - price) / price
-            total += ratio * ratio
+        for tau, strikes, prices in groups:
+            model = _maturity_prices(kind, spot, strikes, rate, dividend, tau, params)
+            ratios = (model - prices) / prices
+            total += float(ratios @ ratios)
         return total
 
+    theta0, sigma0, alpha0 = init
     result = minimize(
         objective,
-        x0=np.asarray(init, dtype=float),
+        x0=np.array([theta0 / alpha0, sigma0 / math.sqrt(alpha0)]),
         method="Nelder-Mead",
         options={
             "maxiter": _CALIBRATION_MAXITER,
@@ -337,5 +289,5 @@ def vg_calibrate(
     )
     if not result.success:
         raise CalibrationFailure(f"calibration stalled: {result.message}")
-    theta, sigma, alpha = (float(v) for v in result.x)
-    return VgParams(theta, sigma, alpha), float(result.fun)
+    theta, sigma = (float(v) for v in result.x)
+    return VgParams(alpha0 * theta, math.sqrt(alpha0) * sigma, alpha0), float(result.fun)

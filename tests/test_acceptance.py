@@ -14,6 +14,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from oracles import gamma_expectation
 from pricelab.black_scholes import (
     BsInputs,
     bs_price,
@@ -36,7 +37,6 @@ from pricelab.reporting import CDF_THRESHOLDS, ErrorStatus
 from pricelab.synth import synth_chain
 from pricelab.variance_gamma import (
     VgParams,
-    gamma_expectation,
     vg_calibrate,
     vg_price_mc,
     vg_price_quadrature,

@@ -19,6 +19,7 @@ from pricelab.harness import (
 )
 from pricelab.market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from pricelab.reporting import ErrorStatus
+from pricelab.synth import synth_chain
 from pricelab.variance_gamma import VgParams, vg_price_quadrature
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
@@ -152,6 +153,16 @@ def test_evaluate_day_vg_prices_with_a_one_day_put_in_training():
     [record] = evaluate_day("VG", DailyChain(env, quotes), split)
     assert record.status is ErrorStatus.EXTRAPOLATED
     assert record.rel_error < 1e-6
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_run_protocol_vg_calibrates_every_day_from_the_default_start(trim):
+    # Every day of this world must calibrate from the default start, so
+    # no held-out put comes back FAILED.
+    chains = synth_chain("vg", n_days=4, theta=-0.1, sigma=0.25, alpha=2.0)
+    result = run_protocol(chains, ProtocolConfig(labels=("VG",), trim=trim))
+    assert result.errors
+    assert all(r.status is not ErrorStatus.FAILED for r in result.errors)
 
 
 def test_run_protocol_aggregates(bs_days):

@@ -2,6 +2,7 @@
 cross-validation selector."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,3 +230,16 @@ def test_cv_input_contracts():
         loo_cv_bandwidths(points, values[:-1])
     with pytest.raises(ValueError):
         loo_cv_bandwidths(points, np.zeros(len(values)))
+
+
+def test_cv_objective_overflow_on_a_tiny_value_is_inf_without_a_warning():
+    # The 1e-300 value's ratio is about 1e300, so its square is past the
+    # float range: the objective is +inf, and no RuntimeWarning escapes.
+    # Every candidate bandwidth scores +inf, so the search reports that.
+    points = np.array([(90.0, 0.1), (95.0, 0.1), (100.0, 0.1), (105.0, 0.2), (110.0, 0.2)])
+    values = np.array([1e-300, 2.0, 3.0, 4.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cv_objective_at(points, values, Bandwidths(5.0, 0.1)) == math.inf
+        with pytest.raises(NumericalUnderflow):
+            loo_cv_bandwidths(points, values)

@@ -10,11 +10,12 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
+from oracles import gamma_expectation
 from pricelab.errors import CalibrationFailure, DomainViolation
 from pricelab.market_data import OptionKind
 from pricelab.variance_gamma import (
     VgParams,
-    gamma_expectation,
+    _maturity_prices,
     has_finite_variance,
     vg_calibrate,
     vg_eta,
@@ -134,6 +135,45 @@ def test_quadrature_matches_pinned_adaptive_prices(kind, strike, days, triple, p
     assert price == pytest.approx(pinned, rel=1e-10)
 
 
+# Pinned bits, in hex, of the quadrature price and of the Monte Carlo
+# price and standard error (2,000 paths, seed = days), at spot 100, rate
+# 0.02, dividend 0.01. Pricing a maturity's strikes as one array must not
+# move any of them.
+@pytest.mark.parametrize(
+    "kind, strike, days, triple, quad_hex, mc_hex, stderr_hex",
+    [
+        (CALL, 100.0, 1, (0.0, 0.3, 3.0),
+         "0x1.23e14dfea4457p-5", "0x1.d8e873b522891p-6", "0x1.15faad939d4bcp-7"),
+        (PUT, 90.0, 30, (-0.1, 0.25, 2.0),
+         "0x1.ef9ae32e557cdp-3", "0x1.03045d284a870p-2", "0x1.6cfa5c2bdfc41p-6"),
+        (PUT, 110.0, 1095, (-0.3, 0.15, 0.5),
+         "0x1.1971bc184a1b1p+5", "0x1.16f912533112bp+5", "0x1.762b02157bab4p-1"),
+        (CALL, 130.0, 182, (0.1, 0.5, 1.0),
+         "0x1.040360f93abf7p+3", "0x1.0577d2526df8ap+3", "0x1.1a05376632881p-1"),
+        (PUT, 95.0, 91, (-0.052, 0.209, 1.83),
+         "0x1.eb2a35033620fp-1", "0x1.c6dbf22bc90f0p-1", "0x1.411f565f60343p-5"),
+    ],
+)
+def test_prices_keep_their_pinned_bits(kind, strike, days, triple, quad_hex, mc_hex,
+                                       stderr_hex):
+    params, tau = VgParams(*triple), days / 365.0
+    price = vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params)
+    assert price.hex() == quad_hex
+    mc = vg_price_mc(kind, 100.0, strike, 0.02, 0.01, tau, params, n=2000, seed=days)
+    assert (mc.price.hex(), mc.stderr.hex()) == (mc_hex, stderr_hex)
+
+
+@pytest.mark.parametrize("kind", [CALL, PUT])
+@pytest.mark.parametrize("days, triple", [(2, (0.0, 0.3, 3.0)), (91, (-0.1, 0.25, 2.0)),
+                                          (730, (-0.3, 0.15, 0.5))])
+def test_maturity_prices_match_a_scalar_loop_bit_for_bit(kind, days, triple):
+    params, tau = VgParams(*triple), days / 365.0
+    strikes = [60.0, 85.0, 92.5, 100.0, 104.0, 117.5, 150.0]
+    grouped = _maturity_prices(kind, 100.0, strikes, 0.02, 0.01, tau, params)
+    for strike, price in zip(strikes, grouped):
+        assert price == vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params)
+
+
 @pytest.mark.parametrize("days", [1, 2, 3])
 @pytest.mark.parametrize("kind, strike", [(CALL, 100.0), (CALL, 120.0), (PUT, 90.0)])
 def test_short_maturities_match_monte_carlo(days, kind, strike):
@@ -242,6 +282,27 @@ def test_calibration_reprices_single_quote():
     assert objective <= 1e-10
     refit = vg_price_quadrature(CALL, 100.0, strike, 0.02, 0.01, tau, fitted)
     assert refit == pytest.approx(price, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [(-0.1, 0.2, 2.0), (-0.052, 0.209, 1.83), (-0.2, 0.25, 1.0), (0.1, 0.3, 2.0),
+     (-0.3, 0.15, 0.5), (0.4, 0.3, 0.5), (0.0, 0.3, 3.0)],
+)
+def test_calibration_recovers_the_identified_ratios(triple):
+    # Prices fix only theta/alpha and sigma^2/alpha, so those must come back
+    # even though the triple itself is not identified; the fit keeps the
+    # start's alpha.
+    truth = VgParams(*triple)
+    quotes = [(strike, days / 365.0,
+               vg_price_quadrature(PUT, 100.0, strike, 0.02, 0.01, days / 365.0, truth))
+              for days in (30, 91, 182) for strike in (85.0, 90.0, 95.0, 100.0, 105.0)]
+    fitted, objective = vg_calibrate(quotes, PUT, 100.0, 0.02, 0.01)
+    assert objective <= 1e-10
+    assert fitted.alpha == 2.0
+    assert fitted.theta / fitted.alpha == pytest.approx(truth.theta / truth.alpha, abs=1e-4)
+    assert fitted.sigma**2 / fitted.alpha == pytest.approx(truth.sigma**2 / truth.alpha,
+                                                           abs=1e-4)
 
 
 def test_calibration_input_contracts():
