@@ -9,12 +9,22 @@ values,
 with Gaussian factors rho. Weights are computed in log space with
 max-subtraction, so far-from-data queries stay well conditioned; only
 when the true weight sum drops below 1e-300 is the query declared
-unanswerable.
+unanswerable. The shifted weights come from one exponential pass, which
+also gives the log of the weight sum.
+
+Far from the data most log-weights lie below -700, where np.exp is slow:
+a result that underflows to zero costs several times a normal one, and a
+subnormal result about a hundred times. _exp therefore exponentiates
+arguments clamped at -700, zeroes those at or below it, and sends only
+the few in (-746, -700], whose results may be subnormal, through np.exp
+one gathered array at a time. Every weight is bit-identical to np.exp.
 
 Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
-Nelder-Mead in log-bandwidth space. Both are deterministic.
+Nelder-Mead in log-bandwidth space. Both are deterministic. The
+differences of the rows that enter the CV sum against every sample are
+built once per search; each evaluation then works in place on them.
 """
 
 from __future__ import annotations
@@ -24,11 +34,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .errors import DegenerateDispersion, NumericalUnderflow
 
 _LOG_FLOOR = math.log(1e-300)
+# np.exp(x) is 0.0 for x <= _EXP_ZERO: exp(-746) ~ 1e-324 is below half the
+# smallest subnormal. For x > _EXP_NORMAL it is a normal number, which
+# np.exp computes fast. Clamping at -708, nearer the subnormal range, would
+# hit the slow path again.
+_EXP_ZERO = -746.0
+_EXP_NORMAL = -700.0
 _SILVERMAN_FACTOR = 0.9
 _IQR_SCALE = 1.34
 
@@ -71,6 +86,20 @@ class NwModel:
         object.__setattr__(self, "values", values)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """np.exp(x), bit for bit, for a C-contiguous array of log-weights
+    x <= 0 (never NaN), computed in place: x is overwritten and returned."""
+    live = x > _EXP_NORMAL
+    flat = x.reshape(-1)
+    band = np.flatnonzero(live != (x > _EXP_ZERO))
+    band_values = np.exp(flat[band])
+    np.maximum(x, _EXP_NORMAL, out=x)
+    np.exp(x, out=x)
+    np.multiply(x, live, out=x)
+    flat[band] = band_values
+    return x
+
+
 def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
     z1 = (strike - model.strikes) / model.bandwidths.eps1
     z2 = (tau - model.taus) / model.bandwidths.eps2
@@ -90,14 +119,15 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     logw = _log_weights(model, strike, tau)
     # True weight sum includes the Gaussian normalization the estimate cancels.
     log_norm = -math.log(2.0 * math.pi * model.bandwidths.eps1 * model.bandwidths.eps2)
-    log_denominator = logsumexp(logw) + log_norm
-    if not np.isfinite(log_denominator) or log_denominator < _LOG_FLOOR:
-        raise NumericalUnderflow(
-            f"kernel weights underflow at query ({strike}, {tau}) with {model.bandwidths}"
-        )
-    shifted = np.exp(logw - logw.max())
-    estimate = float(shifted @ model.values / shifted.sum())
-    return max(estimate, 0.0)
+    top = logw.max()
+    if np.isfinite(top):
+        shifted = _exp(logw - top)
+        total = shifted.sum()
+        if top + math.log(total) + log_norm >= _LOG_FLOOR:
+            return max(float(shifted @ model.values / total), 0.0)
+    raise NumericalUnderflow(
+        f"kernel weights underflow at query ({strike}, {tau}) with {model.bandwidths}"
+    )
 
 
 def silverman_bandwidths(points) -> Bandwidths:
@@ -125,29 +155,49 @@ def silverman_bandwidths(points) -> Bandwidths:
     return Bandwidths(eps[0], eps[1])
 
 
-def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.ndarray,
-                  eps1: float, eps2: float) -> float:
-    """Leave-one-out sum of |1 - f_{-j}(x_j)/p_j|^2 over kept rows;
-    +inf when any needed row underflows."""
-    logw = -0.5 * ((d1 / eps1) ** 2 + (d2 / eps2) ** 2)
-    np.fill_diagonal(logw, -np.inf)
-    logw = logw[keep]
-    row_max = logw.max(axis=1)
-    if not np.all(np.isfinite(row_max)):
-        return float("inf")
-    shifted = np.exp(logw - row_max[:, None])
-    denom = shifted.sum(axis=1)
-    log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
-    log_denominator = row_max + np.log(denom) + log_norm
-    if np.any(log_denominator < _LOG_FLOOR):
-        return float("inf")
-    predictions = np.maximum(shifted @ values / denom, 0.0)
-    # A kept value near zero can send its ratio or square past the float
-    # range; the objective is then +inf, which the search already scores
-    # as the worst candidate, so the overflow is expected, not a fault.
-    with np.errstate(over="ignore"):
-        ratios = 1.0 - predictions / values[keep]
-        return float(np.sum(ratios * ratios))
+def _cv_objective(points: np.ndarray, values: np.ndarray):
+    """The leave-one-out sum of |1 - f_{-j}(x_j)/p_j|^2 over kept rows
+    (nonzero values), as a function of (eps1, eps2); +inf when any kept
+    row underflows.
+
+    The differences of the kept rows against every sample are built
+    here, once; each call works in place on one buffer of that size.
+    """
+    rows = np.flatnonzero(values != 0.0)
+    d1 = points[rows, 0][:, None] - points[:, 0][None, :]
+    d2 = points[rows, 1][:, None] - points[:, 1][None, :]
+    # Flat index of each kept row's own sample, which its estimate leaves out.
+    own = np.arange(rows.size) * points.shape[0] + rows
+    kept_values = values[rows]
+    buffers = np.empty_like(d1), np.empty_like(d2)
+
+    def objective(eps1: float, eps2: float) -> float:
+        logw, z2 = buffers
+        # (d / eps)**2 as written: d**2 / eps**2 would round differently.
+        np.square(np.divide(d1, eps1, out=logw), out=logw)
+        np.square(np.divide(d2, eps2, out=z2), out=z2)
+        logw += z2
+        logw *= -0.5
+        logw.reshape(-1)[own] = -np.inf
+        row_max = logw.max(axis=1)
+        if not np.all(np.isfinite(row_max)):
+            return float("inf")
+        logw -= row_max[:, None]
+        shifted = _exp(logw)
+        denom = shifted.sum(axis=1)
+        log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
+        log_denominator = row_max + np.log(denom) + log_norm
+        if np.any(log_denominator < _LOG_FLOOR):
+            return float("inf")
+        predictions = np.maximum(shifted @ values / denom, 0.0)
+        # A kept value near zero can send its ratio or square past the float
+        # range; the objective is then +inf, which the search already scores
+        # as the worst candidate, so the overflow is expected, not a fault.
+        with np.errstate(over="ignore"):
+            ratios = 1.0 - predictions / kept_values
+            return float(np.sum(ratios * ratios))
+
+    return objective
 
 
 def loo_cv_bandwidths(points, values) -> Bandwidths:
@@ -167,17 +217,11 @@ def loo_cv_bandwidths(points, values) -> Bandwidths:
         raise ValueError("points must be (n, 2) with one value per point")
     if points.shape[0] < 3:
         raise ValueError("cross-validation needs at least three samples")
-    keep = values != 0.0
-    if not keep.any():
+    if not np.any(values != 0.0):
         raise ValueError("every sample value is zero; relative CV is undefined")
 
     seed = silverman_bandwidths(points)
-    d1 = points[:, 0][:, None] - points[:, 0][None, :]
-    d2 = points[:, 1][:, None] - points[:, 1][None, :]
-
-    def objective(eps1: float, eps2: float) -> float:
-        return _cv_objective(d1, d2, values, keep, eps1, eps2)
-
+    objective = _cv_objective(points, values)
     factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
     best_eps, best_cv = None, float("inf")
     seed_cv = None
@@ -212,7 +256,4 @@ def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
     """The CV objective at given bandwidths, for comparing selectors."""
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
-    keep = values != 0.0
-    d1 = points[:, 0][:, None] - points[:, 0][None, :]
-    d2 = points[:, 1][:, None] - points[:, 1][None, :]
-    return _cv_objective(d1, d2, values, keep, bandwidths.eps1, bandwidths.eps2)
+    return _cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)

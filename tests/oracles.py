@@ -2,6 +2,11 @@
 
 gamma_expectation is adaptive quadrature over the Gamma clock, an
 oracle independent of the package's log-clock trapezoid rule.
+
+nw_estimate and _cv_objective are the kernel module's straightforward
+forms: every weight from np.exp, the weight sum from logsumexp, and the
+CV matrix built whole for each evaluation. The package's forms must
+match them bit for bit.
 """
 
 import math
@@ -10,7 +15,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
+
+from pricelab.errors import NumericalUnderflow
+from pricelab.kernel import NwModel
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -87,3 +95,60 @@ def gamma_expectation(f: Callable[[float], float] | None, shape: float, rate: fl
         f"quadrature error estimate {abserr} exceeds tolerance for value {value}"
     )
     return value
+
+
+_LOG_FLOOR = math.log(1e-300)
+
+
+def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
+    z1 = (strike - model.strikes) / model.bandwidths.eps1
+    z2 = (tau - model.taus) / model.bandwidths.eps2
+    return -0.5 * (z1 * z1 + z2 * z2)
+
+
+def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
+    """Evaluate the regression at one query.
+
+    The result is a convex combination of the sample values (so it lies
+    within their range) with the negative-part clamp applied; the clamp
+    cannot activate for non-negative samples but states the contract.
+
+    Raises NumericalUnderflow when every kernel weight underflows the
+    1e-300 floor (query absurdly far from the data).
+    """
+    logw = _log_weights(model, strike, tau)
+    # True weight sum includes the Gaussian normalization the estimate cancels.
+    log_norm = -math.log(2.0 * math.pi * model.bandwidths.eps1 * model.bandwidths.eps2)
+    log_denominator = logsumexp(logw) + log_norm
+    if not np.isfinite(log_denominator) or log_denominator < _LOG_FLOOR:
+        raise NumericalUnderflow(
+            f"kernel weights underflow at query ({strike}, {tau}) with {model.bandwidths}"
+        )
+    shifted = np.exp(logw - logw.max())
+    estimate = float(shifted @ model.values / shifted.sum())
+    return max(estimate, 0.0)
+
+
+def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.ndarray,
+                  eps1: float, eps2: float) -> float:
+    """Leave-one-out sum of |1 - f_{-j}(x_j)/p_j|^2 over kept rows;
+    +inf when any needed row underflows."""
+    logw = -0.5 * ((d1 / eps1) ** 2 + (d2 / eps2) ** 2)
+    np.fill_diagonal(logw, -np.inf)
+    logw = logw[keep]
+    row_max = logw.max(axis=1)
+    if not np.all(np.isfinite(row_max)):
+        return float("inf")
+    shifted = np.exp(logw - row_max[:, None])
+    denom = shifted.sum(axis=1)
+    log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
+    log_denominator = row_max + np.log(denom) + log_norm
+    if np.any(log_denominator < _LOG_FLOOR):
+        return float("inf")
+    predictions = np.maximum(shifted @ values / denom, 0.0)
+    # A kept value near zero can send its ratio or square past the float
+    # range; the objective is then +inf, which the search already scores
+    # as the worst candidate, so the overflow is expected, not a fault.
+    with np.errstate(over="ignore"):
+        ratios = 1.0 - predictions / values[keep]
+        return float(np.sum(ratios * ratios))

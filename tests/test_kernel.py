@@ -6,11 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pricelab.errors import DegenerateDispersion, NumericalUnderflow
 from pricelab.kernel import (
     Bandwidths,
     NwModel,
+    _cv_objective,
+    _exp,
     cv_objective_at,
     loo_cv_bandwidths,
     nw_estimate,
@@ -243,3 +248,158 @@ def test_cv_objective_overflow_on_a_tiny_value_is_inf_without_a_warning():
         assert cv_objective_at(points, values, Bandwidths(5.0, 0.1)) == math.inf
         with pytest.raises(NumericalUnderflow):
             loo_cv_bandwidths(points, values)
+
+
+# --- bit-for-bit agreement with the straightforward forms (tests/oracles.py)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_exp_underflows_to_zero_at_or_below_minus_746():
+    # _exp rests on this alone: exp(-746) ~ 1e-324 is below half the
+    # smallest subnormal, so np.exp returns exactly 0.0 from there down.
+    below = np.concatenate([
+        -746.0 - 1e-13 * np.arange(200.0),
+        np.linspace(-746.0, -1e4, 2001),
+        [np.nextafter(-746.0, -np.inf), -1e300, -np.inf],
+    ])
+    assert np.all(np.exp(below) == 0.0)
+    assert math.exp(-746.0) == 0.0
+
+
+def exp_arguments():
+    edges = [0.0, -0.0, -np.inf, -745.1332191019412, -746.0, -708.0, -700.0]
+    near = [np.nextafter(e, side) for e in edges[3:] for side in (-np.inf, np.inf)]
+    ulps = [e - k * 1e-13 for e in edges[3:] for k in range(-50, 51)]
+    return np.concatenate([
+        np.linspace(-800.0, 0.0, 400_001),
+        edges, near, ulps,
+        np.linspace(-746.0, -700.0, 20_001),  # the band _exp hands to np.exp
+        np.random.default_rng(71).uniform(-760.0, -690.0, 20_000),
+    ])
+
+
+def test_exp_matches_numpy_bit_for_bit():
+    x = exp_arguments()
+    expected = np.exp(x)
+    assert np.any((expected > 0.0) & (expected < np.finfo(float).tiny))
+    assert np.array_equal(bits(_exp(x.copy())), bits(expected))
+    # Two-dimensional and reordered inputs take the same paths.
+    shuffled = np.random.default_rng(73).permutation(x)[:400_000].reshape(800, 500)
+    assert np.array_equal(bits(_exp(shuffled.copy())), bits(np.exp(shuffled)))
+    for single in (-750.0, -720.0, -1.0, -np.inf):
+        assert np.array_equal(bits(_exp(np.array([single]))), bits(np.exp([single])))
+
+
+def oracle_outcome(model, strike, tau):
+    try:
+        return oracles.nw_estimate(model, strike, tau).hex()
+    except NumericalUnderflow:
+        return "underflow"
+
+
+def near_floor_queries(rng, model, count):
+    """Queries beyond the largest strike, around the strike at which the
+    oracle's weight sum crosses the 1e-300 floor, on both sides of it."""
+    tau = float(rng.uniform(model.taus.min(), model.taus.max()))
+    priced, underflowed = model.strikes.max(), model.strikes.max() + 100.0 * model.bandwidths.eps1
+    while True:  # bisect down to adjacent floats
+        middle = 0.5 * (priced + underflowed)
+        if middle in (priced, underflowed):
+            break
+        if oracle_outcome(model, middle, tau) == "underflow":
+            underflowed = middle
+        else:
+            priced = middle
+    step = underflowed - priced
+    offsets = np.concatenate([[-1.0, 0.0, 1.0, 2.0], step * 10.0 ** rng.uniform(0.0, 9.0, count)
+                              * rng.choice([-1.0, 1.0], count)])
+    return [(float(priced + offset), tau) for offset in offsets]
+
+
+def test_nw_estimate_matches_oracle_near_the_underflow_floor():
+    rng = np.random.default_rng(79)
+    outcomes = []
+    for _ in range(60):
+        n = int(rng.integers(1, 250))
+        model = NwModel(
+            rng.uniform(60.0, 140.0, n),
+            rng.choice([9.0, 16.0, 37.0, 65.0, 100.0, 191.0, 373.0, 737.0], n) / 365.0,
+            rng.uniform(0.0, 30.0, n),
+            Bandwidths(float(rng.uniform(0.05, 10.0)), float(rng.uniform(0.005, 1.0))),
+        )
+        for strike, tau in near_floor_queries(rng, model, 30):
+            expected = oracle_outcome(model, strike, tau)
+            if expected == "underflow":
+                with pytest.raises(NumericalUnderflow):
+                    nw_estimate(model, strike, tau)
+            else:
+                assert nw_estimate(model, strike, tau).hex() == expected
+            outcomes.append(expected == "underflow")
+    assert 0.3 < np.mean(outcomes) < 0.7
+
+
+def test_nw_estimate_matches_oracle_everywhere():
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        model = sample_model(rng, n=int(rng.integers(1, 300)),
+                             eps=(float(rng.uniform(0.1, 20.0)), float(rng.uniform(0.01, 2.0))))
+        for _ in range(100):
+            strike, tau = float(rng.uniform(0.0, 250.0)), float(rng.uniform(0.0, 4.0))
+            try:
+                expected = oracles.nw_estimate(model, strike, tau)
+            except NumericalUnderflow:
+                with pytest.raises(NumericalUnderflow):
+                    nw_estimate(model, strike, tau)
+            else:
+                assert nw_estimate(model, strike, tau).hex() == expected.hex()
+
+
+def oracle_cv(points, values, eps1, eps2):
+    d1 = points[:, 0][:, None] - points[:, 0][None, :]
+    d2 = points[:, 1][:, None] - points[:, 1][None, :]
+    return oracles._cv_objective(d1, d2, values, values != 0.0, eps1, eps2)
+
+
+@st.composite
+def cv_problems(draw):
+    n = draw(st.integers(3, 40))
+    distinct = draw(st.integers(1, n))
+    strikes = draw(st.lists(st.floats(50.0, 150.0), min_size=distinct, max_size=distinct))
+    taus = draw(st.lists(st.floats(1.0 / 365.0, 3.0), min_size=distinct, max_size=distinct))
+    # Repeat some points, so that samples coincide.
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    points = np.array([(strikes[i], taus[i]) for i in picks])
+    values = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
+                                    min_size=n, max_size=n)))
+    try:
+        seed = silverman_bandwidths(points)
+        scale = (seed.eps1, seed.eps2)
+    except DegenerateDispersion:
+        scale = (1.0, 0.1)
+    factors = [10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(2)]
+    return points, values, scale[0] * factors[0], scale[1] * factors[1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cv_problems())
+def test_cv_objective_matches_oracle(problem):
+    points, values, eps1, eps2 = problem
+    expected = oracle_cv(points, values, eps1, eps2)
+    assert _cv_objective(points, values)(eps1, eps2).hex() == expected.hex()
+    assert cv_objective_at(points, values, Bandwidths(eps1, eps2)).hex() == expected.hex()
+
+
+def test_cv_objective_reuses_its_build_across_bandwidths():
+    # One built objective evaluated at many bandwidths, in an order that
+    # moves between underflowing and well-conditioned candidates.
+    rng = np.random.default_rng(89)
+    points, values = cv_points(rng, n=60)
+    values[[4, 17]] = 0.0
+    objective = _cv_objective(points, values)
+    seed = silverman_bandwidths(points)
+    for f1, f2 in 10.0 ** rng.uniform(-3.0, 3.0, (300, 2)):
+        eps1, eps2 = seed.eps1 * f1, seed.eps2 * f2
+        assert objective(eps1, eps2).hex() == oracle_cv(points, values, eps1, eps2).hex()
