@@ -1,5 +1,9 @@
 """Reference computations that only the tests use.
 
+implied_vol_brentq is the package's former scalar inversion: scipy's
+brentq on one quote, then one Newton polish. The array solver in
+black_scholes must agree with it.
+
 gamma_expectation is adaptive quadrature over the Gamma clock, an
 oracle independent of the package's log-clock trapezoid rule.
 
@@ -15,10 +19,23 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gammaln, logsumexp
 
-from pricelab.errors import NumericalUnderflow
+from pricelab.black_scholes import (
+    _PRICE_TOL,
+    _VOL_HI,
+    _VOL_HI_MAX,
+    _VOL_LO,
+    BsInputs,
+    _price,
+    _validate,
+    no_arbitrage_band,
+    vega,
+)
+from pricelab.errors import NoArbitrageViolation, NoConvergence, NumericalUnderflow
 from pricelab.kernel import NwModel
+from pricelab.market_data import OptionKind
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -152,3 +169,61 @@ def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.n
     with np.errstate(over="ignore"):
         ratios = 1.0 - predictions / values[keep]
         return float(np.sum(ratios * ratios))
+
+
+def implied_vol_brentq(
+    kind: OptionKind,
+    price: float,
+    spot: float,
+    strike: float,
+    rate: float,
+    dividend: float,
+    tau: float,
+) -> float:
+    """Invert the pricing map at one quote.
+
+    The price must lie strictly inside the no-arbitrage band, where the
+    map sigma -> price is a strictly increasing bijection, so the root
+    is unique. Searches sigma in [1e-6, 5], doubling the upper end as
+    needed, then polishes with one Newton step; the result reprices the
+    quote to within 1e-10.
+
+    Raises:
+        NoArbitrageViolation: price at or outside the band.
+        NoConvergence: bracket expansion exhausted or tolerance missed.
+    """
+    _validate(spot, strike, 1.0, tau)
+    lo, hi = no_arbitrage_band(kind, spot, strike, rate, dividend, tau)
+    if not (lo < price < hi):
+        raise NoArbitrageViolation(
+            f"price {price} outside the open band ({lo}, {hi}) for {kind.value} "
+            f"strike {strike} tau {tau}"
+        )
+
+    def objective(vol: float) -> float:
+        return _price(kind, spot, strike, rate, dividend, vol, tau) - price
+
+    f_lo = objective(_VOL_LO)
+    if f_lo >= 0.0:
+        if f_lo == 0.0:
+            return _VOL_LO
+        raise NoConvergence(f"price {price} below the sigma={_VOL_LO} price; no root in bracket")
+    vol_hi = _VOL_HI
+    f_hi = objective(vol_hi)
+    while f_hi < 0.0 and vol_hi < _VOL_HI_MAX:
+        vol_hi *= 2.0
+        f_hi = objective(vol_hi)
+    if f_hi < 0.0:
+        raise NoConvergence(f"price {price} above the sigma={vol_hi} price; bracket expansion failed")
+
+    root = brentq(objective, _VOL_LO, vol_hi, xtol=1e-14, rtol=8.9e-16)
+    # One Newton polish pushes the price residual to rounding level.
+    residual = objective(root)
+    slope = vega(BsInputs(kind, spot, strike, rate, dividend, root, tau))
+    if slope > 0.0 and math.isfinite(residual / slope):
+        polished = root - residual / slope
+        if _VOL_LO <= polished <= vol_hi and abs(objective(polished)) <= abs(residual):
+            root = polished
+    if abs(objective(root)) > _PRICE_TOL * max(1.0, abs(price)):
+        raise NoConvergence(f"residual {objective(root)} exceeds price tolerance at sigma {root}")
+    return root

@@ -1,23 +1,38 @@
 """Pricing formula against a numerical-integration oracle, the vol
-inversion, and the dividend sensitivity of fitted vols."""
+inversion against scipy's brentq, and the dividend sensitivity of
+fitted vols."""
 
+import datetime as dt
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from oracles import implied_vol_brentq
 from pricelab.black_scholes import (
     BsInputs,
+    _brentq_lanes,
     bs_price,
     fill_implied_vols,
     implied_vol,
+    implied_vols,
     iv_dividend_sensitivity,
     no_arbitrage_band,
     vega,
 )
 from pricelab.errors import NoArbitrageViolation, NoConvergence
-from pricelab.market_data import OptionKind, replace_quotes
+from pricelab.market_data import (
+    DAYS_PER_YEAR,
+    DailyChain,
+    MarketEnv,
+    OptionKind,
+    OptionQuote,
+    replace_quotes,
+)
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
 
@@ -231,6 +246,15 @@ def test_price_below_vol_floor_reports_no_root():
         implied_vol(CALL, 0.25 * floor_price, spot, strike, rate, dividend, tau)
 
 
+@pytest.mark.parametrize("kind", [CALL, PUT])
+@pytest.mark.parametrize("rate, tau", [(0.0, 0.25), (0.02, 1.0), (0.05, 3.0)])
+def test_price_at_vol_floor_inverts_to_the_floor(kind, rate, tau):
+    # At the money forward (r = q, K = S) the search's price and bs_price
+    # agree to the bit at sigma = 1e-6, so the quote is the floor price.
+    price = bs_price(BsInputs(kind, 100.0, 100.0, rate, rate, 1e-6, tau))
+    assert implied_vol(kind, price, 100.0, 100.0, rate, rate, tau) == 1e-6
+
+
 def test_fill_implied_vols_recovers_flat_vol(bs_day):
     filled, failed = fill_implied_vols(bs_day, 0.013)
     assert failed == 0
@@ -255,3 +279,157 @@ def test_fill_implied_vols_accepts_curve(bs_day):
     filled_flat, _ = fill_implied_vols(bs_day, 0.013)
     filled_curve, _ = fill_implied_vols(bs_day, lambda tau: 0.013)
     assert filled_flat == filled_curve
+
+
+def _otm_grid(rate, dividend=0.02, spot=100.0):
+    """Out-of-the-money-forward quotes over K/S 0.5 to 2, vol 0.02 to 3 and
+    tau one day to five years, priced by bs_price: (kind, price, strike,
+    tau, vol)."""
+    cases = []
+    for m in np.geomspace(0.5, 2.0, 13):
+        strike = spot * float(m)
+        for tau in np.geomspace(1.0 / 365.0, 5.0, 9):
+            tau = float(tau)
+            kind = CALL if strike >= spot * math.exp((rate - dividend) * tau) else PUT
+            for vol in np.geomspace(0.02, 3.0, 10):
+                price = bs_price(BsInputs(kind, spot, strike, rate, dividend, float(vol), tau))
+                cases.append((kind, price, strike, tau, float(vol)))
+    return cases
+
+
+@pytest.mark.parametrize("rate", [-0.01, 0.0, 0.03, 0.08])
+def test_implied_vols_match_brentq_oracle_on_grid(rate):
+    spot, dividend = 100.0, 0.02
+    cases = _otm_grid(rate, dividend, spot)
+    kinds, prices, strikes, taus, _ = zip(*cases)
+    vols = implied_vols(kinds, prices, spot, strikes, rate, [dividend] * len(cases), taus)
+    compared = 0
+    for i, ((kind, price, strike, tau, _), vol) in enumerate(zip(cases, vols)):
+        try:
+            expected = implied_vol_brentq(kind, price, spot, strike, rate, dividend, tau)
+        except (NoArbitrageViolation, NoConvergence):
+            assert math.isnan(vol)
+            continue
+        if i % 5 == 0:
+            # The scalar inversion is the one-element array pass.
+            assert vol == implied_vol(kind, price, spot, strike, rate, dividend, tau)
+        if price < 1e-300:
+            continue
+        # Below 1e-100 the call or put price is a difference of two normal
+        # tails, each good to about 1e-13 relative, that cancel to a few
+        # parts in 1e4; there the oracle itself is only within 1.8e-12 of
+        # the vol that priced the quote.
+        tol = 1e-12 if price >= 1e-100 else 4e-12
+        assert vol == pytest.approx(expected, rel=tol, abs=0.0)
+        compared += 1
+    assert compared > 900
+
+
+def test_brentq_lanes_takes_scipys_steps():
+    # Given the same function values, every lane must stop where scipy's
+    # brentq stops, bit for bit: roots left and right of the bracket's
+    # middle, near its ends, and both interpolation kinds.
+    def f(x, lanes):
+        c, d = lanes
+        return np.sinh(x - c) * d + (x - c) ** 3
+
+    rng = np.random.default_rng(3)
+    n = 400
+    lanes = np.array([rng.uniform(-4.5, 7.5, n), rng.uniform(0.01, 5.0, n)])
+    xa, xb = np.full(n, -5.0), rng.uniform(7.6, 9.0, n)
+    roots, f_roots = _brentq_lanes(f, lanes, xa, xb, f(xa, lanes), f(xb, lanes))
+    for i in range(n):
+        def g(x, i=i):
+            return float(f(np.array([x]), lanes[:, i : i + 1])[0])
+        expected = brentq(g, -5.0, float(xb[i]), xtol=1e-14, rtol=8.9e-16)
+        assert roots[i] == expected
+        assert f_roots[i] == g(expected)
+
+
+def test_fill_implied_vols_evaluates_the_curve_once_per_tau(bs_day):
+    seen = []
+
+    def curve(tau):
+        seen.append(tau)
+        return 0.013
+
+    filled, failed = fill_implied_vols(bs_day, curve)
+    assert sorted(seen) == sorted({q.tau for q in bs_day.quotes})
+    assert (filled, failed) == fill_implied_vols(bs_day, 0.013)
+
+
+_DAY = dt.date(2024, 1, 2)
+
+
+@st.composite
+def adversarial_chains(draw):
+    """A day of quotes at the edges of the inversion: zero bid and ask,
+    mids on either band edge, prices below the sigma-floor price, zero
+    time to expiry, deep in the money, denormal, fair and high-vol
+    prices. A mid exactly at the floor price is left out: the search
+    prices with scipy's ndtr, not bs_price's erfc, so there the two can
+    decide differently."""
+    spot = draw(st.floats(50.0, 150.0))
+    rate = draw(st.floats(-0.01, 0.08))
+    dividend = draw(st.floats(0.0, 0.05))
+    quotes = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from([CALL, PUT]))
+        ttm_days = draw(st.sampled_from([0, 1, 7, 30, 91, 365, 1825]))
+        tau = ttm_days / DAYS_PER_YEAR
+        case = draw(st.sampled_from([
+            "zero", "low_edge", "high_edge", "below_floor", "deep_itm", "denormal", "fair",
+            "high_vol",
+        ]))
+        strike = spot * draw(st.floats(0.5, 2.0))
+        if case == "zero":
+            price = 0.0
+        elif case in ("low_edge", "high_edge"):
+            price = no_arbitrage_band(kind, spot, strike, rate, dividend, tau)[case == "high_edge"]
+        elif case == "denormal":
+            price = draw(st.floats(5e-324, 2e-308))
+        elif tau == 0.0:
+            price = draw(st.floats(0.0, spot))
+        elif case == "below_floor":
+            strike = spot * math.exp((rate - dividend) * tau)
+            floor = bs_price(BsInputs(kind, spot, strike, rate, dividend, 1e-6, tau))
+            price = floor * draw(st.floats(0.01, 0.99))
+        else:
+            if case == "deep_itm":
+                strike = spot * draw(st.floats(0.3, 0.6) if kind is CALL else st.floats(1.7, 3.0))
+            vols = {"deep_itm": (0.01, 0.15), "fair": (0.02, 2.0), "high_vol": (2.0, 150.0)}[case]
+            vol = draw(st.floats(*vols))
+            price = bs_price(BsInputs(kind, spot, strike, rate, dividend, vol, tau))
+        quotes.append(OptionQuote(kind, strike, _DAY + dt.timedelta(days=ttm_days), ttm_days,
+                                  price, price, 500))
+    return DailyChain(MarketEnv(_DAY, spot, rate, dividend), tuple(quotes)), dividend
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(adversarial_chains())
+def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
+    chain, dividend = problem
+    env = chain.env
+    filled, failed = fill_implied_vols(chain, dividend)
+    raised = 0
+    for q, f in zip(chain.quotes, filled.quotes):
+        args = (q.kind, q.mid, env.spot, q.strike, env.rate, dividend, q.tau)
+        try:
+            implied_vol_brentq(*args)
+            oracle_error = None
+        except (NoArbitrageViolation, NoConvergence, ValueError) as exc:
+            oracle_error = type(exc)
+        try:
+            scalar = implied_vol(*args)
+            scalar_error = None
+        except (NoArbitrageViolation, NoConvergence, ValueError) as exc:
+            scalar, scalar_error = None, type(exc)
+        assert scalar_error is oracle_error
+        assert scalar == f.implied_vol
+        assert (f.implied_vol is None) == (oracle_error is not None)
+        raised += oracle_error is not None
+        if f.implied_vol is not None:
+            repriced = bs_price(BsInputs(q.kind, env.spot, q.strike, env.rate, dividend,
+                                         f.implied_vol, q.tau))
+            assert abs(repriced - q.mid) <= 1e-10 * max(1.0, q.mid)
+    assert failed == raised
