@@ -11,6 +11,14 @@ nw_estimate and _cv_objective are the kernel module's straightforward
 forms: every weight from np.exp, the weight sum from logsumexp, and the
 CV matrix built whole for each evaluation. The package's forms must
 match them bit for bit.
+
+merge_duplicates is the surface module's former form, one np.all per
+point and one mask per group; the package's one-pass walk must give the
+same points and bit-identical values. ScipyLinearInterpolator is the
+former hull interpolant: scipy's LinearNDInterpolator for values and
+Delaunay.find_simplex for membership, over the same merged samples. The
+package's point location must agree with it on every in/out decision and
+to rounding on values.
 """
 
 import math
@@ -19,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import LinearNDInterpolator
 from scipy.optimize import brentq
+from scipy.spatial import Delaunay
 from scipy.special import gammaln, logsumexp
 
 from pricelab.black_scholes import (
@@ -36,6 +46,7 @@ from pricelab.black_scholes import (
 from pricelab.errors import NoArbitrageViolation, NoConvergence, NumericalUnderflow
 from pricelab.kernel import NwModel
 from pricelab.market_data import OptionKind
+from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, ScatterSample
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -227,3 +238,41 @@ def implied_vol_brentq(
     if abs(objective(root)) > _PRICE_TOL * max(1.0, abs(price)):
         raise NoConvergence(f"residual {objective(root)} exceeds price tolerance at sigma {root}")
     return root
+
+
+def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> ScatterSample:
+    """Collapse coincident points (within tol per coordinate) to their mean value."""
+    points, values = sample.points, sample.values
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    points, values = points[order], values[order]
+    groups = [0]
+    for i in range(1, len(points)):
+        anchor = groups[-1]
+        if np.all(np.abs(points[i] - points[anchor]) <= tol):
+            groups.append(anchor)
+        else:
+            groups.append(i)
+    groups = np.asarray(groups)
+    anchors = np.unique(groups)
+    merged_points = points[anchors]
+    merged_values = np.array([values[groups == a].mean() for a in anchors])
+    return ScatterSample(merged_points, merged_values)
+
+
+class ScipyLinearInterpolator:
+    """Barycentric-linear interpolant by scipy over the merged samples."""
+
+    def __init__(self, sample: ScatterSample):
+        sample = merge_duplicates(sample)
+        self._tri = Delaunay(sample.points)
+        self._interp = LinearNDInterpolator(self._tri, sample.values)
+
+    def contains(self, point) -> bool:
+        return bool(self._tri.find_simplex(np.asarray(point, dtype=float)) >= 0)
+
+    def evaluate(self, point):
+        query = np.asarray(point, dtype=float).reshape(1, 2)
+        value = float(self._interp(query)[0])
+        if math.isnan(value):
+            return OUTSIDE_HULL
+        return value

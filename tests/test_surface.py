@@ -2,12 +2,18 @@
 fallback, normalization, and the zero-maturity augmentation."""
 
 from datetime import date, timedelta
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.spatial
 
+from oracles import ScipyLinearInterpolator
+from oracles import merge_duplicates as merge_duplicates_oracle
 from pricelab.errors import DegenerateGeometry
+from pricelab.harness import ProtocolConfig, run_protocol
 from pricelab.market_data import OptionKind, OptionQuote
+from pricelab.reporting import ErrorStatus
 from pricelab.surface import (
     OUTSIDE_HULL,
     Linear1DInterpolator,
@@ -19,6 +25,7 @@ from pricelab.surface import (
     normalized_domain,
     normalized_li_values,
 )
+from pricelab.synth import synth_chain
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
 DAY0 = date(2012, 1, 3)
@@ -78,6 +85,165 @@ def test_merge_duplicates_keeps_distinct_points():
     assert merge_duplicates(sample).points.shape == (2, 2)
 
 
+@pytest.mark.parametrize("points, values", [
+    # Exact duplicates, three of them with a mean that rounds.
+    ([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.5, 3.0], [1.0, 1.0], [2.0, 2.0]],
+     [0.1, 5.0, 0.2, 7.0, 0.7, 1.0 / 3.0]),
+    # 0.9e-12 apart: the second joins the first's group, the third is more
+    # than tol from the group's first point and starts a group of its own.
+    ([[1.0, 1.0], [1.0 + 0.9e-12, 1.0], [1.0 + 1.8e-12, 1.0], [2.0, 0.0]],
+     [0.3, 0.6, 0.9, 1.0]),
+    ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.25]], [4.0, 3.0, 2.0, 1.0]),
+])
+def test_merge_duplicates_matches_the_pairwise_form_bit_for_bit(points, values):
+    sample = ScatterSample(np.array(points), np.array(values))
+    merged, expected = merge_duplicates(sample), merge_duplicates_oracle(sample)
+    assert merged.points.tobytes() == expected.points.tobytes()
+    assert merged.values.tobytes() == expected.values.tobytes()
+
+
+def benchmark_like_points(rng, zero_row=False):
+    """(strike/spot, tau) of a chain: a 2.5% strike grid, each expiry listing
+    the strikes within three standard deviations of the money; with
+    zero_row, LIB's 30 fictitious expiring strikes across the range."""
+    spot = 100.0 * rng.uniform(0.97, 1.03)
+    grid = np.arange(60.0, 140.01, 2.5)
+    rows = []
+    for days in (9, 16, 37, 65, 100, 191, 373, 737):
+        tau = days / 365.0
+        band = 3.0 * 0.25 * np.sqrt(tau)
+        near = grid[np.abs(np.log(grid / spot)) <= band]
+        rows += [(k / spot, tau) for k in near]
+    if zero_row:
+        lo, hi = min(k for k, _ in rows), max(k for k, _ in rows)
+        rows += [(k, 0.0) for k in np.linspace(lo, hi, 30)]
+    return np.array(rows)
+
+
+def hull_probe_queries(tri, rng):
+    """Vertices, edge midpoints, points along hull edges and 1e-12 beyond
+    them, far-away, non-finite and random queries."""
+    points = tri.points
+    edges = {tuple(sorted((s[i], s[j]))) for s in tri.simplices for i, j in ((0, 1), (1, 2), (0, 2))}
+    queries = list(points)
+    queries += [(points[i] + points[j]) / 2 for i, j in edges]
+    for i, j in tri.convex_hull:
+        a, b = points[i], points[j]
+        normal = np.array([b[1] - a[1], a[0] - b[0]])
+        normal /= np.hypot(*normal)
+        if normal @ (a - points.mean(axis=0)) < 0:
+            normal = -normal
+        for t in (0.25, 0.5, 0.7):
+            on_edge = a + t * (b - a)
+            queries += [on_edge, on_edge + 1e-12 * normal]
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    queries += [lo - 10.0, hi + 10.0, (lo[0] - 5.0, hi[1]), (1e300, -1e300)]
+    for bad in (np.nan, np.inf, -np.inf):
+        queries += [(bad, lo[1]), (lo[0], bad), (bad, bad)]
+    queries += list(rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), size=(500, 2)))
+    return queries
+
+
+def rounding_could_flip(tri, query):
+    """True when rounding could flip scipy's in/out decision on the query:
+    no triangle that scipy does not mark degenerate surely contains it, and
+    not all surely exclude it, where sure means that every barycentric
+    coordinate clears the limits [-100 eps, 1 + 100 eps] by its rounding
+    bound (16 ulp of the sum of the magnitudes of its terms). On a thin
+    triangle that bound is far above 100 eps."""
+    query = np.asarray(query, dtype=float)
+    if not np.isfinite(query).all():
+        return False
+    transform = tri.transform[~np.isnan(tri.transform[:, 0, 0])]
+    terms = transform[:, :2, :] * (query - transform[:, 2])[:, None, :]
+    c01, size01 = terms.sum(axis=2), abs(terms).sum(axis=2)
+    coords = np.column_stack([c01, 1.0 - c01.sum(axis=1)])
+    band = 16 * np.finfo(float).eps * np.column_stack([size01, 1.0 + size01.sum(axis=1)])
+    eps = 100 * np.finfo(float).eps
+    surely_in = ((coords >= -eps + band) & (coords <= 1.0 + eps - band)).all(axis=1)
+    surely_out = ((coords < -eps - band) | (coords > 1.0 + eps + band)).any(axis=1)
+    return not surely_in.any() and not surely_out.all()
+
+
+def exact_value(interp, merged, query):
+    """The interpolant of the merged sample at the query in exact rational
+    arithmetic, on the triangle where the interpolant located it."""
+    triangle = interp._triangles.find(*query)[0]
+    vertices = interp._triangles.simplices[triangle]
+    (x0, y0), (x1, y1), (rx, ry) = [map(Fraction, p) for p in merged.points[vertices]]
+    dx, dy = Fraction(query[0]) - rx, Fraction(query[1]) - ry
+    det = (x0 - rx) * (y1 - ry) - (x1 - rx) * (y0 - ry)
+    c0 = ((y1 - ry) * dx - (x1 - rx) * dy) / det
+    c1 = ((x0 - rx) * dy - (y0 - ry) * dx) / det
+    v0, v1, v2 = map(Fraction, merged.values[vertices])
+    return float(c0 * v0 + c1 * v1 + (1 - c0 - c1) * v2)
+
+
+@pytest.mark.parametrize("case", ["random", "grid", "grid-lib"])
+def test_point_location_agrees_with_scipy(case):
+    rng = np.random.default_rng(["random", "grid", "grid-lib"].index(case))
+    if case == "random":
+        points = rng.uniform(0.0, 1.0, size=(40, 2))
+    else:
+        points = benchmark_like_points(rng, zero_row=case == "grid-lib")
+    values = rng.uniform(0.01, 0.5, size=len(points))
+    sample = ScatterSample(points, values)
+    interp, oracle = LinearInterpolator(sample), ScipyLinearInterpolator(sample)
+    merged = merge_duplicates(sample)
+    tri = scipy.spatial.Delaunay(merged.points)
+    inside = normalized_domain(points[:, 0], points[:, 1], spot=1.0)
+    scale = np.abs(values).max()
+    queries = hull_probe_queries(tri, rng)
+    n_inside = n_unsure = 0
+    for query in queries:
+        query = tuple(float(v) for v in query)
+        expected, value = oracle.evaluate(query), interp.evaluate(query)
+        assert interp.contains(query) == inside(*query) == (value is not OUTSIDE_HULL)
+        if rounding_could_flip(tri, query):
+            n_unsure += 1
+        else:
+            assert (value is OUTSIDE_HULL) == (expected is OUTSIDE_HULL), query
+        if value is not OUTSIDE_HULL and expected is not OUTSIDE_HULL:
+            n_inside += 1
+            assert abs(value - exact_value(interp, merged, query)) <= 1e-13 * scale, query
+            # scipy's LAPACK transforms carry more rounding on thin triangles.
+            assert value == pytest.approx(expected, rel=1e-13, abs=1e-12 * scale), query
+    assert n_inside > len(points)
+    assert n_unsure <= 0.05 * len(queries)
+
+
+def test_point_location_closes_a_degenerate_sliver_as_scipy_does():
+    # B sits 1e-13 inside the hull edge AC, so the triangle ABC is too thin
+    # for a transform (scipy marks it NaN); points on AC lie 5e-14 outside
+    # ABD and BCD, beyond the plain slack but within the broad one.
+    points = np.array([[0.0, 0.0], [0.5, 1e-13], [1.0, 0.0], [0.5, 1.0]])
+    sample = ScatterSample(points, np.array([0.1, 0.2, 0.3, 0.4]))
+    assert np.isnan(scipy.spatial.Delaunay(points).transform[:, 0, 0]).sum() == 1
+    interp, oracle = LinearInterpolator(sample), ScipyLinearInterpolator(sample)
+    for query, inside in [((0.25, 0.0), True), ((0.75, 0.0), True), ((0.5, 1e-13), True),
+                          ((0.5, 0.0), False), ((0.25, -1e-9), False)]:
+        assert interp.contains(query) is oracle.contains(query) is inside, query
+        if inside:
+            assert interp.evaluate(query) == pytest.approx(oracle.evaluate(query), rel=1e-13)
+
+
+def test_no_estimator_reads_scipys_lapack_transform(monkeypatch):
+    # scipy computes Delaunay.transform with one LAPACK dgetrs per triangle,
+    # which leaves OpenBLAS's threads spinning; the package locates points
+    # without it.
+    def refuse(self):
+        raise AssertionError("Delaunay.transform was read")
+
+    monkeypatch.setattr(scipy.spatial.Delaunay, "transform", property(refuse))
+    chains = synth_chain("bs", n_days=2, dividend=0.01)
+    config = ProtocolConfig(trim=True, labels=("LI", "LIB", "BS", "NW", "BSNW"))
+    records = run_protocol(chains, config).errors
+    assert records
+    assert all(r.status is not ErrorStatus.FAILED for r in records)
+    inside = normalized_domain([90.0, 110.0, 100.0], [0.1, 0.1, 0.5], spot=100.0)
+    assert inside(100.0, 0.2) and not inside(100.0, 0.6)
+
+
 def test_interpolator_exact_at_samples():
     rng = np.random.default_rng(2)
     sample, _ = affine_sample(rng)
@@ -111,6 +277,9 @@ def test_interpolator_rejects_outside_hull():
     # Boundary counts as inside: a vertex and an edge midpoint.
     assert interp.contains((0.0, 0.0))
     assert interp.evaluate((0.5, 0.5)) == pytest.approx(1.0)
+    # scipy's slack of 100 eps, on the bounding box as on the coordinates.
+    assert interp.contains((-1e-14, 0.5)) and interp.contains((0.5, -1e-14))
+    assert not interp.contains((-3e-14, 0.5))
 
 
 def test_interpolator_requires_spanning_points():
