@@ -41,7 +41,7 @@ from numpy.typing import ArrayLike
 from scipy.special import ndtr
 
 from .errors import NoArbitrageViolation, NoConvergence
-from .market_data import DailyChain, OptionKind, replace_quotes, with_implied_vol
+from .market_data import DailyChain, OptionKind
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -393,14 +393,14 @@ def implied_vol(
 
 def fill_implied_vols(
     chain: DailyChain, dividend: float | Callable[[float], float] | None = None
-) -> tuple[DailyChain, int]:
-    """Attach an implied vol to every quote in the chain.
+) -> tuple[np.ndarray, int]:
+    """Implied vols of the chain's quotes, one per quote in quote order.
 
     dividend may be a flat yield, a callable tau -> yield (a dividend
     curve), or None to use the chain's historical estimate; a callable
-    is evaluated once per distinct positive tau. Quotes that cannot be
-    inverted (zero time to expiry, price at or outside the band) get
-    implied_vol None; the second return value counts them.
+    is evaluated once per distinct positive tau. The vol is NaN where a
+    quote cannot be inverted (zero time to expiry, price at or outside
+    the band); the second return value counts those quotes.
     """
     env = chain.env
     if dividend is None:
@@ -423,7 +423,4 @@ def fill_implied_vols(
         [by_tau.get(tau, 0.0) for tau in taus],  # no vol exists at tau <= 0
         taus,
     )
-    filled = [
-        with_implied_vol(q, None if math.isnan(v) else v) for q, v in zip(quotes, vols.tolist())
-    ]
-    return replace_quotes(chain, filled), int(np.isnan(vols).sum())
+    return vols, int(np.isnan(vols).sum())

@@ -236,7 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and normalize a chain CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--with-iv", action="store_true", help="include the implied_vol column")
+    p.add_argument("--with-iv", action="store_true",
+                   help="keep the input's implied_vol column, blank where it has none "
+                        "(pricelab never reads it)")
     common(p)
     p.set_defaults(func=_cmd_ingest)
 

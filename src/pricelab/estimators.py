@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -87,7 +87,7 @@ class PricingEstimator:
     meta: dict = field(default_factory=dict)
 
 
-def _require(quotes: list, label: EstimatorLabel, minimum: int) -> None:
+def _require(quotes: Sized, label: EstimatorLabel, minimum: int) -> None:
     if len(quotes) < minimum:
         raise InsufficientData(
             f"{label.value} needs at least {minimum} usable quotes, got {len(quotes)}"
@@ -165,25 +165,26 @@ def fit(
         return _fit_vg(kind, quotes, env, dividend_at, meta)
 
     target, smoother = _RECIPES[label]
-    if target is _VOL:
-        filled, meta["dropped_noninvertible"] = fill_implied_vols(DailyChain(env, tuple(quotes)), curve)
-        quotes = [q for q in filled.quotes if q.implied_vol is not None]
-    if smoother.positive_tau:
-        quotes = [q for q in quotes if q.tau > 0.0]
-    _require(quotes, label, smoother.min_quotes)
-    if label is EstimatorLabel.LIB:
-        augmented = augment_zero_maturity(
-            quotes, kind, env.spot, strike_range=lib_strike_range, expiry=env.date
-        )
-        meta["n_fictitious"] = len(augmented) - len(quotes)
-        quotes = augmented
-
     strikes = np.array([q.strike for q in quotes])
     taus = np.array([q.tau for q in quotes])
+    usable = taus > 0.0 if smoother.positive_tau else np.full(len(quotes), True)
     if target is _VOL:
-        values, value_scale = np.array([q.implied_vol for q in quotes]), 1.0
+        values, meta["dropped_noninvertible"] = fill_implied_vols(DailyChain(env, tuple(quotes)), curve)
+        usable &= ~np.isnan(values)
+        value_scale = 1.0
     else:
         values, value_scale = np.array([q.mid for q in quotes]), env.spot
+    strikes, taus, values = strikes[usable], taus[usable], values[usable]
+    _require(values, label, smoother.min_quotes)
+    if label is EstimatorLabel.LIB:
+        if lib_strike_range is None:
+            lib_strike_range = (float(strikes.min()), float(strikes.max()))
+        expiring, payoffs = augment_zero_maturity(kind, env.spot, lib_strike_range)
+        meta["n_fictitious"] = len(payoffs)
+        strikes = np.concatenate([strikes, expiring])
+        taus = np.concatenate([taus, np.zeros(len(payoffs))])
+        values = np.concatenate([values, payoffs])
+
     value_at, hull_fn, smoother_meta = smoother.build(strikes, taus, values, env.spot, value_scale)
     meta.update(smoother_meta)
     if target is _PRICE:

@@ -136,20 +136,21 @@ def prepare_day(chain: DailyChain, config: ProtocolConfig) -> tuple[DailyChain, 
     """Shape one raw day for evaluation.
 
     Applies the liquidity filter, estimates the dividend curve from the
-    filtered chain (both kinds; None when no ATM pairs exist), optionally
-    fills vols and trims, then keeps the requested kind's positive-mid
-    quotes. The returned chain is exactly what split indices refer to.
+    filtered chain (both kinds; None when no ATM pairs exist), keeps the
+    requested kind, optionally inverts its vols and trims, then keeps the
+    positive-mid quotes. The returned chain is exactly what split indices
+    refer to.
     """
     liquid = filter_liquidity(chain, config.min_ttm_days, config.min_volume)
     try:
         curve = estimate_dividend_curve(liquid)
     except NoAtmPairs:
         curve = None
+    day = liquid.of_kind(config.kind)
     if config.trim:
-        filled, _ = fill_implied_vols(liquid, curve)
-        liquid = trim(filled, config.max_iv, config.min_price)
-    kept = tuple(q for q in liquid.quotes if q.kind == config.kind and q.mid > 0.0)
-    return DailyChain(liquid.env, kept), curve
+        vols, _ = fill_implied_vols(day, curve)
+        day = trim(day, vols, config.max_iv, config.min_price)
+    return DailyChain(day.env, tuple(q for q in day.quotes if q.mid > 0.0)), curve
 
 
 def evaluate_day(

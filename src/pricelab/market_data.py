@@ -8,20 +8,21 @@ columns, in any order:
 Dates are ISO (YYYY-MM-DD), kind is C or P, and the per-day market
 environment (spot, rate, div_hist) must repeat identically on every row
 of that day. An optional implied_vol column is accepted on input and
-written when requested, so derived chains round-trip through the same
-schema.
+written back when requested, blank where the input has none. It only
+passes through: pricelab inverts its own vols and never reads it.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import datetime as dt
 import enum
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .errors import ChainParseError
 
@@ -70,7 +71,7 @@ class OptionQuote:
     bid: float
     ask: float
     volume: int
-    implied_vol: float | None = None
+    implied_vol: float | None = None  # the CSV's optional column, only passed through
 
     @property
     def mid(self) -> float:
@@ -288,26 +289,19 @@ def filter_liquidity(
 
 def trim(
     chain: DailyChain,
+    vols: np.ndarray,
     max_iv: float = DEFAULT_MAX_IV,
     min_price: float = DEFAULT_MIN_PRICE,
 ) -> DailyChain:
     """Drop cheap quotes and extreme-vol quotes (inclusive retention bounds).
 
-    Expects implied_vol populated; quotes whose vol could not be computed
-    (implied_vol is None) are dropped here, having been counted by
-    black_scholes.fill_implied_vols.
+    vols holds one implied vol per quote, in quote order, as
+    black_scholes.fill_implied_vols returns them. Quotes whose vol is NaN
+    (not invertible, counted there) are dropped here.
     """
     kept = tuple(
         q
-        for q in chain.quotes
-        if q.implied_vol is not None and q.mid >= min_price and q.implied_vol <= max_iv
+        for q, vol in zip(chain.quotes, vols.tolist(), strict=True)
+        if q.mid >= min_price and vol <= max_iv  # False for a NaN vol
     )
     return DailyChain(chain.env, kept)
-
-
-def replace_quotes(chain: DailyChain, quotes: Sequence[OptionQuote]) -> DailyChain:
-    return DailyChain(chain.env, tuple(quotes))
-
-
-def with_implied_vol(quote: OptionQuote, iv: float | None) -> OptionQuote:
-    return dataclasses.replace(quote, implied_vol=iv)

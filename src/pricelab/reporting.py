@@ -157,44 +157,56 @@ def write_report_csv(report: ErrorReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> ErrorReport:
-    """Inverse of write_report_csv."""
+    """Inverse of write_report_csv.
+
+    Raises ValueError naming the file and line of a row that is not a
+    two-field stat or cdf row, and of a file that ends before giving the
+    cdf at every threshold.
+    """
     path = Path(path)
-    stats: dict[str, str] = {}
+    stats: dict = {}
     cdf: dict[float, float] = {}
     extra: dict[str, float] = {}
-    known = {"label", "partition", "count", "n_errors", "mean", "std", "median", "min", "max"}
     in_cdf = False
     with path.open(newline="") as handle:
-        for row in csv.reader(handle):
+        reader = csv.reader(handle)
+        for row in reader:
             if not row:
                 continue
-            if row[0] == "stat":
-                in_cdf = False
-                continue
-            if row[0] == "threshold_pct":
-                in_cdf = True
-                continue
-            if in_cdf:
-                cdf[float(row[0])] = float(row[1])
-            elif row[0] in known:
-                stats[row[0]] = row[1]
-            else:
-                extra[row[0]] = float(row[1])
-
-    def opt(name: str) -> float | None:
-        text = stats.get(name, "")
-        return float(text) if text else None
+            try:
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                key, text = row
+                if key in ("stat", "threshold_pct"):
+                    in_cdf = key == "threshold_pct"
+                elif in_cdf:
+                    cdf[float(key)] = float(text)
+                elif key in ("label", "partition"):
+                    stats[key] = text
+                elif key in ("count", "n_errors"):
+                    stats[key] = int(text)
+                elif key in ("mean", "std", "median", "min", "max"):
+                    stats[key] = float(text) if text else None
+                else:
+                    extra[key] = float(text)
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
+        missing = [t for t in CDF_THRESHOLDS if t not in cdf]
+        if missing:
+            raise ValueError(
+                f"{path} line {reader.line_num}: file ends without the cdf at thresholds {missing}"
+            )
 
     return ErrorReport(
         label=stats.get("label", ""),
         partition=stats.get("partition", ""),
-        count=int(stats.get("count", "0")),
-        n_errors=int(stats.get("n_errors", "0")),
-        mean=opt("mean"),
-        std=opt("std"),
-        median=opt("median"),
-        min=opt("min"),
-        max=opt("max"),
+        count=stats.get("count", 0),
+        n_errors=stats.get("n_errors", 0),
+        mean=stats.get("mean"),
+        std=stats.get("std"),
+        median=stats.get("median"),
+        min=stats.get("min"),
+        max=stats.get("max"),
         cdf=cdf,
         extra=extra,
     )

@@ -23,14 +23,13 @@ piecewise-linear interpolation along the line's parameter.
 normalized_domain gives the same domain test without fitting values, for
 estimators that price everywhere but flag queries outside it.
 
-augment_zero_maturity appends fictitious expiring options whose prices
-are their intrinsic payoffs, widening the hull down to tau = 0 so
-short-dated queries stop falling outside it.
+augment_zero_maturity gives a row of fictitious expiring options priced
+at their intrinsic payoffs; appended at tau = 0, it widens the hull down
+to expiry so short-dated queries stop falling outside it.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,7 +38,7 @@ import numpy as np
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateGeometry
-from .market_data import OptionKind, OptionQuote
+from .market_data import OptionKind
 
 # Points closer than this (in both coordinates) are merged, values averaged.
 _DUPLICATE_TOL = 1e-12
@@ -99,8 +98,11 @@ def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> Scat
     """Collapse coincident points (within tol per coordinate) to their mean value.
 
     Points are taken in lexicographic order; a point joins the current
-    group when it lies within tol of the group's first point.
+    group when it lies within tol of the group's first point. A sample
+    without points comes back as it is.
     """
+    if not len(sample.values):
+        return sample
     order = np.lexsort((sample.points[:, 1], sample.points[:, 0]))
     points, values = sample.points[order], sample.values[order]
     xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
@@ -365,51 +367,23 @@ def normalized_domain(strikes, taus, spot: float) -> Callable[[float, float], bo
 
 
 def augment_zero_maturity(
-    quotes,
     kind: OptionKind,
     spot: float,
+    strike_range: tuple[float, float],
     n: int = 30,
-    strike_range: tuple[float, float] | None = None,
-    expiry: dt.date | None = None,
-) -> list[OptionQuote]:
-    """Append n fictitious expiring options to the quote list.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fictitious expiring row that LIB appends to its training quotes.
 
-    The fictitious strikes are equally spaced (endpoints included) over
-    strike_range, defaulting to the min/max strike of the given quotes;
-    pass the full day's range when the quotes are a training subset.
-    Each fictitious option has tau = 0 and price equal to its intrinsic
-    payoff, pinning the surface to the payoff at expiry.
+    Returns (strikes, payoffs): n strikes equally spaced over strike_range,
+    endpoints included, and each one's intrinsic payoff at spot. Placed at
+    tau = 0, the row pins the surface to the payoff at expiry.
     """
-    selected = [q for q in quotes if q.kind == kind]
-    if not selected:
-        raise ValueError("no quotes of the requested kind")
     if n < 2:
         raise ValueError(f"need at least two fictitious strikes, got {n}")
-    if strike_range is None:
-        strikes = [q.strike for q in selected]
-        strike_range = (min(strikes), max(strikes))
     lo, hi = strike_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"bad strike range {strike_range}")
-    if expiry is None:
-        expiry = min(q.expiry for q in selected)
-
-    augmented = list(selected)
-    for strike in np.linspace(lo, hi, n):
-        strike = float(strike)
-        if kind is OptionKind.CALL:
-            payoff = max(spot - strike, 0.0)
-        else:
-            payoff = max(strike - spot, 0.0)
-        augmented.append(
-            OptionQuote(
-                kind=kind,
-                strike=strike,
-                expiry=expiry,
-                ttm_days=0,
-                bid=payoff,
-                ask=payoff,
-                volume=0,
-            )
-        )
-    return augmented
+    strikes = np.linspace(lo, hi, n)
+    if kind is OptionKind.CALL:
+        return strikes, np.maximum(spot - strikes, 0.0)
+    return strikes, np.maximum(strikes - spot, 0.0)

@@ -31,7 +31,6 @@ from pricelab.market_data import (
     MarketEnv,
     OptionKind,
     OptionQuote,
-    replace_quotes,
 )
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
@@ -256,9 +255,9 @@ def test_price_at_vol_floor_inverts_to_the_floor(kind, rate, tau):
 
 
 def test_fill_implied_vols_recovers_flat_vol(bs_day):
-    filled, failed = fill_implied_vols(bs_day, 0.013)
+    vols, failed = fill_implied_vols(bs_day, 0.013)
     assert failed == 0
-    vols = [q.implied_vol for q in filled.quotes]
+    assert len(vols) == len(bs_day.quotes)
     assert all(v == pytest.approx(0.2, abs=1e-7) for v in vols)
 
 
@@ -268,17 +267,17 @@ def test_fill_implied_vols_counts_failures(bs_day):
         kind=quotes[0].kind, strike=quotes[0].strike, expiry=quotes[0].expiry,
         ttm_days=quotes[0].ttm_days, bid=0.0, ask=0.0, volume=quotes[0].volume,
     )
-    chain = replace_quotes(bs_day, [broken, *quotes[1:]])
-    filled, failed = fill_implied_vols(chain, 0.013)
+    chain = DailyChain(bs_day.env, (broken, *quotes[1:]))
+    vols, failed = fill_implied_vols(chain, 0.013)
     assert failed == 1
-    assert filled.quotes[0].implied_vol is None
-    assert filled.quotes[1].implied_vol is not None
+    assert math.isnan(vols[0])
+    assert not np.isnan(vols[1:]).any()
 
 
 def test_fill_implied_vols_accepts_curve(bs_day):
-    filled_flat, _ = fill_implied_vols(bs_day, 0.013)
-    filled_curve, _ = fill_implied_vols(bs_day, lambda tau: 0.013)
-    assert filled_flat == filled_curve
+    vols_flat, _ = fill_implied_vols(bs_day, 0.013)
+    vols_curve, _ = fill_implied_vols(bs_day, lambda tau: 0.013)
+    assert vols_flat.tolist() == vols_curve.tolist()
 
 
 def _otm_grid(rate, dividend=0.02, spot=100.0):
@@ -353,9 +352,10 @@ def test_fill_implied_vols_evaluates_the_curve_once_per_tau(bs_day):
         seen.append(tau)
         return 0.013
 
-    filled, failed = fill_implied_vols(bs_day, curve)
+    vols, failed = fill_implied_vols(bs_day, curve)
     assert sorted(seen) == sorted({q.tau for q in bs_day.quotes})
-    assert (filled, failed) == fill_implied_vols(bs_day, 0.013)
+    flat_vols, flat_failed = fill_implied_vols(bs_day, 0.013)
+    assert (vols.tolist(), failed) == (flat_vols.tolist(), flat_failed)
 
 
 _DAY = dt.date(2024, 1, 2)
@@ -410,9 +410,10 @@ def adversarial_chains(draw):
 def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
     chain, dividend = problem
     env = chain.env
-    filled, failed = fill_implied_vols(chain, dividend)
+    vols, failed = fill_implied_vols(chain, dividend)
+    assert len(vols) == len(chain.quotes)
     raised = 0
-    for q, f in zip(chain.quotes, filled.quotes):
+    for q, vol in zip(chain.quotes, vols.tolist()):
         args = (q.kind, q.mid, env.spot, q.strike, env.rate, dividend, q.tau)
         try:
             implied_vol_brentq(*args)
@@ -425,11 +426,11 @@ def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
         except (NoArbitrageViolation, NoConvergence, ValueError) as exc:
             scalar, scalar_error = None, type(exc)
         assert scalar_error is oracle_error
-        assert scalar == f.implied_vol
-        assert (f.implied_vol is None) == (oracle_error is not None)
+        assert math.isnan(vol) == (oracle_error is not None)
         raised += oracle_error is not None
-        if f.implied_vol is not None:
+        if not math.isnan(vol):
+            assert scalar == vol
             repriced = bs_price(BsInputs(q.kind, env.spot, q.strike, env.rate, dividend,
-                                         f.implied_vol, q.tau))
+                                         vol, q.tau))
             assert abs(repriced - q.mid) <= 1e-10 * max(1.0, q.mid)
     assert failed == raised

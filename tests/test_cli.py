@@ -7,7 +7,7 @@ import pytest
 
 from pricelab.cli import main
 from pricelab.market_data import DailyChain, load_chains, save_chains
-from pricelab.reporting import read_report_csv
+from pricelab.reporting import aggregate, read_report_csv, write_report_csv
 
 
 def run(capsys, *argv):
@@ -247,6 +247,32 @@ def test_report_needs_report_files(tmp_path, capsys):
     code, _, err = run(capsys, "report", "--input", tmp_path)
     assert code == 2
     assert "report_*.csv" in err
+
+
+def write_report(directory, keep):
+    """A report_LI_all.csv under directory holding the lines keep selects
+    from a well-formed report's lines."""
+    path = directory / "report_LI_all.csv"
+    write_report_csv(aggregate([], label="LI"), path)
+    path.write_text("".join(keep(path.read_text().splitlines(keepends=True))))
+    return path
+
+
+def test_report_diagnoses_a_report_without_cdf_rows(tmp_path, capsys):
+    write_report(tmp_path, lambda lines: lines[:10])
+    assert "threshold_pct" not in (tmp_path / "report_LI_all.csv").read_text()
+    code, _, err = run(capsys, "report", "--input", tmp_path)
+    assert code == 2
+    assert "report_LI_all.csv line 10" in err
+
+
+def test_report_diagnoses_a_one_field_row(tmp_path, capsys):
+    write_report(tmp_path, lambda lines: [
+        "mean\n" if line.startswith("mean,") else line for line in lines
+    ])
+    code, _, err = run(capsys, "report", "--input", tmp_path)
+    assert code == 2
+    assert "report_LI_all.csv line 6" in err
 
 
 def test_bad_arguments_exit_2(tmp_path):

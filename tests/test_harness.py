@@ -3,8 +3,10 @@ multi-day runs, cross-date matching, and config files."""
 
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
+from pricelab.black_scholes import fill_implied_vols
 from pricelab.harness import (
     DEFAULT_MASTER_SEED,
     DaySplit,
@@ -17,13 +19,34 @@ from pricelab.harness import (
     run_protocol,
     split_day,
 )
-from pricelab.market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
+from pricelab.market_data import (
+    DailyChain,
+    MarketEnv,
+    OptionKind,
+    OptionQuote,
+    filter_liquidity,
+    trim,
+)
+from pricelab.parity import estimate_dividend_curve
 from pricelab.reporting import ErrorStatus
 from pricelab.synth import synth_chain
 from pricelab.variance_gamma import VgParams, vg_price_quadrature
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
 DAY = date(2012, 1, 3)
+NON_VG_LABELS = ("LI", "LIB", "BS", "NW", "NWCV", "BSNW", "BSNWCV")
+
+
+@pytest.fixture(scope="module")
+def noisy_days():
+    """Three noisy days with one-week to one-year expiries: 9 to 23 quotes a
+    day of each kind fail to invert, and the trim drops others by price and
+    by vol."""
+    return synth_chain(
+        "bs", n_days=3, dividend=0.01, noise=0.02, seed=5,
+        strikes=[float(k) for k in np.arange(70.0, 131.0, 2.5)],
+        maturities_days=(7, 30, 91, 182, 365),
+    )
 
 
 def make_quote(kind, strike, ttm_days, mid, volume=1000):
@@ -87,6 +110,22 @@ def test_prepare_day_trim_drops_cheap_quotes(bs_days):
     contract = lambda q: (q.kind, q.strike, q.ttm_days)
     assert {contract(q) for q in trimmed.quotes} <= {contract(q) for q in plain.quotes}
     assert all(q.mid >= 0.125 for q in trimmed.quotes)
+
+
+@pytest.mark.parametrize("kind", [PUT, CALL])
+def test_prepare_day_trims_the_kind_as_a_trim_of_both_kinds_would(noisy_days, kind):
+    config = ProtocolConfig(trim=True, kind=kind)
+    for chain in noisy_days:
+        liquid = filter_liquidity(chain)
+        curve = estimate_dividend_curve(liquid)
+        vols, _ = fill_implied_vols(liquid, curve)
+        assert np.isnan(vols[[q.kind is kind for q in liquid.quotes]]).any()
+        both = trim(liquid, vols)
+        expected = tuple(q for q in both.quotes if q.kind is kind and q.mid > 0.0)
+        day, day_curve = prepare_day(chain, config)
+        assert day == DailyChain(chain.env, expected)
+        assert day_curve.taus.tolist() == curve.taus.tolist()
+        assert day_curve.yields.tolist() == curve.yields.tolist()
 
 
 def test_prepare_day_liquidity_filter(bs_days):
@@ -177,6 +216,39 @@ def test_run_protocol_aggregates(bs_days):
     bs_hull = result.report("BS", "hull")
     assert bs_hull.n_errors > 0
     assert bs_hull.mean < 1e-4  # percent
+
+
+# (count, n_errors, mean, median, max) of each non-VG label's reports on
+# noisy_days with the trim on. A change that means to move a reported
+# number says so, and updates this table with the reason.
+_PINNED_REPORTS = {
+    ("LI", "all"): (23, 22, 5.261932566574822, 2.898962381816661, 30.14063988329354),
+    ("LI", "nohull"): (1, 0, None, None, None),
+    ("LIB", "all"): (23, 23, 7.565474591550788, 3.097115428271602, 58.24339914102205),
+    ("LIB", "nohull"): (0, 0, None, None, None),
+    ("BS", "all"): (23, 22, 2.3003997468131785, 1.7782184108170007, 9.451843841576569),
+    ("BS", "nohull"): (1, 0, None, None, None),
+    ("NW", "all"): (23, 23, 82.08728486657921, 12.4109435514543, 1007.8146614578253),
+    ("NW", "nohull"): (1, 1, 1007.8146614578253, 1007.8146614578253, 1007.8146614578253),
+    ("NWCV", "all"): (23, 23, 22.604713996889547, 4.255081373849312, 331.61506100109915),
+    ("NWCV", "nohull"): (1, 1, 331.61506100109915, 331.61506100109915, 331.61506100109915),
+    ("BSNW", "all"): (23, 23, 2.452964008884445, 1.8850965932117214, 9.568510808394691),
+    ("BSNW", "nohull"): (1, 1, 9.568510808394691, 9.568510808394691, 9.568510808394691),
+    ("BSNWCV", "all"): (23, 23, 2.039224717978078, 1.3368317618475567, 5.607623260063854),
+    ("BSNWCV", "nohull"): (1, 1, 4.777410367307322, 4.777410367307322, 4.777410367307322),
+}
+
+
+def test_run_protocol_reports_stay_pinned(noisy_days):
+    config = ProtocolConfig(labels=NON_VG_LABELS, trim=True, partitions=("all", "nohull"))
+    result = run_protocol(noisy_days, config)
+    assert set(result.reports) == set(_PINNED_REPORTS)
+    for key, (count, n_errors, *stats) in _PINNED_REPORTS.items():
+        report = result.reports[key]
+        assert (report.count, report.n_errors) == (count, n_errors), key
+        got = (report.mean, report.median, report.max)
+        for value, pinned in zip(got, stats):
+            assert value == (None if pinned is None else pytest.approx(pinned, rel=1e-10)), key
 
 
 def test_run_protocol_deterministic_and_parallel(bs_days):

@@ -1,6 +1,8 @@
 """Chain data model, CSV round trips, and the two quote filters."""
 
+import dataclasses
 import datetime as dt
+import math
 
 import numpy as np
 import pytest
@@ -14,10 +16,8 @@ from pricelab.market_data import (
     OptionQuote,
     filter_liquidity,
     load_chains,
-    replace_quotes,
     save_chains,
     trim,
-    with_implied_vol,
 )
 
 DATE = dt.date(2012, 1, 3)
@@ -85,8 +85,8 @@ def test_round_trip_is_identity(tmp_path, bs_day):
 
 
 def test_round_trip_preserves_implied_vol(tmp_path, bs_day):
-    quotes = [with_implied_vol(q, 0.21) for q in bs_day.quotes[:5]]
-    chain = replace_quotes(bs_day, quotes)
+    quotes = [dataclasses.replace(q, implied_vol=0.21) for q in bs_day.quotes[:5]]
+    chain = DailyChain(bs_day.env, tuple(quotes))
     path = tmp_path / "iv.csv"
     save_chains([chain], path, include_iv=True)
     loaded = load_chains(path)[0]
@@ -172,25 +172,28 @@ def test_liquidity_filter_boundaries():
 
 
 def test_trim_boundaries():
-    chain = DailyChain(
-        ENV,
-        (
-            with_implied_vol(make_quote(bid=0.125, ask=0.125), 0.3),  # at floor: kept
-            with_implied_vol(make_quote(bid=0.12, ask=0.12), 0.3),    # below: dropped
-            with_implied_vol(make_quote(), 0.70),                     # at cap: kept
-            with_implied_vol(make_quote(), 0.71),                     # above: dropped
-            make_quote(),                                             # no vol: dropped
-        ),
+    quotes = (
+        make_quote(bid=0.125, ask=0.125),  # at floor: kept
+        make_quote(bid=0.12, ask=0.12),    # below: dropped
+        make_quote(strike=101.0),          # at cap: kept
+        make_quote(strike=102.0),          # above: dropped
+        make_quote(strike=103.0),          # no vol: dropped
     )
-    kept = trim(chain)
-    assert len(kept) == 2
-    assert {q.implied_vol for q in kept.quotes} == {0.3, 0.70}
+    vols = np.array([0.3, 0.3, 0.70, 0.71, np.nan])
+    kept = trim(DailyChain(ENV, quotes), vols)
+    assert kept == DailyChain(ENV, (quotes[0], quotes[2]))
+    with pytest.raises(ValueError):
+        trim(DailyChain(ENV, quotes), vols[:-1])
 
 
 def test_filters_idempotent_and_commute(bs_day):
-    filled = replace_quotes(bs_day, [with_implied_vol(q, 0.2) for q in bs_day.quotes])
-    once = filter_liquidity(filled)
+    def vols(chain):
+        # A vol that each quote carries with it, some of them above the cap.
+        return np.array([0.2 + abs(math.log(q.strike / chain.env.spot)) for q in chain.quotes])
+
+    once = filter_liquidity(bs_day)
     assert filter_liquidity(once) == once
-    trimmed = trim(filled)
-    assert trim(trimmed) == trimmed
-    assert filter_liquidity(trim(filled)) == trim(filter_liquidity(filled))
+    trimmed = trim(bs_day, vols(bs_day))
+    assert 0 < len(trimmed) < len(bs_day)
+    assert trim(trimmed, vols(trimmed)) == trimmed
+    assert filter_liquidity(trimmed) == trim(once, vols(once))

@@ -8,7 +8,7 @@ import pytest
 
 from pricelab.black_scholes import BsInputs, bs_price
 from pricelab.errors import NoAtmPairs
-from pricelab.market_data import MarketEnv, OptionKind, replace_quotes
+from pricelab.market_data import DailyChain, MarketEnv, OptionKind
 from pricelab.synth import synth_chain
 from pricelab.parity import (
     ATM_HI,
@@ -172,14 +172,14 @@ def test_estimate_dividend_curve_median_ignores_one_bad_pair():
             )
     assert bumped is not None
     tau = quotes[bumped].tau
-    curve = estimate_dividend_curve(replace_quotes(day, quotes))
+    curve = estimate_dividend_curve(DailyChain(day.env, tuple(quotes)))
     assert curve.value_at(tau) == pytest.approx(0.013, abs=1e-12)
 
 
 def test_estimate_dividend_curve_requires_atm_pairs(bs_day):
     deep = [q for q in bs_day.quotes if q.strike <= 80.0]
     with pytest.raises(NoAtmPairs):
-        estimate_dividend_curve(replace_quotes(bs_day, deep))
+        estimate_dividend_curve(DailyChain(bs_day.env, tuple(deep)))
 
 
 def test_itm_parity_audit_on_consistent_chain(bs_day):
@@ -208,7 +208,7 @@ def test_itm_parity_audit_counts_unmatched(bs_day):
         q for q in bs_day.quotes
         if not (q.kind is CALL and q.strike == target.strike and q.expiry == target.expiry)
     ]
-    chain = replace_quotes(bs_day, thinned)
+    chain = DailyChain(bs_day.env, tuple(thinned))
     curve = estimate_dividend_curve(chain)
     records, skipped = itm_parity_records(chain, curve)
     full_records, _ = itm_parity_records(bs_day, curve)
@@ -226,7 +226,7 @@ def test_itm_parity_audit_skips_zero_mid(bs_day):
                 bid=0.0, ask=0.0, volume=q.volume,
             )
             break
-    chain = replace_quotes(bs_day, quotes)
+    chain = DailyChain(bs_day.env, tuple(quotes))
     curve = estimate_dividend_curve(chain)
     _, skipped = itm_parity_records(chain, curve)
     assert skipped == 1

@@ -85,6 +85,18 @@ def test_merge_duplicates_keeps_distinct_points():
     assert merge_duplicates(sample).points.shape == (2, 2)
 
 
+def test_builders_reject_an_empty_sample_as_degenerate():
+    empty = np.empty(0)
+    builders = [
+        lambda: build_surface(ScatterSample(np.empty((0, 2)), empty)),
+        lambda: normalized_li_values(empty, empty, empty, 100.0, 100.0),
+        lambda: normalized_domain(empty, empty, 100.0),
+    ]
+    for build in builders:
+        with pytest.raises(DegenerateGeometry):
+            build()
+
+
 @pytest.mark.parametrize("points, values", [
     # Exact duplicates, three of them with a mean that rounds.
     ([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.5, 3.0], [1.0, 1.0], [2.0, 2.0]],
@@ -395,34 +407,30 @@ def test_augment_zero_maturity_pins_payoff():
         make_quote(PUT, strike, days, mid)
         for strike, days, mid in [(90.0, 60, 2.0), (100.0, 60, 5.0), (110.0, 60, 12.0)]
     ]
-    augmented = augment_zero_maturity(quotes, PUT, spot=100.0, n=5)
-    added = [q for q in augmented if q.ttm_days == 0]
-    assert len(added) == 5
-    assert len(augmented) == len(quotes) + 5
-    assert [q.strike for q in added] == pytest.approx(list(np.linspace(90.0, 110.0, 5)))
-    for q in added:
-        assert q.tau == 0.0
-        assert q.mid == max(q.strike - 100.0, 0.0)
-        assert q.expiry == min(x.expiry for x in quotes)
+    strikes, payoffs = augment_zero_maturity(PUT, spot=100.0, strike_range=(90.0, 110.0), n=5)
+    assert strikes.tolist() == pytest.approx(list(np.linspace(90.0, 110.0, 5)))
+    assert payoffs.tolist() == [max(k - 100.0, 0.0) for k in strikes.tolist()]
 
-    surface = price_surface(augmented, 100.0)
+    # Appended at tau = 0, the row pins the surface to the payoff at expiry.
+    surface = normalized_li_values(
+        [q.strike for q in quotes] + strikes.tolist(),
+        [q.tau for q in quotes] + [0.0] * len(strikes),
+        [q.mid for q in quotes] + payoffs.tolist(),
+        100.0, value_scale=100.0,
+    )
     assert surface.in_domain(100.0, 0.0)
     assert surface.value_at(110.0, 0.0) == pytest.approx(10.0, abs=1e-9)
     assert surface.value_at(95.0, 0.0) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_augment_zero_maturity_options():
-    quotes = [make_quote(CALL, 100.0, 60, 5.0), make_quote(PUT, 80.0, 60, 1.0)]
-    augmented = augment_zero_maturity(quotes, CALL, spot=100.0, n=3, strike_range=(50.0, 150.0))
-    added = [q for q in augmented if q.ttm_days == 0]
-    assert [q.strike for q in added] == [50.0, 100.0, 150.0]
-    assert [q.mid for q in added] == [50.0, 0.0, 0.0]
-    # Input puts are dropped: the augmented list is single-kind.
-    assert all(q.kind is CALL for q in augmented)
+    strikes, payoffs = augment_zero_maturity(CALL, spot=100.0, strike_range=(50.0, 150.0), n=3)
+    assert strikes.tolist() == [50.0, 100.0, 150.0]
+    assert payoffs.tolist() == [50.0, 0.0, 0.0]
 
     with pytest.raises(ValueError):
-        augment_zero_maturity(quotes, CALL, spot=100.0, n=1)
+        augment_zero_maturity(CALL, spot=100.0, strike_range=(50.0, 150.0), n=1)
     with pytest.raises(ValueError):
-        augment_zero_maturity(quotes, CALL, spot=100.0, strike_range=(-1.0, 50.0))
+        augment_zero_maturity(CALL, spot=100.0, strike_range=(-1.0, 50.0))
     with pytest.raises(ValueError):
-        augment_zero_maturity([], CALL, spot=100.0)
+        augment_zero_maturity(CALL, spot=100.0, strike_range=(150.0, 50.0))
