@@ -20,6 +20,13 @@ of their training samples (in normalized coordinates) they return the
 OUTSIDE_HULL marker. NW and VG answer every query but flag extrapolation
 whenever the query leaves that same hull, so downstream reports can
 split errors by hull membership.
+
+A TrainingSet holds a day's training quotes as arrays together with the
+work their fits share: the implied vols, inverted once, and one
+NormalizedGeometry per distinct point set, which both LI's interpolant
+and the kernel labels' hull test come from. The labels of one day fitted
+on one TrainingSet share that work; a fit given none builds its own and
+does only what its label needs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Sequence, Sized
 
 import numpy as np
@@ -36,7 +44,7 @@ from .errors import InsufficientData, PricelabError
 from .kernel import NwModel, loo_cv_bandwidths, nw_estimate, silverman_bandwidths
 from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from .parity import DividendCurve
-from .surface import OUTSIDE_HULL, augment_zero_maturity, normalized_domain, normalized_li_values
+from .surface import OUTSIDE_HULL, NormalizedGeometry, augment_zero_maturity
 from .variance_gamma import vg_calibrate, vg_price_quadrature
 
 # What fits and predictions raise on data they cannot handle; callers record FAILED.
@@ -94,31 +102,78 @@ def _require(quotes: Sized, label: EstimatorLabel, minimum: int) -> None:
         )
 
 
+class TrainingSet:
+    """A day's training quotes of one kind, as arrays, and the work that
+    every label's fit on them shares.
+
+    strikes, taus and mids hold the quotes of the kind at tau >= 0, in the
+    order given. vols, when passed, holds one implied vol per quote passed
+    (NaN where none exists) under the curve's dividends, as
+    fill_implied_vols gives them; otherwise they are inverted on first
+    use. geometry(mask) triangulates a subset of the points on first use
+    and hands the same geometry to every later fit on that subset. A
+    TrainingSet lives for one day's fits and is passed to each of them.
+    """
+
+    def __init__(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
+                 curve: DividendCurve | None = None, vols: np.ndarray | None = None):
+        keep = [q.kind == kind and q.tau >= 0.0 for q in quotes]
+        if vols is not None and len(vols) != len(keep):
+            raise ValueError(f"{len(vols)} vols for {len(keep)} quotes")
+        self.kind, self.env, self.curve = kind, env, curve
+        self.quotes = tuple(q for q, kept in zip(quotes, keep) if kept)
+        self.strikes = np.array([q.strike for q in self.quotes])
+        self.taus = np.array([q.tau for q in self.quotes])
+        self.mids = np.array([q.mid for q in self.quotes])
+        self._vols = None if vols is None else np.asarray(vols, dtype=float)[np.array(keep, dtype=bool)]
+        self._geometries: dict[bytes, NormalizedGeometry] = {}
+
+    def matches(self, kind: OptionKind, env: MarketEnv, curve: DividendCurve | None) -> bool:
+        """Whether this set was built for that kind, day and curve."""
+        return self.kind is kind and self.env == env and self.curve is curve
+
+    @property
+    def vols(self) -> np.ndarray:
+        """One implied vol per quote, NaN where none exists."""
+        if self._vols is None:
+            self._vols, _ = fill_implied_vols(DailyChain(self.env, self.quotes), self.curve)
+        return self._vols
+
+    def geometry(self, mask: np.ndarray) -> NormalizedGeometry:
+        """The normalized geometry of the points where mask is set."""
+        key = mask.tobytes()
+        if key not in self._geometries:
+            self._geometries[key] = NormalizedGeometry(
+                self.strikes[mask], self.taus[mask], self.env.spot)
+        return self._geometries[key]
+
+
 _PRICE, _VOL = "price", "implied vol"
 
 
 class _Smoother(NamedTuple):
     """Fits values at (strike, tau) points, from at least min_quotes
-    quotes, all at positive tau when positive_tau is set. build(strikes,
-    taus, values, spot, value_scale) returns the value function, the hull
-    test and the fit's meta entries."""
+    quotes, all at positive tau when positive_tau is set. build(geometry,
+    strikes, taus, values, value_scale), with geometry() giving the points'
+    NormalizedGeometry, returns the value function, the hull test and the
+    fit's meta entries."""
 
     min_quotes: int
     positive_tau: bool
     build: Callable
 
 
-def _li(strikes, taus, values, spot, value_scale):
-    surf = normalized_li_values(strikes, taus, values, spot, value_scale)
+def _li(geometry, strikes, taus, values, value_scale):
+    surf = geometry().surface(values, value_scale)
     return surf.value_at, surf.in_domain, {"coords": "normalized"}
 
 
 def _nw(select_bandwidths):
-    def build(strikes, taus, values, spot, value_scale):
+    def build(geometry, strikes, taus, values, value_scale):
         bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values)
         model = NwModel(strikes, taus, values, bandwidths)
         meta = {"coords": "raw", "bandwidths": (bandwidths.eps1, bandwidths.eps2)}
-        return lambda k, t: nw_estimate(model, k, t), normalized_domain(strikes, taus, spot), meta
+        return lambda k, t: nw_estimate(model, k, t), geometry().in_domain, meta
 
     return build
 
@@ -146,6 +201,7 @@ def fit(
     env: MarketEnv,
     curve: DividendCurve | None = None,
     lib_strike_range: tuple[float, float] | None = None,
+    training: TrainingSet | None = None,
 ) -> PricingEstimator:
     """Fit one estimator to a day's training quotes.
 
@@ -153,27 +209,32 @@ def fit(
     routes, falling back to env.div_hist when absent. lib_strike_range
     widens the fictitious-strike span for LIB beyond the training quotes
     (pass the full day's range when the quotes are a training subset).
+    training is the TrainingSet of these quotes, kind, env and curve,
+    shared by the day's other fits; without it the fit builds its own.
 
     Raises InsufficientData when too few usable quotes remain for the
     label, and propagates calibration or geometry failures.
     """
     label = EstimatorLabel(label)
-    quotes = [q for q in quotes if q.kind == kind and q.tau >= 0.0]
+    if training is None:
+        training = TrainingSet(kind, quotes, env, curve)
+    elif not training.matches(kind, env, curve):
+        raise ValueError("the training set was built for another kind, day or curve")
     dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
-    meta: dict = {"n_train": len(quotes)}
+    meta: dict = {"n_train": len(training.quotes)}
     if label is EstimatorLabel.VG:
-        return _fit_vg(kind, quotes, env, dividend_at, meta)
+        return _fit_vg(training, dividend_at, meta)
 
     target, smoother = _RECIPES[label]
-    strikes = np.array([q.strike for q in quotes])
-    taus = np.array([q.tau for q in quotes])
-    usable = taus > 0.0 if smoother.positive_tau else np.full(len(quotes), True)
+    strikes, taus = training.strikes, training.taus
+    usable = taus > 0.0 if smoother.positive_tau else np.full(len(taus), True)
     if target is _VOL:
-        values, meta["dropped_noninvertible"] = fill_implied_vols(DailyChain(env, tuple(quotes)), curve)
+        values = training.vols
+        meta["dropped_noninvertible"] = int(np.isnan(values).sum())
         usable &= ~np.isnan(values)
         value_scale = 1.0
     else:
-        values, value_scale = np.array([q.mid for q in quotes]), env.spot
+        values, value_scale = training.mids, env.spot
     strikes, taus, values = strikes[usable], taus[usable], values[usable]
     _require(values, label, smoother.min_quotes)
     if label is EstimatorLabel.LIB:
@@ -184,8 +245,11 @@ def fit(
         strikes = np.concatenate([strikes, expiring])
         taus = np.concatenate([taus, np.zeros(len(payoffs))])
         values = np.concatenate([values, payoffs])
+        geometry = partial(NormalizedGeometry, strikes, taus, env.spot)
+    else:
+        geometry = partial(training.geometry, usable)
 
-    value_at, hull_fn, smoother_meta = smoother.build(strikes, taus, values, env.spot, value_scale)
+    value_at, hull_fn, smoother_meta = smoother.build(geometry, strikes, taus, values, value_scale)
     meta.update(smoother_meta)
     if target is _PRICE:
         return PricingEstimator(label, kind, env, value_at, hull_fn, meta)
@@ -199,13 +263,15 @@ def fit(
     return PricingEstimator(label, kind, env, price_fn, hull_fn, meta)
 
 
-def _fit_vg(kind: OptionKind, quotes: list[OptionQuote], env: MarketEnv,
-            dividend_at: Callable[[float], float], meta: dict) -> PricingEstimator:
-    pricable = [q for q in quotes if q.tau > 0.0 and q.mid > 0.0]
-    _require(pricable, EstimatorLabel.VG, 3)
-    hull_fn = normalized_domain([q.strike for q in pricable], [q.tau for q in pricable], env.spot)
-    triples = [(q.strike, q.tau, q.mid) for q in pricable]
-    dividend = dividend_at(float(np.median([q.tau for q in pricable])))
+def _fit_vg(training: TrainingSet, dividend_at: Callable[[float], float],
+            meta: dict) -> PricingEstimator:
+    kind, env = training.kind, training.env
+    pricable = (training.taus > 0.0) & (training.mids > 0.0)
+    strikes, taus = training.strikes[pricable].tolist(), training.taus[pricable].tolist()
+    _require(strikes, EstimatorLabel.VG, 3)
+    hull_fn = training.geometry(pricable).in_domain
+    triples = list(zip(strikes, taus, training.mids[pricable].tolist()))
+    dividend = dividend_at(float(np.median(taus)))
     params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend)
     meta.update(params=(params.theta, params.sigma, params.alpha), objective=objective,
                 dividend=dividend)

@@ -3,8 +3,11 @@
 Each trading day is split 90/10 into training and test quotes with a
 seed derived deterministically from (master seed, date), every label is
 fit on the training side and asked to price the test side, and each test
-quote becomes one PricingError record. Aggregation slices the records by
-partition (all, in-hull, outside-hull, price above one dollar).
+quote becomes one PricingError record. The labels of a day share one
+TrainingSet, so its implied vols are inverted once (in trim mode they are
+prepare_day's own) and each distinct set of training points is
+triangulated once. Aggregation slices the records by partition (all,
+in-hull, outside-hull, price above one dollar).
 
 The protocol is reproducible end to end: the same input file and master
 seed produce byte-identical report files, regardless of worker count.
@@ -26,7 +29,7 @@ import numpy as np
 
 from .black_scholes import fill_implied_vols
 from .errors import NoAtmPairs
-from .estimators import ESTIMATOR_ERRORS, EstimatorLabel, PredictStatus, fit, predict
+from .estimators import ESTIMATOR_ERRORS, EstimatorLabel, PredictStatus, TrainingSet, fit, predict
 from .market_data import (
     DEFAULT_MAX_IV,
     DEFAULT_MIN_PRICE,
@@ -35,7 +38,7 @@ from .market_data import (
     DailyChain,
     OptionKind,
     filter_liquidity,
-    trim,
+    trim_mask,
 )
 from .parity import DividendCurve, estimate_dividend_curve
 from .reporting import PARTITIONS, ErrorReport, ErrorStatus, PricingError, aggregate
@@ -132,14 +135,18 @@ class ProtocolConfig:
         return tuple(EstimatorLabel(name) for name in self.labels)
 
 
-def prepare_day(chain: DailyChain, config: ProtocolConfig) -> tuple[DailyChain, DividendCurve | None]:
+def prepare_day(
+    chain: DailyChain, config: ProtocolConfig
+) -> tuple[DailyChain, DividendCurve | None, np.ndarray | None]:
     """Shape one raw day for evaluation.
 
     Applies the liquidity filter, estimates the dividend curve from the
     filtered chain (both kinds; None when no ATM pairs exist), keeps the
     requested kind, optionally inverts its vols and trims, then keeps the
     positive-mid quotes. The returned chain is exactly what split indices
-    refer to.
+    refer to. With the trim on, the vols it inverted come back too, one
+    per returned quote (none is NaN, the trim drops those); without it
+    the vols are None.
     """
     liquid = filter_liquidity(chain, config.min_ttm_days, config.min_volume)
     try:
@@ -147,10 +154,14 @@ def prepare_day(chain: DailyChain, config: ProtocolConfig) -> tuple[DailyChain, 
     except NoAtmPairs:
         curve = None
     day = liquid.of_kind(config.kind)
+    keep = np.array([q.mid > 0.0 for q in day.quotes], dtype=bool)
+    vols = None
     if config.trim:
         vols, _ = fill_implied_vols(day, curve)
-        day = trim(day, vols, config.max_iv, config.min_price)
-    return DailyChain(day.env, tuple(q for q in day.quotes if q.mid > 0.0)), curve
+        keep &= trim_mask(day, vols, config.max_iv, config.min_price)
+        vols = vols[keep]
+    quotes = tuple(q for q, kept in zip(day.quotes, keep.tolist()) if kept)
+    return DailyChain(day.env, quotes), curve, vols
 
 
 def evaluate_day(
@@ -159,8 +170,12 @@ def evaluate_day(
     split: DaySplit,
     curve: DividendCurve | None = None,
     lib_strike_range: tuple[float, float] | None = None,
+    training: TrainingSet | None = None,
 ) -> list[PricingError]:
     """Fit on the day's training quotes and price its test quotes.
+
+    training is the TrainingSet of the split's training quotes, which the
+    day's labels share; without it the fit builds its own.
 
     One record per test quote. A fit failure (too few quotes, stalled
     calibration, degenerate geometry) marks the whole day FAILED rather
@@ -175,12 +190,15 @@ def evaluate_day(
     if len(kinds) != 1:
         raise ValueError("evaluate_day expects a prepared single-kind day")
     kind = kinds.pop()
+    if training is not None and not training.matches(kind, day.env, curve):
+        raise ValueError("the training set was built for another kind, day or curve")
     train = [quotes[i] for i in split.train]
     test = [quotes[i] for i in split.test]
 
     try:
         estimator = fit(
-            label, kind, train, day.env, curve=curve, lib_strike_range=lib_strike_range
+            label, kind, train, day.env, curve=curve, lib_strike_range=lib_strike_range,
+            training=training,
         )
     except ESTIMATOR_ERRORS:
         estimator = None
@@ -209,15 +227,18 @@ def evaluate_day(
 
 def _evaluate_one_day(args) -> list[PricingError]:
     chain, config = args
-    day, curve = prepare_day(chain, config)
+    day, curve, vols = prepare_day(chain, config)
     if len(day) < 2:
         return []
     split = split_day(len(day), day.env.date, config.master_seed, config.fraction)
     strikes = [q.strike for q in day.quotes]
     lib_range = (min(strikes), max(strikes))
+    train = [day.quotes[i] for i in split.train]
+    training = TrainingSet(config.kind, train, day.env, curve,
+                           None if vols is None else vols[list(split.train)])
     records: list[PricingError] = []
     for label in config.resolved_labels():
-        records.extend(evaluate_day(label, day, split, curve, lib_range))
+        records.extend(evaluate_day(label, day, split, curve, lib_range, training))
     return records
 
 

@@ -299,9 +299,19 @@ def trim(
     black_scholes.fill_implied_vols returns them. Quotes whose vol is NaN
     (not invertible, counted there) are dropped here.
     """
-    kept = tuple(
-        q
-        for q, vol in zip(chain.quotes, vols.tolist(), strict=True)
-        if q.mid >= min_price and vol <= max_iv  # False for a NaN vol
-    )
-    return DailyChain(chain.env, kept)
+    keep = trim_mask(chain, vols, max_iv, min_price)
+    return DailyChain(chain.env, tuple(q for q, kept in zip(chain.quotes, keep.tolist()) if kept))
+
+
+def trim_mask(
+    chain: DailyChain,
+    vols: np.ndarray,
+    max_iv: float = DEFAULT_MAX_IV,
+    min_price: float = DEFAULT_MIN_PRICE,
+) -> np.ndarray:
+    """True for each quote that trim keeps, in quote order."""
+    vols = np.asarray(vols, dtype=float)
+    if vols.shape != (len(chain.quotes),):
+        raise ValueError(f"{vols.size} vols for {len(chain.quotes)} quotes")
+    mids = np.array([q.mid for q in chain.quotes], dtype=float)
+    return (mids >= min_price) & (vols <= max_iv)  # False for a NaN vol

@@ -20,8 +20,14 @@ box narrows each query to a few candidate triangles.
 When the samples are collinear (a single-maturity day, say) the
 triangulation degenerates and build_surface falls back to 1-D
 piecewise-linear interpolation along the line's parameter.
-normalized_domain gives the same domain test without fitting values, for
-estimators that price everywhere but flag queries outside it.
+
+Geometry and values are separate. The triangulation (or the line) is
+value-free; an interpolant is values attached to it. NormalizedGeometry
+merges and triangulates a point set in (strike/spot, tau) once: its
+in_domain is the hull test every estimator uses, and its surface()
+attaches values to the same points, so all the labels fitted on one set
+of points share one triangulation. normalized_li_values and
+normalized_domain build a geometry for a single use.
 
 augment_zero_maturity gives a row of fictitious expiring options priced
 at their intrinsic payoffs; appended at tau = 0, it widens the hull down
@@ -103,20 +109,31 @@ def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> Scat
     """
     if not len(sample.values):
         return sample
-    order = np.lexsort((sample.points[:, 1], sample.points[:, 0]))
-    points, values = sample.points[order], sample.values[order]
-    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
-    starts = [0]
-    ax, ay = xs[0], ys[0]
-    for i in range(1, len(xs)):
-        if not (abs(xs[i] - ax) <= tol and abs(ys[i] - ay) <= tol):
+    order, starts = _merge_groups(sample.points, tol)
+    return ScatterSample(sample.points[order[starts]], _group_means(sample.values, order, starts))
+
+
+def _merge_groups(points: np.ndarray, tol: float = _DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """merge_duplicates' groups: the lexicographic order of the points, and
+    the positions in that order where each group starts."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    starts: list[int] = []
+    for i, (x, y) in enumerate(zip(points[order, 0].tolist(), points[order, 1].tolist())):
+        if not starts or not (abs(x - ax) <= tol and abs(y - ay) <= tol):
             starts.append(i)
-            ax, ay = xs[i], ys[i]
+            ax, ay = x, y
+    return order, np.array(starts, dtype=np.intp)
+
+
+def _group_means(values: np.ndarray, order: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each group's mean value, in group order, for the groups of _merge_groups."""
+    values = values[order]
     merged = values[starts]
-    for j, (a, b) in enumerate(zip(starts, starts[1:] + [len(xs)])):
+    ends = starts[1:].tolist() + [len(values)]
+    for j, (a, b) in enumerate(zip(starts.tolist(), ends)):
         if b - a > 1:
             merged[j] = values[a:b].mean()
-    return ScatterSample(points[starts], merged)
+    return merged
 
 
 class _Triangles:
@@ -225,6 +242,19 @@ class _Triangles:
                     return t, c0, c1, c2
         return None
 
+    def table(self, values: np.ndarray) -> list:
+        """Each triangle's vertex values, for evaluate; values is one per point."""
+        return values[self.simplices].tolist()
+
+    def evaluate(self, table: list, x: float, y: float):
+        """The barycentric-linear value at (x, y), or OUTSIDE_HULL."""
+        found = self.find(x, y)
+        if found is None:
+            return OUTSIDE_HULL
+        t, c0, c1, c2 = found
+        v0, v1, v2 = table[t]
+        return c0 * v0 + c1 * v1 + c2 * v2
+
 
 def _triangulate(points: np.ndarray) -> Delaunay:
     """Delaunay triangulation of the points. Raises DegenerateGeometry when
@@ -240,7 +270,71 @@ def _triangulate(points: np.ndarray) -> Delaunay:
     return tri
 
 
-class LinearInterpolator:
+class _Line:
+    """The domain of collinear points: the segment they span.
+
+    The line is the least-squares direction through the points; points
+    off the line or beyond the parameter range, each by more than a small
+    slack, are outside it. Raises DegenerateGeometry for fewer than two
+    distinct points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        if len(points) < 2:
+            raise DegenerateGeometry("a line fit needs at least two distinct points")
+        center = points.mean(axis=0)
+        _, _, vt = np.linalg.svd(points - center, full_matrices=False)
+        direction = vt[0]
+        params = (points - center) @ direction
+        self._order = np.argsort(params)
+        self._params = params[self._order]
+        span = float(self._params[-1] - self._params[0])
+        if span <= 0.0:
+            raise DegenerateGeometry("all points coincide; no line to interpolate along")
+        self._center = center
+        self._direction = direction
+        self._tol = _LINE_TOL * max(1.0, span)
+
+    def find(self, x: float, y: float):
+        """The parameter of (x, y) along the line, or None when it is outside."""
+        offset = np.asarray((x, y), dtype=float) - self._center
+        along = float(offset @ self._direction)
+        perp = offset - along * self._direction
+        if float(np.hypot(perp[0], perp[1])) > self._tol:
+            return None
+        if self._params[0] - self._tol <= along <= self._params[-1] + self._tol:
+            return along
+        return None
+
+    def table(self, values: np.ndarray) -> np.ndarray:
+        """The values in parameter order, for evaluate; values is one per point."""
+        return values[self._order]
+
+    def evaluate(self, table: np.ndarray, x: float, y: float):
+        """The piecewise-linear value at (x, y), or OUTSIDE_HULL."""
+        along = self.find(x, y)
+        if along is None:
+            return OUTSIDE_HULL
+        return float(np.interp(along, self._params, table))
+
+
+class _Interpolant:
+    """Values attached to a value-free shape (_Triangles or _Line), one per
+    point of the shape."""
+
+    def __init__(self, shape, values: np.ndarray):
+        self._shape = shape
+        self._table = shape.table(values)
+
+    def contains(self, point) -> bool:
+        """Closed-domain membership: boundary points count as inside."""
+        return self._shape.find(*point) is not None
+
+    def evaluate(self, point):
+        return self._shape.evaluate(self._table, *point)
+
+
+class LinearInterpolator(_Interpolant):
     """Barycentric-linear interpolant over a Delaunay triangulation.
 
     Exact at the sample points, affine on each triangle, and defined on
@@ -250,62 +344,16 @@ class LinearInterpolator:
 
     def __init__(self, sample: ScatterSample):
         sample = merge_duplicates(sample)
-        self._triangles = _Triangles(sample.points)
-        self._values = sample.values[self._triangles.simplices].tolist()
-
-    def contains(self, point) -> bool:
-        """Closed-hull membership: boundary points count as inside."""
-        return self._triangles.find(*point) is not None
-
-    def evaluate(self, point):
-        found = self._triangles.find(*point)
-        if found is None:
-            return OUTSIDE_HULL
-        t, c0, c1, c2 = found
-        v0, v1, v2 = self._values[t]
-        return c0 * v0 + c1 * v1 + c2 * v2
+        super().__init__(_Triangles(sample.points), sample.values)
 
 
-class Linear1DInterpolator:
-    """Fallback for collinear samples: interpolate along the line's parameter.
-
-    The line is the least-squares direction through the points; queries
-    off the line or beyond the parameter range, each by more than a small
-    slack, are outside the domain.
-    """
+class Linear1DInterpolator(_Interpolant):
+    """Fallback for collinear samples: interpolate along the line's
+    parameter, on the segment of _Line."""
 
     def __init__(self, sample: ScatterSample):
         sample = merge_duplicates(sample)
-        points, values = sample.points, sample.values
-        if len(values) < 2:
-            raise DegenerateGeometry("a line fit needs at least two distinct points")
-        center = points.mean(axis=0)
-        _, _, vt = np.linalg.svd(points - center, full_matrices=False)
-        direction = vt[0]
-        params = (points - center) @ direction
-        order = np.argsort(params)
-        self._params, self._values = params[order], values[order]
-        span = float(self._params[-1] - self._params[0])
-        if span <= 0.0:
-            raise DegenerateGeometry("all points coincide; no line to interpolate along")
-        self._center = center
-        self._direction = direction
-        self._tol = _LINE_TOL * max(1.0, span)
-
-    def contains(self, point) -> bool:
-        point = np.asarray(point, dtype=float)
-        offset = point - self._center
-        along = float(offset @ self._direction)
-        perp = offset - along * self._direction
-        if float(np.hypot(perp[0], perp[1])) > self._tol:
-            return False
-        return self._params[0] - self._tol <= along <= self._params[-1] + self._tol
-
-    def evaluate(self, point):
-        if not self.contains(point):
-            return OUTSIDE_HULL
-        along = float((np.asarray(point, dtype=float) - self._center) @ self._direction)
-        return float(np.interp(along, self._params, self._values))
+        super().__init__(_Line(sample.points), sample.values)
 
 
 def build_surface(sample: ScatterSample):
@@ -342,28 +390,55 @@ class NormalizedSurface:
         return self.value_scale * raw
 
 
+class NormalizedGeometry:
+    """The value-free domain of points at (strike/spot, tau).
+
+    The points are merged as merge_duplicates merges them and
+    triangulated, or, when they are collinear, they span a segment. A
+    DegenerateGeometry from the segment (fewer than two distinct points)
+    propagates. in_domain is the domain test; surface attaches values at
+    the same points and gives normalized_li_values' surface, bit for bit,
+    without triangulating again.
+    """
+
+    def __init__(self, strikes, taus, spot: float):
+        if spot <= 0.0:
+            raise ValueError(f"spot must be positive, got {spot}")
+        points = np.column_stack([np.asarray(strikes, dtype=float) / spot,
+                                  np.asarray(taus, dtype=float)])
+        if not np.isfinite(points).all():
+            raise ValueError("points must be finite")
+        self.spot = spot
+        self._order, self._starts = _merge_groups(points)
+        merged = points[self._order[self._starts]]
+        try:
+            self._shape = _Triangles(merged)
+        except DegenerateGeometry:
+            self._shape = _Line(merged)
+
+    def in_domain(self, strike: float, tau: float) -> bool:
+        return self._shape.find(strike / self.spot, tau) is not None
+
+    def surface(self, values, value_scale: float) -> NormalizedSurface:
+        """The interpolant of values (one per point, in the order the points
+        were given) divided by value_scale, rescaled on output."""
+        values = np.asarray(values, dtype=float) / value_scale
+        if values.shape != self._order.shape:
+            raise ValueError("one value per point required")
+        if not np.isfinite(values).all():
+            raise ValueError("points and values must be finite")
+        merged = _group_means(values, self._order, self._starts)
+        return NormalizedSurface(_Interpolant(self._shape, merged), self.spot, value_scale)
+
+
 def normalized_li_values(strikes, taus, values, spot: float, value_scale: float) -> NormalizedSurface:
-    strikes = np.asarray(strikes, dtype=float)
-    taus = np.asarray(taus, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if spot <= 0.0:
-        raise ValueError(f"spot must be positive, got {spot}")
-    points = np.column_stack([strikes / spot, taus])
-    sample = ScatterSample(points, values / value_scale)
-    return NormalizedSurface(build_surface(sample), spot, value_scale)
+    return NormalizedGeometry(strikes, taus, spot).surface(values, value_scale)
 
 
 def normalized_domain(strikes, taus, spot: float) -> Callable[[float, float], bool]:
     """The in_domain test of normalized_li_values over these points, built
-    without a value interpolant when the points span a triangulation."""
-    points = np.column_stack([np.asarray(strikes, dtype=float) / spot, taus])
-    try:
-        triangles = _Triangles(points)
-    except DegenerateGeometry:
-        # Collinear points: the segment of the 1-D fallback; its values are never read.
-        line = Linear1DInterpolator(ScatterSample(points, np.zeros(len(points))))
-        return lambda strike, tau: line.contains((strike / spot, tau))
-    return lambda strike, tau: triangles.find(strike / spot, tau) is not None
+    without values."""
+    return NormalizedGeometry(strikes, taus, spot).in_domain
 
 
 def augment_zero_maturity(

@@ -19,6 +19,11 @@ former hull interpolant: scipy's LinearNDInterpolator for values and
 Delaunay.find_simplex for membership, over the same merged samples. The
 package's point location must agree with it on every in/out decision and
 to rounding on values.
+
+raw_normalized_domain is the surface module's former hull test of the
+kernel and VG labels: point location over the raw points, duplicates and
+all, or their segment when they are collinear. The package now tests
+every label's hull on the merged points, and the two must agree.
 """
 
 import math
@@ -43,10 +48,16 @@ from pricelab.black_scholes import (
     no_arbitrage_band,
     vega,
 )
-from pricelab.errors import NoArbitrageViolation, NoConvergence, NumericalUnderflow
+from pricelab.errors import DegenerateGeometry, NoArbitrageViolation, NoConvergence, NumericalUnderflow
 from pricelab.kernel import NwModel
 from pricelab.market_data import OptionKind
-from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, ScatterSample
+from pricelab.surface import (
+    _DUPLICATE_TOL,
+    OUTSIDE_HULL,
+    Linear1DInterpolator,
+    ScatterSample,
+    _Triangles,
+)
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -276,3 +287,16 @@ class ScipyLinearInterpolator:
         if math.isnan(value):
             return OUTSIDE_HULL
         return value
+
+
+def raw_normalized_domain(strikes, taus, spot: float) -> Callable[[float, float], bool]:
+    """In-hull test over the points (strike/spot, tau) as given, built
+    without merging them."""
+    points = np.column_stack([np.asarray(strikes, dtype=float) / spot, taus])
+    try:
+        triangles = _Triangles(points)
+    except DegenerateGeometry:
+        # Collinear points: the segment of the 1-D fallback; its values are never read.
+        line = Linear1DInterpolator(ScatterSample(points, np.zeros(len(points))))
+        return lambda strike, tau: line.contains((strike / spot, tau))
+    return lambda strike, tau: triangles.find(strike / spot, tau) is not None

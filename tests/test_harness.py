@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pricelab.black_scholes import fill_implied_vols
+from pricelab.estimators import TrainingSet, fit
 from pricelab.harness import (
     DEFAULT_MASTER_SEED,
     DaySplit,
@@ -94,7 +95,7 @@ def test_split_day_contracts():
 
 def test_prepare_day_keeps_requested_kind(bs_days):
     config = ProtocolConfig()
-    day, curve = prepare_day(bs_days[0], config)
+    day, curve, _ = prepare_day(bs_days[0], config)
     assert curve is not None
     assert len(day) == 52
     assert all(q.kind is PUT and q.mid > 0.0 for q in day.quotes)
@@ -104,8 +105,8 @@ def test_prepare_day_keeps_requested_kind(bs_days):
 
 
 def test_prepare_day_trim_drops_cheap_quotes(bs_days):
-    plain, _ = prepare_day(bs_days[0], ProtocolConfig())
-    trimmed, _ = prepare_day(bs_days[0], ProtocolConfig(trim=True))
+    plain, _, _ = prepare_day(bs_days[0], ProtocolConfig())
+    trimmed, _, _ = prepare_day(bs_days[0], ProtocolConfig(trim=True))
     assert len(trimmed) < len(plain)
     contract = lambda q: (q.kind, q.strike, q.ttm_days)
     assert {contract(q) for q in trimmed.quotes} <= {contract(q) for q in plain.quotes}
@@ -122,21 +123,39 @@ def test_prepare_day_trims_the_kind_as_a_trim_of_both_kinds_would(noisy_days, ki
         assert np.isnan(vols[[q.kind is kind for q in liquid.quotes]]).any()
         both = trim(liquid, vols)
         expected = tuple(q for q in both.quotes if q.kind is kind and q.mid > 0.0)
-        day, day_curve = prepare_day(chain, config)
+        day, day_curve, _ = prepare_day(chain, config)
         assert day == DailyChain(chain.env, expected)
         assert day_curve.taus.tolist() == curve.taus.tolist()
         assert day_curve.yields.tolist() == curve.yields.tolist()
 
 
+@pytest.mark.parametrize("kind", [PUT, CALL])
+def test_prepare_day_hands_over_the_vols_of_the_quotes_it_keeps(noisy_days, kind):
+    for chain in noisy_days:
+        day, curve, vols = prepare_day(chain, ProtocolConfig(trim=True, kind=kind))
+        assert vols.tobytes() == fill_implied_vols(day, curve)[0].tobytes()
+        assert len(vols) == len(day) and not np.isnan(vols).any()
+        assert prepare_day(chain, ProtocolConfig(kind=kind))[2] is None
+        # BS and BSNW fitted on the protocol's training set, with these
+        # vols, drop the quotes they drop when they invert on their own.
+        split = split_day(len(day), day.env.date)
+        train = [day.quotes[i] for i in split.train]
+        training = TrainingSet(kind, train, day.env, curve, vols[list(split.train)])
+        for label in ("BS", "BSNW"):
+            shared = fit(label, kind, train, day.env, curve, training=training)
+            alone = fit(label, kind, train, day.env, curve)
+            assert shared.meta["dropped_noninvertible"] == alone.meta["dropped_noninvertible"] == 0
+
+
 def test_prepare_day_liquidity_filter(bs_days):
     thin = ProtocolConfig(min_volume=2000)
-    day, _ = prepare_day(bs_days[0], thin)
+    day, _, _ = prepare_day(bs_days[0], thin)
     assert len(day) == 0
 
 
 def test_evaluate_day_records(bs_days):
     config = ProtocolConfig()
-    day, curve = prepare_day(bs_days[0], config)
+    day, curve, _ = prepare_day(bs_days[0], config)
     split = split_day(len(day), day.env.date)
     records = evaluate_day("BS", day, split, curve)
     assert len(records) == len(split.test)
@@ -155,7 +174,7 @@ def test_evaluate_day_records(bs_days):
 
 def test_evaluate_day_rejects_bad_inputs(bs_days):
     config = ProtocolConfig()
-    day, _ = prepare_day(bs_days[0], config)
+    day, _, _ = prepare_day(bs_days[0], config)
     with pytest.raises(ValueError):
         evaluate_day("LI", day, split_day(200, day.env.date))
     mixed_split = split_day(len(bs_days[0]), DAY)
@@ -258,6 +277,12 @@ def test_run_protocol_deterministic_and_parallel(bs_days):
     assert serial.errors == again.errors
     parallel = run_protocol(bs_days[:4], ProtocolConfig(labels=("LI", "NW"), workers=2))
     assert parallel.errors == serial.errors
+    # Every non-VG label, trimmed or not: a day's fits share one training
+    # set in whichever process runs the day.
+    for trim in (False, True):
+        one = run_protocol(bs_days[:4], ProtocolConfig(labels=NON_VG_LABELS, trim=trim))
+        two = run_protocol(bs_days[:4], ProtocolConfig(labels=NON_VG_LABELS, trim=trim, workers=2))
+        assert one.errors and two.errors == one.errors
 
 
 @pytest.mark.parametrize(

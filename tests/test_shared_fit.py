@@ -1,0 +1,211 @@
+"""A day's labels fitted on one TrainingSet against each label fitted
+alone: the same outcome bit for bit, with one vol inversion and one
+triangulation per distinct point set per day."""
+
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import scipy.spatial
+
+import pricelab.black_scholes as black_scholes
+import pricelab.surface as surface
+from pricelab.errors import NoAtmPairs
+from pricelab.estimators import ESTIMATOR_ERRORS, EstimatorLabel, TrainingSet, fit, predict
+from pricelab.harness import ProtocolConfig, evaluate_day, prepare_day, run_protocol, split_day
+from pricelab.market_data import DailyChain, OptionKind, OptionQuote, filter_liquidity
+from pricelab.parity import estimate_dividend_curve
+from pricelab.synth import synth_chain
+
+PUT = OptionKind.PUT
+NON_VG_LABELS = ("LI", "LIB", "BS", "NW", "NWCV", "BSNW", "BSNWCV")
+
+
+def noisy_chain():
+    """A noisy day with one-week to one-year expiries, on which some puts
+    admit no implied vol."""
+    return synth_chain(
+        "bs", dividend=0.01, noise=0.02, seed=5,
+        strikes=[float(k) for k in np.arange(70.0, 131.0, 2.5)],
+        maturities_days=(7, 30, 91, 182, 365),
+    )[0]
+
+
+def protocol_training(trim):
+    """The training side of the noisy day as the protocol prepares it, and
+    the vols that prepare_day hands over."""
+    day, curve, vols = prepare_day(noisy_chain(), ProtocolConfig(trim=trim))
+    split = split_day(len(day), day.env.date)
+    train = [day.quotes[i] for i in split.train]
+    strikes = [q.strike for q in day.quotes]
+    train_vols = None if vols is None else vols[list(split.train)]
+    return day.env, train, curve, train_vols, (min(strikes), max(strikes))
+
+
+def puts_day(**kwargs):
+    chain = filter_liquidity(synth_chain("bs", dividend=0.01, **kwargs)[0])
+    try:
+        curve = estimate_dividend_curve(chain)
+    except NoAtmPairs:
+        curve = None
+    return chain.env, list(chain.of_kind(PUT).quotes), curve
+
+
+def with_duplicates(quotes):
+    """Every third quote listed twice, the copy a little dearer."""
+    copies = [replace(q, bid=q.bid * 1.01, ask=q.ask * 1.01) for q in quotes[::3]]
+    return quotes + copies
+
+
+def with_expiring(quotes, env):
+    """The quotes plus an expiring put at its intrinsic value."""
+    expiring = OptionQuote(PUT, 110.0, env.date, 0, 10.0, 10.0, 1000)
+    return [expiring] + quotes
+
+
+def queries(quotes, spot):
+    """The training points (vertices of the hull among them), the midpoints
+    of the hull's edges, and a grid reaching well outside the hull; only
+    those at positive tau, the ones predict accepts."""
+    points = np.array([(q.strike / spot, q.tau) for q in quotes])
+    found = [tuple(p) for p in points]
+    try:
+        hull = scipy.spatial.ConvexHull(points)
+        found += [tuple((points[i] + points[j]) / 2) for i, j in hull.simplices]
+    except scipy.spatial.QhullError:  # collinear: the segment between each pair of neighbours
+        ordered = points[np.lexsort((points[:, 1], points[:, 0]))]
+        found += [tuple(p) for p in (ordered[1:] + ordered[:-1]) / 2]
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    span = np.maximum(hi - lo, 0.05)
+    for x in np.linspace(lo[0] - 0.3 * span[0], hi[0] + 0.3 * span[0], 7):
+        for y in np.linspace(max(lo[1] - 0.3 * span[1], 0.01), hi[1] + 0.3 * span[1], 7):
+            found.append((x, y))
+    return [(x * spot, y) for x, y in found if y > 0.0]
+
+
+def outcome(label, quotes, env, curve, lib_range, grid, training=None):
+    """The fit's meta and each query's prediction, prices as hex; or the
+    class and message of the fit's failure."""
+    try:
+        estimator = fit(label, PUT, quotes, env, curve=curve, lib_strike_range=lib_range,
+                        training=training)
+    except ESTIMATOR_ERRORS as exc:
+        return type(exc), str(exc)
+    predictions = [predict(estimator, k, t) for k, t in grid]
+    return estimator.meta, [(p.status, None if p.price is None else p.price.hex(), p.extrapolated)
+                            for p in predictions]
+
+
+def days():
+    env, train, curve, vols, lib_range = protocol_training(trim=True)
+    yield "trimmed", env, train, curve, vols, lib_range
+    env, train, curve, vols, lib_range = protocol_training(trim=False)
+    yield "untrimmed with NaN vols", env, train, curve, vols, lib_range
+    env, quotes, curve = puts_day(maturities_days=(91,))
+    yield "single maturity", env, quotes, curve, None, None
+    env, quotes, curve = puts_day()
+    yield "duplicate quotes", env, with_duplicates(quotes), curve, None, None
+    yield "an expiring quote", env, with_expiring(quotes, env), curve, None, None
+    yield "two quotes", env, [quotes[0], quotes[-1]], curve, None, None
+
+
+# The labels that fit, where not all do: on one maturity the kernel labels
+# find no spread in tau, and on two quotes only the Silverman kernel labels
+# have enough.
+FITTED = {
+    "single maturity": {"LI", "LIB", "BS", "VG"},
+    "two quotes": {"NW", "BSNW"},
+}
+
+
+@pytest.mark.parametrize("case", [case[0] for case in days()])
+def test_a_shared_fit_equals_a_standalone_fit_bit_for_bit(case):
+    _, env, quotes, curve, vols, lib_range = next(day for day in days() if day[0] == case)
+    training = TrainingSet(PUT, quotes, env, curve, vols)
+    grid = queries(quotes, env.spot)
+    shared = {label: outcome(label, quotes, env, curve, lib_range, grid, training)
+              for label in EstimatorLabel}
+    alone = {label: outcome(label, quotes, env, curve, lib_range, grid) for label in EstimatorLabel}
+    assert shared == alone
+
+    fitted = {label.value for label, result in alone.items() if isinstance(result[0], dict)}
+    assert fitted == FITTED.get(case, {label.value for label in EstimatorLabel})
+    # The grid reaches outside the hull: some queries there are declined or
+    # flagged.
+    flags = {(s, e) for label in fitted for s, _, e in alone[EstimatorLabel(label)][1]}
+    assert len(flags) > 1
+    if case == "untrimmed with NaN vols":
+        assert np.isnan(training.vols).any()
+        assert alone[EstimatorLabel.BS][0]["dropped_noninvertible"] > 0
+    if case == "an expiring quote":
+        assert alone[EstimatorLabel.LI][0]["n_train"] == len(quotes)
+
+
+def test_fit_rejects_a_training_set_of_another_day():
+    env, quotes, curve = puts_day()
+    training = TrainingSet(PUT, quotes, env, curve)
+    with pytest.raises(ValueError):
+        fit("LI", PUT, quotes, replace(env, spot=env.spot + 1.0), curve=curve, training=training)
+    with pytest.raises(ValueError):
+        fit("LI", OptionKind.CALL, quotes, env, curve=curve, training=training)
+    with pytest.raises(ValueError):
+        TrainingSet(PUT, quotes, env, curve, np.zeros(len(quotes) + 1))
+    # The protocol raises too, rather than recording the day FAILED.
+    day = DailyChain(env, tuple(quotes))
+    split = split_day(len(quotes), env.date)
+    with pytest.raises(ValueError):
+        evaluate_day("LI", day, split, None, training=training)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of the vol inversion and of the Delaunay build."""
+    tally = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            tally[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(black_scholes, "implied_vols",
+                        counting("inversions", black_scholes.implied_vols))
+    monkeypatch.setattr(surface, "_triangulate", counting("triangulations", surface._triangulate))
+    return tally
+
+
+@pytest.mark.parametrize("trim, noise, labels, per_day", [
+    # prepare_day inverts; the fits reuse its vols. One geometry is shared
+    # by LI, BS, NW and the rest, and LIB's has the expiring row too.
+    (True, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
+    (True, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
+    # Without the trim the training vols are inverted once, on first use.
+    (False, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
+    (False, 0.0, ("LI", "NW", "NWCV"), {"triangulations": 1}),
+    # Some vols are NaN: the vol labels share a geometry of their own.
+    (False, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 3}),
+])
+def test_a_day_inverts_once_and_triangulates_each_point_set_once(counts, trim, noise, labels,
+                                                                 per_day):
+    # The noisy chains run down to a week, where some puts admit no vol.
+    maturities = (7, 30, 91, 182, 365) if noise else (30, 91, 182, 365)
+    chains = synth_chain("bs", n_days=2, dividend=0.01, noise=noise, seed=5,
+                         maturities_days=maturities)
+    counts.clear()
+    result = run_protocol(chains, ProtocolConfig(labels=labels, trim=trim))
+    assert result.errors
+    # The dividend curve inverts no vols: these are prepare_day's and the fits'.
+    assert dict(counts) == {name: 2 * n for name, n in per_day.items()}
+
+
+def test_a_lone_fit_inverts_and_triangulates_only_for_its_label(counts):
+    env, quotes, curve = puts_day()
+    counts.clear()
+    fit("LI", PUT, quotes, env, curve=curve)
+    assert dict(counts) == {"triangulations": 1}
+    fit("BSNW", PUT, quotes, env, curve=curve)
+    assert dict(counts) == {"triangulations": 2, "inversions": 1}
+    fit("LIB", PUT, quotes, env, curve=curve, lib_strike_range=(60.0, 140.0))
+    assert dict(counts) == {"triangulations": 3, "inversions": 1}
+

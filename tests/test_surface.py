@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.spatial
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ScipyLinearInterpolator
+from oracles import ScipyLinearInterpolator, raw_normalized_domain
 from oracles import merge_duplicates as merge_duplicates_oracle
 from pricelab.errors import DegenerateGeometry
 from pricelab.harness import ProtocolConfig, run_protocol
@@ -180,8 +182,8 @@ def rounding_could_flip(tri, query):
 def exact_value(interp, merged, query):
     """The interpolant of the merged sample at the query in exact rational
     arithmetic, on the triangle where the interpolant located it."""
-    triangle = interp._triangles.find(*query)[0]
-    vertices = interp._triangles.simplices[triangle]
+    triangle = interp._shape.find(*query)[0]
+    vertices = interp._shape.simplices[triangle]
     (x0, y0), (x1, y1), (rx, ry) = [map(Fraction, p) for p in merged.points[vertices]]
     dx, dy = Fraction(query[0]) - rx, Fraction(query[1]) - ry
     det = (x0 - rx) * (y1 - ry) - (x1 - rx) * (y0 - ry)
@@ -375,6 +377,57 @@ def test_normalized_domain_matches_surface_domain():
     flags = [(inside(k, t), surface.in_domain(k, t)) for k, t in queries]
     assert all(a == b for a, b in flags)
     assert {a for a, _ in flags} == {True, False}
+
+
+EXPIRY_DAYS = (7, 14, 30, 61, 91, 182, 365)
+
+
+@st.composite
+def hull_problems(draw):
+    """Points at (strike, tau) on a chain's grid, where duplicates, rows on
+    one expiry and cocircular quads are common, some sets collinear
+    throughout; and queries on the hull's edges, at its points and at
+    random."""
+    n = draw(st.integers(2, 30))
+    steps = draw(st.lists(st.integers(0, 24), min_size=n, max_size=n))
+    days = draw(st.lists(st.sampled_from(EXPIRY_DAYS), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["scatter", "one expiry", "one strike", "diagonal"]))
+    if shape == "one expiry":
+        days = [days[0]] * n
+    elif shape == "one strike":
+        steps = [steps[0]] * n
+    elif shape == "diagonal":
+        days = [7 * (1 + k) for k in steps]
+    spot = draw(st.sampled_from([100.0, 97.3]))
+    points = np.array([((70.0 + 2.5 * k) / spot, d / 365.0) for k, d in zip(steps, days)])
+    distinct = np.unique(points, axis=0)
+    try:
+        corners = distinct[scipy.spatial.ConvexHull(distinct).vertices]
+    except (scipy.spatial.QhullError, ValueError):  # collinear, or too few points
+        corners = distinct[[0, -1]]
+    queries = list(points)
+    for a, b in zip(corners, np.roll(corners, -1, axis=0)):
+        queries += [a + t * (b - a) for t in (0.25, 0.5, 0.7)]
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    fractions = draw(st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-0.2, 1.2)), max_size=20))
+    queries += [lo + np.array(f) * (hi - lo) for f in fractions]
+    strikes, taus = points[:, 0] * spot, points[:, 1]
+    return strikes, taus, spot, [(x * spot, y) for x, y in queries]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(hull_problems())
+def test_the_merged_hull_test_agrees_with_the_raw_point_one(problem):
+    strikes, taus, spot, queries = problem
+    try:
+        expected = raw_normalized_domain(strikes, taus, spot)
+    except DegenerateGeometry:
+        with pytest.raises(DegenerateGeometry):
+            normalized_domain(strikes, taus, spot)
+        return
+    inside = normalized_domain(strikes, taus, spot)
+    for strike, tau in queries:
+        assert inside(strike, tau) == expected(strike, tau), (strike, tau)
 
 
 def test_normalized_domain_of_collinear_points_is_their_segment():
