@@ -76,13 +76,7 @@ from .parity import (
     parity_price,
 )
 from .reporting import CDF_THRESHOLDS, ErrorReport, ErrorStatus, PricingError, aggregate
-from .surface import (
-    OUTSIDE_HULL,
-    LinearInterpolator,
-    NormalizedSurface,
-    ScatterSample,
-    augment_zero_maturity,
-)
+from .surface import OUTSIDE_HULL, NormalizedSurface, augment_zero_maturity
 from .synth import synth_chain
 from .variance_gamma import (
     VgMcResult,

@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as dt
+import math
 import os
 import sys
 from pathlib import Path
@@ -185,16 +186,27 @@ def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
-    estimator = _fit_day(args, EstimatorLabel(args.label.upper()))
-
+    # Every query is read and checked before the fit, so a bad row leaves
+    # no prices.csv behind.
     queries = []
     with open(args.queries, newline="") as handle:
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not {"strike", "tau"} <= set(reader.fieldnames):
             raise ValueError(f"query file {args.queries} needs strike,tau columns")
         for row in reader:
-            queries.append((float(row["strike"]), float(row["tau"])))
+            where, fields = f"{args.queries} line {reader.line_num}", (row["strike"], row["tau"])
+            if None in fields:
+                raise ValueError(f"{where}: needs both strike and tau")
+            try:
+                strike, tau = map(float, fields)
+            except ValueError:
+                raise ValueError(f"{where}: strike and tau must be numbers, got {fields}") from None
+            if not (math.isfinite(strike) and math.isfinite(tau) and strike > 0.0 and tau > 0.0):
+                raise ValueError(f"{where}: strike and tau must be finite and positive, "
+                                 f"got {strike}, {tau}")
+            queries.append((strike, tau))
 
+    estimator = _fit_day(args, EstimatorLabel(args.label.upper()))
     out = _out_dir(args) / "prices.csv"
     with out.open("w", newline="") as handle:
         writer = csv.writer(handle)

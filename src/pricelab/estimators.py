@@ -128,9 +128,12 @@ class TrainingSet:
         self._vols = None if vols is None else np.asarray(vols, dtype=float)[np.array(keep, dtype=bool)]
         self._geometries: dict[bytes, NormalizedGeometry] = {}
 
-    def matches(self, kind: OptionKind, env: MarketEnv, curve: DividendCurve | None) -> bool:
-        """Whether this set was built for that kind, day and curve."""
-        return self.kind is kind and self.env == env and self.curve is curve
+    def matches(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
+                curve: DividendCurve | None) -> bool:
+        """Whether this set was built from those quotes for that kind, day
+        and curve."""
+        return (self.kind is kind and self.env == env and self.curve is curve
+                and self.quotes == tuple(q for q in quotes if q.kind == kind and q.tau >= 0.0))
 
     @property
     def vols(self) -> np.ndarray:
@@ -218,8 +221,8 @@ def fit(
     label = EstimatorLabel(label)
     if training is None:
         training = TrainingSet(kind, quotes, env, curve)
-    elif not training.matches(kind, env, curve):
-        raise ValueError("the training set was built for another kind, day or curve")
+    elif not training.matches(kind, quotes, env, curve):
+        raise ValueError("the training set was built for other quotes, kind, day or curve")
     dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
     meta: dict = {"n_train": len(training.quotes)}
     if label is EstimatorLabel.VG:

@@ -190,10 +190,10 @@ def evaluate_day(
     if len(kinds) != 1:
         raise ValueError("evaluate_day expects a prepared single-kind day")
     kind = kinds.pop()
-    if training is not None and not training.matches(kind, day.env, curve):
-        raise ValueError("the training set was built for another kind, day or curve")
     train = [quotes[i] for i in split.train]
     test = [quotes[i] for i in split.test]
+    if training is not None and not training.matches(kind, train, day.env, curve):
+        raise ValueError("the training set was built for other quotes, kind, day or curve")
 
     try:
         estimator = fit(

@@ -1,4 +1,4 @@
-"""Piecewise-linear interpolation of scattered option data.
+"""Piecewise-linear interpolation of option data in normalized coordinates.
 
 The price surface is fit in normalized coordinates: samples live at
 (strike/spot, tau) with values price/spot, a Delaunay triangulation of
@@ -18,16 +18,16 @@ inverse in closed form, and a bucket grid over the samples' bounding
 box narrows each query to a few candidate triangles.
 
 When the samples are collinear (a single-maturity day, say) the
-triangulation degenerates and build_surface falls back to 1-D
+triangulation degenerates and the geometry falls back to 1-D
 piecewise-linear interpolation along the line's parameter.
 
-Geometry and values are separate. The triangulation (or the line) is
-value-free; an interpolant is values attached to it. NormalizedGeometry
-merges and triangulates a point set in (strike/spot, tau) once: its
-in_domain is the hull test every estimator uses, and its surface()
-attaches values to the same points, so all the labels fitted on one set
-of points share one triangulation. normalized_li_values and
-normalized_domain build a geometry for a single use.
+There is one path from points to values. NormalizedGeometry merges
+coincident points and triangulates them (or spans their segment) once,
+without values: its in_domain is the hull test every estimator uses.
+Its surface() attaches values at the same points and gives a
+NormalizedSurface, so all the labels fitted on one set of points share
+one triangulation. normalized_li_values builds a geometry for a single
+surface.
 
 augment_zero_maturity gives a row of fictitious expiring options priced
 at their intrinsic payoffs; appended at tau = 0, it widens the hull down
@@ -37,8 +37,6 @@ to expiry so short-dated queries stop falling outside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError
@@ -80,42 +78,13 @@ class OutsideHull:
 OUTSIDE_HULL = OutsideHull()
 
 
-@dataclass(frozen=True)
-class ScatterSample:
-    """Scattered observations: points of shape (n, 2), values of shape (n,)."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        points = np.asarray(self.points, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(f"points must have shape (n, 2), got {points.shape}")
-        if values.shape != (points.shape[0],):
-            raise ValueError("one value per point required")
-        if not (np.isfinite(points).all() and np.isfinite(values).all()):
-            raise ValueError("points and values must be finite")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-
-
-def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> ScatterSample:
-    """Collapse coincident points (within tol per coordinate) to their mean value.
-
-    Points are taken in lexicographic order; a point joins the current
-    group when it lies within tol of the group's first point. A sample
-    without points comes back as it is.
-    """
-    if not len(sample.values):
-        return sample
-    order, starts = _merge_groups(sample.points, tol)
-    return ScatterSample(sample.points[order[starts]], _group_means(sample.values, order, starts))
-
-
 def _merge_groups(points: np.ndarray, tol: float = _DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """merge_duplicates' groups: the lexicographic order of the points, and
-    the positions in that order where each group starts."""
+    """Groups of coincident points: the lexicographic order of the points,
+    and the positions in that order where each group starts.
+
+    A point joins the current group when it lies within tol (per
+    coordinate) of the group's first point.
+    """
     order = np.lexsort((points[:, 1], points[:, 0]))
     starts: list[int] = []
     for i, (x, y) in enumerate(zip(points[order, 0].tolist(), points[order, 1].tolist())):
@@ -318,73 +287,26 @@ class _Line:
         return float(np.interp(along, self._params, table))
 
 
-class _Interpolant:
-    """Values attached to a value-free shape (_Triangles or _Line), one per
-    point of the shape."""
-
-    def __init__(self, shape, values: np.ndarray):
-        self._shape = shape
-        self._table = shape.table(values)
-
-    def contains(self, point) -> bool:
-        """Closed-domain membership: boundary points count as inside."""
-        return self._shape.find(*point) is not None
-
-    def evaluate(self, point):
-        return self._shape.evaluate(self._table, *point)
-
-
-class LinearInterpolator(_Interpolant):
-    """Barycentric-linear interpolant over a Delaunay triangulation.
-
-    Exact at the sample points, affine on each triangle, and defined on
-    the closed convex hull of the samples. Raises DegenerateGeometry when
-    the points are collinear or fewer than three.
-    """
-
-    def __init__(self, sample: ScatterSample):
-        sample = merge_duplicates(sample)
-        super().__init__(_Triangles(sample.points), sample.values)
-
-
-class Linear1DInterpolator(_Interpolant):
-    """Fallback for collinear samples: interpolate along the line's
-    parameter, on the segment of _Line."""
-
-    def __init__(self, sample: ScatterSample):
-        sample = merge_duplicates(sample)
-        super().__init__(_Line(sample.points), sample.values)
-
-
-def build_surface(sample: ScatterSample):
-    """LinearInterpolator, falling back to Linear1DInterpolator when the
-    points are collinear."""
-    try:
-        return LinearInterpolator(sample)
-    except DegenerateGeometry:
-        return Linear1DInterpolator(sample)
-
-
 class NormalizedSurface:
-    """Interpolant in (strike/spot, tau) whose outputs are rescaled by spot.
+    """Values on a shape (_Triangles or _Line) in (strike/spot, tau),
+    rescaled by value_scale on output.
 
     value_scale is spot for price surfaces (values stored as price/spot)
     and 1 for vol surfaces (vols are already dimensionless).
     """
 
-    def __init__(self, interp, spot: float, value_scale: float):
-        self._interp = interp
+    def __init__(self, shape, table, spot: float, value_scale: float):
+        self._shape = shape
+        self._table = table
         self.spot = spot
         self.value_scale = value_scale
 
-    def _normalize(self, strike: float, tau: float):
-        return (strike / self.spot, tau)
-
     def in_domain(self, strike: float, tau: float) -> bool:
-        return self._interp.contains(self._normalize(strike, tau))
+        """Closed-domain membership: boundary points count as inside."""
+        return self._shape.find(strike / self.spot, tau) is not None
 
     def value_at(self, strike: float, tau: float):
-        raw = self._interp.evaluate(self._normalize(strike, tau))
+        raw = self._shape.evaluate(self._table, strike / self.spot, tau)
         if raw is OUTSIDE_HULL:
             return OUTSIDE_HULL
         return self.value_scale * raw
@@ -393,12 +315,11 @@ class NormalizedSurface:
 class NormalizedGeometry:
     """The value-free domain of points at (strike/spot, tau).
 
-    The points are merged as merge_duplicates merges them and
+    Coincident points are merged (_merge_groups) and the rest
     triangulated, or, when they are collinear, they span a segment. A
     DegenerateGeometry from the segment (fewer than two distinct points)
     propagates. in_domain is the domain test; surface attaches values at
-    the same points and gives normalized_li_values' surface, bit for bit,
-    without triangulating again.
+    the same points without triangulating again.
     """
 
     def __init__(self, strikes, taus, spot: float):
@@ -421,24 +342,19 @@ class NormalizedGeometry:
 
     def surface(self, values, value_scale: float) -> NormalizedSurface:
         """The interpolant of values (one per point, in the order the points
-        were given) divided by value_scale, rescaled on output."""
+        were given) divided by value_scale, rescaled on output. Coincident
+        points take their mean value."""
         values = np.asarray(values, dtype=float) / value_scale
         if values.shape != self._order.shape:
             raise ValueError("one value per point required")
         if not np.isfinite(values).all():
             raise ValueError("points and values must be finite")
         merged = _group_means(values, self._order, self._starts)
-        return NormalizedSurface(_Interpolant(self._shape, merged), self.spot, value_scale)
+        return NormalizedSurface(self._shape, self._shape.table(merged), self.spot, value_scale)
 
 
 def normalized_li_values(strikes, taus, values, spot: float, value_scale: float) -> NormalizedSurface:
     return NormalizedGeometry(strikes, taus, spot).surface(values, value_scale)
-
-
-def normalized_domain(strikes, taus, spot: float) -> Callable[[float, float], bool]:
-    """The in_domain test of normalized_li_values over these points, built
-    without values."""
-    return NormalizedGeometry(strikes, taus, spot).in_domain
 
 
 def augment_zero_maturity(

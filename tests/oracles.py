@@ -12,18 +12,21 @@ forms: every weight from np.exp, the weight sum from logsumexp, and the
 CV matrix built whole for each evaluation. The package's forms must
 match them bit for bit.
 
-merge_duplicates is the surface module's former form, one np.all per
-point and one mask per group; the package's one-pass walk must give the
-same points and bit-identical values. ScipyLinearInterpolator is the
+merge_duplicates(points, values) is the surface module's former merge,
+one np.all per point and one mask per group, on an (n, 2) array of points
+and n values; it returns the merged (points, values). The package's
+one-pass walk (_merge_groups, _group_means) must give the same points and
+bit-identical values. ScipyLinearInterpolator(points, values) is the
 former hull interpolant: scipy's LinearNDInterpolator for values and
-Delaunay.find_simplex for membership, over the same merged samples. The
+Delaunay.find_simplex for membership, over the same merged points. The
 package's point location must agree with it on every in/out decision and
 to rounding on values.
 
 raw_normalized_domain is the surface module's former hull test of the
 kernel and VG labels: point location over the raw points, duplicates and
-all, or their segment when they are collinear. The package now tests
-every label's hull on the merged points, and the two must agree.
+all, or, when they are collinear, the segment (_Line) of the points as
+merge_duplicates merges them. The package now tests every label's hull
+on the merged points, and the two must agree.
 """
 
 import math
@@ -51,13 +54,7 @@ from pricelab.black_scholes import (
 from pricelab.errors import DegenerateGeometry, NoArbitrageViolation, NoConvergence, NumericalUnderflow
 from pricelab.kernel import NwModel
 from pricelab.market_data import OptionKind
-from pricelab.surface import (
-    _DUPLICATE_TOL,
-    OUTSIDE_HULL,
-    Linear1DInterpolator,
-    ScatterSample,
-    _Triangles,
-)
+from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -251,9 +248,9 @@ def implied_vol_brentq(
     return root
 
 
-def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> ScatterSample:
+def merge_duplicates(points: np.ndarray, values: np.ndarray,
+                     tol: float = _DUPLICATE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Collapse coincident points (within tol per coordinate) to their mean value."""
-    points, values = sample.points, sample.values
     order = np.lexsort((points[:, 1], points[:, 0]))
     points, values = points[order], values[order]
     groups = [0]
@@ -267,16 +264,16 @@ def merge_duplicates(sample: ScatterSample, tol: float = _DUPLICATE_TOL) -> Scat
     anchors = np.unique(groups)
     merged_points = points[anchors]
     merged_values = np.array([values[groups == a].mean() for a in anchors])
-    return ScatterSample(merged_points, merged_values)
+    return merged_points, merged_values
 
 
 class ScipyLinearInterpolator:
-    """Barycentric-linear interpolant by scipy over the merged samples."""
+    """Barycentric-linear interpolant by scipy over the merged points."""
 
-    def __init__(self, sample: ScatterSample):
-        sample = merge_duplicates(sample)
-        self._tri = Delaunay(sample.points)
-        self._interp = LinearNDInterpolator(self._tri, sample.values)
+    def __init__(self, points: np.ndarray, values: np.ndarray):
+        points, values = merge_duplicates(points, values)
+        self._tri = Delaunay(points)
+        self._interp = LinearNDInterpolator(self._tri, values)
 
     def contains(self, point) -> bool:
         return bool(self._tri.find_simplex(np.asarray(point, dtype=float)) >= 0)
@@ -296,7 +293,7 @@ def raw_normalized_domain(strikes, taus, spot: float) -> Callable[[float, float]
     try:
         triangles = _Triangles(points)
     except DegenerateGeometry:
-        # Collinear points: the segment of the 1-D fallback; its values are never read.
-        line = Linear1DInterpolator(ScatterSample(points, np.zeros(len(points))))
-        return lambda strike, tau: line.contains((strike / spot, tau))
+        # Collinear points: the segment of the 1-D fallback over the merged points.
+        line = _Line(merge_duplicates(points, np.zeros(len(points)))[0])
+        return lambda strike, tau: line.find(strike / spot, tau) is not None
     return lambda strike, tau: triangles.find(strike / spot, tau) is not None

@@ -236,6 +236,27 @@ def test_price_needs_query_columns(tmp_path, capsys):
     assert "strike,tau" in err
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("105\n", 2, "needs both strike and tau"),
+    ("100,0.5\n110,0.5\n-5,0.5\n", 4, "finite and positive"),
+    ("100,0.5\nabc,0.5\n", 3, "must be numbers"),
+    ("100,\n", 2, "must be numbers"),
+    ("100,nan\n", 2, "finite and positive"),
+    ("inf,0.5\n", 2, "finite and positive"),
+    ("100,0\n", 2, "finite and positive"),
+])
+def test_price_rejects_a_bad_query_row_before_writing(tmp_path, capsys, rows, line, message):
+    source = synth_into(capsys, tmp_path)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("strike,tau\n" + rows)
+    code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,
+                       "--label", "LI", "--queries", queries)
+    assert code == 2
+    assert err.startswith(f"pricelab price: error: {queries} line {line}: ")
+    assert message in err
+    assert not (tmp_path / "prices.csv").exists()
+
+
 def test_missing_input_is_diagnosed(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--input", tmp_path / "nope.csv",
                        "--output-dir", tmp_path)

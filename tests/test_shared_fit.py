@@ -149,6 +149,15 @@ def test_fit_rejects_a_training_set_of_another_day():
         fit("LI", PUT, quotes, replace(env, spot=env.spot + 1.0), curve=curve, training=training)
     with pytest.raises(ValueError):
         fit("LI", OptionKind.CALL, quotes, env, curve=curve, training=training)
+    # A training set of other quotes: fitting it would fit quotes not passed.
+    with pytest.raises(ValueError):
+        fit("LI", PUT, quotes[:6], env, training=TrainingSet(PUT, quotes, env, None))
+    with pytest.raises(ValueError):
+        fit("LI", PUT, quotes[:6], env, curve=curve, training=training)
+    # Quotes that the set drops by kind or tau still match it.
+    calls = [replace(q, kind=OptionKind.CALL) for q in quotes[:3]]
+    assert fit("LI", PUT, quotes + calls, env, curve=curve,
+               training=training).meta["n_train"] == len(quotes)
     with pytest.raises(ValueError):
         TrainingSet(PUT, quotes, env, curve, np.zeros(len(quotes) + 1))
     # The protocol raises too, rather than recording the day FAILED.
@@ -156,6 +165,9 @@ def test_fit_rejects_a_training_set_of_another_day():
     split = split_day(len(quotes), env.date)
     with pytest.raises(ValueError):
         evaluate_day("LI", day, split, None, training=training)
+    # A set of the whole day does not match the split's training side.
+    with pytest.raises(ValueError):
+        evaluate_day("LI", day, split, curve, training=training)
 
 
 @pytest.fixture

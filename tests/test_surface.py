@@ -1,5 +1,9 @@
-"""Scattered-data interpolation: triangulated surface, collinear
-fallback, normalization, and the zero-maturity augmentation."""
+"""Interpolation in normalized coordinates: triangulated surface,
+collinear fallback, normalization, and the zero-maturity augmentation.
+
+Raw-point cases build NormalizedGeometry(x, y, 1.0).surface(v, 1.0):
+spot 1 and value scale 1 divide exactly, so the values are those of
+the interpolant over the points (x, y) themselves, bit for bit."""
 
 from datetime import date, timedelta
 from fractions import Fraction
@@ -18,13 +22,11 @@ from pricelab.market_data import OptionKind, OptionQuote
 from pricelab.reporting import ErrorStatus
 from pricelab.surface import (
     OUTSIDE_HULL,
-    Linear1DInterpolator,
-    LinearInterpolator,
-    ScatterSample,
+    NormalizedGeometry,
+    _group_means,
+    _Line,
+    _merge_groups,
     augment_zero_maturity,
-    build_surface,
-    merge_duplicates,
-    normalized_domain,
     normalized_li_values,
 )
 from pricelab.synth import synth_chain
@@ -53,46 +55,63 @@ def price_surface(quotes, spot):
     return normalized_li_values(strikes, taus, mids, spot, value_scale=spot)
 
 
+def unit_surface(points, values):
+    """The surface over the points of an (n, 2) array as they are."""
+    return NormalizedGeometry(points[:, 0], points[:, 1], 1.0).surface(values, 1.0)
+
+
+def merge_duplicates(points, values):
+    """The merged points and values, as NormalizedGeometry merges them."""
+    order, starts = _merge_groups(points)
+    return points[order[starts]], _group_means(values, order, starts)
+
+
 def affine_sample(rng, n=25, a=0.3, b=1.7, c=-0.9):
     points = rng.uniform(0.0, 1.0, size=(n, 2))
     values = a + b * points[:, 0] + c * points[:, 1]
-    return ScatterSample(points, values), (a, b, c)
+    return points, values, (a, b, c)
 
 
-def test_scatter_sample_validation():
+def test_geometry_and_surface_validate_their_inputs():
+    grid = ([90.0, 100.0, 110.0], [0.1, 0.5, 0.1])
     with pytest.raises(ValueError):
-        ScatterSample(np.zeros((3, 3)), np.zeros(3))
+        NormalizedGeometry([90.0, 100.0, 110.0], [0.1, 0.5], 100.0)
     with pytest.raises(ValueError):
-        ScatterSample(np.zeros((3, 2)), np.zeros(4))
+        NormalizedGeometry([90.0, np.nan, 110.0], grid[1], 100.0)
     with pytest.raises(ValueError):
-        ScatterSample(np.array([[0.0, np.nan]]), np.array([1.0]))
+        NormalizedGeometry(grid[0], [0.1, np.inf, 0.1], 100.0)
     with pytest.raises(ValueError):
-        ScatterSample(np.zeros((2, 2)), np.array([1.0, np.inf]))
+        NormalizedGeometry(*grid, spot=0.0)
+    geometry = NormalizedGeometry(*grid, 100.0)
+    with pytest.raises(ValueError):
+        geometry.surface([1.0, 2.0], 1.0)
+    with pytest.raises(ValueError):
+        geometry.surface([1.0, np.inf, 2.0], 1.0)
+    with pytest.raises(ValueError):
+        geometry.surface([1.0, np.nan, 2.0], 1.0)
 
 
 def test_merge_duplicates_averages_coincident_points():
-    sample = ScatterSample(
+    points, values = merge_duplicates(
         np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]),
         np.array([1.0, 5.0, 3.0]),
     )
-    merged = merge_duplicates(sample)
-    assert merged.points.shape == (2, 2)
-    by_point = {tuple(p): v for p, v in zip(merged.points, merged.values)}
+    assert points.shape == (2, 2)
+    by_point = {tuple(p): v for p, v in zip(points, values)}
     assert by_point[(1.0, 1.0)] == pytest.approx(2.0)
     assert by_point[(2.0, 2.0)] == pytest.approx(5.0)
 
 
 def test_merge_duplicates_keeps_distinct_points():
-    sample = ScatterSample(np.array([[0.0, 0.0], [0.0, 1e-6]]), np.array([1.0, 2.0]))
-    assert merge_duplicates(sample).points.shape == (2, 2)
+    points, _ = merge_duplicates(np.array([[0.0, 0.0], [0.0, 1e-6]]), np.array([1.0, 2.0]))
+    assert points.shape == (2, 2)
 
 
 def test_builders_reject_an_empty_sample_as_degenerate():
     empty = np.empty(0)
     builders = [
-        lambda: build_surface(ScatterSample(np.empty((0, 2)), empty)),
         lambda: normalized_li_values(empty, empty, empty, 100.0, 100.0),
-        lambda: normalized_domain(empty, empty, 100.0),
+        lambda: NormalizedGeometry(empty, empty, 100.0),
     ]
     for build in builders:
         with pytest.raises(DegenerateGeometry):
@@ -110,10 +129,10 @@ def test_builders_reject_an_empty_sample_as_degenerate():
     ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.5, 0.25]], [4.0, 3.0, 2.0, 1.0]),
 ])
 def test_merge_duplicates_matches_the_pairwise_form_bit_for_bit(points, values):
-    sample = ScatterSample(np.array(points), np.array(values))
-    merged, expected = merge_duplicates(sample), merge_duplicates_oracle(sample)
-    assert merged.points.tobytes() == expected.points.tobytes()
-    assert merged.values.tobytes() == expected.values.tobytes()
+    points, values = np.array(points), np.array(values)
+    merged, expected = merge_duplicates(points, values), merge_duplicates_oracle(points, values)
+    assert merged[0].tobytes() == expected[0].tobytes()
+    assert merged[1].tobytes() == expected[1].tobytes()
 
 
 def benchmark_like_points(rng, zero_row=False):
@@ -180,16 +199,17 @@ def rounding_could_flip(tri, query):
 
 
 def exact_value(interp, merged, query):
-    """The interpolant of the merged sample at the query in exact rational
-    arithmetic, on the triangle where the interpolant located it."""
+    """The interpolant of the merged (points, values) at the query in exact
+    rational arithmetic, on the triangle where the interpolant located it."""
+    points, values = merged
     triangle = interp._shape.find(*query)[0]
     vertices = interp._shape.simplices[triangle]
-    (x0, y0), (x1, y1), (rx, ry) = [map(Fraction, p) for p in merged.points[vertices]]
+    (x0, y0), (x1, y1), (rx, ry) = [map(Fraction, p) for p in points[vertices]]
     dx, dy = Fraction(query[0]) - rx, Fraction(query[1]) - ry
     det = (x0 - rx) * (y1 - ry) - (x1 - rx) * (y0 - ry)
     c0 = ((y1 - ry) * dx - (x1 - rx) * dy) / det
     c1 = ((x0 - rx) * dy - (y0 - ry) * dx) / det
-    v0, v1, v2 = map(Fraction, merged.values[vertices])
+    v0, v1, v2 = map(Fraction, values[vertices])
     return float(c0 * v0 + c1 * v1 + (1 - c0 - c1) * v2)
 
 
@@ -201,18 +221,17 @@ def test_point_location_agrees_with_scipy(case):
     else:
         points = benchmark_like_points(rng, zero_row=case == "grid-lib")
     values = rng.uniform(0.01, 0.5, size=len(points))
-    sample = ScatterSample(points, values)
-    interp, oracle = LinearInterpolator(sample), ScipyLinearInterpolator(sample)
-    merged = merge_duplicates(sample)
-    tri = scipy.spatial.Delaunay(merged.points)
-    inside = normalized_domain(points[:, 0], points[:, 1], spot=1.0)
+    interp, oracle = unit_surface(points, values), ScipyLinearInterpolator(points, values)
+    merged = merge_duplicates(points, values)
+    tri = scipy.spatial.Delaunay(merged[0])
+    inside = NormalizedGeometry(points[:, 0], points[:, 1], spot=1.0).in_domain
     scale = np.abs(values).max()
     queries = hull_probe_queries(tri, rng)
     n_inside = n_unsure = 0
     for query in queries:
         query = tuple(float(v) for v in query)
-        expected, value = oracle.evaluate(query), interp.evaluate(query)
-        assert interp.contains(query) == inside(*query) == (value is not OUTSIDE_HULL)
+        expected, value = oracle.evaluate(query), interp.value_at(*query)
+        assert interp.in_domain(*query) == inside(*query) == (value is not OUTSIDE_HULL)
         if rounding_could_flip(tri, query):
             n_unsure += 1
         else:
@@ -231,14 +250,14 @@ def test_point_location_closes_a_degenerate_sliver_as_scipy_does():
     # for a transform (scipy marks it NaN); points on AC lie 5e-14 outside
     # ABD and BCD, beyond the plain slack but within the broad one.
     points = np.array([[0.0, 0.0], [0.5, 1e-13], [1.0, 0.0], [0.5, 1.0]])
-    sample = ScatterSample(points, np.array([0.1, 0.2, 0.3, 0.4]))
+    values = np.array([0.1, 0.2, 0.3, 0.4])
     assert np.isnan(scipy.spatial.Delaunay(points).transform[:, 0, 0]).sum() == 1
-    interp, oracle = LinearInterpolator(sample), ScipyLinearInterpolator(sample)
+    interp, oracle = unit_surface(points, values), ScipyLinearInterpolator(points, values)
     for query, inside in [((0.25, 0.0), True), ((0.75, 0.0), True), ((0.5, 1e-13), True),
                           ((0.5, 0.0), False), ((0.25, -1e-9), False)]:
-        assert interp.contains(query) is oracle.contains(query) is inside, query
+        assert interp.in_domain(*query) is oracle.contains(query) is inside, query
         if inside:
-            assert interp.evaluate(query) == pytest.approx(oracle.evaluate(query), rel=1e-13)
+            assert interp.value_at(*query) == pytest.approx(oracle.evaluate(query), rel=1e-13)
 
 
 def test_no_estimator_reads_scipys_lapack_transform(monkeypatch):
@@ -254,81 +273,67 @@ def test_no_estimator_reads_scipys_lapack_transform(monkeypatch):
     records = run_protocol(chains, config).errors
     assert records
     assert all(r.status is not ErrorStatus.FAILED for r in records)
-    inside = normalized_domain([90.0, 110.0, 100.0], [0.1, 0.1, 0.5], spot=100.0)
+    inside = NormalizedGeometry([90.0, 110.0, 100.0], [0.1, 0.1, 0.5], spot=100.0).in_domain
     assert inside(100.0, 0.2) and not inside(100.0, 0.6)
 
 
 def test_interpolator_exact_at_samples():
     rng = np.random.default_rng(2)
-    sample, _ = affine_sample(rng)
-    interp = LinearInterpolator(sample)
-    for point, value in zip(sample.points, sample.values):
-        assert interp.evaluate(point) == pytest.approx(value, abs=1e-12)
-        assert interp.contains(point)
+    points, values, _ = affine_sample(rng)
+    interp = unit_surface(points, values)
+    for point, value in zip(points, values):
+        assert interp.value_at(*point) == pytest.approx(value, abs=1e-12)
+        assert interp.in_domain(*point)
 
 
 def test_interpolator_reproduces_affine_functions():
     # Barycentric-linear interpolation is exact for affine data, so any
     # convex combination of samples must return the affine value.
     rng = np.random.default_rng(9)
-    sample, (a, b, c) = affine_sample(rng)
-    interp = LinearInterpolator(sample)
+    points, values, (a, b, c) = affine_sample(rng)
+    interp = unit_surface(points, values)
     for _ in range(200):
-        weights = rng.dirichlet(np.ones(len(sample.values)))
-        query = weights @ sample.points
+        weights = rng.dirichlet(np.ones(len(values)))
+        query = weights @ points
         expected = a + b * query[0] + c * query[1]
-        assert interp.evaluate(query) == pytest.approx(expected, abs=1e-10)
+        assert interp.value_at(*query) == pytest.approx(expected, abs=1e-10)
 
 
 def test_interpolator_rejects_outside_hull():
-    sample = ScatterSample(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0, 1.0])
-    )
-    interp = LinearInterpolator(sample)
-    assert interp.evaluate((0.9, 0.9)) is OUTSIDE_HULL
-    assert not interp.contains((0.9, 0.9))
-    assert interp.evaluate((-0.1, 0.5)) is OUTSIDE_HULL
+    interp = unit_surface(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0, 1.0]))
+    assert interp.value_at(0.9, 0.9) is OUTSIDE_HULL
+    assert not interp.in_domain(0.9, 0.9)
+    assert interp.value_at(-0.1, 0.5) is OUTSIDE_HULL
     # Boundary counts as inside: a vertex and an edge midpoint.
-    assert interp.contains((0.0, 0.0))
-    assert interp.evaluate((0.5, 0.5)) == pytest.approx(1.0)
+    assert interp.in_domain(0.0, 0.0)
+    assert interp.value_at(0.5, 0.5) == pytest.approx(1.0)
     # scipy's slack of 100 eps, on the bounding box as on the coordinates.
-    assert interp.contains((-1e-14, 0.5)) and interp.contains((0.5, -1e-14))
-    assert not interp.contains((-3e-14, 0.5))
-
-
-def test_interpolator_requires_spanning_points():
-    with pytest.raises(DegenerateGeometry):
-        LinearInterpolator(ScatterSample(np.array([[0.0, 0.0], [1.0, 1.0]]), np.zeros(2)))
-    collinear = ScatterSample(
-        np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]), np.zeros(3)
-    )
-    with pytest.raises(DegenerateGeometry):
-        LinearInterpolator(collinear)
+    assert interp.in_domain(-1e-14, 0.5) and interp.in_domain(0.5, -1e-14)
+    assert not interp.in_domain(-3e-14, 0.5)
 
 
 def test_build_surface_falls_back_to_line():
     points = np.array([[0.8, 0.5], [1.0, 0.5], [1.2, 0.5]])
     values = 2.0 * points[:, 0] + 1.0
-    surface = build_surface(ScatterSample(points, values))
-    assert isinstance(surface, Linear1DInterpolator)
-    assert surface.evaluate((0.9, 0.5)) == pytest.approx(2.8)
-    assert surface.evaluate((0.8, 0.5)) == pytest.approx(2.6)
-    assert surface.evaluate((1.3, 0.5)) is OUTSIDE_HULL
-    assert surface.evaluate((1.0, 0.6)) is OUTSIDE_HULL
-    assert not surface.contains((1.0, 0.6))
+    surface = unit_surface(points, values)
+    assert isinstance(surface._shape, _Line)
+    assert surface.value_at(0.9, 0.5) == pytest.approx(2.8)
+    assert surface.value_at(0.8, 0.5) == pytest.approx(2.6)
+    assert surface.value_at(1.3, 0.5) is OUTSIDE_HULL
+    assert surface.value_at(1.0, 0.6) is OUTSIDE_HULL
+    assert not surface.in_domain(1.0, 0.6)
 
 
 def test_line_interpolator_averages_coincident_points():
     points = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    surface = Linear1DInterpolator(ScatterSample(points, np.array([2.0, 4.0, 6.0])))
-    assert surface.evaluate((0.0, 0.0)) == pytest.approx(3.0)
-    assert surface.evaluate((0.5, 0.0)) == pytest.approx(4.5)
+    surface = unit_surface(points, np.array([2.0, 4.0, 6.0]))
+    assert surface.value_at(0.0, 0.0) == pytest.approx(3.0)
+    assert surface.value_at(0.5, 0.0) == pytest.approx(4.5)
 
 
 def test_line_interpolator_rejects_single_point():
-    coincident = ScatterSample(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
     with pytest.raises(DegenerateGeometry):
-        Linear1DInterpolator(coincident)
+        unit_surface(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 2.0]))
 
 
 def test_normalized_price_surface_scales_with_quotes():
@@ -372,7 +377,7 @@ def test_normalized_domain_matches_surface_domain():
     strikes = rng.uniform(80.0, 120.0, 30)
     taus = rng.uniform(0.05, 1.0, 30)
     surface = normalized_li_values(strikes, taus, np.ones(30), spot=100.0, value_scale=1.0)
-    inside = normalized_domain(strikes, taus, spot=100.0)
+    inside = NormalizedGeometry(strikes, taus, spot=100.0).in_domain
     queries = zip(rng.uniform(70.0, 130.0, 400), rng.uniform(0.0, 1.1, 400))
     flags = [(inside(k, t), surface.in_domain(k, t)) for k, t in queries]
     assert all(a == b for a, b in flags)
@@ -423,9 +428,9 @@ def test_the_merged_hull_test_agrees_with_the_raw_point_one(problem):
         expected = raw_normalized_domain(strikes, taus, spot)
     except DegenerateGeometry:
         with pytest.raises(DegenerateGeometry):
-            normalized_domain(strikes, taus, spot)
+            NormalizedGeometry(strikes, taus, spot)
         return
-    inside = normalized_domain(strikes, taus, spot)
+    inside = NormalizedGeometry(strikes, taus, spot).in_domain
     for strike, tau in queries:
         assert inside(strike, tau) == expected(strike, tau), (strike, tau)
 
@@ -433,14 +438,14 @@ def test_the_merged_hull_test_agrees_with_the_raw_point_one(problem):
 def test_normalized_domain_of_collinear_points_is_their_segment():
     strikes = [90.0, 95.0, 100.0, 105.0, 110.0]
     taus = [d / 365.0 for d in (30, 45, 60, 75, 90)]
-    inside = normalized_domain(strikes, taus, spot=100.0)
+    inside = NormalizedGeometry(strikes, taus, spot=100.0).in_domain
     assert inside(100.0, 60 / 365.0)
     assert inside(95.0, 45 / 365.0)
     # Inside the bounding box, off the segment.
     assert not inside(90.0, 90 / 365.0)
     assert not inside(115.0, 105 / 365.0)
     with pytest.raises(DegenerateGeometry):
-        normalized_domain([100.0, 100.0], [0.5, 0.5], spot=100.0)
+        NormalizedGeometry([100.0, 100.0], [0.5, 0.5], spot=100.0)
 
 
 def test_line_interpolator_returns_every_sample_including_the_ends():
@@ -450,9 +455,10 @@ def test_line_interpolator_returns_every_sample_including_the_ends():
     points = np.array([[m, d / 365.0] for m, d in
                        zip((0.9, 0.95, 1.0, 1.05, 1.1), (30, 45, 60, 75, 90))])
     values = np.array([0.11, 0.07, 0.04, 0.02, 0.01])
-    surface = Linear1DInterpolator(ScatterSample(points, values))
+    surface = unit_surface(points, values)
+    assert isinstance(surface._shape, _Line)
     for point, value in zip(points, values):
-        assert surface.evaluate(point) == pytest.approx(value, rel=1e-12)
+        assert surface.value_at(*point) == pytest.approx(value, rel=1e-12)
 
 
 def test_augment_zero_maturity_pins_payoff():
