@@ -134,8 +134,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
     config = load_config(args.config) if args.config else ProtocolConfig()
     overrides: dict = {"master_seed": _master_seed(args)}
-    if args.labels:
-        overrides["labels"] = tuple(s.strip().upper() for s in args.labels.split(","))
+    if args.labels is not None:
+        overrides["labels"] = tuple(s.strip().upper() for s in args.labels.split(",") if s.strip())
     if args.kind:
         overrides["kind"] = parse_kind(args.kind)
     if args.trim:

@@ -5,8 +5,9 @@ seed derived deterministically from (master seed, date), every label is
 fit on the training side and asked to price the test side, and each test
 quote becomes one PricingError record. The labels of a day share one
 TrainingSet, so its implied vols are inverted once (in trim mode they are
-prepare_day's own) and each distinct set of training points is
-triangulated once. Aggregation slices the records by partition (all,
+prepare_day's own), each distinct set of training points is
+triangulated once, and when the day fits both NWCV and BSNWCV they score
+prices and vols on one LOO-CV grid pass. Aggregation slices the records by partition (all,
 in-hull, outside-hull, price above one dollar).
 
 The protocol is reproducible end to end: the same input file and master
@@ -122,7 +123,12 @@ class ProtocolConfig:
     workers: int = 1
 
     def __post_init__(self):
-        self.resolved_labels()
+        labels = self.resolved_labels()
+        if not labels:
+            raise ValueError("at least one label is required")
+        repeated = sorted({label.value for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ValueError(f"labels listed more than once: {', '.join(repeated)}")
         for name in self.partitions:
             if name not in PARTITIONS:
                 raise ValueError(f"unknown partition {name!r}, expected one of {sorted(PARTITIONS)}")
@@ -234,10 +240,11 @@ def _evaluate_one_day(args) -> list[PricingError]:
     strikes = [q.strike for q in day.quotes]
     lib_range = (min(strikes), max(strikes))
     train = [day.quotes[i] for i in split.train]
+    labels = config.resolved_labels()
     training = TrainingSet(config.kind, train, day.env, curve,
-                           None if vols is None else vols[list(split.train)])
+                           None if vols is None else vols[list(split.train)], labels)
     records: list[PricingError] = []
-    for label in config.resolved_labels():
+    for label in labels:
         records.extend(evaluate_day(label, day, split, curve, lib_range, training))
     return records
 

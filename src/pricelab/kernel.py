@@ -22,15 +22,32 @@ one gathered array at a time. Every weight is bit-identical to np.exp.
 Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
-Nelder-Mead in log-bandwidth space. Both are deterministic. The
-differences of the rows that enter the CV sum against every sample are
-built once per search; each evaluation then works in place on them.
+Nelder-Mead in log-bandwidth space. Both are deterministic.
+
+The CV weights depend on the points and the bandwidths alone, so one
+grid pass can score several value vectors with one zero pattern on the
+same points: each grid point builds one weight matrix, and each vector
+gets its own matrix-vector product on it, so each gets the bits of a
+search of its own (loo_cv_grids; loo_cv_bandwidths then refines one
+vector from its grid result). Each evaluation also skips what the
+points fix:
+
+- Samples fall into runs of equal consecutive taus. Within a run a
+  row's tau term is one number and its largest log-weight sits at its
+  nearest strike, so each row's max comes from a (run, row) table of
+  nearest strike distances, built once, and the tau term of the whole
+  matrix is that table's entry copied over the run.
+- A row's shifted weight sum lies in [1, n], so when the lowest row max
+  plus the Gaussian normalization and log n is below the 1e-300 floor by
+  a safe margin, the objective is +inf before any n x n work is done.
+- The strike term is kept while eps1 repeats, as it does along the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,6 +55,8 @@ from scipy.optimize import minimize
 from .errors import DegenerateDispersion, NumericalUnderflow
 
 _LOG_FLOOR = math.log(1e-300)
+# Relative margin of the CV objective's certain-underflow test.
+_MARGIN = 1e-9
 # np.exp(x) is 0.0 for x <= _EXP_ZERO: exp(-746) ~ 1e-324 is below half the
 # smallest subnormal. For x > _EXP_NORMAL it is a normal number, which
 # np.exp computes fast. Clamping at -708, nearer the subnormal range, would
@@ -155,101 +174,183 @@ def silverman_bandwidths(points) -> Bandwidths:
     return Bandwidths(eps[0], eps[1])
 
 
-def _cv_objective(points: np.ndarray, values: np.ndarray):
+def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
     """The leave-one-out sum of |1 - f_{-j}(x_j)/p_j|^2 over kept rows
-    (nonzero values), as a function of (eps1, eps2); +inf when any kept
-    row underflows.
+    (nonzero values), for each of several value vectors with one zero
+    pattern, as a function of (eps1, eps2) that returns one sum per
+    vector; +inf for every vector when any kept row underflows.
 
-    The differences of the kept rows against every sample are built
-    here, once; each call works in place on one buffer of that size.
+    The weights depend on the points and the bandwidths alone, so each
+    call builds one weight matrix and gives every vector its own
+    matrix-vector product on it. What depends on the points alone is
+    built here, once. Besides the strike differences, calls work in
+    place in two float arrays of the matrix's size and allocate no
+    other: the strike term, kept while eps1 repeats, and a buffer.
     """
-    rows = np.flatnonzero(values != 0.0)
-    d1 = points[rows, 0][:, None] - points[:, 0][None, :]
-    d2 = points[rows, 1][:, None] - points[:, 1][None, :]
+    strikes, taus = points[:, 0], points[:, 1]
+    n = len(strikes)
+    rows = np.flatnonzero(value_vectors[0] != 0.0)
+    d1 = strikes[rows][:, None] - strikes[None, :]
     # Flat index of each kept row's own sample, which its estimate leaves out.
-    own = np.arange(rows.size) * points.shape[0] + rows
-    kept_values = values[rows]
-    buffers = np.empty_like(d1), np.empty_like(d2)
+    own = np.arange(rows.size) * n + rows
+    # Runs of equal consecutive taus, in column order. Within a run a row's
+    # tau difference is one number, and its largest log-weight is at its
+    # nearest strike, as (d / eps)**2 grows with |d|. Both tables are
+    # (run, row), so that a row's max is a reduction along whole rows.
+    starts = np.flatnonzero(np.concatenate([[True], taus[1:] != taus[:-1]]))
+    run_of = np.repeat(np.arange(starts.size), np.diff(np.append(starts, n)))
+    d2 = taus[starts][:, None] - taus[rows][None, :]
+    nearest = np.abs(d1)
+    nearest.reshape(-1)[own] = np.inf
+    nearest = np.ascontiguousarray(np.minimum.reduceat(nearest, starts, axis=1).T)
+    kept_vectors = [values[rows] for values in value_vectors]
+    # A row's weight sum, shifted by its max, lies in [1, n].
+    log_n = math.log(n)
+    z1, buffer = np.empty_like(d1), np.empty_like(d1)
+    z1_eps1 = None
 
-    def objective(eps1: float, eps2: float) -> float:
-        logw, z2 = buffers
+    def objectives(eps1: float, eps2: float) -> list[float]:
+        nonlocal z1_eps1
+        underflow = [float("inf")] * len(value_vectors)
         # (d / eps)**2 as written: d**2 / eps**2 would round differently.
-        np.square(np.divide(d1, eps1, out=logw), out=logw)
-        np.square(np.divide(d2, eps2, out=z2), out=z2)
-        logw += z2
+        z2 = np.square(d2 / eps2)
+        row_max = (-0.5 * (np.square(nearest / eps1) + z2)).max(axis=0)
+        # -inf or NaN when some row has no finite weight; +inf without rows.
+        lowest = float(row_max.min(initial=np.inf))
+        if not lowest > -math.inf:
+            return underflow
+        log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
+        # Certain underflow, with a margin far beyond the sums' rounding.
+        if lowest + log_norm + log_n < _LOG_FLOOR - _MARGIN * (1.0 + abs(lowest) + abs(log_norm)):
+            return underflow
+        if z1_eps1 != eps1:
+            np.square(np.divide(d1, eps1, out=z1), out=z1)
+            z1_eps1 = eps1
+        # The tau term, copied over each run, plus the strike term: z2 + z1
+        # has the bits of z1 + z2. mode="clip" lets take write into out
+        # unbuffered; every index is in range.
+        logw = np.take(z2.T, run_of, axis=1, out=buffer, mode="clip")
+        logw += z1
         logw *= -0.5
         logw.reshape(-1)[own] = -np.inf
-        row_max = logw.max(axis=1)
-        if not np.all(np.isfinite(row_max)):
-            return float("inf")
         logw -= row_max[:, None]
         shifted = _exp(logw)
         denom = shifted.sum(axis=1)
-        log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
         log_denominator = row_max + np.log(denom) + log_norm
-        if np.any(log_denominator < _LOG_FLOOR):
-            return float("inf")
-        predictions = np.maximum(shifted @ values / denom, 0.0)
+        if (log_denominator < _LOG_FLOOR).any():
+            return underflow
+        scores = []
         # A kept value near zero can send its ratio or square past the float
         # range; the objective is then +inf, which the search already scores
         # as the worst candidate, so the overflow is expected, not a fault.
         with np.errstate(over="ignore"):
-            ratios = 1.0 - predictions / kept_values
-            return float(np.sum(ratios * ratios))
+            for values, kept_values in zip(value_vectors, kept_vectors):
+                # One product per vector: a two-column product may round differently.
+                predictions = np.maximum(shifted @ values / denom, 0.0)
+                ratios = 1.0 - predictions / kept_values
+                scores.append(float((ratios * ratios).sum()))
+        return scores
 
-    return objective
+    return objectives
 
 
-def loo_cv_bandwidths(points, values) -> Bandwidths:
+def _cv_objective(points: np.ndarray, values: np.ndarray):
+    """_cv_objectives for one value vector: one sum per call."""
+    objectives = _cv_objectives(points, [values])
+    return lambda eps1, eps2: objectives(eps1, eps2)[0]
+
+
+def _cv_inputs(points, value_vectors) -> tuple[np.ndarray, list[np.ndarray]]:
+    points = np.asarray(points, dtype=float)
+    vectors = [np.asarray(values, dtype=float) for values in value_vectors]
+    for values in vectors:
+        if points.ndim != 2 or points.shape[1] != 2 or values.shape != (points.shape[0],):
+            raise ValueError("points must be (n, 2) with one value per point")
+    if points.shape[0] < 3:
+        raise ValueError("cross-validation needs at least three samples")
+    for values in vectors:
+        if not np.any(values != 0.0):
+            raise ValueError("every sample value is zero; relative CV is undefined")
+    return points, vectors
+
+
+@dataclass(frozen=True)
+class CvGrid:
+    """The grid stage of one LOO-CV bandwidth search: the best candidate
+    (eps1, eps2), None when every candidate underflowed, and its score."""
+
+    best: tuple[float, float] | None
+    score: float
+
+
+def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
+    """The grid stage of loo_cv_bandwidths, for several value vectors
+    with one zero pattern on one set of points: the 15x15 log grid
+    spanning six decades around the Silverman seed, exact ties resolved
+    to the seed.
+
+    The vectors are scored on one weight matrix per candidate, each with
+    its own matrix-vector product, so each gets the bits of a grid of its
+    own.
+
+    Raises ValueError on the inputs loo_cv_bandwidths rejects, and when
+    the vectors' zero patterns differ: they would leave out other rows.
+    """
+    points, vectors = _cv_inputs(points, value_vectors)
+    kept = vectors[0] != 0.0
+    if any(not np.array_equal(values != 0.0, kept) for values in vectors[1:]):
+        raise ValueError("value vectors scored on one grid must share their zero pattern")
+    seed = silverman_bandwidths(points)
+    factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
+    objectives = _cv_objectives(points, vectors)
+    best = [CvGrid(None, float("inf"))] * len(vectors)
+    seed_scores = None
+    for f1 in factors:
+        for f2 in factors:
+            eps = (seed.eps1 * f1, seed.eps2 * f2)
+            scores = objectives(*eps)
+            if f1 == 1.0 and f2 == 1.0:
+                seed_scores = scores
+            best = [CvGrid(eps, cv) if cv < grid.score else grid
+                    for grid, cv in zip(best, scores)]
+    return [CvGrid((seed.eps1, seed.eps2), seed_cv)
+            if grid.best is not None and seed_cv == grid.score else grid
+            for grid, seed_cv in zip(best, seed_scores)]
+
+
+def loo_cv_bandwidths(points, values,
+                      grid: Callable[[], CvGrid] | None = None) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
     is undefined there). The search is a 15x15 log grid spanning six
     decades around the Silverman seed, then Nelder-Mead in log-bandwidth
     space from the best grid point; exact ties resolve to the seed.
+    grid, when given, returns loo_cv_grids' result for these points and
+    values, which may come from a grid pass shared with other vectors;
+    the search calls it first and starts from that result.
 
     Raises NumericalUnderflow only if every candidate underflows, and
     ValueError when no sample has a nonzero value.
     """
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if points.ndim != 2 or points.shape[1] != 2 or values.shape != (points.shape[0],):
-        raise ValueError("points must be (n, 2) with one value per point")
-    if points.shape[0] < 3:
-        raise ValueError("cross-validation needs at least three samples")
-    if not np.any(values != 0.0):
-        raise ValueError("every sample value is zero; relative CV is undefined")
-
-    seed = silverman_bandwidths(points)
-    objective = _cv_objective(points, values)
-    factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
-    best_eps, best_cv = None, float("inf")
-    seed_cv = None
-    for f1 in factors:
-        for f2 in factors:
-            eps1, eps2 = seed.eps1 * f1, seed.eps2 * f2
-            cv = objective(eps1, eps2)
-            if f1 == 1.0 and f2 == 1.0:
-                seed_cv = cv
-            if cv < best_cv:
-                best_cv, best_eps = cv, (eps1, eps2)
-    if best_eps is None:
+    points, (values,) = _cv_inputs(points, [values])
+    grid = grid() if grid is not None else loo_cv_grids(points, [values])[0]
+    if grid.best is None:
         raise NumericalUnderflow("every bandwidth candidate underflowed")
-    if seed_cv is not None and seed_cv == best_cv:
-        best_eps = (seed.eps1, seed.eps2)
-    if best_cv == 0.0:
-        return Bandwidths(*best_eps)
+    if grid.score == 0.0:
+        return Bandwidths(*grid.best)
 
+    objective = _cv_objective(points, values)
     result = minimize(
         lambda u: objective(math.exp(u[0]), math.exp(u[1])),
-        x0=np.log(best_eps),
+        x0=np.log(grid.best),
         method="Nelder-Mead",
         options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400},
     )
     refined = (math.exp(result.x[0]), math.exp(result.x[1]))
-    if np.isfinite(result.fun) and result.fun <= best_cv:
+    if np.isfinite(result.fun) and result.fun <= grid.score:
         return Bandwidths(*refined)
-    return Bandwidths(*best_eps)
+    return Bandwidths(*grid.best)
 
 
 def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:

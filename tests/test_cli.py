@@ -138,6 +138,8 @@ def test_evaluate_rejects_unknown_label(tmp_path, capsys):
         (("--fraction", 2), "fraction"),
         (("--partitions", "all,bogus"), "bogus"),
         (("--workers", 0), "workers"),
+        (("--labels", "NW,nw"), "more than once: NW"),
+        (("--labels", ","), "at least one label"),
     ],
 )
 def test_evaluate_rejects_bad_config_values(tmp_path, capsys, flags, fragment):

@@ -424,6 +424,8 @@ def test_load_config_partial_keeps_base(tmp_path):
         ("fraction = 2\n", "fraction must be in"),
         ("partitions = all,bogus\n", "unknown partition 'bogus'"),
         ("workers = 0\n", "workers must be at least 1"),
+        ("labels = LI, BS, li\n", "labels listed more than once: LI"),
+        ("labels =\n", "at least one label"),
     ],
 )
 def test_load_config_rejects_bad_input(tmp_path, text, fragment):
@@ -441,6 +443,9 @@ def test_load_config_rejects_bad_input(tmp_path, text, fragment):
         (dict(fraction=1.0), "fraction must be in"),
         (dict(partitions=("bogus",)), "unknown partition 'bogus'"),
         (dict(workers=0), "workers must be at least 1"),
+        # A repeated label would fit each day twice and count every record twice.
+        (dict(labels=("NW", "LI", "NW")), "labels listed more than once: NW"),
+        (dict(labels=()), "at least one label"),
     ],
 )
 def test_protocol_config_rejects_bad_values(overrides, fragment):

@@ -15,9 +15,11 @@ from pricelab.kernel import (
     Bandwidths,
     NwModel,
     _cv_objective,
+    _cv_objectives,
     _exp,
     cv_objective_at,
     loo_cv_bandwidths,
+    loo_cv_grids,
     nw_estimate,
     silverman_bandwidths,
 )
@@ -365,31 +367,49 @@ def oracle_cv(points, values, eps1, eps2):
 
 @st.composite
 def cv_problems(draw):
+    """Points on drawn strikes and a few taus, in drawn order or sorted by
+    tau as a chain lists them, some repeated or every one distinct; two
+    value vectors with one zero pattern; and bandwidths around the seed."""
     n = draw(st.integers(3, 40))
     distinct = draw(st.integers(1, n))
     strikes = draw(st.lists(st.floats(50.0, 150.0), min_size=distinct, max_size=distinct))
-    taus = draw(st.lists(st.floats(1.0 / 365.0, 3.0), min_size=distinct, max_size=distinct))
-    # Repeat some points, so that samples coincide.
-    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    levels = draw(st.lists(st.floats(1.0 / 365.0, 3.0), min_size=1, max_size=distinct))
+    if len(levels) == distinct:
+        taus = levels  # no two distinct points share a tau
+    else:
+        taus = [levels[i] for i in draw(st.lists(st.integers(0, len(levels) - 1),
+                                                 min_size=distinct, max_size=distinct))]
+    if distinct == n and draw(st.booleans()):
+        picks = draw(st.permutations(range(n)))  # every point distinct
+    else:  # repeat some points, so that samples coincide
+        picks = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
     points = np.array([(strikes[i], taus[i]) for i in picks])
+    if draw(st.booleans()):
+        points = points[np.argsort(points[:, 1], kind="stable")]
     values = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 50.0)),
                                     min_size=n, max_size=n)))
+    other = np.array(draw(st.lists(st.floats(1e-3, 50.0), min_size=n, max_size=n)))
+    other[values == 0.0] = 0.0
     try:
         seed = silverman_bandwidths(points)
         scale = (seed.eps1, seed.eps2)
     except DegenerateDispersion:
         scale = (1.0, 0.1)
     factors = [10.0 ** draw(st.floats(-6.0, 6.0)) for _ in range(2)]
-    return points, values, scale[0] * factors[0], scale[1] * factors[1]
+    return points, values, other, scale[0] * factors[0], scale[1] * factors[1]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(cv_problems())
 def test_cv_objective_matches_oracle(problem):
-    points, values, eps1, eps2 = problem
+    points, values, other, eps1, eps2 = problem
     expected = oracle_cv(points, values, eps1, eps2)
     assert _cv_objective(points, values)(eps1, eps2).hex() == expected.hex()
     assert cv_objective_at(points, values, Bandwidths(eps1, eps2)).hex() == expected.hex()
+    # Two vectors on one weight matrix: each gets its own oracle's bits.
+    both = _cv_objectives(points, [values, other])(eps1, eps2)
+    assert [score.hex() for score in both] == [
+        expected.hex(), oracle_cv(points, other, eps1, eps2).hex()]
 
 
 def test_cv_objective_reuses_its_build_across_bandwidths():
@@ -403,3 +423,88 @@ def test_cv_objective_reuses_its_build_across_bandwidths():
     for f1, f2 in 10.0 ** rng.uniform(-3.0, 3.0, (300, 2)):
         eps1, eps2 = seed.eps1 * f1, seed.eps2 * f2
         assert objective(eps1, eps2).hex() == oracle_cv(points, values, eps1, eps2).hex()
+
+
+def test_cv_objective_matches_oracle_near_the_underflow_floor():
+    # Shrinking both bandwidths by one factor sends some row's weight sum
+    # below the 1e-300 floor. Around the factor where the oracle turns
+    # +inf, the objective's early +inf exit must not fire a candidate
+    # early, nor miss one.
+    rng = np.random.default_rng(109)
+    outcomes = []
+    for _ in range(30):
+        n = int(rng.integers(3, 40))
+        points = np.column_stack([rng.choice(np.arange(60.0, 141.0, 2.5), n),
+                                  rng.choice([7.0, 30.0, 91.0, 365.0], n) / 365.0])
+        values = rng.uniform(0.5, 20.0, n)
+        values[rng.uniform(size=n) < 0.2] = 0.0
+        if not values.any() or len(np.unique(points, axis=0)) < 2:
+            continue
+        scale = (float(rng.uniform(0.5, 5.0)), float(rng.uniform(0.01, 0.3)))
+        objective = _cv_objective(points, values)
+
+        def oracle_at(f):
+            return oracle_cv(points, values, f * scale[0], f * scale[1])
+
+        finite, underflowed = 1.0, 1e-12
+        if not (np.isfinite(oracle_at(finite)) and oracle_at(underflowed) == math.inf):
+            continue
+        while True:  # bisect down to adjacent floats
+            middle = 0.5 * (finite + underflowed)
+            if middle in (finite, underflowed):
+                break
+            if oracle_at(middle) == math.inf:
+                underflowed = middle
+            else:
+                finite = middle
+        step = finite - underflowed
+        for f in np.concatenate([[underflowed, finite], finite + step * np.arange(-3.0, 4.0),
+                                 finite * 10.0 ** rng.uniform(-0.3, 0.3, 20)]):
+            expected = oracle_at(f)
+            assert objective(f * scale[0], f * scale[1]).hex() == expected.hex()
+            outcomes.append(expected == math.inf)
+    assert len(outcomes) > 500 and 0.3 < np.mean(outcomes) < 0.7
+
+
+def shared_cv_points(rng, n, n_taus, order):
+    """n points on a strike grid and n_taus expiries, in chain order (by
+    tau), shuffled, or with every tau distinct; with a price-like and a
+    vol-like value vector, both zero at the same two points."""
+    strikes = rng.choice(np.arange(60.0, 141.0, 2.5), n)
+    if order == "distinct taus":
+        taus = rng.permutation(np.arange(1, n + 1) / 50.0)
+    else:
+        taus = rng.choice(np.arange(1, n_taus + 1) / 12.0, n)
+    points = np.column_stack([strikes, taus])
+    if order == "by tau":
+        points = points[np.argsort(points[:, 1], kind="stable")]
+    prices = np.maximum(points[:, 0] - 95.0, 0.0) + 2.0 * points[:, 1] + rng.uniform(0.0, 0.5, n)
+    vols = 0.2 + 0.001 * (points[:, 0] - 100.0) ** 2 / (1.0 + points[:, 1]) + rng.uniform(0.0, 0.02, n)
+    zero = rng.choice(n, 2, replace=False)
+    prices[zero] = vols[zero] = 0.0
+    return points, prices, vols
+
+
+@pytest.mark.parametrize("order", ["by tau", "shuffled", "distinct taus"])
+def test_a_shared_grid_gives_each_vector_the_bandwidths_of_its_own_search(order):
+    rng = np.random.default_rng({"by tau": 97, "shuffled": 101, "distinct taus": 103}[order])
+    for n in (12, 30, 45):
+        points, prices, vols = shared_cv_points(rng, n, 4, order)
+        points[1] = points[0]  # a duplicate point
+        grids = loo_cv_grids(points, [prices, vols])
+        assert grids == [loo_cv_grids(points, [prices])[0], loo_cv_grids(points, [vols])[0]]
+        for values, grid in zip((prices, vols), grids):
+            shared = loo_cv_bandwidths(points, values, lambda: grid)
+            alone = loo_cv_bandwidths(points, values)
+            assert (shared.eps1.hex(), shared.eps2.hex()) == (alone.eps1.hex(), alone.eps2.hex())
+
+
+def test_a_shared_grid_takes_only_vectors_of_one_zero_pattern():
+    rng = np.random.default_rng(107)
+    points, prices, vols = shared_cv_points(rng, 30, 4, "by tau")
+    nonzero = np.flatnonzero(vols)
+    prices[nonzero[:2]] = 0.0  # vols stay nonzero there: other rows are left out
+    with pytest.raises(ValueError, match="zero pattern"):
+        loo_cv_grids(points, [prices, vols])
+    with pytest.raises(ValueError, match="zero pattern"):
+        loo_cv_grids(points, [vols, vols * 1.5, prices])

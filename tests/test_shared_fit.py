@@ -10,6 +10,7 @@ import pytest
 import scipy.spatial
 
 import pricelab.black_scholes as black_scholes
+import pricelab.estimators as estimators
 import pricelab.surface as surface
 from pricelab.errors import NoAtmPairs
 from pricelab.estimators import ESTIMATOR_ERRORS, EstimatorLabel, TrainingSet, fit, predict
@@ -172,7 +173,8 @@ def test_fit_rejects_a_training_set_of_another_day():
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of the vol inversion and of the Delaunay build."""
+    """Calls of the vol inversion, of the Delaunay build and of the LOO-CV
+    grid pass."""
     tally = Counter()
 
     def counting(name, fn):
@@ -184,19 +186,26 @@ def counts(monkeypatch):
     monkeypatch.setattr(black_scholes, "implied_vols",
                         counting("inversions", black_scholes.implied_vols))
     monkeypatch.setattr(surface, "_triangulate", counting("triangulations", surface._triangulate))
+    monkeypatch.setattr(estimators, "loo_cv_grids", counting("cv_grids", estimators.loo_cv_grids))
     return tally
 
 
 @pytest.mark.parametrize("trim, noise, labels, per_day", [
     # prepare_day inverts; the fits reuse its vols. One geometry is shared
-    # by LI, BS, NW and the rest, and LIB's has the expiring row too.
-    (True, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
-    (True, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
+    # by LI, BS, NW and the rest, and LIB's has the expiring row too. NWCV
+    # and BSNWCV score prices and vols on one CV grid pass.
+    (True, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
+    (True, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
     # Without the trim the training vols are inverted once, on first use.
-    (False, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2}),
-    (False, 0.0, ("LI", "NW", "NWCV"), {"triangulations": 1}),
-    # Some vols are NaN: the vol labels share a geometry of their own.
-    (False, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 3}),
+    (False, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
+    (False, 0.0, ("LI", "NW", "NWCV"), {"triangulations": 1, "cv_grids": 1}),
+    # Some vols are NaN: the vol labels share a geometry of their own, and
+    # BSNWCV searches on other points than NWCV.
+    (False, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 3, "cv_grids": 2}),
+    # BSNWCV inverts the vols either way: NWCV first inverts them for the
+    # shared grid pass, and BSNWCV then finds them at hand.
+    (False, 0.0, ("BSNWCV", "NWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 1}),
+    (False, 0.0, ("NWCV", "BSNWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 1}),
 ])
 def test_a_day_inverts_once_and_triangulates_each_point_set_once(counts, trim, noise, labels,
                                                                  per_day):
@@ -220,4 +229,68 @@ def test_a_lone_fit_inverts_and_triangulates_only_for_its_label(counts):
     assert dict(counts) == {"triangulations": 2, "inversions": 1}
     fit("LIB", PUT, quotes, env, curve=curve, lib_strike_range=(60.0, 140.0))
     assert dict(counts) == {"triangulations": 3, "inversions": 1}
+    counts.clear()
+    # NWCV alone searches the prices only: it inverts no vol to score them.
+    fit("NWCV", PUT, quotes, env, curve=curve)
+    assert dict(counts) == {"triangulations": 1, "cv_grids": 1}
 
+
+# Grid passes of the two CV labels' shared TrainingSet, where one pass
+# scores both targets: the NaN vols leave out other points than the
+# prices, and on one maturity the Silverman seed of each search fails.
+SHARED_CV_PASSES = {"untrimmed with NaN vols": 2, "single maturity": 2, "two quotes": 0}
+
+
+@pytest.mark.parametrize("case", [case[0] for case in days()])
+def test_a_shared_cv_grid_gives_each_label_its_standalone_fit(counts, case):
+    _, env, quotes, curve, vols, lib_range = next(day for day in days() if day[0] == case)
+    cv_labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
+    training = TrainingSet(PUT, quotes, env, curve, vols, labels=EstimatorLabel)
+    grid = queries(quotes, env.spot)
+    counts.clear()
+    shared = {label: outcome(label, quotes, env, curve, lib_range, grid, training)
+              for label in cv_labels}
+    assert counts["cv_grids"] == SHARED_CV_PASSES.get(case, 1)
+    alone = {label: outcome(label, quotes, env, curve, lib_range, grid) for label in cv_labels}
+    assert shared == alone
+
+
+def test_targets_of_other_zero_patterns_get_grid_passes_of_their_own(counts):
+    env, quotes, curve = puts_day()
+    vols, _ = black_scholes.fill_implied_vols(DailyChain(env, tuple(quotes)), curve)
+    # A put quoted at zero keeps its vol: the price search leaves out a row
+    # that the vol search keeps.
+    at = int(np.flatnonzero(~np.isnan(vols))[0])
+    quotes = quotes[:at] + [replace(quotes[at], bid=0.0, ask=0.0)] + quotes[at + 1:]
+    labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
+    training = TrainingSet(PUT, quotes, env, curve, vols, labels=labels)
+    grid = queries(quotes, env.spot)
+    counts.clear()
+    shared = [outcome(label, quotes, env, curve, None, grid, training) for label in labels]
+    assert counts["cv_grids"] == 2
+    alone = [outcome(label, quotes, env, curve, None, grid, TrainingSet(PUT, quotes, env, curve, vols))
+             for label in labels]
+    assert shared == alone
+    assert all(isinstance(result[0], dict) for result in shared)
+
+
+# Each order of the two CV labels scores both targets on one grid pass a
+# day, unless some vols are NaN: BSNWCV then searches on other points.
+@pytest.mark.parametrize("trim, noise, passes", [
+    (True, 0.02, 2), (False, 0.0, 2), (False, 0.02, 4),
+])
+def test_the_order_of_the_cv_labels_changes_no_record(counts, tmp_path, trim, noise, passes):
+    maturities = (7, 30, 91, 182, 365) if noise else (30, 91, 182, 365)
+    chains = synth_chain("bs", n_days=2, dividend=0.01, noise=noise, seed=5,
+                         maturities_days=maturities)
+    results, found = [], []
+    for labels in (("NWCV", "BSNWCV"), ("BSNWCV", "NWCV")):
+        counts.clear()
+        results.append(run_protocol(chains, ProtocolConfig(labels=labels, trim=trim)))
+        found.append(counts["cv_grids"])
+    assert found == [passes, passes]
+    first, second = results
+    assert sorted(first.errors, key=repr) == sorted(second.errors, key=repr)
+    written = [{path.name: path.read_bytes() for path in result.write(tmp_path / str(i))}
+               for i, result in enumerate(results)]
+    assert written[0] == written[1]
