@@ -10,17 +10,17 @@ Subcommands:
     price         fit one estimator on a day and price a query list
     report        render previously written report CSVs as text tables
 
-The master seed comes from --seed, overridden by the PRICELAB_SEED
-environment variable when set. Exit status is 0 on success and 2 on any
-diagnosed failure; diagnostics name the subcommand and the offending
-input.
+evaluate casts its flags' text as it casts a --config file's lines;
+PRICELAB_SEED beats --seed, which beats the file. price and
+calibrate-vg fit on the day as evaluate prepares it, with the trim off.
+Exit status is 0 on success and 2 on any diagnosed failure; diagnostics
+name the subcommand and the offending input.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import datetime as dt
 import math
 import os
@@ -29,8 +29,8 @@ from pathlib import Path
 
 from . import market_data, reporting, synth
 from .errors import NoAtmPairs, PricelabError
-from .estimators import EstimatorLabel, PredictStatus, PricingEstimator, fit, predict
-from .harness import DEFAULT_MASTER_SEED, ProtocolConfig, load_config, parse_kind, run_protocol
+from .estimators import EstimatorLabel, PricingEstimator, fit, predict, prediction_status
+from .harness import DEFAULT_MASTER_SEED, apply_config, prepare_day, read_config, run_protocol
 from .market_data import load_chains, save_chains
 from .parity import estimate_dividend_curve, itm_parity_records
 from .variance_gamma import vg_eta
@@ -38,13 +38,15 @@ from .variance_gamma import vg_eta
 _ENV_SEED = "PRICELAB_SEED"
 
 
-def _master_seed(args: argparse.Namespace) -> int:
+def _master_seed(args: argparse.Namespace) -> str | None:
+    """PRICELAB_SEED when set, else --seed, as text: None when neither is."""
     env = os.environ.get(_ENV_SEED)
     if env is not None:
         try:
-            return int(env)
+            int(env)
         except ValueError:
             raise ValueError(f"{_ENV_SEED} must be an integer, got {env!r}") from None
+        return env
     return args.seed
 
 
@@ -83,6 +85,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    seed = _master_seed(args)
     chains = synth.synth_chain(
         args.model,
         spot=args.spot,
@@ -95,7 +98,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         start_date=dt.date.fromisoformat(args.start_date),
         n_days=args.days,
         noise=args.noise,
-        seed=_master_seed(args),
+        seed=DEFAULT_MASTER_SEED if seed is None else int(seed),
     )
     out = _out_dir(args) / "chains.csv"
     save_chains(chains, out)
@@ -132,23 +135,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
-    config = load_config(args.config) if args.config else ProtocolConfig()
-    overrides: dict = {"master_seed": _master_seed(args)}
-    if args.labels is not None:
-        overrides["labels"] = tuple(s.strip().upper() for s in args.labels.split(",") if s.strip())
-    if args.kind:
-        overrides["kind"] = parse_kind(args.kind)
-    if args.trim:
-        overrides["trim"] = True
-    if args.fraction is not None:
-        overrides["fraction"] = args.fraction
-    if args.partitions:
-        overrides["partitions"] = tuple(s.strip() for s in args.partitions.split(","))
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    config = dataclasses.replace(config, **overrides)
-
-    result = run_protocol(chains, config)
+    settings = read_config(args.config) if args.config else {}
+    flags = {"master_seed": _master_seed(args), "labels": args.labels, "kind": args.kind,
+             "trim": args.trim, "fraction": args.fraction, "partitions": args.partitions,
+             "workers": args.workers}
+    settings.update((key, text) for key, text in flags.items() if text is not None)
+    result = run_protocol(chains, apply_config(settings))
     out = _out_dir(args)
     written = result.write(out)
     reports = [result.reports[key] for key in sorted(result.reports)]
@@ -158,16 +150,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _fit_day(args: argparse.Namespace, label: EstimatorLabel) -> PricingEstimator:
-    """Fit one label on the liquid quotes of the day picked by --date,
-    with the day's parity dividend curve (div_hist without ATM pairs)."""
+    """Fit one label on the day picked by --date, prepared as evaluate
+    prepares a day with the trim off."""
     chain = _single_day(_load_input(args.input), args.date)
-    liquid = market_data.filter_liquidity(chain)
-    kind = parse_kind(args.kind)
-    try:
-        curve = estimate_dividend_curve(liquid)
-    except PricelabError:
-        curve = None
-    return fit(label, kind, liquid.quotes, liquid.env, curve=curve)
+    config = apply_config({"kind": args.kind})
+    day, curve, _ = prepare_day(chain, config)
+    return fit(label, config.kind, day.quotes, day.env, curve=curve)
 
 
 def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
@@ -213,13 +201,9 @@ def _cmd_price(args: argparse.Namespace) -> int:
         writer.writerow(["strike", "tau", "price", "status"])
         for strike, tau in queries:
             prediction = predict(estimator, strike, tau)
-            if prediction.status is PredictStatus.PRICED:
-                status = "extrapolated" if prediction.extrapolated else "priced"
-                price_text = repr(prediction.price)
-            else:
-                status = prediction.status.value
-                price_text = ""
-            writer.writerow([repr(strike), repr(tau), price_text, status])
+            price_text = "" if prediction.price is None else repr(prediction.price)
+            writer.writerow([repr(strike), repr(tau), price_text,
+                             prediction_status(prediction).value])
     print(f"priced {len(queries)} queries with {estimator.label.value} -> {out}")
     return 0
 
@@ -243,8 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, output: bool = True) -> None:
         if output:
             p.add_argument("--output-dir", default=".", help="directory for outputs")
-        p.add_argument("--seed", type=int, default=DEFAULT_MASTER_SEED,
-                       help=f"master seed (env {_ENV_SEED} overrides)")
+        p.add_argument("--seed", help=f"master seed (default {DEFAULT_MASTER_SEED}; "
+                                      f"env {_ENV_SEED} overrides)")
 
     p = sub.add_parser("ingest", help="validate and normalize a chain CSV")
     p.add_argument("--input", required=True)
@@ -279,10 +263,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--labels", help="comma-separated estimator labels")
     p.add_argument("--kind", help="put or call")
-    p.add_argument("--trim", action="store_true", help="apply the price/vol trim")
-    p.add_argument("--fraction", type=float, help="training fraction")
+    p.add_argument("--trim", action="store_const", const="true", help="apply the price/vol trim")
+    p.add_argument("--fraction", help="training fraction")
     p.add_argument("--partitions", help="comma-separated partition names")
-    p.add_argument("--workers", type=int, help="parallel day workers")
+    p.add_argument("--workers", help="parallel day workers")
     common(p)
     p.set_defaults(func=_cmd_evaluate)
 

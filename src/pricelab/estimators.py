@@ -53,6 +53,7 @@ from .kernel import (
 )
 from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from .parity import DividendCurve
+from .reporting import ErrorStatus
 from .surface import OUTSIDE_HULL, NormalizedGeometry, augment_zero_maturity
 from .variance_gamma import vg_calibrate, vg_price_quadrature
 
@@ -69,9 +70,6 @@ class EstimatorLabel(enum.Enum):
     BSNWCV = "BSNWCV"
     VG = "VG"
     LIB = "LIB"
-
-
-HULL_LABELS = frozenset({EstimatorLabel.LI, EstimatorLabel.BS, EstimatorLabel.LIB})
 
 
 class PredictStatus(enum.Enum):
@@ -245,6 +243,8 @@ _RECIPES = {
     EstimatorLabel.BSNW: (_VOL, _NW),
     EstimatorLabel.BSNWCV: (_VOL, _NWCV),
 }
+# The labels that decline queries outside their training hull: the LI-smoothed ones.
+HULL_LABELS = frozenset(label for label, (_, smoother) in _RECIPES.items() if smoother is _LI)
 
 
 def fit(
@@ -356,3 +356,11 @@ def predict(estimator: PricingEstimator, strike: float, tau: float) -> Predictio
         return Prediction(price=None, status=PredictStatus.FAILED)
     in_hull = estimator.hull_fn(strike, tau)
     return Prediction(price=value, status=PredictStatus.PRICED, extrapolated=not in_hull)
+
+
+def prediction_status(prediction: Prediction) -> ErrorStatus:
+    """The status a prediction's record carries: PRICED or EXTRAPOLATED
+    when it priced, else OUTSIDE_HULL or FAILED, named alike in both enums."""
+    if prediction.status is PredictStatus.PRICED:
+        return ErrorStatus.EXTRAPOLATED if prediction.extrapolated else ErrorStatus.PRICED
+    return ErrorStatus(prediction.status.value)

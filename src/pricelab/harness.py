@@ -30,7 +30,8 @@ import numpy as np
 
 from .black_scholes import fill_implied_vols
 from .errors import NoAtmPairs
-from .estimators import ESTIMATOR_ERRORS, EstimatorLabel, PredictStatus, TrainingSet, fit, predict
+from .estimators import (ESTIMATOR_ERRORS, EstimatorLabel, Prediction, PredictStatus,
+                         TrainingSet, fit, predict, prediction_status)
 from .market_data import (
     DEFAULT_MAX_IV,
     DEFAULT_MIN_PRICE,
@@ -42,7 +43,7 @@ from .market_data import (
     trim_mask,
 )
 from .parity import DividendCurve, estimate_dividend_curve
-from .reporting import PARTITIONS, ErrorReport, ErrorStatus, PricingError, aggregate
+from .reporting import PARTITIONS, ErrorReport, PricingError, aggregate, write_report_csv
 
 DEFAULT_MASTER_SEED = 20120103
 DEFAULT_TRAIN_FRACTION = 0.9
@@ -62,8 +63,9 @@ __all__ = [
     "evaluate_day",
     "run_protocol",
     "cross_date_report",
+    "read_config",
+    "apply_config",
     "load_config",
-    "parse_kind",
 ]
 
 
@@ -211,21 +213,15 @@ def evaluate_day(
 
     records: list[PricingError] = []
     for q in test:
-        if estimator is None:
-            status, est_price, rel = ErrorStatus.FAILED, None, None
-        else:
-            prediction = predict(estimator, q.strike, q.tau)
-            if prediction.status is PredictStatus.PRICED:
-                est_price = prediction.price
-                rel = abs(1.0 - est_price / q.mid)
-                status = ErrorStatus.EXTRAPOLATED if prediction.extrapolated else ErrorStatus.PRICED
-            else:
-                # OUTSIDE_HULL and FAILED carry the same names in both enums.
-                status, est_price, rel = ErrorStatus(prediction.status.value), None, None
+        prediction = (Prediction(price=None, status=PredictStatus.FAILED) if estimator is None
+                      else predict(estimator, q.strike, q.tau))
+        est_price = prediction.price
         records.append(
             PricingError(
                 date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
-                true_price=q.mid, est_price=est_price, rel_error=rel, status=status,
+                true_price=q.mid, est_price=est_price,
+                rel_error=None if est_price is None else abs(1.0 - est_price / q.mid),
+                status=prediction_status(prediction),
             )
         )
     return records
@@ -261,8 +257,6 @@ class ProtocolResult:
     def write(self, out_dir: str | Path) -> list[Path]:
         """One CSV per (label, partition), deterministically ordered and
         formatted, so reruns are byte-identical."""
-        from .reporting import write_report_csv
-
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         written = []
@@ -349,18 +343,26 @@ def _lookup(table: dict, text: str, what: str):
         raise ValueError(f"bad {what} {text!r}, expected one of {'/'.join(table)}") from None
 
 
-def parse_kind(text: str) -> OptionKind:
-    return _lookup({"put": OptionKind.PUT, "call": OptionKind.CALL}, text, "kind")
+# How the text of each config key becomes its ProtocolConfig value.
+_CASTS = {
+    "master_seed": int,
+    "fraction": float,
+    "labels": lambda t: tuple(s.strip().upper() for s in t.split(",") if s.strip()),
+    "kind": lambda t: _lookup({"put": OptionKind.PUT, "call": OptionKind.CALL}, t, "kind"),
+    "trim": lambda t: _lookup(_BOOLEANS, t, "boolean"),
+    "min_ttm_days": int,
+    "min_volume": int,
+    "max_iv": float,
+    "min_price": float,
+    "partitions": lambda t: tuple(s.strip() for s in t.split(",") if s.strip()),
+    "workers": int,
+}
 
 
-def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
-    """Read key=value lines (hash comments allowed) into a ProtocolConfig.
-
-    Keys: master_seed, fraction, labels (comma list), kind (put/call),
-    trim (true/false, 1/0 or yes/no), min_ttm_days, min_volume, max_iv, min_price,
-    partitions (comma list), workers.
-    """
-    values: dict[str, str] = {}
+def read_config(path: str | Path) -> dict[str, str]:
+    """The key=value lines of a config file (hash comments allowed), as
+    {key: text}; apply_config casts them."""
+    settings: dict[str, str] = {}
     for raw_line in Path(path).read_text().splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -368,24 +370,22 @@ def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> Pr
         if "=" not in line:
             raise ValueError(f"bad config line {raw_line!r}, expected key=value")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        settings[key.strip()] = value.strip()
+    return settings
 
+
+def apply_config(settings: dict[str, str], base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
+    """base with each {key: text} setting cast by _CASTS, the same way for a
+    config file's line and a command-line flag: kind is put or call, trim
+    true/false, 1/0 or yes/no, and labels and partitions comma lists."""
     updates: dict = {}
-    casts = {
-        "master_seed": int,
-        "fraction": float,
-        "labels": lambda t: tuple(s.strip().upper() for s in t.split(",") if s.strip()),
-        "kind": parse_kind,
-        "trim": lambda t: _lookup(_BOOLEANS, t, "boolean"),
-        "min_ttm_days": int,
-        "min_volume": int,
-        "max_iv": float,
-        "min_price": float,
-        "partitions": lambda t: tuple(s.strip() for s in t.split(",") if s.strip()),
-        "workers": int,
-    }
-    for key, text in values.items():
-        if key not in casts:
+    for key, text in settings.items():
+        if key not in _CASTS:
             raise ValueError(f"unknown config key {key!r}")
-        updates[key] = casts[key](text)
+        updates[key] = _CASTS[key](text)
     return dataclasses.replace(base, **updates)
+
+
+def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
+    """Read a config file's key=value lines into a ProtocolConfig."""
+    return apply_config(read_config(path), base)

@@ -120,9 +120,12 @@ def _exp(x: np.ndarray) -> np.ndarray:
 
 
 def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
-    z1 = (strike - model.strikes) / model.bandwidths.eps1
-    z2 = (tau - model.taus) / model.bandwidths.eps2
-    return -0.5 * (z1 * z1 + z2 * z2)
+    # A tiny bandwidth sends far samples' terms past the float range: their
+    # log-weights are then -inf, a weight of exactly zero, as intended.
+    with np.errstate(over="ignore"):
+        z1 = (strike - model.strikes) / model.bandwidths.eps1
+        z2 = (tau - model.taus) / model.bandwidths.eps2
+        return -0.5 * (z1 * z1 + z2 * z2)
 
 
 def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
@@ -212,9 +215,12 @@ def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
     def objectives(eps1: float, eps2: float) -> list[float]:
         nonlocal z1_eps1
         underflow = [float("inf")] * len(value_vectors)
-        # (d / eps)**2 as written: d**2 / eps**2 would round differently.
-        z2 = np.square(d2 / eps2)
-        row_max = (-0.5 * (np.square(nearest / eps1) + z2)).max(axis=0)
+        # (d / eps)**2 as written: d**2 / eps**2 would round differently. A
+        # tiny bandwidth sends a term to +inf, a weight of zero; eps2 = 0
+        # makes 0/0 = NaN, which the test below scores +inf.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            z2 = np.square(d2 / eps2)
+            row_max = (-0.5 * (np.square(nearest / eps1) + z2)).max(axis=0)
         # -inf or NaN when some row has no finite weight; +inf without rows.
         lowest = float(row_max.min(initial=np.inf))
         if not lowest > -math.inf:
@@ -224,7 +230,8 @@ def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
         if lowest + log_norm + log_n < _LOG_FLOOR - _MARGIN * (1.0 + abs(lowest) + abs(log_norm)):
             return underflow
         if z1_eps1 != eps1:
-            np.square(np.divide(d1, eps1, out=z1), out=z1)
+            with np.errstate(over="ignore"):
+                np.square(np.divide(d1, eps1, out=z1), out=z1)
             z1_eps1 = eps1
         # The tau term, copied over each run, plus the strike term: z2 + z1
         # has the bits of z1 + z2. mode="clip" lets take write into out

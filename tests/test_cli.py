@@ -5,8 +5,13 @@ import dataclasses
 
 import pytest
 
+from pricelab import cli
 from pricelab.cli import main
-from pricelab.market_data import DailyChain, load_chains, save_chains
+from pricelab.estimators import EstimatorLabel, fit, predict
+from pricelab.harness import (
+    DEFAULT_MASTER_SEED, DaySplit, ProtocolConfig, evaluate_day, prepare_day,
+)
+from pricelab.market_data import DailyChain, OptionKind, load_chains, save_chains
 from pricelab.reporting import aggregate, read_report_csv, write_report_csv
 
 
@@ -159,6 +164,80 @@ def test_evaluate_rejects_bad_config_file(tmp_path, capsys):
     assert "ture" in err
 
 
+class Ran(Exception):
+    """Raised in place of run_protocol, carrying the config it was given."""
+
+
+def evaluate_config(monkeypatch, capsys, *argv):
+    """The ProtocolConfig that evaluate would run with, or the error it
+    exits 2 with before running."""
+    def capture(chains, config):
+        raise Ran(config)
+
+    monkeypatch.setattr(cli, "run_protocol", capture)
+    try:
+        code, _, err = run(capsys, "evaluate", *argv)
+    except Ran as ran:
+        return ran.args[0]
+    assert code == 2
+    return err
+
+
+# (flags, the config line they stand for, the config or an error fragment)
+FLAG_CASES = [
+    (("--labels", "li,NW"), "labels = li,NW", ProtocolConfig(labels=("LI", "NW"))),
+    (("--labels", "NW,nw"), "labels = NW,nw", "more than once: NW"),
+    (("--labels", ""), "labels =", "at least one label"),
+    (("--kind", "Call"), "kind = Call", ProtocolConfig(kind=OptionKind.CALL)),
+    # An empty kind used to fall back to puts on the command line.
+    (("--kind", ""), "kind =", "bad kind ''"),
+    (("--trim",), "trim = true", ProtocolConfig(trim=True)),
+    (("--fraction", "0.8"), "fraction = 0.8", ProtocolConfig(fraction=0.8)),
+    (("--fraction", "2"), "fraction = 2", "fraction must be in"),
+    # A trailing comma used to name an empty partition on the command line.
+    (("--partitions", "all,"), "partitions = all,", ProtocolConfig(partitions=("all",))),
+    (("--partitions", "all,bogus"), "partitions = all,bogus", "unknown partition 'bogus'"),
+    (("--workers", "2"), "workers = 2", ProtocolConfig(workers=2)),
+    (("--workers", "0"), "workers = 0", "workers must be at least 1"),
+    (("--workers", "two"), "workers = two", "'two'"),
+    (("--seed", "7"), "master_seed = 7", ProtocolConfig(master_seed=7)),
+]
+
+
+@pytest.mark.parametrize("flags, line, expected", FLAG_CASES,
+                         ids=[line for _, line, _ in FLAG_CASES])
+def test_evaluate_flags_parse_like_config_keys(tmp_path, capsys, monkeypatch,
+                                               flags, line, expected):
+    source = synth_into(capsys, tmp_path)
+    config = tmp_path / "protocol.cfg"
+    config.write_text(line + "\n")
+    common = ("--input", source, "--output-dir", tmp_path / "reports")
+    from_flags = evaluate_config(monkeypatch, capsys, *common, *flags)
+    from_file = evaluate_config(monkeypatch, capsys, *common, "--config", config)
+    assert from_flags == from_file
+    if isinstance(expected, str):
+        assert expected in from_flags
+    else:
+        assert from_flags == expected
+
+
+def test_seed_precedence_is_env_then_flag_then_file_then_default(tmp_path, capsys,
+                                                                 monkeypatch):
+    source = synth_into(capsys, tmp_path)
+    config = tmp_path / "protocol.cfg"
+    config.write_text("master_seed = 7\n")
+
+    def seed(*argv):
+        return evaluate_config(monkeypatch, capsys, "--input", source, *argv).master_seed
+
+    assert seed() == DEFAULT_MASTER_SEED
+    assert seed("--config", config) == 7
+    assert seed("--config", config, "--seed", 8) == 8
+    monkeypatch.setenv("PRICELAB_SEED", "9")
+    assert seed("--config", config, "--seed", 8) == 9
+    assert seed() == 9
+
+
 def test_calibrate_vg_recovers_parameters(tmp_path, capsys):
     source = synth_into(
         capsys, tmp_path, "--model", "vg",
@@ -305,3 +384,59 @@ def test_bad_arguments_exit_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_price_fits_on_the_prepared_day(tmp_path, capsys):
+    # One put quoted at zero: evaluate's day preparation drops it, and so
+    # must price, or it fits a day that evaluate never scores.
+    source = synth_into(capsys, tmp_path)
+    [chain] = load_chains(source)
+    quotes = tuple(dataclasses.replace(q, bid=0.0, ask=0.0)
+                   if (q.kind, q.strike, q.ttm_days) == (OptionKind.PUT, 75.0, 30) else q
+                   for q in chain.quotes)
+    chain = DailyChain(chain.env, quotes)
+    save_chains([chain], source)
+    day, curve, _ = prepare_day(chain, ProtocolConfig())
+    assert len(day) == len(chain.of_kind(OptionKind.PUT)) - 1
+    queries = [(76.0, 40 / 365), (100.0, 0.25), (72.0, 0.1), (200.0, 0.5)]
+    (tmp_path / "queries.csv").write_text(
+        "strike,tau\n" + "".join(f"{k!r},{t!r}\n" for k, t in queries))
+    for label in ("LI", "NW", "BSNW"):
+        code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,
+                           "--label", label, "--queries", tmp_path / "queries.csv")
+        assert code == 0, err
+        estimator = fit(EstimatorLabel(label), OptionKind.PUT, day.quotes, day.env, curve)
+        with (tmp_path / "prices.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        expected = [predict(estimator, k, t) for k, t in queries]
+        assert [row["price"] for row in rows] == [
+            "" if p.price is None else repr(p.price) for p in expected]
+
+
+def test_price_statuses_match_evaluate_day(tmp_path, capsys):
+    # evaluate_day fits the prepared day's quotes and prices probe quotes
+    # appended to it; price fits the same quotes and prices the probes'
+    # (strike, tau). Each probe gets the same status and price from both.
+    source = synth_into(capsys, tmp_path)
+    [chain] = load_chains(source)
+    day, curve, _ = prepare_day(chain, ProtocolConfig())
+    template = day.quotes[0]
+    probes = tuple(dataclasses.replace(template, strike=k, ttm_days=d, bid=1.0, ask=1.0)
+                   for k, d in [(100.0, 182), (103.0, 120), (200.0, 182), (100.0, 800)])
+    (tmp_path / "queries.csv").write_text(
+        "strike,tau\n" + "".join(f"{q.strike!r},{q.tau!r}\n" for q in probes))
+    scored = DailyChain(day.env, day.quotes + probes)
+    split = DaySplit(day.env.date, tuple(range(len(day))),
+                     tuple(range(len(day), len(scored))), seed=0)
+    seen = set()
+    for label in ("LI", "NW"):
+        code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,
+                           "--label", label, "--queries", tmp_path / "queries.csv")
+        assert code == 0, err
+        with (tmp_path / "prices.csv").open(newline="") as handle:
+            rows = [(row["status"], row["price"]) for row in csv.DictReader(handle)]
+        records = evaluate_day(EstimatorLabel(label), scored, split, curve)
+        assert rows == [(r.status.value, "" if r.est_price is None else repr(r.est_price))
+                        for r in records]
+        seen.update(status for status, _ in rows)
+    assert seen == {"priced", "extrapolated", "outside_hull"}

@@ -252,6 +252,39 @@ def test_cv_objective_overflow_on_a_tiny_value_is_inf_without_a_warning():
             loo_cv_bandwidths(points, values)
 
 
+# Six points on two tau levels, for bandwidths so small that a term of the
+# weights passes the float range. The suite turns a RuntimeWarning into an
+# error, so each test below also checks that none escapes.
+TWO_LEVELS = np.array([(k, t) for t in (0.1, 0.3) for k in (90.0, 100.0, 110.0)])
+TWO_LEVEL_VALUES = np.array([5.0, 8.0, 12.0, 6.0, 9.0, 13.0])
+
+
+@pytest.mark.parametrize("eps1, eps2", [(5.0, 1e-300), (1e-300, 0.1), (5e-324, 0.1)])
+def test_cv_objective_at_a_tiny_bandwidth_weighs_only_the_nearest_samples(eps1, eps2):
+    # (d / eps)**2 overflows to +inf: those weights are 0. A tiny eps2 leaves
+    # each row its own tau level, a tiny eps1 its own strike on the other.
+    with np.errstate(all="ignore"):
+        expected = oracle_cv(TWO_LEVELS, TWO_LEVEL_VALUES, eps1, eps2)
+    assert math.isfinite(expected)
+    got = cv_objective_at(TWO_LEVELS, TWO_LEVEL_VALUES, Bandwidths(eps1, eps2))
+    assert got.hex() == expected.hex()
+
+
+def test_cv_objective_at_a_zero_tau_bandwidth_is_inf():
+    # Nelder-Mead in log space can reach eps2 = 0.0: d2 / 0 is +inf or NaN.
+    assert _cv_objective(TWO_LEVELS, TWO_LEVEL_VALUES)(5.0, 0.0) == math.inf
+
+
+def test_nw_estimate_at_a_tiny_tau_bandwidth_weighs_only_its_own_level():
+    model = NwModel(TWO_LEVELS[:, 0], TWO_LEVELS[:, 1], TWO_LEVEL_VALUES, Bandwidths(5.0, 1e-283))
+    with np.errstate(all="ignore"):
+        expected = oracles.nw_estimate(model, 95.0, 0.1)
+    assert nw_estimate(model, 95.0, 0.1).hex() == expected.hex()
+    # Between the levels every weight is 0.
+    with pytest.raises(NumericalUnderflow):
+        nw_estimate(model, 95.0, 0.2)
+
+
 # --- bit-for-bit agreement with the straightforward forms (tests/oracles.py)
 
 
