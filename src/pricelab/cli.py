@@ -10,8 +10,9 @@ Subcommands:
     price         fit one estimator on a day and price a query list
     report        render previously written report CSVs as text tables
 
-evaluate casts its flags' text as it casts a --config file's lines;
-PRICELAB_SEED beats --seed, which beats the file. price and
+Only synth and evaluate take --seed. evaluate casts its flags' text as
+it casts a --config file's lines; PRICELAB_SEED beats --seed, which
+beats the file. Every subcommand but report takes --output-dir. price and
 calibrate-vg fit on the day as evaluate prepares it, with the trim off.
 Exit status is 0 on success and 2 on any diagnosed failure; diagnostics
 name the subcommand and the offending input.
@@ -224,11 +225,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, output: bool = True) -> None:
-        if output:
-            p.add_argument("--output-dir", default=".", help="directory for outputs")
-        p.add_argument("--seed", help=f"master seed (default {DEFAULT_MASTER_SEED}; "
-                                      f"env {_ENV_SEED} overrides)")
+    def common(p: argparse.ArgumentParser, seed: bool = False) -> None:
+        p.add_argument("--output-dir", default=".", help="directory for outputs")
+        if seed:
+            p.add_argument("--seed", help=f"master seed (default {DEFAULT_MASTER_SEED}; "
+                                          f"env {_ENV_SEED} overrides)")
 
     p = sub.add_parser("ingest", help="validate and normalize a chain CSV")
     p.add_argument("--input", required=True)
@@ -250,7 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start-date", default="2012-01-03")
     p.add_argument("--days", type=int, default=1)
     p.add_argument("--noise", type=float, default=0.0)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("audit", help="parity-audit ITM quotes")
@@ -267,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", help="training fraction")
     p.add_argument("--partitions", help="comma-separated partition names")
     p.add_argument("--workers", help="parallel day workers")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("calibrate-vg", help="fit Variance-Gamma parameters to one day")
@@ -288,7 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render report CSVs as text tables")
     p.add_argument("--input", required=True, help="directory holding report_*.csv")
-    common(p, output=False)
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -26,9 +26,10 @@ work their fits share: the implied vols, inverted once; one
 NormalizedGeometry per distinct point set, which both LI's interpolant
 and the kernel labels' hull test come from; and the LOO-CV grid of each
 point set, on which NWCV and BSNWCV score prices and vols together when
-the day fits both. The labels of one day fitted on one TrainingSet share
-that work; a fit given none builds its own and does only what its label
-needs.
+the day fits both. TrainingSet.fit(label) fits one label on the set, so
+the labels of one day fitted on one TrainingSet share that work; fit is
+its one-label case, on a set of its own quotes, and does only what its
+label needs.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ class TrainingSet:
     and hands the same geometry to every later fit on that subset;
     cv_grid(mask, target) does the same for the LOO-CV grid. labels are
     the labels the day will fit, which tell cv_grid whether both CV
-    targets will be searched. A TrainingSet lives for one day's fits and
-    is passed to each of them.
+    targets will be searched. A TrainingSet lives for one day's fits:
+    fit(label) fits each of them on it.
     """
 
     def __init__(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
@@ -144,13 +145,6 @@ class TrainingSet:
         self._cv_grids: dict[bytes, dict[str, CvGrid]] = {}
         recipes = [_RECIPES.get(EstimatorLabel(label)) for label in labels]
         self._cv_targets = {recipe[0] for recipe in recipes if recipe and recipe[1] is _NWCV}
-
-    def matches(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
-                curve: DividendCurve | None) -> bool:
-        """Whether this set was built from those quotes for that kind, day
-        and curve."""
-        return (self.kind is kind and self.env == env and self.curve is curve
-                and self.quotes == tuple(q for q in quotes if q.kind == kind and q.tau >= 0.0))
 
     @property
     def vols(self) -> np.ndarray:
@@ -198,6 +192,61 @@ class TrainingSet:
             self._geometries[key] = NormalizedGeometry(
                 self.strikes[mask], self.taus[mask], self.env.spot)
         return self._geometries[key]
+
+    def fit(self, label: EstimatorLabel,
+            lib_strike_range: tuple[float, float] | None = None) -> PricingEstimator:
+        """Fit one estimator to these quotes.
+
+        The curve supplies the dividend yield by maturity for the
+        implied-vol routes, falling back to env.div_hist when absent.
+        lib_strike_range widens the fictitious-strike span for LIB beyond
+        the training quotes (pass the full day's range when the quotes are
+        a training subset).
+
+        Raises InsufficientData when too few usable quotes remain for the
+        label, and propagates calibration or geometry failures.
+        """
+        label = EstimatorLabel(label)
+        kind, env, curve = self.kind, self.env, self.curve
+        dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
+        meta: dict = {"n_train": len(self.quotes)}
+        if label is EstimatorLabel.VG:
+            return _fit_vg(self, dividend_at, meta)
+
+        target, smoother = _RECIPES[label]
+        usable = self.usable(target, smoother.positive_tau)
+        if target is _VOL:
+            meta["dropped_noninvertible"] = int(np.isnan(self.vols).sum())
+        value_scale = 1.0 if target is _VOL else env.spot
+        strikes, taus = self.strikes[usable], self.taus[usable]
+        values = self.values(target)[usable]
+        _require(values, label, smoother.min_quotes)
+        if label is EstimatorLabel.LIB:
+            if lib_strike_range is None:
+                lib_strike_range = (float(strikes.min()), float(strikes.max()))
+            expiring, payoffs = augment_zero_maturity(kind, env.spot, lib_strike_range)
+            meta["n_fictitious"] = len(payoffs)
+            strikes = np.concatenate([strikes, expiring])
+            taus = np.concatenate([taus, np.zeros(len(payoffs))])
+            values = np.concatenate([values, payoffs])
+            geometry, cv_grid = partial(NormalizedGeometry, strikes, taus, env.spot), None
+        else:
+            geometry = partial(self.geometry, usable)
+            cv_grid = partial(self.cv_grid, usable, target)
+
+        value_at, hull_fn, smoother_meta = smoother.build(geometry, cv_grid, strikes, taus, values,
+                                                          value_scale)
+        meta.update(smoother_meta)
+        if target is _PRICE:
+            return PricingEstimator(label, kind, env, value_at, hull_fn, meta)
+
+        def price_fn(strike: float, tau: float):
+            vol = value_at(strike, tau)
+            if vol is OUTSIDE_HULL:
+                return OUTSIDE_HULL
+            return bs_price(BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau))
+
+        return PricingEstimator(label, kind, env, price_fn, hull_fn, meta)
 
 
 class _Smoother(NamedTuple):
@@ -254,64 +303,10 @@ def fit(
     env: MarketEnv,
     curve: DividendCurve | None = None,
     lib_strike_range: tuple[float, float] | None = None,
-    training: TrainingSet | None = None,
 ) -> PricingEstimator:
-    """Fit one estimator to a day's training quotes.
-
-    curve supplies the dividend yield by maturity for the implied-vol
-    routes, falling back to env.div_hist when absent. lib_strike_range
-    widens the fictitious-strike span for LIB beyond the training quotes
-    (pass the full day's range when the quotes are a training subset).
-    training is the TrainingSet of these quotes, kind, env and curve,
-    shared by the day's other fits; without it the fit builds its own.
-
-    Raises InsufficientData when too few usable quotes remain for the
-    label, and propagates calibration or geometry failures.
-    """
-    label = EstimatorLabel(label)
-    if training is None:
-        training = TrainingSet(kind, quotes, env, curve)
-    elif not training.matches(kind, quotes, env, curve):
-        raise ValueError("the training set was built for other quotes, kind, day or curve")
-    dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
-    meta: dict = {"n_train": len(training.quotes)}
-    if label is EstimatorLabel.VG:
-        return _fit_vg(training, dividend_at, meta)
-
-    target, smoother = _RECIPES[label]
-    usable = training.usable(target, smoother.positive_tau)
-    if target is _VOL:
-        meta["dropped_noninvertible"] = int(np.isnan(training.vols).sum())
-    value_scale = 1.0 if target is _VOL else env.spot
-    strikes, taus = training.strikes[usable], training.taus[usable]
-    values = training.values(target)[usable]
-    _require(values, label, smoother.min_quotes)
-    if label is EstimatorLabel.LIB:
-        if lib_strike_range is None:
-            lib_strike_range = (float(strikes.min()), float(strikes.max()))
-        expiring, payoffs = augment_zero_maturity(kind, env.spot, lib_strike_range)
-        meta["n_fictitious"] = len(payoffs)
-        strikes = np.concatenate([strikes, expiring])
-        taus = np.concatenate([taus, np.zeros(len(payoffs))])
-        values = np.concatenate([values, payoffs])
-        geometry, cv_grid = partial(NormalizedGeometry, strikes, taus, env.spot), None
-    else:
-        geometry = partial(training.geometry, usable)
-        cv_grid = partial(training.cv_grid, usable, target)
-
-    value_at, hull_fn, smoother_meta = smoother.build(geometry, cv_grid, strikes, taus, values,
-                                                      value_scale)
-    meta.update(smoother_meta)
-    if target is _PRICE:
-        return PricingEstimator(label, kind, env, value_at, hull_fn, meta)
-
-    def price_fn(strike: float, tau: float):
-        vol = value_at(strike, tau)
-        if vol is OUTSIDE_HULL:
-            return OUTSIDE_HULL
-        return bs_price(BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau))
-
-    return PricingEstimator(label, kind, env, price_fn, hull_fn, meta)
+    """Fit one estimator to a day's training quotes: TrainingSet.fit on a
+    set of these quotes alone, which does only what the label needs."""
+    return TrainingSet(kind, quotes, env, curve).fit(label, lib_strike_range)
 
 
 def _fit_vg(training: TrainingSet, dividend_at: Callable[[float], float],

@@ -3,12 +3,13 @@
 Each trading day is split 90/10 into training and test quotes with a
 seed derived deterministically from (master seed, date), every label is
 fit on the training side and asked to price the test side, and each test
-quote becomes one PricingError record. The labels of a day share one
-TrainingSet, so its implied vols are inverted once (in trim mode they are
-prepare_day's own), each distinct set of training points is
-triangulated once, and when the day fits both NWCV and BSNWCV they score
-prices and vols on one LOO-CV grid pass. Aggregation slices the records by partition (all,
-in-hull, outside-hull, price above one dollar).
+quote becomes one PricingError record. evaluate_day is the one place a
+day's fits run: it builds the day's one TrainingSet and fits every label
+through it, so its implied vols are inverted once (in trim mode they are
+prepare_day's own), each distinct set of training points is triangulated
+once, and when the day fits both NWCV and BSNWCV they score prices and
+vols on one LOO-CV grid pass. Aggregation slices the records by
+partition (all, in-hull, outside-hull, price above one dollar).
 
 The protocol is reproducible end to end: the same input file and master
 seed produce byte-identical report files, regardless of worker count.
@@ -31,7 +32,7 @@ import numpy as np
 from .black_scholes import fill_implied_vols
 from .errors import NoAtmPairs
 from .estimators import (ESTIMATOR_ERRORS, EstimatorLabel, Prediction, PredictStatus,
-                         TrainingSet, fit, predict, prediction_status)
+                         TrainingSet, predict, prediction_status)
 from .market_data import (
     DEFAULT_MAX_IV,
     DEFAULT_MIN_PRICE,
@@ -173,23 +174,26 @@ def prepare_day(
 
 
 def evaluate_day(
-    label: EstimatorLabel,
+    labels: Sequence[EstimatorLabel],
     day: DailyChain,
     split: DaySplit,
     curve: DividendCurve | None = None,
-    lib_strike_range: tuple[float, float] | None = None,
-    training: TrainingSet | None = None,
+    vols: np.ndarray | None = None,
 ) -> list[PricingError]:
-    """Fit on the day's training quotes and price its test quotes.
+    """Fit each label on the day's training quotes and price its test quotes.
 
-    training is the TrainingSet of the split's training quotes, which the
-    day's labels share; without it the fit builds its own.
+    vols, when given, holds one implied vol per quote of the day, as
+    prepare_day returns them with the trim on; the fits reuse the training
+    side's instead of inverting their own. Every label fits on one
+    TrainingSet of the training side, and LIB's fictitious strikes span
+    the whole day's strikes.
 
-    One record per test quote. A fit failure (too few quotes, stalled
-    calibration, degenerate geometry) marks the whole day FAILED rather
-    than raising; per-query failures are likewise recorded, not thrown.
+    One record per test quote and label, label by label. A fit failure
+    (too few quotes, stalled calibration, degenerate geometry) marks that
+    label's whole day FAILED rather than raising, and so does a test quote
+    at tau <= 0, which no estimator prices; per-query failures are
+    likewise recorded, not thrown.
     """
-    label = EstimatorLabel(label)
     quotes = day.quotes
     indices = split.train + split.test
     if indices and max(indices) >= len(quotes):
@@ -197,33 +201,33 @@ def evaluate_day(
     kinds = {q.kind for q in quotes}
     if len(kinds) != 1:
         raise ValueError("evaluate_day expects a prepared single-kind day")
-    kind = kinds.pop()
-    train = [quotes[i] for i in split.train]
-    test = [quotes[i] for i in split.test]
-    if training is not None and not training.matches(kind, train, day.env, curve):
-        raise ValueError("the training set was built for other quotes, kind, day or curve")
-
-    try:
-        estimator = fit(
-            label, kind, train, day.env, curve=curve, lib_strike_range=lib_strike_range,
-            training=training,
-        )
-    except ESTIMATOR_ERRORS:
-        estimator = None
+    if vols is not None and len(vols) != len(quotes):
+        raise ValueError(f"{len(vols)} vols for a day of {len(quotes)} quotes")
+    labels = [EstimatorLabel(label) for label in labels]
+    training = TrainingSet(kinds.pop(), [quotes[i] for i in split.train], day.env, curve,
+                           None if vols is None else vols[list(split.train)], labels)
+    strikes = [q.strike for q in quotes]
+    lib_strike_range = (min(strikes), max(strikes))
+    failed = Prediction(price=None, status=PredictStatus.FAILED)
 
     records: list[PricingError] = []
-    for q in test:
-        prediction = (Prediction(price=None, status=PredictStatus.FAILED) if estimator is None
-                      else predict(estimator, q.strike, q.tau))
-        est_price = prediction.price
-        records.append(
-            PricingError(
-                date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
-                true_price=q.mid, est_price=est_price,
-                rel_error=None if est_price is None else abs(1.0 - est_price / q.mid),
-                status=prediction_status(prediction),
+    for label in labels:
+        try:
+            estimator = training.fit(label, lib_strike_range)
+        except ESTIMATOR_ERRORS:
+            estimator = None
+        for q in (quotes[i] for i in split.test):
+            prediction = (failed if estimator is None or q.tau <= 0.0
+                          else predict(estimator, q.strike, q.tau))
+            est_price = prediction.price
+            records.append(
+                PricingError(
+                    date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
+                    true_price=q.mid, est_price=est_price,
+                    rel_error=None if est_price is None else abs(1.0 - est_price / q.mid),
+                    status=prediction_status(prediction),
+                )
             )
-        )
     return records
 
 
@@ -233,16 +237,7 @@ def _evaluate_one_day(args) -> list[PricingError]:
     if len(day) < 2:
         return []
     split = split_day(len(day), day.env.date, config.master_seed, config.fraction)
-    strikes = [q.strike for q in day.quotes]
-    lib_range = (min(strikes), max(strikes))
-    train = [day.quotes[i] for i in split.train]
-    labels = config.resolved_labels()
-    training = TrainingSet(config.kind, train, day.env, curve,
-                           None if vols is None else vols[list(split.train)], labels)
-    records: list[PricingError] = []
-    for label in labels:
-        records.extend(evaluate_day(label, day, split, curve, lib_range, training))
-    return records
+    return evaluate_day(config.resolved_labels(), day, split, curve, vols)
 
 
 @dataclass
@@ -336,11 +331,11 @@ def cross_date_report(
     return matches
 
 
-def _lookup(table: dict, text: str, what: str):
+def _lookup(table: dict, text: str):
     try:
         return table[text.lower()]
     except KeyError:
-        raise ValueError(f"bad {what} {text!r}, expected one of {'/'.join(table)}") from None
+        raise ValueError(f"expected one of {'/'.join(table)}") from None
 
 
 # How the text of each config key becomes its ProtocolConfig value.
@@ -348,8 +343,8 @@ _CASTS = {
     "master_seed": int,
     "fraction": float,
     "labels": lambda t: tuple(s.strip().upper() for s in t.split(",") if s.strip()),
-    "kind": lambda t: _lookup({"put": OptionKind.PUT, "call": OptionKind.CALL}, t, "kind"),
-    "trim": lambda t: _lookup(_BOOLEANS, t, "boolean"),
+    "kind": lambda t: _lookup({"put": OptionKind.PUT, "call": OptionKind.CALL}, t),
+    "trim": lambda t: _lookup(_BOOLEANS, t),
     "min_ttm_days": int,
     "min_volume": int,
     "max_iv": float,
@@ -377,12 +372,16 @@ def read_config(path: str | Path) -> dict[str, str]:
 def apply_config(settings: dict[str, str], base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
     """base with each {key: text} setting cast by _CASTS, the same way for a
     config file's line and a command-line flag: kind is put or call, trim
-    true/false, 1/0 or yes/no, and labels and partitions comma lists."""
+    true/false, 1/0 or yes/no, and labels and partitions comma lists. A
+    text that does not cast raises ValueError naming its key."""
     updates: dict = {}
     for key, text in settings.items():
         if key not in _CASTS:
             raise ValueError(f"unknown config key {key!r}")
-        updates[key] = _CASTS[key](text)
+        try:
+            updates[key] = _CASTS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"bad {key} {text!r}: {exc}") from None
     return dataclasses.replace(base, **updates)
 
 

@@ -221,6 +221,25 @@ def test_evaluate_flags_parse_like_config_keys(tmp_path, capsys, monkeypatch,
         assert from_flags == expected
 
 
+# A setting whose text does not cast, given as a flag or as a file line.
+@pytest.mark.parametrize("flags, line, fragment", [
+    (("--workers", "two"), None, "bad workers 'two'"),
+    (("--fraction", "x"), None, "bad fraction 'x'"),
+    ((), "fraction = x", "bad fraction 'x'"),
+    ((), "min_volume = 1.5", "bad min_volume '1.5'"),
+])
+def test_a_setting_that_does_not_cast_names_its_key(tmp_path, capsys, flags, line, fragment):
+    source = synth_into(capsys, tmp_path)
+    argv = ["evaluate", "--input", source, "--output-dir", tmp_path / "reports", *flags]
+    if line is not None:
+        (tmp_path / "protocol.cfg").write_text(line + "\n")
+        argv += ["--config", tmp_path / "protocol.cfg"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_seed_precedence_is_env_then_flag_then_file_then_default(tmp_path, capsys,
                                                                  monkeypatch):
     source = synth_into(capsys, tmp_path)
@@ -236,6 +255,27 @@ def test_seed_precedence_is_env_then_flag_then_file_then_default(tmp_path, capsy
     monkeypatch.setenv("PRICELAB_SEED", "9")
     assert seed("--config", config, "--seed", 8) == 9
     assert seed() == 9
+
+
+def test_evaluate_records_puts_expiring_today_as_failed(tmp_path, capsys):
+    # With min_ttm_days = 0, puts expiring on the quote date reach the
+    # protocol; a held-out one used to stop evaluate with "tau must be
+    # positive" instead of being recorded FAILED.
+    source = synth_into(capsys, tmp_path)
+    [day] = load_chains(source)
+    put = next(q for q in day.quotes if q.kind is OptionKind.PUT)
+    expiring = tuple(dataclasses.replace(put, strike=k, expiry=day.env.date, ttm_days=0,
+                                         bid=k - 100.0, ask=k - 100.0 + 0.1)
+                     for k in range(101, 121))
+    save_chains([DailyChain(day.env, day.quotes + expiring)], source)
+    (tmp_path / "protocol.cfg").write_text("min_ttm_days = 0\nlabels = LI,NW\n")
+    code, _, err = run(capsys, "evaluate", "--input", source, "--output-dir", tmp_path / "reports",
+                       "--config", tmp_path / "protocol.cfg")
+    assert code == 0, err
+    for label in ("LI", "NW"):
+        count = {part: read_report_csv(tmp_path / "reports" / f"report_{label}_{part}.csv").count
+                 for part in ("all", "hull", "nohull")}
+        assert count["all"] > count["hull"] + count["nohull"]
 
 
 def test_calibrate_vg_recovers_parameters(tmp_path, capsys):
@@ -386,6 +426,21 @@ def test_bad_arguments_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", "chains.csv"],
+    ["audit", "--input", "chains.csv"],
+    ["calibrate-vg", "--input", "chains.csv"],
+    ["price", "--input", "chains.csv", "--label", "LI", "--queries", "queries.csv"],
+    ["report", "--input", "reports"],
+], ids=lambda argv: argv[0])
+def test_only_synth_and_evaluate_take_a_seed(capsys, argv):
+    # These never read a seed, so argparse rejects one rather than ignore it.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_price_fits_on_the_prepared_day(tmp_path, capsys):
     # One put quoted at zero: evaluate's day preparation drops it, and so
     # must price, or it fits a day that evaluate never scores.
@@ -435,7 +490,7 @@ def test_price_statuses_match_evaluate_day(tmp_path, capsys):
         assert code == 0, err
         with (tmp_path / "prices.csv").open(newline="") as handle:
             rows = [(row["status"], row["price"]) for row in csv.DictReader(handle)]
-        records = evaluate_day(EstimatorLabel(label), scored, split, curve)
+        records = evaluate_day([EstimatorLabel(label)], scored, split, curve)
         assert rows == [(r.status.value, "" if r.est_price is None else repr(r.est_price))
                         for r in records]
         seen.update(status for status, _ in rows)

@@ -142,7 +142,7 @@ def test_prepare_day_hands_over_the_vols_of_the_quotes_it_keeps(noisy_days, kind
         train = [day.quotes[i] for i in split.train]
         training = TrainingSet(kind, train, day.env, curve, vols[list(split.train)])
         for label in ("BS", "BSNW"):
-            shared = fit(label, kind, train, day.env, curve, training=training)
+            shared = training.fit(label)
             alone = fit(label, kind, train, day.env, curve)
             assert shared.meta["dropped_noninvertible"] == alone.meta["dropped_noninvertible"] == 0
 
@@ -157,7 +157,7 @@ def test_evaluate_day_records(bs_days):
     config = ProtocolConfig()
     day, curve, _ = prepare_day(bs_days[0], config)
     split = split_day(len(day), day.env.date)
-    records = evaluate_day("BS", day, split, curve)
+    records = evaluate_day(["BS"], day, split, curve)
     assert len(records) == len(split.test)
     assert {r.label for r in records} == {"BS"}
     priced = [r for r in records if r.status is ErrorStatus.PRICED]
@@ -176,10 +176,10 @@ def test_evaluate_day_rejects_bad_inputs(bs_days):
     config = ProtocolConfig()
     day, _, _ = prepare_day(bs_days[0], config)
     with pytest.raises(ValueError):
-        evaluate_day("LI", day, split_day(200, day.env.date))
+        evaluate_day(["LI"], day, split_day(200, day.env.date))
     mixed_split = split_day(len(bs_days[0]), DAY)
     with pytest.raises(ValueError):
-        evaluate_day("LI", bs_days[0], mixed_split)
+        evaluate_day(["LI"], bs_days[0], mixed_split)
 
 
 def test_evaluate_day_marks_whole_day_failed_on_fit_error():
@@ -189,7 +189,7 @@ def test_evaluate_day_marks_whole_day_failed_on_fit_error():
     )
     day = DailyChain(env, quotes)
     split = split_day(3, DAY)
-    records = evaluate_day("LI", day, split)  # 2 training quotes, LI needs 3
+    records = evaluate_day(["LI"], day, split)  # 2 training quotes, LI needs 3
     assert len(records) == 1
     assert records[0].status is ErrorStatus.FAILED
     assert records[0].est_price is None
@@ -208,9 +208,27 @@ def test_evaluate_day_vg_prices_with_a_one_day_put_in_training():
         for strike, days in terms
     )
     split = DaySplit(date=DAY, train=(0, 1, 2, 3), test=(4,), seed=0)
-    [record] = evaluate_day("VG", DailyChain(env, quotes), split)
+    [record] = evaluate_day(["VG"], DailyChain(env, quotes), split)
     assert record.status is ErrorStatus.EXTRAPOLATED
     assert record.rel_error < 1e-6
+
+
+def test_an_expiring_test_quote_is_recorded_failed():
+    # min_ttm_days = 0 lets puts expiring today into a prepared day. No
+    # estimator prices at tau 0, so their records are FAILED for every
+    # label, and the other held-out put gets the record it gets without them.
+    [chain] = synth_chain("bs")
+    puts = chain.of_kind(PUT).quotes
+    expiring = tuple(make_quote(PUT, k, 0, k - 100.0 + 0.05) for k in (105.0, 110.0))
+    train, n = tuple(range(1, len(puts))), len(puts)
+    records = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts + expiring),
+                           DaySplit(DAY, train, (0, n, n + 1), seed=0))
+    alone = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts),
+                         DaySplit(DAY, train, (0,), seed=0))
+    assert records[::3] == alone
+    held = [r for i, r in enumerate(records) if i % 3]
+    assert len(held) == 2 * len(NON_VG_LABELS)
+    assert all(r.status is ErrorStatus.FAILED and r.tau == 0.0 for r in held)
 
 
 @pytest.mark.parametrize("trim", [False, True])
@@ -419,7 +437,7 @@ def test_load_config_partial_keeps_base(tmp_path):
         ("master_seed 7\n", "key=value"),
         ("unknown_key=3\n", "unknown config key"),
         ("kind=straddle\n", "bad kind"),
-        ("trim = ture\n", "bad boolean"),
+        ("trim = ture\n", "bad trim 'ture'"),
         ("labels = LI,XX\n", "'XX' is not a valid EstimatorLabel"),
         ("fraction = 2\n", "fraction must be in"),
         ("partitions = all,bogus\n", "unknown partition 'bogus'"),

@@ -87,10 +87,11 @@ def queries(quotes, spot):
 
 def outcome(label, quotes, env, curve, lib_range, grid, training=None):
     """The fit's meta and each query's prediction, prices as hex; or the
-    class and message of the fit's failure."""
+    class and message of the fit's failure. The label is fitted on the
+    training set when one is given, else by fit alone."""
     try:
-        estimator = fit(label, PUT, quotes, env, curve=curve, lib_strike_range=lib_range,
-                        training=training)
+        estimator = (fit(label, PUT, quotes, env, curve=curve, lib_strike_range=lib_range)
+                     if training is None else training.fit(label, lib_range))
     except ESTIMATOR_ERRORS as exc:
         return type(exc), str(exc)
     predictions = [predict(estimator, k, t) for k, t in grid]
@@ -143,32 +144,20 @@ def test_a_shared_fit_equals_a_standalone_fit_bit_for_bit(case):
         assert alone[EstimatorLabel.LI][0]["n_train"] == len(quotes)
 
 
-def test_fit_rejects_a_training_set_of_another_day():
+def test_a_training_set_keeps_its_kind_and_checks_its_vols():
     env, quotes, curve = puts_day()
-    training = TrainingSet(PUT, quotes, env, curve)
-    with pytest.raises(ValueError):
-        fit("LI", PUT, quotes, replace(env, spot=env.spot + 1.0), curve=curve, training=training)
-    with pytest.raises(ValueError):
-        fit("LI", OptionKind.CALL, quotes, env, curve=curve, training=training)
-    # A training set of other quotes: fitting it would fit quotes not passed.
-    with pytest.raises(ValueError):
-        fit("LI", PUT, quotes[:6], env, training=TrainingSet(PUT, quotes, env, None))
-    with pytest.raises(ValueError):
-        fit("LI", PUT, quotes[:6], env, curve=curve, training=training)
-    # Quotes that the set drops by kind or tau still match it.
+    # Quotes of another kind are left out of the set, and so out of its fits.
     calls = [replace(q, kind=OptionKind.CALL) for q in quotes[:3]]
-    assert fit("LI", PUT, quotes + calls, env, curve=curve,
-               training=training).meta["n_train"] == len(quotes)
+    assert TrainingSet(PUT, quotes + calls, env, curve).fit("LI").meta["n_train"] == len(quotes)
+    assert fit("LI", PUT, quotes + calls, env, curve).meta["n_train"] == len(quotes)
     with pytest.raises(ValueError):
         TrainingSet(PUT, quotes, env, curve, np.zeros(len(quotes) + 1))
-    # The protocol raises too, rather than recording the day FAILED.
+    # The protocol raises too, rather than recording the day FAILED, though
+    # the training side's slice of the vols would have the right length.
     day = DailyChain(env, tuple(quotes))
     split = split_day(len(quotes), env.date)
     with pytest.raises(ValueError):
-        evaluate_day("LI", day, split, None, training=training)
-    # A set of the whole day does not match the split's training side.
-    with pytest.raises(ValueError):
-        evaluate_day("LI", day, split, curve, training=training)
+        evaluate_day(["LI"], day, split, curve, np.zeros(len(quotes) + 1))
 
 
 @pytest.fixture
