@@ -60,7 +60,6 @@ from .market_data import (
     filter_liquidity,
     load_chains,
     save_chains,
-    trim,
 )
 from .parity import (
     DividendCurve,
@@ -71,6 +70,7 @@ from .parity import (
     classify_moneyness,
     estimate_dividend_curve,
     forward_price,
+    historical_curve,
     implied_dividend,
     itm_parity_audit,
     parity_price,

@@ -391,29 +391,19 @@ def implied_vol(
     return vol
 
 
-def fill_implied_vols(
-    chain: DailyChain, dividend: float | Callable[[float], float] | None = None
-) -> tuple[np.ndarray, int]:
+def fill_implied_vols(chain: DailyChain, dividend: Callable[[float], float]) -> tuple[np.ndarray, int]:
     """Implied vols of the chain's quotes, one per quote in quote order.
 
-    dividend may be a flat yield, a callable tau -> yield (a dividend
-    curve), or None to use the chain's historical estimate; a callable
-    is evaluated once per distinct positive tau. The vol is NaN where a
-    quote cannot be inverted (zero time to expiry, price at or outside
-    the band); the second return value counts those quotes.
+    dividend maps tau to the dividend yield (a parity.DividendCurve is
+    one; pass lambda tau: q for a flat yield), and is evaluated once per
+    distinct positive tau. The vol is NaN where a quote cannot be
+    inverted (zero time to expiry, price at or outside the band); the
+    second return value counts those quotes.
     """
     env = chain.env
-    if dividend is None:
-        div_at: Callable[[float], float] = lambda tau: env.div_hist
-    elif callable(dividend):
-        div_at = dividend
-    else:
-        flat = float(dividend)
-        div_at = lambda tau: flat
-
     quotes = chain.quotes
     taus = [q.tau for q in quotes]
-    by_tau = {tau: div_at(tau) for tau in set(taus) if tau > 0.0}
+    by_tau = {tau: dividend(tau) for tau in set(taus) if tau > 0.0}
     vols = implied_vols(
         [q.kind for q in quotes],
         [q.mid for q in quotes],

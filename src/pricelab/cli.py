@@ -43,12 +43,17 @@ def _master_seed(args: argparse.Namespace) -> str | None:
     """PRICELAB_SEED when set, else --seed, as text: None when neither is."""
     env = os.environ.get(_ENV_SEED)
     if env is not None:
-        try:
-            int(env)
-        except ValueError:
-            raise ValueError(f"{_ENV_SEED} must be an integer, got {env!r}") from None
+        _cast(_ENV_SEED, int, env)
         return env
     return args.seed
+
+
+def _cast(name: str, cast, text: str):
+    """cast(text), or a ValueError naming the flag or variable and its text."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"bad {name} {text!r}: {exc}") from None
 
 
 def _load_input(path: str) -> list[market_data.DailyChain]:
@@ -59,7 +64,7 @@ def _load_input(path: str) -> list[market_data.DailyChain]:
 
 def _single_day(chains, date_text: str | None):
     if date_text:
-        wanted = dt.date.fromisoformat(date_text)
+        wanted = _cast("--date", dt.date.fromisoformat, date_text)
         for chain in chains:
             if chain.env.date == wanted:
                 return chain
@@ -95,11 +100,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         theta=args.theta,
         alpha=args.alpha,
-        maturities_days=tuple(int(d) for d in args.maturities.split(",")),
-        start_date=dt.date.fromisoformat(args.start_date),
+        maturities_days=_cast("--maturities", lambda t: tuple(map(int, t.split(","))), args.maturities),
+        start_date=_cast("--start-date", dt.date.fromisoformat, args.start_date),
         n_days=args.days,
         noise=args.noise,
-        seed=DEFAULT_MASTER_SEED if seed is None else int(seed),
+        seed=DEFAULT_MASTER_SEED if seed is None else _cast("--seed", int, seed),
     )
     out = _out_dir(args) / "chains.csv"
     save_chains(chains, out)

@@ -53,7 +53,7 @@ from .kernel import (
     silverman_bandwidths,
 )
 from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
-from .parity import DividendCurve
+from .parity import DividendCurve, historical_curve
 from .reporting import ErrorStatus
 from .surface import OUTSIDE_HULL, NormalizedGeometry, augment_zero_maturity
 from .variance_gamma import vg_calibrate, vg_price_quadrature
@@ -118,15 +118,15 @@ class TrainingSet:
     every label's fit on them shares.
 
     strikes, taus and mids hold the quotes of the kind at tau >= 0, in the
-    order given. vols, when passed, holds one implied vol per quote passed
-    (NaN where none exists) under the curve's dividends, as
-    fill_implied_vols gives them; otherwise they are inverted on first
-    use. geometry(mask) triangulates a subset of the points on first use
-    and hands the same geometry to every later fit on that subset;
-    cv_grid(mask, target) does the same for the LOO-CV grid. labels are
-    the labels the day will fit, which tell cv_grid whether both CV
-    targets will be searched. A TrainingSet lives for one day's fits:
-    fit(label) fits each of them on it.
+    order given. curve is the day's dividend curve, historical_curve(env)
+    when None. vols, when passed, holds one implied vol per quote passed
+    (NaN where none exists) under it, as fill_implied_vols gives them;
+    otherwise they are inverted on first use. geometry(mask) triangulates
+    a subset of the points on first use and hands the same geometry to
+    every later fit on that subset; cv_grid(mask, target) does the same
+    for the LOO-CV grid. labels are the labels the day will fit, which
+    tell cv_grid whether both CV targets will be searched. A TrainingSet
+    lives for one day's fits: fit(label) fits each of them on it.
     """
 
     def __init__(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
@@ -135,7 +135,8 @@ class TrainingSet:
         keep = [q.kind == kind and q.tau >= 0.0 for q in quotes]
         if vols is not None and len(vols) != len(keep):
             raise ValueError(f"{len(vols)} vols for {len(keep)} quotes")
-        self.kind, self.env, self.curve = kind, env, curve
+        self.kind, self.env = kind, env
+        self.curve = historical_curve(env) if curve is None else curve
         self.quotes = tuple(q for q, kept in zip(quotes, keep) if kept)
         self.strikes = np.array([q.strike for q in self.quotes])
         self.taus = np.array([q.tau for q in self.quotes])
@@ -197,21 +198,19 @@ class TrainingSet:
             lib_strike_range: tuple[float, float] | None = None) -> PricingEstimator:
         """Fit one estimator to these quotes.
 
-        The curve supplies the dividend yield by maturity for the
-        implied-vol routes, falling back to env.div_hist when absent.
-        lib_strike_range widens the fictitious-strike span for LIB beyond
-        the training quotes (pass the full day's range when the quotes are
-        a training subset).
+        The set's curve supplies the dividend yield by maturity for the
+        implied-vol routes and VG. lib_strike_range widens the
+        fictitious-strike span for LIB beyond the training quotes (pass the
+        full day's range when the quotes are a training subset).
 
         Raises InsufficientData when too few usable quotes remain for the
         label, and propagates calibration or geometry failures.
         """
         label = EstimatorLabel(label)
-        kind, env, curve = self.kind, self.env, self.curve
-        dividend_at = curve.value_at if curve is not None else lambda tau: env.div_hist
+        kind, env, dividend_at = self.kind, self.env, self.curve.value_at
         meta: dict = {"n_train": len(self.quotes)}
         if label is EstimatorLabel.VG:
-            return _fit_vg(self, dividend_at, meta)
+            return _fit_vg(self, meta)
 
         target, smoother = _RECIPES[label]
         usable = self.usable(target, smoother.positive_tau)
@@ -309,15 +308,14 @@ def fit(
     return TrainingSet(kind, quotes, env, curve).fit(label, lib_strike_range)
 
 
-def _fit_vg(training: TrainingSet, dividend_at: Callable[[float], float],
-            meta: dict) -> PricingEstimator:
+def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:
     kind, env = training.kind, training.env
     pricable = (training.taus > 0.0) & (training.mids > 0.0)
     strikes, taus = training.strikes[pricable].tolist(), training.taus[pricable].tolist()
     _require(strikes, EstimatorLabel.VG, 3)
     hull_fn = training.geometry(pricable).in_domain
     triples = list(zip(strikes, taus, training.mids[pricable].tolist()))
-    dividend = dividend_at(float(np.median(taus)))
+    dividend = training.curve.value_at(float(np.median(taus)))
     params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend)
     meta.update(params=(params.theta, params.sigma, params.alpha), objective=objective,
                 dividend=dividend)

@@ -43,7 +43,7 @@ from .market_data import (
     filter_liquidity,
     trim_mask,
 )
-from .parity import DividendCurve, estimate_dividend_curve
+from .parity import DividendCurve, estimate_dividend_curve, historical_curve
 from .reporting import PARTITIONS, ErrorReport, PricingError, aggregate, write_report_csv
 
 DEFAULT_MASTER_SEED = 20120103
@@ -146,22 +146,22 @@ class ProtocolConfig:
 
 def prepare_day(
     chain: DailyChain, config: ProtocolConfig
-) -> tuple[DailyChain, DividendCurve | None, np.ndarray | None]:
+) -> tuple[DailyChain, DividendCurve, np.ndarray | None]:
     """Shape one raw day for evaluation.
 
     Applies the liquidity filter, estimates the dividend curve from the
-    filtered chain (both kinds; None when no ATM pairs exist), keeps the
-    requested kind, optionally inverts its vols and trims, then keeps the
-    positive-mid quotes. The returned chain is exactly what split indices
-    refer to. With the trim on, the vols it inverted come back too, one
-    per returned quote (none is NaN, the trim drops those); without it
-    the vols are None.
+    filtered chain (both kinds; historical_curve when no ATM pairs exist),
+    keeps the requested kind, optionally inverts its vols and trims, then
+    keeps the positive-mid quotes. The returned chain is exactly what
+    split indices refer to. With the trim on, the vols it inverted come
+    back too, one per returned quote (none is NaN, the trim drops those);
+    without it the vols are None.
     """
     liquid = filter_liquidity(chain, config.min_ttm_days, config.min_volume)
     try:
         curve = estimate_dividend_curve(liquid)
     except NoAtmPairs:
-        curve = None
+        curve = historical_curve(liquid.env)
     day = liquid.of_kind(config.kind)
     keep = np.array([q.mid > 0.0 for q in day.quotes], dtype=bool)
     vols = None

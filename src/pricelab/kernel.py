@@ -359,9 +359,3 @@ def loo_cv_bandwidths(points, values,
         return Bandwidths(*refined)
     return Bandwidths(*grid.best)
 
-
-def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
-    """The CV objective at given bandwidths, for comparing selectors."""
-    points = np.asarray(points, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return _cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)

@@ -86,8 +86,8 @@ class OptionQuote:
 @dataclass(frozen=True)
 class MarketEnv:
     """Per-day market environment: spot, flat short rate, and the
-    historical dividend-yield estimate used as a fallback when no
-    option-implied dividend curve is available."""
+    historical dividend-yield estimate, which parity.historical_curve
+    turns into the day's curve when no option-implied one is available."""
 
     date: dt.date
     spot: float
@@ -287,29 +287,15 @@ def filter_liquidity(
     return DailyChain(chain.env, kept)
 
 
-def trim(
-    chain: DailyChain,
-    vols: np.ndarray,
-    max_iv: float = DEFAULT_MAX_IV,
-    min_price: float = DEFAULT_MIN_PRICE,
-) -> DailyChain:
-    """Drop cheap quotes and extreme-vol quotes (inclusive retention bounds).
-
-    vols holds one implied vol per quote, in quote order, as
-    black_scholes.fill_implied_vols returns them. Quotes whose vol is NaN
-    (not invertible, counted there) are dropped here.
-    """
-    keep = trim_mask(chain, vols, max_iv, min_price)
-    return DailyChain(chain.env, tuple(q for q, kept in zip(chain.quotes, keep.tolist()) if kept))
-
-
 def trim_mask(
     chain: DailyChain,
     vols: np.ndarray,
     max_iv: float = DEFAULT_MAX_IV,
     min_price: float = DEFAULT_MIN_PRICE,
 ) -> np.ndarray:
-    """True for each quote that trim keeps, in quote order."""
+    """True for each quote the trim keeps, in quote order: mid at least
+    min_price and vol (one per quote, as fill_implied_vols returns them) at
+    most max_iv. A quote whose vol is NaN (not invertible) is not kept."""
     vols = np.asarray(vols, dtype=float)
     if vols.shape != (len(chain.quotes),):
         raise ValueError(f"{vols.size} vols for {len(chain.quotes)} quotes")

@@ -202,6 +202,12 @@ def estimate_dividend_curve(chain: DailyChain) -> DividendCurve:
     return DividendCurve([t for t, _ in knots], [q for _, q in knots])
 
 
+def historical_curve(env: MarketEnv) -> DividendCurve:
+    """The flat curve at env.div_hist, for a day without ATM pairs: one
+    knot, so value_at returns div_hist exactly at every tau."""
+    return DividendCurve([0.0], [env.div_hist])
+
+
 def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[PricingError], int]:
     """Per-quote parity audit records plus the skipped-ITM count."""
     mids: dict[tuple, float] = {}

@@ -72,9 +72,7 @@ class ErrorReport:
     extra: dict[str, float] = field(default_factory=dict)
 
 
-PartitionFn = Callable[[PricingError], bool]
-
-PARTITIONS: dict[str, PartitionFn] = {
+PARTITIONS: dict[str, Callable[[PricingError], bool]] = {
     "all": lambda e: True,
     "hull": lambda e: e.status is ErrorStatus.PRICED,
     "nohull": lambda e: e.status in (ErrorStatus.OUTSIDE_HULL, ErrorStatus.EXTRAPOLATED),
@@ -82,29 +80,21 @@ PARTITIONS: dict[str, PartitionFn] = {
 }
 
 
-def resolve_partition(partition: str | PartitionFn) -> tuple[str, PartitionFn]:
-    if callable(partition):
-        return getattr(partition, "__name__", "custom"), partition
-    try:
-        return partition, PARTITIONS[partition]
-    except KeyError:
-        raise ValueError(f"unknown partition {partition!r}, expected one of {sorted(PARTITIONS)}") from None
-
-
 def aggregate(
     errors: Iterable[PricingError],
-    partition: str | PartitionFn = "all",
+    partition: str = "all",
     label: str | None = None,
     extra: dict[str, float] | None = None,
 ) -> ErrorReport:
-    """Summarize the records passing the partition predicate.
+    """Summarize the records in the partition named by a PARTITIONS key.
 
     Statistics use the errors expressed in percent; std is the n-1
     sample deviation. An empty partition yields count 0 and all-None
-    statistics, never an exception.
+    statistics, never an exception; an unknown name raises ValueError.
     """
-    name, predicate = resolve_partition(partition)
-    records = [e for e in errors if predicate(e)]
+    if partition not in PARTITIONS:
+        raise ValueError(f"unknown partition {partition!r}, expected one of {sorted(PARTITIONS)}")
+    records = [e for e in errors if PARTITIONS[partition](e)]
     sample = np.array([e.rel_error for e in records if e.rel_error is not None], dtype=float)
     sample *= 100.0
 
@@ -114,14 +104,14 @@ def aggregate(
 
     if sample.size == 0:
         return ErrorReport(
-            label=label, partition=name, count=len(records), n_errors=0,
+            label=label, partition=partition, count=len(records), n_errors=0,
             mean=None, std=None, median=None, min=None, max=None,
             cdf={t: float("nan") for t in CDF_THRESHOLDS}, extra=dict(extra or {}),
         )
 
     return ErrorReport(
         label=label,
-        partition=name,
+        partition=partition,
         count=len(records),
         n_errors=int(sample.size),
         mean=float(np.mean(sample)),

@@ -10,7 +10,9 @@ oracle independent of the package's log-clock trapezoid rule.
 nw_estimate and _cv_objective are the kernel module's straightforward
 forms: every weight from np.exp, the weight sum from logsumexp, and the
 CV matrix built whole for each evaluation. The package's forms must
-match them bit for bit.
+match them bit for bit. cv_objective_at is not an oracle: it evaluates
+the package's own kernel._cv_objective at given bandwidths, so tests can
+compare the bandwidths two selectors chose.
 
 merge_duplicates(points, values) is the surface module's former merge,
 one np.all per point and one mask per group, on an (n, 2) array of points
@@ -52,7 +54,8 @@ from pricelab.black_scholes import (
     vega,
 )
 from pricelab.errors import DegenerateGeometry, NoArbitrageViolation, NoConvergence, NumericalUnderflow
-from pricelab.kernel import NwModel
+from pricelab.kernel import Bandwidths, NwModel
+from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import OptionKind
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
@@ -188,6 +191,15 @@ def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.n
     with np.errstate(over="ignore"):
         ratios = 1.0 - predictions / values[keep]
         return float(np.sum(ratios * ratios))
+
+
+def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
+    """The package's LOO-CV objective at given bandwidths, for comparing
+    selectors. It wraps kernel._cv_objective itself, so it is a
+    convenience, not an independent oracle: _cv_objective above is that."""
+    points = np.asarray(points, dtype=float)
+    values = np.asarray(values, dtype=float)
+    return _package_cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)
 
 
 def implied_vol_brentq(

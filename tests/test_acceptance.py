@@ -14,7 +14,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from oracles import gamma_expectation
+from oracles import cv_objective_at, gamma_expectation
 from pricelab.black_scholes import (
     BsInputs,
     bs_price,
@@ -26,7 +26,6 @@ from pricelab.harness import ProtocolConfig, run_protocol
 from pricelab.kernel import (
     Bandwidths,
     NwModel,
-    cv_objective_at,
     loo_cv_bandwidths,
     nw_estimate,
     silverman_bandwidths,

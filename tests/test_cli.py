@@ -240,6 +240,26 @@ def test_a_setting_that_does_not_cast_names_its_key(tmp_path, capsys, flags, lin
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("command, flags, fragment", [
+    ("synth", ("--seed", "banana"), "bad --seed 'banana': invalid literal"),
+    ("synth", ("--maturities", "30,x"), "bad --maturities '30,x': invalid literal"),
+    ("synth", ("--start-date", "2012-13-01"), "bad --start-date '2012-13-01': month"),
+    ("price", ("--date", "2012-13-01"), "bad --date '2012-13-01': month"),
+    ("calibrate-vg", ("--date", "banana"), "bad --date 'banana': Invalid isoformat"),
+])
+def test_a_flag_that_does_not_cast_names_itself(tmp_path, capsys, command, flags, fragment):
+    argv = [command, "--output-dir", tmp_path / "out", *flags]
+    if command != "synth":
+        argv += ["--input", synth_into(capsys, tmp_path)]
+    if command == "price":
+        (tmp_path / "queries.csv").write_text("strike,tau\n100.0,0.5\n")
+        argv += ["--label", "BS", "--queries", tmp_path / "queries.csv"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert fragment in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_precedence_is_env_then_flag_then_file_then_default(tmp_path, capsys,
                                                                  monkeypatch):
     source = synth_into(capsys, tmp_path)

@@ -1,13 +1,14 @@
 """Protocol plumbing: splits, day preparation, evaluation records,
 multi-day runs, cross-date matching, and config files."""
 
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 from pricelab.black_scholes import fill_implied_vols
-from pricelab.estimators import TrainingSet, fit
+from pricelab.estimators import TrainingSet, fit, predict, prediction_status
 from pricelab.harness import (
     DEFAULT_MASTER_SEED,
     DaySplit,
@@ -26,10 +27,10 @@ from pricelab.market_data import (
     OptionKind,
     OptionQuote,
     filter_liquidity,
-    trim,
+    trim_mask,
 )
-from pricelab.parity import estimate_dividend_curve
-from pricelab.reporting import ErrorStatus
+from pricelab.parity import estimate_dividend_curve, historical_curve
+from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.synth import synth_chain
 from pricelab.variance_gamma import VgParams, vg_price_quadrature
 
@@ -121,8 +122,9 @@ def test_prepare_day_trims_the_kind_as_a_trim_of_both_kinds_would(noisy_days, ki
         curve = estimate_dividend_curve(liquid)
         vols, _ = fill_implied_vols(liquid, curve)
         assert np.isnan(vols[[q.kind is kind for q in liquid.quotes]]).any()
-        both = trim(liquid, vols)
-        expected = tuple(q for q in both.quotes if q.kind is kind and q.mid > 0.0)
+        kept = trim_mask(liquid, vols).tolist()
+        expected = tuple(q for q, k in zip(liquid.quotes, kept)
+                         if k and q.kind is kind and q.mid > 0.0)
         day, day_curve, _ = prepare_day(chain, config)
         assert day == DailyChain(chain.env, expected)
         assert day_curve.taus.tolist() == curve.taus.tolist()
@@ -145,6 +147,52 @@ def test_prepare_day_hands_over_the_vols_of_the_quotes_it_keeps(noisy_days, kind
             shared = training.fit(label)
             alone = fit(label, kind, train, day.env, curve)
             assert shared.meta["dropped_noninvertible"] == alone.meta["dropped_noninvertible"] == 0
+
+
+@pytest.fixture(scope="module")
+def calls_day():
+    """A noisy day of VG calls alone, so it has no ATM call/put pair, with
+    a div_hist of 3% against the 1% that priced it, so the fallback shows
+    in every BS-family and VG price. The trim drops 7 of its 52 calls."""
+    chain = synth_chain("vg", theta=0.0, sigma=0.3, alpha=3.0,
+                        strikes=[float(k) for k in np.arange(80.0, 141.0, 5.0)],
+                        maturities_days=(30, 91, 182, 365), noise=0.01, seed=3)[0]
+    calls = tuple(q for q in chain.quotes if q.kind is CALL)
+    return DailyChain(replace(chain.env, div_hist=0.03), calls)
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_prepare_day_without_atm_pairs_returns_the_historical_curve(calls_day, trim):
+    _, curve, _ = prepare_day(calls_day, ProtocolConfig(kind=CALL, trim=trim))
+    assert curve.taus.tolist() == [0.0]
+    assert curve.yields.tolist() == [0.03]
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_run_protocol_without_atm_pairs_prices_on_the_historical_curve(calls_day, trim):
+    labels = ("BS", "BSNW", "VG")
+    result = run_protocol([calls_day], ProtocolConfig(labels=labels, kind=CALL, trim=trim))
+    # The same day by hand, each label fitted on an explicit historical curve.
+    env, curve = calls_day.env, historical_curve(calls_day.env)
+    quotes = filter_liquidity(calls_day).quotes
+    if trim:
+        vols, _ = fill_implied_vols(DailyChain(env, quotes), curve)
+        kept = trim_mask(DailyChain(env, quotes), vols).tolist()
+        quotes = tuple(q for q, k in zip(quotes, kept) if k)
+    assert trim == (len(quotes) == 45)
+    split = split_day(len(quotes), env.date)
+    strikes = [q.strike for q in quotes]
+    expected = []
+    for label in labels:
+        estimator = fit(label, CALL, [quotes[i] for i in split.train], env, curve,
+                        (min(strikes), max(strikes)))
+        for q in (quotes[i] for i in split.test):
+            prediction = predict(estimator, q.strike, q.tau)
+            assert prediction.price is not None
+            expected.append(PricingError(env.date, label, q.strike, q.tau, q.mid,
+                                         prediction.price, abs(1.0 - prediction.price / q.mid),
+                                         prediction_status(prediction)))
+    assert result.errors == expected
 
 
 def test_prepare_day_liquidity_filter(bs_days):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import cv_objective_at
 from pricelab.errors import DegenerateDispersion, NumericalUnderflow
 from pricelab.kernel import (
     Bandwidths,
@@ -17,7 +18,6 @@ from pricelab.kernel import (
     _cv_objective,
     _cv_objectives,
     _exp,
-    cv_objective_at,
     loo_cv_bandwidths,
     loo_cv_grids,
     nw_estimate,

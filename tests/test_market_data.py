@@ -17,7 +17,7 @@ from pricelab.market_data import (
     filter_liquidity,
     load_chains,
     save_chains,
-    trim,
+    trim_mask,
 )
 
 DATE = dt.date(2012, 1, 3)
@@ -180,13 +180,16 @@ def test_trim_boundaries():
         make_quote(strike=103.0),          # no vol: dropped
     )
     vols = np.array([0.3, 0.3, 0.70, 0.71, np.nan])
-    kept = trim(DailyChain(ENV, quotes), vols)
-    assert kept == DailyChain(ENV, (quotes[0], quotes[2]))
+    assert trim_mask(DailyChain(ENV, quotes), vols).tolist() == [True, False, True, False, False]
     with pytest.raises(ValueError):
-        trim(DailyChain(ENV, quotes), vols[:-1])
+        trim_mask(DailyChain(ENV, quotes), vols[:-1])
 
 
 def test_filters_idempotent_and_commute(bs_day):
+    def trim(chain, vols):
+        keep = trim_mask(chain, vols).tolist()
+        return DailyChain(chain.env, tuple(q for q, kept in zip(chain.quotes, keep) if kept))
+
     def vols(chain):
         # A vol that each quote carries with it, some of them above the cap.
         return np.array([0.2 + abs(math.log(q.strike / chain.env.spot)) for q in chain.quotes])

@@ -13,7 +13,6 @@ from pricelab.reporting import (
     aggregate,
     read_report_csv,
     render_reports,
-    resolve_partition,
     write_report_csv,
 )
 
@@ -95,18 +94,10 @@ def test_aggregate_label_inference():
     assert aggregate([record(0.01, label="BS")]).label == "BS"
 
 
-def test_resolve_partition():
-    name, fn = resolve_partition("hull")
-    assert name == "hull" and fn(record(0.01))
-    with pytest.raises(ValueError):
-        resolve_partition("bogus")
-
-    def priced_cheap(e):
-        return e.true_price < 1.0
-
-    name, fn = resolve_partition(priced_cheap)
-    assert name == "priced_cheap"
-    assert fn(record(0.01, true_price=0.5)) and not fn(record(0.01))
+def test_aggregate_rejects_an_unknown_partition():
+    assert aggregate([record(0.01)], "hull").count == 1
+    with pytest.raises(ValueError, match="unknown partition 'bogus'"):
+        aggregate([record(0.01)], "bogus")
 
 
 def test_report_csv_round_trip(tmp_path):

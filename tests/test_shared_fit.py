@@ -16,7 +16,7 @@ from pricelab.errors import NoAtmPairs
 from pricelab.estimators import ESTIMATOR_ERRORS, EstimatorLabel, TrainingSet, fit, predict
 from pricelab.harness import ProtocolConfig, evaluate_day, prepare_day, run_protocol, split_day
 from pricelab.market_data import DailyChain, OptionKind, OptionQuote, filter_liquidity
-from pricelab.parity import estimate_dividend_curve
+from pricelab.parity import estimate_dividend_curve, historical_curve
 from pricelab.synth import synth_chain
 
 PUT = OptionKind.PUT
@@ -49,7 +49,7 @@ def puts_day(**kwargs):
     try:
         curve = estimate_dividend_curve(chain)
     except NoAtmPairs:
-        curve = None
+        curve = historical_curve(chain.env)
     return chain.env, list(chain.of_kind(PUT).quotes), curve
 
 
