@@ -184,13 +184,22 @@ def _cmd_price(args: argparse.Namespace) -> int:
     # no prices.csv behind.
     queries = []
     with open(args.queries, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"strike", "tau"} <= set(reader.fieldnames):
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or not {"strike", "tau"} <= set(header):
             raise ValueError(f"query file {args.queries} needs strike,tau columns")
+        for name in ("strike", "tau"):
+            if header.count(name) > 1:
+                raise ValueError(f"{args.queries} line 1: names {name} more than once")
+        i_strike, i_tau = header.index("strike"), header.index("tau")
         for row in reader:
-            where, fields = f"{args.queries} line {reader.line_num}", (row["strike"], row["tau"])
-            if None in fields:
-                raise ValueError(f"{where}: needs both strike and tau")
+            if not row:
+                continue  # a blank line
+            where = f"{args.queries} line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: wrong number of fields; needs both strike and tau, "
+                                 f"one field per header column")
+            fields = (row[i_strike], row[i_tau])
             try:
                 strike, tau = map(float, fields)
             except ValueError:

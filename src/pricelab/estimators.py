@@ -93,13 +93,16 @@ class Prediction:
 class PricingEstimator:
     """A fitted estimator: immutable, so predictions are safe to run
     concurrently. meta records fitting diagnostics (dropped quotes,
-    coordinate conventions, selected bandwidths, fitted parameters)."""
+    coordinate conventions, selected bandwidths, fitted parameters).
+    hull_fn is the training-hull test of a label that prices outside the
+    hull; it is None for a hull-domain label, whose price_fn already
+    returns OUTSIDE_HULL there, so a price from it is inside the hull."""
 
     label: EstimatorLabel
     kind: OptionKind
     env: MarketEnv
     price_fn: Callable[[float, float], float | object] = field(repr=False)
-    hull_fn: Callable[[float, float], bool] = field(repr=False)
+    hull_fn: Callable[[float, float], bool] | None = field(repr=False)
     meta: dict = field(default_factory=dict)
 
 
@@ -253,7 +256,8 @@ class _Smoother(NamedTuple):
     quotes, all at positive tau when positive_tau is set. build(geometry,
     cv_grid, strikes, taus, values, value_scale), with geometry() giving
     the points' NormalizedGeometry and cv_grid() the LOO-CV grid of their
-    values, returns the value function, the hull test and the fit's meta
+    values, returns the value function, the hull test (None when the value
+    function answers OUTSIDE_HULL outside the hull) and the fit's meta
     entries."""
 
     min_quotes: int
@@ -263,7 +267,7 @@ class _Smoother(NamedTuple):
 
 def _li(geometry, cv_grid, strikes, taus, values, value_scale):
     surf = geometry().surface(values, value_scale)
-    return surf.value_at, surf.in_domain, {"coords": "normalized"}
+    return surf.value_at, None, {"coords": "normalized"}
 
 
 def _nw(select_bandwidths):
@@ -347,8 +351,8 @@ def predict(estimator: PricingEstimator, strike: float, tau: float) -> Predictio
     value = float(value)
     if not math.isfinite(value):
         return Prediction(price=None, status=PredictStatus.FAILED)
-    in_hull = estimator.hull_fn(strike, tau)
-    return Prediction(price=value, status=PredictStatus.PRICED, extrapolated=not in_hull)
+    extrapolated = estimator.hull_fn is not None and not estimator.hull_fn(strike, tau)
+    return Prediction(price=value, status=PredictStatus.PRICED, extrapolated=extrapolated)
 
 
 def prediction_status(prediction: Prediction) -> ErrorStatus:

@@ -356,16 +356,21 @@ _CASTS = {
 
 def read_config(path: str | Path) -> dict[str, str]:
     """The key=value lines of a config file (hash comments allowed), as
-    {key: text}; apply_config casts them."""
+    {key: text}; apply_config casts them. A key set twice raises
+    ValueError naming both lines."""
     settings: dict[str, str] = {}
-    for raw_line in Path(path).read_text().splitlines():
+    lines: dict[str, int] = {}
+    for number, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"bad config line {raw_line!r}, expected key=value")
         key, _, value = line.partition("=")
-        settings[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ValueError(f"config key {key!r} set twice, on lines {lines[key]} and {number}")
+        settings[key], lines[key] = value.strip(), number
     return settings
 
 

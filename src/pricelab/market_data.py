@@ -5,9 +5,12 @@ columns, in any order:
 
     date,kind,strike,expiry,bid,ask,volume,spot,rate,div_hist
 
-Dates are ISO (YYYY-MM-DD), kind is C or P, and the per-day market
-environment (spot, rate, div_hist) must repeat identically on every row
-of that day. An optional implied_vol column is accepted on input and
+The header names each required column exactly once and nothing else
+but the optional implied_vol column; spaces around a name are ignored.
+Every other non-blank line is a row with exactly as many fields as the
+header, and blank lines are skipped. Dates are ISO (YYYY-MM-DD), kind is
+C or P, and the per-day market environment (spot, rate, div_hist) must
+repeat identically on every row of that day. The implied_vol column is
 written back when requested, blank where the input has none. It only
 passes through: pricelab inverts its own vols and never reads it.
 """
@@ -143,48 +146,53 @@ def quote_sort_key(q: OptionQuote):
 def load_chains(path: str | Path) -> list[DailyChain]:
     """Parse a chain CSV into per-day chains, sorted by date.
 
-    Validates each row (prices, volume, date ordering) and the per-day
-    environment consistency; any violation raises ChainParseError with
-    the offending line number.
+    Checks the header once, then each row's width, fields (prices, volume,
+    date ordering) and environment against its day's first row; any
+    violation raises ChainParseError with the offending line number.
     """
-    path = Path(path)
-    days: dict[dt.date, list[OptionQuote]] = {}
-    envs: dict[dt.date, MarketEnv] = {}
-    env_lines: dict[dt.date, int] = {}
+    days: dict[dt.date, tuple[MarketEnv, int, list[OptionQuote]]] = {}
 
-    with path.open(newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None:
+    with Path(path).open(newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise ChainParseError(1, "empty file, expected a header row")
-        names = [name.strip() for name in reader.fieldnames]
+        names = [name.strip() for name in header]
         missing = [c for c in _REQUIRED_COLUMNS if c not in names]
         unexpected = [c for c in names if c not in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS]
-        if missing or unexpected:
+        repeated = list(dict.fromkeys(c for i, c in enumerate(names) if c in names[:i]))
+        if missing or unexpected or repeated:
             raise ChainParseError(
                 1,
-                f"bad header: missing {missing or 'none'}, unexpected {unexpected or 'none'}",
+                f"bad header: missing {missing or 'none'}, unexpected {unexpected or 'none'}, "
+                f"repeated {repeated or 'none'}",
             )
-        has_iv = "implied_vol" in names
+        index = {name: i for i, name in enumerate(names)}
+        (i_date, i_kind, i_strike, i_expiry, i_bid, i_ask, i_volume,
+         i_spot, i_rate, i_div_hist) = (index[c] for c in _REQUIRED_COLUMNS)
+        i_iv = index.get("implied_vol")
 
-        for row in reader:
+        for fields in reader:
+            if not fields:
+                continue  # a blank line
             line = reader.line_num
-            if any(row.get(c) is None for c in _REQUIRED_COLUMNS):
+            if len(fields) != len(names):
                 raise ChainParseError(line, "wrong number of fields")
-            date = _parse_date(row["date"], line, "date")
-            expiry = _parse_date(row["expiry"], line, "expiry")
-            kind_text = row["kind"].strip()
+            date = _parse_date(fields[i_date], line, "date")
+            expiry = _parse_date(fields[i_expiry], line, "expiry")
+            kind_text = fields[i_kind].strip()
             try:
                 kind = OptionKind(kind_text)
             except ValueError:
                 raise ChainParseError(line, f"bad kind {kind_text!r}, expected C or P") from None
 
-            strike = _parse_float(row["strike"], line, "strike")
-            bid = _parse_float(row["bid"], line, "bid")
-            ask = _parse_float(row["ask"], line, "ask")
-            volume = _parse_int(row["volume"], line, "volume")
-            spot = _parse_float(row["spot"], line, "spot")
-            rate = _parse_float(row["rate"], line, "rate")
-            div_hist = _parse_float(row["div_hist"], line, "div_hist")
+            strike = _parse_float(fields[i_strike], line, "strike")
+            bid = _parse_float(fields[i_bid], line, "bid")
+            ask = _parse_float(fields[i_ask], line, "ask")
+            volume = _parse_int(fields[i_volume], line, "volume")
+            spot = _parse_float(fields[i_spot], line, "spot")
+            rate = _parse_float(fields[i_rate], line, "rate")
+            div_hist = _parse_float(fields[i_div_hist], line, "div_hist")
 
             if strike <= 0.0:
                 raise ChainParseError(line, f"strike must be positive, got {strike}")
@@ -201,45 +209,30 @@ def load_chains(path: str | Path) -> list[DailyChain]:
                 raise ChainParseError(line, f"expiry {expiry} precedes quote date {date}")
 
             iv: float | None = None
-            if has_iv:
-                text = (row.get("implied_vol") or "").strip()
+            if i_iv is not None:
+                text = fields[i_iv].strip()
                 if text:
                     iv = _parse_float(text, line, "implied_vol")
 
-            env = MarketEnv(date=date, spot=spot, rate=rate, div_hist=div_hist)
-            if date in envs:
-                if envs[date] != env:
-                    seen = envs[date]
-                    diffs = ", ".join(
-                        f"{name} {getattr(seen, name)} != {getattr(env, name)}"
-                        for name in ("spot", "rate", "div_hist")
-                        if getattr(seen, name) != getattr(env, name)
-                    )
-                    raise ChainParseError(
-                        line,
-                        f"environment for {date} conflicts with line {env_lines[date]}: {diffs}",
-                    )
-            else:
-                envs[date] = env
-                env_lines[date] = line
-                days[date] = []
-
-            days[date].append(
-                OptionQuote(
-                    kind=kind,
-                    strike=strike,
-                    expiry=expiry,
-                    ttm_days=ttm_days,
-                    bid=bid,
-                    ask=ask,
-                    volume=volume,
-                    implied_vol=iv,
+            if date not in days:
+                days[date] = (MarketEnv(date, spot, rate, div_hist), line, [])
+            env, first_line, quotes = days[date]
+            seen, given = (env.spot, env.rate, env.div_hist), (spot, rate, div_hist)
+            if seen != given:
+                diffs = ", ".join(
+                    f"{name} {old} != {new}"
+                    for name, old, new in zip(("spot", "rate", "div_hist"), seen, given)
+                    if old != new
                 )
-            )
+                raise ChainParseError(
+                    line, f"environment for {date} conflicts with line {first_line}: {diffs}"
+                )
+            quotes.append(OptionQuote(kind=kind, strike=strike, expiry=expiry, ttm_days=ttm_days,
+                                      bid=bid, ask=ask, volume=volume, implied_vol=iv))
 
     return [
-        DailyChain(envs[date], tuple(sorted(days[date], key=quote_sort_key)))
-        for date in sorted(days)
+        DailyChain(env, tuple(sorted(quotes, key=quote_sort_key)))
+        for env, _, quotes in sorted(days.values(), key=lambda day: day[0].date)
     ]
 
 

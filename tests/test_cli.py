@@ -398,6 +398,25 @@ def test_price_rejects_a_bad_query_row_before_writing(tmp_path, capsys, rows, li
     assert not (tmp_path / "prices.csv").exists()
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("strike,tau,strike\n95.0,0.25,500\n", 1, "names strike more than once"),
+    ("tau,strike,tau\n0.25,95.0,0.5\n", 1, "names tau more than once"),
+    ("strike,tau\n100,0.5,7\n", 2, "wrong number of fields"),
+    ("strike,tau,note\n100,0.5\n", 2, "wrong number of fields"),
+    ("strike,tau\n100,0.5\n\n110,0.5,1\n", 4, "wrong number of fields"),
+])
+def test_price_reads_queries_by_column_and_width(tmp_path, capsys, text, line, message):
+    source = synth_into(capsys, tmp_path)
+    queries = tmp_path / "queries.csv"
+    queries.write_text(text)
+    code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,
+                       "--label", "LI", "--queries", queries)
+    assert code == 2
+    assert err.startswith(f"pricelab price: error: {queries} line {line}: ")
+    assert message in err
+    assert not (tmp_path / "prices.csv").exists()
+
+
 def test_missing_input_is_diagnosed(tmp_path, capsys):
     code, _, err = run(capsys, "audit", "--input", tmp_path / "nope.csv",
                        "--output-dir", tmp_path)

@@ -18,6 +18,7 @@ from pricelab.harness import (
     evaluate_day,
     load_config,
     prepare_day,
+    read_config,
     run_protocol,
     split_day,
 )
@@ -499,6 +500,13 @@ def test_load_config_rejects_bad_input(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         load_config(path)
+
+
+def test_read_config_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("labels = LI\n# the comment line counts\n\nlabels = NW\n")
+    with pytest.raises(ValueError, match="config key 'labels' set twice, on lines 1 and 4"):
+        read_config(path)
 
 
 @pytest.mark.parametrize(

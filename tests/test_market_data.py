@@ -151,6 +151,47 @@ def test_inconsistent_environment_rejected(tmp_path):
     assert "spot" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad_row", [row() + ",0.2", row().rsplit(",", 1)[0]],
+                         ids=["one field extra", "one field short"])
+def test_a_row_of_the_wrong_width_names_its_line(tmp_path, bad_row):
+    path = write_csv(tmp_path / "width.csv", [row(), bad_row])
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert exc.value.line == 3
+    assert "wrong number of fields" in str(exc.value)
+
+
+def test_a_repeated_column_is_rejected_at_the_header(tmp_path):
+    path = write_csv(tmp_path / "twice.csv", [row() + ",200"], header=HEADER + ",strike")
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert exc.value.line == 1
+    assert "repeated ['strike']" in str(exc.value)
+
+
+def test_padded_header_names_load_as_unpadded(tmp_path):
+    rows = [row(), row(kind="C", strike="105.0")]
+    padded = ", ".join(f" {name} " for name in HEADER.split(","))
+    plain = load_chains(write_csv(tmp_path / "plain.csv", rows))
+    assert load_chains(write_csv(tmp_path / "padded.csv", rows, header=padded)) == plain
+
+
+def test_blank_lines_are_skipped_but_counted(tmp_path):
+    path = write_csv(tmp_path / "blank.csv", [row(), "", row(strike="105.0"), row(bid="-1")])
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert exc.value.line == 5
+    (day,) = load_chains(write_csv(tmp_path / "ok.csv", [row(), "", row(strike="105.0")]))
+    assert [q.strike for q in day.quotes] == [100.0, 105.0]
+
+
+def test_a_blank_implied_vol_loads_as_none(tmp_path):
+    path = write_csv(tmp_path / "iv.csv", [row() + ",", row(strike="105.0") + ",0.2"],
+                     header=HEADER + ",implied_vol")
+    (day,) = load_chains(path)
+    assert [q.implied_vol for q in day.quotes] == [None, 0.2]
+
+
 def test_zero_mid_quotes_survive_load(tmp_path):
     path = write_csv(tmp_path / "zero.csv", [row(bid="0.0", ask="0.0")])
     day = load_chains(path)[0]
