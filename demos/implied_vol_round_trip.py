@@ -8,7 +8,7 @@ twin is the side worth inverting.
 
 import math
 
-from pricelab.black_scholes import BsInputs, bs_price, implied_vol, no_arbitrage_band
+from pricelab.black_scholes import bs_price, implied_vol, no_arbitrage_band
 from pricelab.errors import NoArbitrageViolation
 from pricelab.market_data import OptionKind
 
@@ -27,7 +27,7 @@ def main():
         (CALL, 110.0, 0.32, 1.0),
         (PUT, 100.0, 0.50, 2.0),
     ]:
-        price = bs_price(BsInputs(kind, SPOT, strike, RATE, DIV, vol, tau))
+        price = bs_price(kind, SPOT, strike, RATE, DIV, vol, tau)
         back = implied_vol(kind, price, SPOT, strike, RATE, DIV, tau)
         print(f"{kind.name:4} K={strike:6.1f} tau={tau:4.2f}  price={price:9.5f}"
               f"  vol in={vol:.4f} out={back:.10f}")
@@ -42,12 +42,12 @@ def main():
 
     section("deep ITM at tiny vol: the price IS the band edge")
     strike, vol, tau = 76.67, 0.05, 0.02
-    itm = bs_price(BsInputs(CALL, SPOT, strike, RATE, DIV, vol, tau))
+    itm = bs_price(CALL, SPOT, strike, RATE, DIV, vol, tau)
     edge = max(SPOT * math.exp(-DIV * tau) - strike * math.exp(-RATE * tau), 0.0)
     print(f"CALL K={strike}: price - lower edge = {itm - edge:.3e}")
     print("the vol lives below the call's last ulp, so the call carries none of it")
 
-    otm = bs_price(BsInputs(PUT, SPOT, strike, RATE, DIV, vol, tau))
+    otm = bs_price(PUT, SPOT, strike, RATE, DIV, vol, tau)
     back = implied_vol(PUT, otm, SPOT, strike, RATE, DIV, tau)
     print(f"PUT  K={strike}: price={otm:.3e} (denormal territory), recovered vol={back:.10f}")
     print("the same information, quoted on the side where floats can hold it")

@@ -31,11 +31,11 @@ def main():
 
     matches = cross_date_report(chains)
     print(f"\ncross-date: {len(matches)} same-contract pairs on near-identical spots; "
-          f"max |price move| = {max(m.diff for m in matches):.2e}")
+          f"max |price move| = {max(abs(m.diff) for m in matches):.2e}")
     noisy = synth_chain("bs", n_days=5, dividend=0.01, noise=0.005)
     moved = cross_date_report(noisy)
     print(f"with 0.5% multiplicative noise: max |price move| = "
-          f"{max(m.diff for m in moved):.4f}")
+          f"{max(abs(m.diff) for m in moved):.4f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ out-of-sample protocol.
 """
 
 from .black_scholes import (
-    BsInputs,
     bs_price,
     fill_implied_vols,
     implied_vol,
@@ -66,7 +65,6 @@ from .parity import (
     Moneyness,
     MoneynessClass,
     ParityLeg,
-    ParityPrice,
     classify_moneyness,
     estimate_dividend_curve,
     forward_price,

@@ -33,7 +33,6 @@ from bs_price in the last bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,19 +64,6 @@ def _norm_cdf(x: float) -> float:
 
 def _norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / _SQRT_2PI
-
-
-@dataclass(frozen=True)
-class BsInputs:
-    """Arguments of the Black-Scholes formula for one option."""
-
-    kind: OptionKind
-    spot: float
-    strike: float
-    rate: float
-    dividend: float
-    vol: float
-    tau: float
 
 
 def _validate(spot: float, strike: float, vol: float, tau: float) -> None:
@@ -116,23 +102,24 @@ def _price(
     return max(value, 0.0)
 
 
-def bs_price(inputs: BsInputs) -> float:
+def bs_price(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float, vol: float,
+             tau: float) -> float:
     """Price one option. Raises ValueError on non-positive spot, strike,
     vol, or tau."""
-    _validate(inputs.spot, inputs.strike, inputs.vol, inputs.tau)
-    return _price(
-        inputs.kind, inputs.spot, inputs.strike, inputs.rate, inputs.dividend, inputs.vol, inputs.tau
-    )
+    _validate(spot, strike, vol, tau)
+    return _price(kind, spot, strike, rate, dividend, vol, tau)
 
 
-def vega(inputs: BsInputs) -> float:
+def vega(spot: float, strike: float, rate: float, dividend: float, vol: float, tau: float) -> float:
     """d price / d vol; identical for calls and puts."""
-    _validate(inputs.spot, inputs.strike, inputs.vol, inputs.tau)
-    d1 = _d_plus(inputs.spot, inputs.strike, inputs.rate, inputs.dividend, inputs.vol, inputs.tau)
-    return math.sqrt(inputs.tau) * inputs.spot * math.exp(-inputs.dividend * inputs.tau) * _norm_pdf(d1)
+    _validate(spot, strike, vol, tau)
+    d1 = _d_plus(spot, strike, rate, dividend, vol, tau)
+    return math.sqrt(tau) * spot * math.exp(-dividend * tau) * _norm_pdf(d1)
 
 
-def iv_dividend_sensitivity(inputs: BsInputs) -> float:
+def iv_dividend_sensitivity(
+    spot: float, strike: float, rate: float, dividend: float, vol: float, tau: float
+) -> float:
     """Sensitivity of the call-quoted implied vol to the dividend yield.
 
     Holding the observed call price fixed, the implied vol as a function
@@ -144,9 +131,9 @@ def iv_dividend_sensitivity(inputs: BsInputs) -> float:
     positive, and rapidly large in the right tail: underestimating the
     dividend inflates fitted vols most where d+ is big.
     """
-    _validate(inputs.spot, inputs.strike, inputs.vol, inputs.tau)
-    d1 = _d_plus(inputs.spot, inputs.strike, inputs.rate, inputs.dividend, inputs.vol, inputs.tau)
-    return math.sqrt(inputs.tau) * _norm_cdf(d1) / _norm_pdf(d1)
+    _validate(spot, strike, vol, tau)
+    d1 = _d_plus(spot, strike, rate, dividend, vol, tau)
+    return math.sqrt(tau) * _norm_cdf(d1) / _norm_pdf(d1)
 
 
 def no_arbitrage_band(

@@ -63,6 +63,8 @@ def _load_input(path: str) -> list[market_data.DailyChain]:
 
 
 def _single_day(chains, date_text: str | None):
+    if not chains:
+        raise ValueError("the input holds no quotes")
     if date_text:
         wanted = _cast("--date", dt.date.fromisoformat, date_text)
         for chain in chains:
@@ -183,10 +185,10 @@ def _cmd_price(args: argparse.Namespace) -> int:
     # Every query is read and checked before the fit, so a bad row leaves
     # no prices.csv behind.
     queries = []
-    with open(args.queries, newline="") as handle:
+    with open(args.queries, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or not {"strike", "tau"} <= set(header):
+        header = [name.strip() for name in next(reader, [])]
+        if not {"strike", "tau"} <= set(header):
             raise ValueError(f"query file {args.queries} needs strike,tau columns")
         for name in ("strike", "tau"):
             if header.count(name) > 1:

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
-from .black_scholes import BsInputs, bs_price, fill_implied_vols
+from .black_scholes import bs_price, fill_implied_vols
 from .errors import InsufficientData, PricelabError
 from .kernel import (
     CvGrid,
@@ -99,8 +99,6 @@ class PricingEstimator:
     returns OUTSIDE_HULL there, so a price from it is inside the hull."""
 
     label: EstimatorLabel
-    kind: OptionKind
-    env: MarketEnv
     price_fn: Callable[[float, float], float | object] = field(repr=False)
     hull_fn: Callable[[float, float], bool] | None = field(repr=False)
     meta: dict = field(default_factory=dict)
@@ -240,15 +238,15 @@ class TrainingSet:
                                                           value_scale)
         meta.update(smoother_meta)
         if target is _PRICE:
-            return PricingEstimator(label, kind, env, value_at, hull_fn, meta)
+            return PricingEstimator(label, value_at, hull_fn, meta)
 
         def price_fn(strike: float, tau: float):
             vol = value_at(strike, tau)
             if vol is OUTSIDE_HULL:
                 return OUTSIDE_HULL
-            return bs_price(BsInputs(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau))
+            return bs_price(kind, env.spot, strike, env.rate, dividend_at(tau), vol, tau)
 
-        return PricingEstimator(label, kind, env, price_fn, hull_fn, meta)
+        return PricingEstimator(label, price_fn, hull_fn, meta)
 
 
 class _Smoother(NamedTuple):
@@ -305,11 +303,10 @@ def fit(
     quotes: Sequence[OptionQuote],
     env: MarketEnv,
     curve: DividendCurve | None = None,
-    lib_strike_range: tuple[float, float] | None = None,
 ) -> PricingEstimator:
     """Fit one estimator to a day's training quotes: TrainingSet.fit on a
     set of these quotes alone, which does only what the label needs."""
-    return TrainingSet(kind, quotes, env, curve).fit(label, lib_strike_range)
+    return TrainingSet(kind, quotes, env, curve).fit(label)
 
 
 def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:
@@ -324,7 +321,7 @@ def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:
     meta.update(params=(params.theta, params.sigma, params.alpha), objective=objective,
                 dividend=dividend)
     return PricingEstimator(
-        EstimatorLabel.VG, kind, env,
+        EstimatorLabel.VG,
         lambda k, t: vg_price_quadrature(kind, env.spot, k, env.rate, dividend, t, params),
         hull_fn, meta,
     )

@@ -80,10 +80,8 @@ def day_seed(master_seed: int, date: dt.date) -> int:
 class DaySplit:
     """Index split of one day's quote list into train and test."""
 
-    date: dt.date
     train: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
 
 
 def split_day(
@@ -101,13 +99,10 @@ def split_day(
     n_train = math.ceil(fraction * n_quotes)
     if n_quotes >= 2:
         n_train = min(n_train, n_quotes - 1)
-    seed = day_seed(master_seed, date)
-    order = np.random.default_rng(seed).permutation(n_quotes)
+    order = np.random.default_rng(day_seed(master_seed, date)).permutation(n_quotes)
     return DaySplit(
-        date=date,
         train=tuple(sorted(int(i) for i in order[:n_train])),
         test=tuple(sorted(int(i) for i in order[n_train:])),
-        seed=seed,
     )
 
 
@@ -186,7 +181,8 @@ def evaluate_day(
     prepare_day returns them with the trim on; the fits reuse the training
     side's instead of inverting their own. Every label fits on one
     TrainingSet of the training side, and LIB's fictitious strikes span
-    the whole day's strikes.
+    the whole day's strikes. The split must hold each index of the day
+    exactly once, on one side; any other split raises ValueError.
 
     One record per test quote and label, label by label. A fit failure
     (too few quotes, stalled calibration, degenerate geometry) marks that
@@ -195,8 +191,7 @@ def evaluate_day(
     likewise recorded, not thrown.
     """
     quotes = day.quotes
-    indices = split.train + split.test
-    if indices and max(indices) >= len(quotes):
+    if sorted(split.train + split.test) != list(range(len(quotes))):
         raise ValueError("split indices do not match the day's quote list")
     kinds = {q.kind for q in quotes}
     if len(kinds) != 1:
@@ -360,12 +355,13 @@ def read_config(path: str | Path) -> dict[str, str]:
     ValueError naming both lines."""
     settings: dict[str, str] = {}
     lines: dict[str, int] = {}
-    for number, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8-sig")  # utf-8-sig drops a leading BOM
+    for number, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"bad config line {raw_line!r}, expected key=value")
+            raise ValueError(f"bad config line {number} {raw_line!r}, expected key=value")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in lines:

@@ -5,8 +5,9 @@ columns, in any order:
 
     date,kind,strike,expiry,bid,ask,volume,spot,rate,div_hist
 
-The header names each required column exactly once and nothing else
-but the optional implied_vol column; spaces around a name are ignored.
+The file is UTF-8, and a leading byte-order mark is ignored. The header
+names each required column exactly once and nothing else but the
+optional implied_vol column; spaces around a name are ignored.
 Every other non-blank line is a row with exactly as many fields as the
 header, and blank lines are skipped. Dates are ISO (YYYY-MM-DD), kind is
 C or P, and the per-day market environment (spot, rate, div_hist) must
@@ -152,7 +153,7 @@ def load_chains(path: str | Path) -> list[DailyChain]:
     """
     days: dict[dt.date, tuple[MarketEnv, int, list[OptionQuote]]] = {}
 
-    with Path(path).open(newline="") as handle:
+    with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,13 +46,6 @@ class MoneynessClass:
     label: Moneyness
 
 
-class ParityPrice(NamedTuple):
-    """Price implied by parity; negative marks an arbitrage-violating input."""
-
-    price: float
-    negative: bool
-
-
 @dataclass(frozen=True)
 class ParityLeg:
     """A call/put pair on one strike and expiry."""
@@ -72,19 +64,17 @@ def parity_price(
     rate: float,
     dividend: float,
     tau: float,
-) -> ParityPrice:
+) -> float:
     """Price an option of the given kind from its opposite-kind counterpart.
 
-    Returns the parity value as-is; a negative value (crossed or stale
-    inputs) is flagged, not raised."""
+    Returns the parity value as-is: a negative value (crossed or stale
+    inputs) is returned, not raised."""
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     carry = spot * math.exp(-dividend * tau) - strike * math.exp(-rate * tau)
     if kind is OptionKind.CALL:
-        value = counterpart_mid + carry
-    else:
-        value = counterpart_mid - carry
-    return ParityPrice(value, value < 0.0)
+        return counterpart_mid + carry
+    return counterpart_mid - carry
 
 
 def implied_dividend(leg: ParityLeg, spot: float, rate: float) -> float:
@@ -229,7 +219,7 @@ def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[Pr
         estimate = parity_price(
             q.kind, counterpart, chain.env.spot, q.strike, chain.env.rate,
             curve.value_at(q.tau), q.tau,
-        ).price
+        )
         records.append(
             PricingError(
                 date=chain.env.date,

@@ -59,17 +59,12 @@ _RCOND_LIMIT = 1000 * np.finfo(float).eps
 # slack lies within 2 _BARY_EPS_BROAD times the triangle's extent of its
 # bounding box, inside this widening.
 _GRID_SLACK = 1e-7
+# Strikes in the fictitious expiring row of augment_zero_maturity.
+N_FICTITIOUS = 30
 
 
 class OutsideHull:
-    """Singleton marker for a query outside the interpolation domain."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Marker for a query outside the interpolation domain: OUTSIDE_HULL."""
 
     def __repr__(self) -> str:
         return "OUTSIDE_HULL"
@@ -358,23 +353,19 @@ def normalized_li_values(strikes, taus, values, spot: float, value_scale: float)
 
 
 def augment_zero_maturity(
-    kind: OptionKind,
-    spot: float,
-    strike_range: tuple[float, float],
-    n: int = 30,
+    kind: OptionKind, spot: float, strike_range: tuple[float, float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The fictitious expiring row that LIB appends to its training quotes.
 
-    Returns (strikes, payoffs): n strikes equally spaced over strike_range,
-    endpoints included, and each one's intrinsic payoff at spot. Placed at
-    tau = 0, the row pins the surface to the payoff at expiry.
+    Returns (strikes, payoffs): N_FICTITIOUS strikes equally spaced over
+    strike_range, endpoints included, and each one's intrinsic payoff at
+    spot. Placed at tau = 0, the row pins the surface to the payoff at
+    expiry.
     """
-    if n < 2:
-        raise ValueError(f"need at least two fictitious strikes, got {n}")
     lo, hi = strike_range
     if not (0.0 < lo <= hi):
         raise ValueError(f"bad strike range {strike_range}")
-    strikes = np.linspace(lo, hi, n)
+    strikes = np.linspace(lo, hi, N_FICTITIOUS)
     if kind is OptionKind.CALL:
         return strikes, np.maximum(spot - strikes, 0.0)
     return strikes, np.maximum(strikes - spot, 0.0)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .black_scholes import BsInputs, bs_price
+from .black_scholes import bs_price
 from .harness import day_seed
 from .market_data import (
     DAYS_PER_YEAR,
@@ -94,9 +94,7 @@ def synth_chain(
             for strike in strikes:
                 for kind in (OptionKind.CALL, OptionKind.PUT):
                     if model == "BS":
-                        price = bs_price(
-                            BsInputs(kind, spot, strike, rate, dividend, sigma, tau)
-                        )
+                        price = bs_price(kind, spot, strike, rate, dividend, sigma, tau)
                     else:
                         price = vg_price_quadrature(
                             kind, spot, strike, rate, dividend, tau, vg_params

@@ -47,7 +47,6 @@ from pricelab.black_scholes import (
     _VOL_HI,
     _VOL_HI_MAX,
     _VOL_LO,
-    BsInputs,
     _price,
     _validate,
     no_arbitrage_band,
@@ -250,7 +249,7 @@ def implied_vol_brentq(
     root = brentq(objective, _VOL_LO, vol_hi, xtol=1e-14, rtol=8.9e-16)
     # One Newton polish pushes the price residual to rounding level.
     residual = objective(root)
-    slope = vega(BsInputs(kind, spot, strike, rate, dividend, root, tau))
+    slope = vega(spot, strike, rate, dividend, root, tau)
     if slope > 0.0 and math.isfinite(residual / slope):
         polished = root - residual / slope
         if _VOL_LO <= polished <= vol_hi and abs(objective(polished)) <= abs(residual):

@@ -16,7 +16,6 @@ import pytest
 
 from oracles import cv_objective_at, gamma_expectation
 from pricelab.black_scholes import (
-    BsInputs,
     bs_price,
     implied_vol,
     iv_dividend_sensitivity,
@@ -73,8 +72,7 @@ def test_1_bs_round_trip():
                 for tau in np.linspace(0.02, 2.0, 5):
                     kind = PUT if ratio < 1.0 else CALL  # quote out of the money
                     strike = spot * float(ratio)
-                    price = bs_price(BsInputs(kind, spot, strike, rate, dividend,
-                                              float(vol), float(tau)))
+                    price = bs_price(kind, spot, strike, rate, dividend, float(vol), float(tau))
                     if price == 0.0:
                         # The quote collapsed onto the arbitrage bound: no
                         # float64 inverter can recover a vol from it.
@@ -108,18 +106,16 @@ def test_2_bs_identity_and_dividend_sensitivity():
         h = 1e-6
         for _ in range(100):
             s = float(rng.uniform(50.0, 200.0))
-            x = BsInputs(
-                kind=CALL, spot=s,
-                strike=s * float(rng.uniform(0.95, 1.25)),
-                rate=float(rng.uniform(-0.01, 0.08)),
-                dividend=float(rng.uniform(0.0, 0.06)),
-                vol=float(rng.uniform(0.15, 0.8)),
-                tau=float(rng.uniform(0.25, 2.5)),
-            )
-            price = bs_price(x)
-            up = implied_vol(CALL, price, x.spot, x.strike, x.rate, x.dividend + h, x.tau)
-            dn = implied_vol(CALL, price, x.spot, x.strike, x.rate, x.dividend - h, x.tau)
-            assert iv_dividend_sensitivity(x) == pytest.approx((up - dn) / (2.0 * h), rel=1e-5)
+            strike = s * float(rng.uniform(0.95, 1.25))
+            rate = float(rng.uniform(-0.01, 0.08))
+            dividend = float(rng.uniform(0.0, 0.06))
+            vol = float(rng.uniform(0.15, 0.8))
+            tau = float(rng.uniform(0.25, 2.5))
+            price = bs_price(CALL, s, strike, rate, dividend, vol, tau)
+            up = implied_vol(CALL, price, s, strike, rate, dividend + h, tau)
+            dn = implied_vol(CALL, price, s, strike, rate, dividend - h, tau)
+            assert iv_dividend_sensitivity(s, strike, rate, dividend, vol, tau) == pytest.approx(
+                (up - dn) / (2.0 * h), rel=1e-5)
 
 
 def test_3_implied_dividend_recovery():

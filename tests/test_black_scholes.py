@@ -4,6 +4,7 @@ fitted vols."""
 
 import datetime as dt
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from scipy.optimize import brentq
 
 from oracles import implied_vol_brentq
 from pricelab.black_scholes import (
-    BsInputs,
     _brentq_lanes,
     bs_price,
     fill_implied_vols,
@@ -35,6 +35,18 @@ from pricelab.market_data import (
 from pricelab.parity import DividendCurve
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
+
+
+class BsInputs(NamedTuple):
+    """One option's terms, in bs_price's argument order: bs_price(*x)."""
+
+    kind: OptionKind
+    spot: float
+    strike: float
+    rate: float
+    dividend: float
+    vol: float
+    tau: float
 
 
 def integral_price(kind, spot, strike, rate, dividend, vol, tau):
@@ -82,14 +94,14 @@ def test_price_matches_integral_oracle():
             inputs.kind, inputs.spot, inputs.strike, inputs.rate,
             inputs.dividend, inputs.vol, inputs.tau,
         )
-        assert bs_price(inputs) == pytest.approx(oracle, abs=1e-9)
+        assert bs_price(*inputs) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_frozen_reference_prices():
-    assert bs_price(BsInputs(PUT, 100.0, 100.0, 0.02, 0.01, 0.2, 1.0)) == pytest.approx(
+    assert bs_price(PUT, 100.0, 100.0, 0.02, 0.01, 0.2, 1.0) == pytest.approx(
         7.364289722855496, rel=1e-13
     )
-    assert bs_price(BsInputs(CALL, 100.0, 110.0, 0.02, 0.01, 0.25, 0.5)) == pytest.approx(
+    assert bs_price(CALL, 100.0, 110.0, 0.02, 0.01, 0.25, 0.5) == pytest.approx(
         3.571337412679828, rel=1e-13
     )
 
@@ -99,7 +111,7 @@ def test_put_call_parity():
     for _ in range(200):
         c = random_inputs(rng, kind=CALL)
         p = BsInputs(PUT, c.spot, c.strike, c.rate, c.dividend, c.vol, c.tau)
-        lhs = bs_price(c) - bs_price(p)
+        lhs = bs_price(*c) - bs_price(*p)
         rhs = c.spot * math.exp(-c.dividend * c.tau) - c.strike * math.exp(-c.rate * c.tau)
         assert lhs == pytest.approx(rhs, abs=1e-10 * c.spot)
 
@@ -107,16 +119,16 @@ def test_put_call_parity():
 def test_price_increasing_in_vol():
     for kind in (CALL, PUT):
         prices = [
-            bs_price(BsInputs(kind, 100.0, 105.0, 0.02, 0.01, v, 0.5))
+            bs_price(kind, 100.0, 105.0, 0.02, 0.01, v, 0.5)
             for v in np.linspace(0.05, 1.5, 30)
         ]
         assert all(b > a for a, b in zip(prices, prices[1:]))
 
 
 def test_small_vol_limit_is_discounted_forward_intrinsic():
-    call = bs_price(BsInputs(CALL, 100.0, 80.0, 0.03, 0.01, 1e-8, 1.0))
+    call = bs_price(CALL, 100.0, 80.0, 0.03, 0.01, 1e-8, 1.0)
     assert call == pytest.approx(100.0 * math.exp(-0.01) - 80.0 * math.exp(-0.03), rel=1e-12)
-    put = bs_price(BsInputs(PUT, 100.0, 80.0, 0.03, 0.01, 1e-8, 1.0))
+    put = bs_price(PUT, 100.0, 80.0, 0.03, 0.01, 1e-8, 1.0)
     assert put == 0.0
 
 
@@ -125,7 +137,7 @@ def test_non_positive_inputs_rejected(field):
     values = dict(kind=CALL, spot=100.0, strike=100.0, rate=0.02, dividend=0.01, vol=0.2, tau=1.0)
     values[field] = 0.0
     with pytest.raises(ValueError):
-        bs_price(BsInputs(**values))
+        bs_price(**values)
 
 
 def test_vega_matches_finite_difference():
@@ -133,11 +145,9 @@ def test_vega_matches_finite_difference():
     h = 1e-6
     for _ in range(50):
         inputs = random_inputs(rng)
-        up = bs_price(BsInputs(inputs.kind, inputs.spot, inputs.strike, inputs.rate,
-                               inputs.dividend, inputs.vol + h, inputs.tau))
-        dn = bs_price(BsInputs(inputs.kind, inputs.spot, inputs.strike, inputs.rate,
-                               inputs.dividend, inputs.vol - h, inputs.tau))
-        assert vega(inputs) == pytest.approx((up - dn) / (2.0 * h), rel=1e-6, abs=1e-8)
+        up = bs_price(*inputs._replace(vol=inputs.vol + h))
+        dn = bs_price(*inputs._replace(vol=inputs.vol - h))
+        assert vega(*inputs[1:]) == pytest.approx((up - dn) / (2.0 * h), rel=1e-6, abs=1e-8)
 
 
 def test_discounted_density_identity():
@@ -174,11 +184,11 @@ def test_iv_dividend_sensitivity_matches_reprice_and_invert():
             vol=float(rng.uniform(0.15, 0.8)),
             tau=float(rng.uniform(0.25, 2.5)),
         )
-        price = bs_price(x)
+        price = bs_price(*x)
         up = implied_vol(CALL, price, x.spot, x.strike, x.rate, x.dividend + h, x.tau)
         dn = implied_vol(CALL, price, x.spot, x.strike, x.rate, x.dividend - h, x.tau)
         fd = (up - dn) / (2.0 * h)
-        assert iv_dividend_sensitivity(x) == pytest.approx(fd, rel=1e-5)
+        assert iv_dividend_sensitivity(*x[1:]) == pytest.approx(fd, rel=1e-5)
 
 
 def test_band_values():
@@ -199,8 +209,8 @@ def test_implied_vol_round_trip_randomized():
     while checked < 100:
         x = random_inputs(rng)
         kind = PUT if x.strike < x.spot else CALL
-        x = BsInputs(kind, x.spot, x.strike, x.rate, x.dividend, x.vol, x.tau)
-        price = bs_price(x)
+        x = x._replace(kind=kind)
+        price = bs_price(*x)
         lo, hi = no_arbitrage_band(x.kind, x.spot, x.strike, x.rate, x.dividend, x.tau)
         if not (lo < price < hi) or price < 1e-200:
             continue
@@ -213,7 +223,7 @@ def test_implied_vol_recovers_from_denormal_price():
     # Far out of the money at low vol the price is a denormal float, yet
     # still pins the vol.
     x = BsInputs(PUT, 100.0, 76.67, 0.02, 0.01, 0.05, 0.02)
-    price = bs_price(x)
+    price = bs_price(*x)
     assert 0.0 < price < 1e-300
     assert implied_vol(PUT, price, x.spot, x.strike, x.rate, x.dividend, x.tau) == pytest.approx(
         0.05, abs=1e-8
@@ -240,7 +250,7 @@ def test_price_below_vol_floor_reports_no_root():
     # is inside the band yet has no root in the search interval.
     spot, rate, dividend, tau = 100.0, 0.03, 0.01, 1.0
     strike = spot * math.exp((rate - dividend) * tau)
-    floor_price = bs_price(BsInputs(CALL, spot, strike, rate, dividend, 1e-6, tau))
+    floor_price = bs_price(CALL, spot, strike, rate, dividend, 1e-6, tau)
     assert floor_price > 0.0
     with pytest.raises(NoConvergence):
         implied_vol(CALL, 0.25 * floor_price, spot, strike, rate, dividend, tau)
@@ -251,7 +261,7 @@ def test_price_below_vol_floor_reports_no_root():
 def test_price_at_vol_floor_inverts_to_the_floor(kind, rate, tau):
     # At the money forward (r = q, K = S) the search's price and bs_price
     # agree to the bit at sigma = 1e-6, so the quote is the floor price.
-    price = bs_price(BsInputs(kind, 100.0, 100.0, rate, rate, 1e-6, tau))
+    price = bs_price(kind, 100.0, 100.0, rate, rate, 1e-6, tau)
     assert implied_vol(kind, price, 100.0, 100.0, rate, rate, tau) == 1e-6
 
 
@@ -293,7 +303,7 @@ def _otm_grid(rate, dividend=0.02, spot=100.0):
             tau = float(tau)
             kind = CALL if strike >= spot * math.exp((rate - dividend) * tau) else PUT
             for vol in np.geomspace(0.02, 3.0, 10):
-                price = bs_price(BsInputs(kind, spot, strike, rate, dividend, float(vol), tau))
+                price = bs_price(kind, spot, strike, rate, dividend, float(vol), tau)
                 cases.append((kind, price, strike, tau, float(vol)))
     return cases
 
@@ -394,14 +404,14 @@ def adversarial_chains(draw):
             price = draw(st.floats(0.0, spot))
         elif case == "below_floor":
             strike = spot * math.exp((rate - dividend) * tau)
-            floor = bs_price(BsInputs(kind, spot, strike, rate, dividend, 1e-6, tau))
+            floor = bs_price(kind, spot, strike, rate, dividend, 1e-6, tau)
             price = floor * draw(st.floats(0.01, 0.99))
         else:
             if case == "deep_itm":
                 strike = spot * draw(st.floats(0.3, 0.6) if kind is CALL else st.floats(1.7, 3.0))
             vols = {"deep_itm": (0.01, 0.15), "fair": (0.02, 2.0), "high_vol": (2.0, 150.0)}[case]
             vol = draw(st.floats(*vols))
-            price = bs_price(BsInputs(kind, spot, strike, rate, dividend, vol, tau))
+            price = bs_price(kind, spot, strike, rate, dividend, vol, tau)
         quotes.append(OptionQuote(kind, strike, _DAY + dt.timedelta(days=ttm_days), ttm_days,
                                   price, price, 500))
     return DailyChain(MarketEnv(_DAY, spot, rate, dividend), tuple(quotes)), dividend
@@ -432,7 +442,6 @@ def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
         raised += oracle_error is not None
         if not math.isnan(vol):
             assert scalar == vol
-            repriced = bs_price(BsInputs(q.kind, env.spot, q.strike, env.rate, dividend,
-                                         vol, q.tau))
+            repriced = bs_price(q.kind, env.spot, q.strike, env.rate, dividend, vol, q.tau)
             assert abs(repriced - q.mid) <= 1e-10 * max(1.0, q.mid)
     assert failed == raised

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from pricelab import cli
+from pricelab import cli, synth
 from pricelab.cli import main
 from pricelab.estimators import EstimatorLabel, fit, predict
 from pricelab.harness import (
@@ -65,6 +65,19 @@ def test_synth_vg_prices_one_day_maturities(tmp_path, capsys):
         "--theta", 0, "--sigma", 0.3, "--alpha", 3, "--maturities", "1,30,91",
     )
     assert all(q.mid > 0.0 for q in load_chains(source)[0].quotes if q.ttm_days == 1)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(model="heston"), "unknown model 'HESTON'"),
+    (dict(strikes=[]), "strikes must be positive"),
+    (dict(strikes=[90.0, 0.0]), "strikes must be positive"),
+    (dict(maturities_days=(30, 0)), "maturities must be positive day counts"),
+    (dict(n_days=0), "n_days must be at least one"),
+    (dict(noise=-0.01), "noise must be non-negative"),
+])
+def test_synth_chain_rejects_bad_arguments(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        synth.synth_chain(**{"model": "bs", **overrides})
 
 
 def test_ingest_normalizes(tmp_path, capsys):
@@ -344,6 +357,34 @@ def test_single_day_commands_need_a_date(tmp_path, capsys):
     assert "2011-05-05" in err
 
 
+def test_single_day_commands_fit_the_day_that_date_names(tmp_path, capsys):
+    source = synth_into(capsys, tmp_path, "--days", 2, "--noise", 0.005)
+    queries = tmp_path / "queries.csv"
+    queries.write_text("strike,tau\n100.0,0.4986301369863014\n")
+    code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,
+                       "--label", "LI", "--queries", queries, "--date", "2012-01-04")
+    assert code == 0, err
+    # A training quote of each day, so LI prices it at that day's own mid.
+    first, second = ([q.mid for q in day.quotes if q.strike == 100.0 and q.ttm_days == 182
+                      and q.kind is OptionKind.PUT] for day in load_chains(source))
+    assert first != second
+    with (tmp_path / "prices.csv").open(newline="") as handle:
+        [priced] = csv.DictReader(handle)
+    assert float(priced["price"]) == pytest.approx(second[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("command", ["price", "calibrate-vg"])
+def test_single_day_commands_diagnose_a_file_without_quotes(tmp_path, capsys, command):
+    source = tmp_path / "chains.csv"
+    source.write_text("date,kind,strike,expiry,bid,ask,volume,spot,rate,div_hist\n")
+    queries = tmp_path / "queries.csv"
+    queries.write_text("strike,tau\n100.0,0.5\n")
+    extra = ("--label", "LI", "--queries", queries) if command == "price" else ()
+    code, _, err = run(capsys, command, "--input", source, "--output-dir", tmp_path, *extra)
+    assert code == 2
+    assert err == f"pricelab {command}: error: the input holds no quotes\n"
+
+
 def test_price_writes_statuses(tmp_path, capsys):
     source = synth_into(capsys, tmp_path)
     queries = tmp_path / "queries.csv"
@@ -415,6 +456,22 @@ def test_price_reads_queries_by_column_and_width(tmp_path, capsys, text, line, m
     assert err.startswith(f"pricelab price: error: {queries} line {line}: ")
     assert message in err
     assert not (tmp_path / "prices.csv").exists()
+
+
+@pytest.mark.parametrize("header", [" strike , tau ", "\ufeffstrike,tau", "\ufeff strike ,tau"],
+                         ids=["padded", "byte-order mark", "both"])
+def test_price_reads_a_padded_header_or_a_byte_order_mark(tmp_path, capsys, header):
+    source = synth_into(capsys, tmp_path)
+    rows = "95.0,0.25\n100.0,0.5\n200.0,0.5\n"
+    written = {}
+    for name, text in [("plain", "strike,tau\n" + rows), ("other", header + "\n" + rows)]:
+        queries = tmp_path / f"{name}.csv"
+        queries.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path / name,
+                           "--label", "LI", "--queries", queries)
+        assert code == 0, err
+        written[name] = (tmp_path / name / "prices.csv").read_bytes()
+    assert written["other"] == written["plain"]
 
 
 def test_missing_input_is_diagnosed(tmp_path, capsys):
@@ -520,8 +577,7 @@ def test_price_statuses_match_evaluate_day(tmp_path, capsys):
     (tmp_path / "queries.csv").write_text(
         "strike,tau\n" + "".join(f"{q.strike!r},{q.tau!r}\n" for q in probes))
     scored = DailyChain(day.env, day.quotes + probes)
-    split = DaySplit(day.env.date, tuple(range(len(day))),
-                     tuple(range(len(day), len(scored))), seed=0)
+    split = DaySplit(tuple(range(len(day))), tuple(range(len(day), len(scored))))
     seen = set()
     for label in ("LI", "NW"):
         code, _, err = run(capsys, "price", "--input", source, "--output-dir", tmp_path,

@@ -1,15 +1,17 @@
 """The estimator zoo behind the fit/predict surface: hull semantics,
 repricing consistency, and failure signalling."""
 
+import math
 from datetime import timedelta
 
 import pytest
 
-from pricelab.black_scholes import BsInputs, bs_price
+from pricelab.black_scholes import bs_price
 from pricelab.errors import DegenerateDispersion, InsufficientData
 from pricelab.estimators import (
     HULL_LABELS,
     EstimatorLabel,
+    Prediction,
     PredictStatus,
     PricingEstimator,
     fit,
@@ -72,9 +74,7 @@ def test_bs_label_reprices_flat_vol_world(bs_day):
     for strike, tau in [(97.0, 0.3), (104.0, 0.6), (100.0, 30 / 365.0)]:
         result = predict(est, strike, tau)
         assert result.status is PredictStatus.PRICED
-        expected = bs_price(
-            BsInputs(CALL, 100.0, strike, 0.02, curve.value_at(tau), 0.2, tau)
-        )
+        expected = bs_price(CALL, 100.0, strike, 0.02, curve.value_at(tau), 0.2, tau)
         assert result.price == pytest.approx(expected, rel=1e-9)
 
 
@@ -126,7 +126,7 @@ def test_bsnw_reprices_flat_vol_world(bs_day):
             result = predict(est, strike, tau)
             assert result.status is PredictStatus.PRICED
             assert result.extrapolated is extrapolated
-            expected = bs_price(BsInputs(CALL, 100.0, strike, 0.02, 0.013, 0.2, tau))
+            expected = bs_price(CALL, 100.0, strike, 0.02, 0.013, 0.2, tau)
             assert result.price == pytest.approx(expected, rel=1e-7, abs=1e-7)
 
 
@@ -162,7 +162,7 @@ def test_kernel_labels_flag_queries_off_a_collinear_training_segment(bs_day):
     env = bs_day.env
     quotes = []
     for strike, days in zip((90.0, 95.0, 100.0, 105.0, 110.0), (30, 45, 60, 75, 90)):
-        price = bs_price(BsInputs(CALL, env.spot, strike, env.rate, 0.013, 0.2, days / 365.0))
+        price = bs_price(CALL, env.spot, strike, env.rate, 0.013, 0.2, days / 365.0)
         quotes.append(
             OptionQuote(kind=CALL, strike=strike, expiry=env.date + timedelta(days=days),
                         ttm_days=days, bid=price, ask=price, volume=500)
@@ -183,8 +183,14 @@ def test_predict_turns_arithmetic_errors_into_failures(bs_day):
     def divide_by_zero(strike, tau):
         return strike / 0.0
 
-    est = PricingEstimator(L.VG, CALL, bs_day.env, divide_by_zero, lambda k, t: True)
+    est = PricingEstimator(L.VG, divide_by_zero, lambda k, t: True)
     assert predict(est, 100.0, 0.5).status is PredictStatus.FAILED
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_predict_turns_a_non_finite_price_into_a_failure(value):
+    est = PricingEstimator(L.NW, lambda k, t: value, lambda k, t: True)
+    assert predict(est, 100.0, 0.5) == Prediction(price=None, status=PredictStatus.FAILED)
 
 
 def test_insufficient_data(bs_day):

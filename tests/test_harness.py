@@ -182,11 +182,9 @@ def test_run_protocol_without_atm_pairs_prices_on_the_historical_curve(calls_day
         quotes = tuple(q for q, k in zip(quotes, kept) if k)
     assert trim == (len(quotes) == 45)
     split = split_day(len(quotes), env.date)
-    strikes = [q.strike for q in quotes]
     expected = []
     for label in labels:
-        estimator = fit(label, CALL, [quotes[i] for i in split.train], env, curve,
-                        (min(strikes), max(strikes)))
+        estimator = fit(label, CALL, [quotes[i] for i in split.train], env, curve)
         for q in (quotes[i] for i in split.test):
             prediction = predict(estimator, q.strike, q.tau)
             assert prediction.price is not None
@@ -231,6 +229,23 @@ def test_evaluate_day_rejects_bad_inputs(bs_days):
         evaluate_day(["LI"], bs_days[0], mixed_split)
 
 
+@pytest.mark.parametrize("train, test", [
+    (range(1, 13), (0, -1)),
+    (range(1, 13), (0, 0)),
+    (range(13), (0,)),
+    (range(1, 13), (0, 13)),
+    (range(2, 13), (0,)),
+], ids=["negative index", "repeated index", "index on both sides", "index out of range",
+        "missing index"])
+def test_evaluate_day_needs_each_index_exactly_once(train, test):
+    [chain] = synth_chain("bs", maturities_days=(30,))
+    day = chain.of_kind(PUT)
+    assert len(day) == 13
+    evaluate_day(["LI"], day, DaySplit(tuple(range(1, 13)), (0,)))
+    with pytest.raises(ValueError, match="split indices"):
+        evaluate_day(["LI"], day, DaySplit(tuple(train), test))
+
+
 def test_evaluate_day_marks_whole_day_failed_on_fit_error():
     env = MarketEnv(date=DAY, spot=100.0, rate=0.02, div_hist=0.01)
     quotes = tuple(
@@ -256,7 +271,7 @@ def test_evaluate_day_vg_prices_with_a_one_day_put_in_training():
                    vg_price_quadrature(PUT, 100.0, strike, 0.02, 0.01, days / 365.0, params))
         for strike, days in terms
     )
-    split = DaySplit(date=DAY, train=(0, 1, 2, 3), test=(4,), seed=0)
+    split = DaySplit(train=(0, 1, 2, 3), test=(4,))
     [record] = evaluate_day(["VG"], DailyChain(env, quotes), split)
     assert record.status is ErrorStatus.EXTRAPOLATED
     assert record.rel_error < 1e-6
@@ -271,9 +286,9 @@ def test_an_expiring_test_quote_is_recorded_failed():
     expiring = tuple(make_quote(PUT, k, 0, k - 100.0 + 0.05) for k in (105.0, 110.0))
     train, n = tuple(range(1, len(puts))), len(puts)
     records = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts + expiring),
-                           DaySplit(DAY, train, (0, n, n + 1), seed=0))
+                           DaySplit(train, (0, n, n + 1)))
     alone = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts),
-                         DaySplit(DAY, train, (0,), seed=0))
+                         DaySplit(train, (0,)))
     assert records[::3] == alone
     held = [r for i, r in enumerate(records) if i % 3]
     assert len(held) == 2 * len(NON_VG_LABELS)
@@ -432,6 +447,16 @@ def test_cross_date_report_matches_contracts():
     assert len(cross_date_report([chain_a, chain_c], spot_tolerance=5.0)) == 1
 
 
+def test_cross_date_report_skips_a_contract_quoted_on_one_day():
+    env_a = MarketEnv(date=DAY, spot=100.0, rate=0.02, div_hist=0.01)
+    env_b = MarketEnv(date=DAY + timedelta(days=1), spot=100.0, rate=0.02, div_hist=0.01)
+    chain_a = DailyChain(env_a, (make_quote(CALL, 100.0, 30, 5.0), make_quote(CALL, 95.0, 30, 8.0),
+                                 make_quote(PUT, 100.0, 31, 3.0)))
+    chain_b = DailyChain(env_b, (make_quote(CALL, 100.0, 30, 5.5),))
+    [match] = cross_date_report([chain_a, chain_b])
+    assert (match.kind, match.strike, match.ttm_days) == (CALL, 100.0, 30)
+
+
 def test_cross_date_report_zero_noise_world(bs_days):
     matches = cross_date_report(bs_days[:2])
     assert len(matches) == 104
@@ -484,6 +509,7 @@ def test_load_config_partial_keeps_base(tmp_path):
     "text, fragment",
     [
         ("master_seed 7\n", "key=value"),
+        ("workers = 1\n\nmaster_seed 7\n", "bad config line 3 'master_seed 7'"),
         ("unknown_key=3\n", "unknown config key"),
         ("kind=straddle\n", "bad kind"),
         ("trim = ture\n", "bad trim 'ture'"),
@@ -500,6 +526,12 @@ def test_load_config_rejects_bad_input(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         load_config(path)
+
+
+def test_read_config_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbflabels = LI\nworkers = 2\n")
+    assert read_config(path) == {"labels": "LI", "workers": "2"}
 
 
 def test_read_config_rejects_a_key_set_twice(tmp_path):

@@ -130,6 +130,7 @@ def test_missing_column_rejected(tmp_path):
         (row(bid="-0.5"), "bid"),
         (row(bid="6.0"), "ask"),          # ask < bid
         (row(volume="-3"), "volume"),
+        (row(volume="1.5"), "volume"),    # not an integer
         (row(expiry="2011-12-30"), "expiry"),  # before trade date
         (row(spot="0"), "spot"),
         (row(rate="inf"), "rate"),
@@ -167,6 +168,24 @@ def test_a_repeated_column_is_rejected_at_the_header(tmp_path):
         load_chains(path)
     assert exc.value.line == 1
     assert "repeated ['strike']" in str(exc.value)
+
+
+def test_an_empty_file_is_rejected_at_line_1(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert exc.value.line == 1
+    assert "empty file" in str(exc.value)
+
+
+def test_a_byte_order_mark_is_ignored(tmp_path):
+    # Excel's "CSV UTF-8" starts the file with the UTF-8 BOM, EF BB BF.
+    rows = [row(), row(kind="C", strike="105.0")]
+    plain = load_chains(write_csv(tmp_path / "plain.csv", rows))
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+    assert load_chains(path) == plain
 
 
 def test_padded_header_names_load_as_unpadded(tmp_path):

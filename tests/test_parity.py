@@ -6,9 +6,9 @@ from datetime import date
 import numpy as np
 import pytest
 
-from pricelab.black_scholes import BsInputs, bs_price
+from pricelab.black_scholes import bs_price
 from pricelab.errors import NoAtmPairs
-from pricelab.market_data import DailyChain, MarketEnv, OptionKind
+from pricelab.market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from pricelab.synth import synth_chain
 from pricelab.parity import (
     ATM_HI,
@@ -29,8 +29,8 @@ CALL, PUT = OptionKind.CALL, OptionKind.PUT
 
 
 def bs_pair(spot, strike, rate, dividend, vol, tau):
-    call = bs_price(BsInputs(CALL, spot, strike, rate, dividend, vol, tau))
-    put = bs_price(BsInputs(PUT, spot, strike, rate, dividend, vol, tau))
+    call = bs_price(CALL, spot, strike, rate, dividend, vol, tau)
+    put = bs_price(PUT, spot, strike, rate, dividend, vol, tau)
     return call, put
 
 
@@ -46,19 +46,18 @@ def test_parity_price_matches_model_prices():
         call, put = bs_pair(spot, strike, rate, dividend, vol, tau)
 
         from_put = parity_price(CALL, put, spot, strike, rate, dividend, tau)
-        assert from_put.price == pytest.approx(call, abs=1e-10)
-        assert not from_put.negative
+        assert from_put == pytest.approx(call, abs=1e-10)
+        assert from_put >= 0.0
         from_call = parity_price(PUT, call, spot, strike, rate, dividend, tau)
-        assert from_call.price == pytest.approx(put, abs=1e-10)
-        assert not from_call.negative
+        assert from_call == pytest.approx(put, abs=1e-10)
+        assert from_call >= 0.0
 
 
 def test_parity_price_flags_negative_value():
     # Deep OTM call priced off a stale, far-too-cheap put: the carry
     # term drags the parity value below zero.
     result = parity_price(CALL, 0.5, 80.0, 120.0, 0.02, 0.0, 1.0)
-    assert result.price < 0.0
-    assert result.negative
+    assert result < 0.0
 
 
 def test_parity_price_requires_positive_tau():
@@ -157,9 +156,9 @@ def test_estimate_dividend_curve_recovers_flat_yield(bs_day):
         assert curve.value_at(float(tau)) == pytest.approx(0.013, abs=1e-12)
 
 
-def test_estimate_dividend_curve_median_ignores_one_bad_pair():
-    # Three ATM pairs per maturity; corrupting one leaves the median on
-    # the two untouched (and identical) estimates.
+def curve_with_one_atm_put_bumped(bump):
+    """The dividend curve of a day with three ATM pairs per maturity after
+    one put's quotes are raised by bump, and that put's tau."""
     day = synth_chain("bs", dividend=0.013, strikes=[96.0, 100.0, 104.0])[0]
     quotes = list(day.quotes)
     bumped = None
@@ -168,11 +167,23 @@ def test_estimate_dividend_curve_median_ignores_one_bad_pair():
             bumped = i
             quotes[i] = q.__class__(
                 kind=q.kind, strike=q.strike, expiry=q.expiry, ttm_days=q.ttm_days,
-                bid=q.bid + 0.5, ask=q.ask + 0.5, volume=q.volume,
+                bid=q.bid + bump, ask=q.ask + bump, volume=q.volume,
             )
     assert bumped is not None
-    tau = quotes[bumped].tau
-    curve = estimate_dividend_curve(DailyChain(day.env, tuple(quotes)))
+    return estimate_dividend_curve(DailyChain(day.env, tuple(quotes))), quotes[bumped].tau
+
+
+def test_estimate_dividend_curve_median_ignores_one_bad_pair():
+    # Three ATM pairs per maturity; corrupting one leaves the median on
+    # the two untouched (and identical) estimates.
+    curve, tau = curve_with_one_atm_put_bumped(0.5)
+    assert curve.value_at(tau) == pytest.approx(0.013, abs=1e-12)
+
+
+def test_estimate_dividend_curve_skips_a_pair_with_a_non_positive_log_argument():
+    # A put 200 too dear makes C - P + K e^{-r tau} negative, so its pair
+    # gives no estimate and the other two give the yield.
+    curve, tau = curve_with_one_atm_put_bumped(200.0)
     assert curve.value_at(tau) == pytest.approx(0.013, abs=1e-12)
 
 
@@ -215,6 +226,18 @@ def test_itm_parity_audit_counts_unmatched(bs_day):
     assert skipped == 1
     assert len(records) == len(full_records) - 1
     assert itm_parity_audit(chain, curve).extra["unmatched_itm"] == 1.0
+
+
+def test_itm_parity_audit_skips_expiring_quotes(bs_day):
+    # An ITM put expiring today, with its call: parity needs tau > 0, so
+    # the audit passes over the pair without a record or a skip count.
+    expiring = tuple(
+        OptionQuote(kind, 120.0, bs_day.env.date, 0, mid, mid, 1000)
+        for kind, mid in [(PUT, 20.0), (CALL, 0.0)]
+    )
+    chain = DailyChain(bs_day.env, bs_day.quotes + expiring)
+    curve = estimate_dividend_curve(bs_day)
+    assert itm_parity_records(chain, curve) == itm_parity_records(bs_day, curve)
 
 
 def test_itm_parity_audit_skips_zero_mid(bs_day):

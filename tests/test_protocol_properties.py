@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pricelab.black_scholes import BsInputs, bs_price
+from pricelab.black_scholes import bs_price
 from pricelab.harness import ProtocolConfig, prepare_day, run_protocol, split_day
 from pricelab.market_data import (DailyChain, MarketEnv, OptionKind, OptionQuote, load_chains,
                                   save_chains)
@@ -41,7 +41,7 @@ def option_quote(kind, strike, days, vol, factor, style, volume):
     if days == 0:
         price = max(strike - ENV.spot if kind is PUT else ENV.spot - strike, 0.0) + 0.05
     else:
-        price = bs_price(BsInputs(kind, ENV.spot, strike, ENV.rate, ENV.div_hist, vol, days / 365))
+        price = bs_price(kind, ENV.spot, strike, ENV.rate, ENV.div_hist, vol, days / 365)
     mid = price * factor
     half_spread = 0.2 * mid if style == "wide" else 0.01 * mid
     bid = 0.0 if style == "zero bid" else mid - half_spread

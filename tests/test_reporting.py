@@ -115,6 +115,15 @@ def test_report_csv_round_trip(tmp_path):
     assert path.read_bytes() == again.read_bytes()
 
 
+def test_read_report_csv_skips_blank_lines(tmp_path):
+    report = aggregate([record(0.013), record(0.071)])
+    path = tmp_path / "report.csv"
+    write_report_csv(report, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["", lines[0], "", *lines[1:], ""]) + "\n")
+    assert read_report_csv(path) == report
+
+
 def test_report_csv_round_trip_preserves_none(tmp_path):
     report = aggregate([record(0.5)])
     path = tmp_path / "single.csv"

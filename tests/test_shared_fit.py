@@ -88,10 +88,10 @@ def queries(quotes, spot):
 def outcome(label, quotes, env, curve, lib_range, grid, training=None):
     """The fit's meta and each query's prediction, prices as hex; or the
     class and message of the fit's failure. The label is fitted on the
-    training set when one is given, else by fit alone."""
+    training set when one is given, else on a set of its own."""
     try:
-        estimator = (fit(label, PUT, quotes, env, curve=curve, lib_strike_range=lib_range)
-                     if training is None else training.fit(label, lib_range))
+        estimator = (TrainingSet(PUT, quotes, env, curve) if training is None
+                     else training).fit(label, lib_range)
     except ESTIMATOR_ERRORS as exc:
         return type(exc), str(exc)
     predictions = [predict(estimator, k, t) for k, t in grid]
@@ -216,7 +216,7 @@ def test_a_lone_fit_inverts_and_triangulates_only_for_its_label(counts):
     assert dict(counts) == {"triangulations": 1}
     fit("BSNW", PUT, quotes, env, curve=curve)
     assert dict(counts) == {"triangulations": 2, "inversions": 1}
-    fit("LIB", PUT, quotes, env, curve=curve, lib_strike_range=(60.0, 140.0))
+    TrainingSet(PUT, quotes, env, curve).fit("LIB", (60.0, 140.0))
     assert dict(counts) == {"triangulations": 3, "inversions": 1}
     counts.clear()
     # NWCV alone searches the prices only: it inverts no vol to score them.

@@ -466,8 +466,8 @@ def test_augment_zero_maturity_pins_payoff():
         make_quote(PUT, strike, days, mid)
         for strike, days, mid in [(90.0, 60, 2.0), (100.0, 60, 5.0), (110.0, 60, 12.0)]
     ]
-    strikes, payoffs = augment_zero_maturity(PUT, spot=100.0, strike_range=(90.0, 110.0), n=5)
-    assert strikes.tolist() == pytest.approx(list(np.linspace(90.0, 110.0, 5)))
+    strikes, payoffs = augment_zero_maturity(PUT, spot=100.0, strike_range=(90.0, 110.0))
+    assert strikes.tolist() == pytest.approx(list(np.linspace(90.0, 110.0, 30)))
     assert payoffs.tolist() == [max(k - 100.0, 0.0) for k in strikes.tolist()]
 
     # Appended at tau = 0, the row pins the surface to the payoff at expiry.
@@ -483,12 +483,12 @@ def test_augment_zero_maturity_pins_payoff():
 
 
 def test_augment_zero_maturity_options():
-    strikes, payoffs = augment_zero_maturity(CALL, spot=100.0, strike_range=(50.0, 150.0), n=3)
-    assert strikes.tolist() == [50.0, 100.0, 150.0]
-    assert payoffs.tolist() == [50.0, 0.0, 0.0]
+    strikes, payoffs = augment_zero_maturity(CALL, spot=100.0, strike_range=(50.0, 150.0))
+    assert strikes.tolist() == np.linspace(50.0, 150.0, 30).tolist()
+    assert strikes[0] == 50.0 and strikes[-1] == 150.0
+    assert payoffs.tolist() == [max(100.0 - k, 0.0) for k in strikes.tolist()]
+    assert payoffs[0] == 50.0 and payoffs[-1] == 0.0
 
-    with pytest.raises(ValueError):
-        augment_zero_maturity(CALL, spot=100.0, strike_range=(50.0, 150.0), n=1)
     with pytest.raises(ValueError):
         augment_zero_maturity(CALL, spot=100.0, strike_range=(-1.0, 50.0))
     with pytest.raises(ValueError):
