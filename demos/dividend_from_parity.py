@@ -8,7 +8,7 @@ shrug off a corrupted quote.
 
 import dataclasses
 
-from pricelab.market_data import OptionKind
+from pricelab.market_data import DailyChain, OptionKind
 from pricelab.parity import estimate_dividend_curve, itm_parity_audit
 from pricelab.reporting import render_reports
 from pricelab.synth import synth_chain
@@ -36,7 +36,7 @@ def main():
     quotes[victim] = dataclasses.replace(quotes[victim],
                                          bid=quotes[victim].bid + 0.5,
                                          ask=quotes[victim].ask + 0.5)
-    bumped = estimate_dividend_curve(dataclasses.replace(day, quotes=tuple(quotes)))
+    bumped = estimate_dividend_curve(DailyChain(day.env, quotes))
     print("after bumping one ATM put mid by +0.50:")
     for tau, y0, y1 in zip(curve.taus, curve.yields, bumped.yields):
         print(f"  {tau:8.4f} -> {y1:.12f}   moved by {abs(y1 - y0):.2e}")

@@ -388,16 +388,15 @@ def fill_implied_vols(chain: DailyChain, dividend: Callable[[float], float]) -> 
     second return value counts those quotes.
     """
     env = chain.env
-    quotes = chain.quotes
-    taus = [q.tau for q in quotes]
-    by_tau = {tau: dividend(tau) for tau in set(taus) if tau > 0.0}
+    taus = chain.taus
+    by_tau = {tau: dividend(tau) for tau in set(taus.tolist()) if tau > 0.0}
     vols = implied_vols(
-        [q.kind for q in quotes],
-        [q.mid for q in quotes],
+        chain.kinds,
+        chain.mids,
         env.spot,
-        [q.strike for q in quotes],
+        chain.strikes,
         env.rate,
-        [by_tau.get(tau, 0.0) for tau in taus],  # no vol exists at tau <= 0
+        [by_tau.get(tau, 0.0) for tau in taus.tolist()],  # no vol exists at tau <= 0
         taus,
     )
     return vols, int(np.isnan(vols).sum())

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import market_data, reporting, synth
 from .errors import NoAtmPairs, PricelabError
-from .estimators import EstimatorLabel, PricingEstimator, fit, predict, prediction_status
+from .estimators import EstimatorLabel, PricingEstimator, TrainingSet, predict, prediction_status
 from .harness import DEFAULT_MASTER_SEED, apply_config, prepare_day, read_config, run_protocol
 from .market_data import load_chains, save_chains
 from .parity import estimate_dividend_curve, itm_parity_records
@@ -163,7 +163,7 @@ def _fit_day(args: argparse.Namespace, label: EstimatorLabel) -> PricingEstimato
     chain = _single_day(_load_input(args.input), args.date)
     config = apply_config({"kind": args.kind})
     day, curve, _ = prepare_day(chain, config)
-    return fit(label, config.kind, day.quotes, day.env, curve=curve)
+    return TrainingSet(config.kind, day, curve).fit(label)
 
 
 def _cmd_calibrate_vg(args: argparse.Namespace) -> int:
@@ -195,8 +195,8 @@ def _cmd_price(args: argparse.Namespace) -> int:
                 raise ValueError(f"{args.queries} line 1: names {name} more than once")
         i_strike, i_tau = header.index("strike"), header.index("tau")
         for row in reader:
-            if not row:
-                continue  # a blank line
+            if not "".join(row).strip():
+                continue  # a blank line, or an empty spreadsheet row
             where = f"{args.queries} line {reader.line_num}"
             if len(row) != len(header):
                 raise ValueError(f"{where}: wrong number of fields; needs both strike and tau, "

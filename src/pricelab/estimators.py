@@ -118,10 +118,11 @@ class TrainingSet:
     """A day's training quotes of one kind, as arrays, and the work that
     every label's fit on them shares.
 
-    strikes, taus and mids hold the quotes of the kind at tau >= 0, in the
-    order given. curve is the day's dividend curve, historical_curve(env)
-    when None. vols, when passed, holds one implied vol per quote passed
-    (NaN where none exists) under it, as fill_implied_vols gives them;
+    chain holds the quotes of the kind at tau >= 0 of the chain given, in
+    its order; strikes, taus and mids are its columns. curve is the day's
+    dividend curve, historical_curve(env) when None. vols, when passed,
+    holds one implied vol per quote of the chain given (NaN where none
+    exists), as fill_implied_vols gives them;
     otherwise they are inverted on first use. geometry(mask) triangulates
     a subset of the points on first use and hands the same geometry to
     every later fit on that subset; cv_grid(mask, target) does the same
@@ -130,19 +131,16 @@ class TrainingSet:
     lives for one day's fits: fit(label) fits each of them on it.
     """
 
-    def __init__(self, kind: OptionKind, quotes: Sequence[OptionQuote], env: MarketEnv,
-                 curve: DividendCurve | None = None, vols: np.ndarray | None = None,
-                 labels: Iterable[EstimatorLabel] = ()):
-        keep = [q.kind == kind and q.tau >= 0.0 for q in quotes]
+    def __init__(self, kind: OptionKind, chain: DailyChain, curve: DividendCurve | None = None,
+                 vols: np.ndarray | None = None, labels: Iterable[EstimatorLabel] = ()):
+        keep = (chain.kinds == kind) & (chain.taus >= 0.0)
         if vols is not None and len(vols) != len(keep):
             raise ValueError(f"{len(vols)} vols for {len(keep)} quotes")
-        self.kind, self.env = kind, env
-        self.curve = historical_curve(env) if curve is None else curve
-        self.quotes = tuple(q for q, kept in zip(quotes, keep) if kept)
-        self.strikes = np.array([q.strike for q in self.quotes])
-        self.taus = np.array([q.tau for q in self.quotes])
-        self.mids = np.array([q.mid for q in self.quotes])
-        self._vols = None if vols is None else np.asarray(vols, dtype=float)[np.array(keep, dtype=bool)]
+        self.kind, self.env = kind, chain.env
+        self.curve = historical_curve(self.env) if curve is None else curve
+        self.chain = chain.select(keep)
+        self.strikes, self.taus, self.mids = self.chain.strikes, self.chain.taus, self.chain.mids
+        self._vols = None if vols is None else np.asarray(vols, dtype=float)[keep]
         self._geometries: dict[bytes, NormalizedGeometry] = {}
         self._cv_grids: dict[bytes, dict[str, CvGrid]] = {}
         recipes = [_RECIPES.get(EstimatorLabel(label)) for label in labels]
@@ -152,7 +150,7 @@ class TrainingSet:
     def vols(self) -> np.ndarray:
         """One implied vol per quote, NaN where none exists."""
         if self._vols is None:
-            self._vols, _ = fill_implied_vols(DailyChain(self.env, self.quotes), self.curve)
+            self._vols, _ = fill_implied_vols(self.chain, self.curve)
         return self._vols
 
     def values(self, target: str) -> np.ndarray:
@@ -209,7 +207,7 @@ class TrainingSet:
         """
         label = EstimatorLabel(label)
         kind, env, dividend_at = self.kind, self.env, self.curve.value_at
-        meta: dict = {"n_train": len(self.quotes)}
+        meta: dict = {"n_train": len(self.chain)}
         if label is EstimatorLabel.VG:
             return _fit_vg(self, meta)
 
@@ -306,7 +304,7 @@ def fit(
 ) -> PricingEstimator:
     """Fit one estimator to a day's training quotes: TrainingSet.fit on a
     set of these quotes alone, which does only what the label needs."""
-    return TrainingSet(kind, quotes, env, curve).fit(label)
+    return TrainingSet(kind, DailyChain(env, quotes), curve).fit(label)
 
 
 def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:

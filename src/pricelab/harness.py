@@ -158,14 +158,13 @@ def prepare_day(
     except NoAtmPairs:
         curve = historical_curve(liquid.env)
     day = liquid.of_kind(config.kind)
-    keep = np.array([q.mid > 0.0 for q in day.quotes], dtype=bool)
+    keep = day.mids > 0.0
     vols = None
     if config.trim:
         vols, _ = fill_implied_vols(day, curve)
         keep &= trim_mask(day, vols, config.max_iv, config.min_price)
         vols = vols[keep]
-    quotes = tuple(q for q, kept in zip(day.quotes, keep.tolist()) if kept)
-    return DailyChain(day.env, quotes), curve, vols
+    return day.select(keep), curve, vols
 
 
 def evaluate_day(
@@ -190,19 +189,21 @@ def evaluate_day(
     at tau <= 0, which no estimator prices; per-query failures are
     likewise recorded, not thrown.
     """
-    quotes = day.quotes
-    if sorted(split.train + split.test) != list(range(len(quotes))):
+    if sorted(split.train + split.test) != list(range(len(day))):
         raise ValueError("split indices do not match the day's quote list")
-    kinds = {q.kind for q in quotes}
+    kinds = set(day.kinds.tolist())
     if len(kinds) != 1:
         raise ValueError("evaluate_day expects a prepared single-kind day")
-    if vols is not None and len(vols) != len(quotes):
-        raise ValueError(f"{len(vols)} vols for a day of {len(quotes)} quotes")
+    if vols is not None and len(vols) != len(day):
+        raise ValueError(f"{len(vols)} vols for a day of {len(day)} quotes")
     labels = [EstimatorLabel(label) for label in labels]
-    training = TrainingSet(kinds.pop(), [quotes[i] for i in split.train], day.env, curve,
-                           None if vols is None else vols[list(split.train)], labels)
-    strikes = [q.strike for q in quotes]
-    lib_strike_range = (min(strikes), max(strikes))
+    train = np.array(split.train, dtype=np.intp)
+    training = TrainingSet(kinds.pop(), day.select(train), curve,
+                           None if vols is None else vols[train], labels)
+    lib_strike_range = (float(day.strikes.min()), float(day.strikes.max()))
+    test = np.array(split.test, dtype=np.intp)
+    held_out = list(zip(day.strikes[test].tolist(), day.taus[test].tolist(),
+                        day.mids[test].tolist()))
     failed = Prediction(price=None, status=PredictStatus.FAILED)
 
     records: list[PricingError] = []
@@ -211,15 +212,15 @@ def evaluate_day(
             estimator = training.fit(label, lib_strike_range)
         except ESTIMATOR_ERRORS:
             estimator = None
-        for q in (quotes[i] for i in split.test):
-            prediction = (failed if estimator is None or q.tau <= 0.0
-                          else predict(estimator, q.strike, q.tau))
+        for strike, tau, mid in held_out:
+            prediction = (failed if estimator is None or tau <= 0.0
+                          else predict(estimator, strike, tau))
             est_price = prediction.price
             records.append(
                 PricingError(
-                    date=day.env.date, label=label.value, strike=q.strike, tau=q.tau,
-                    true_price=q.mid, est_price=est_price,
-                    rel_error=None if est_price is None else abs(1.0 - est_price / q.mid),
+                    date=day.env.date, label=label.value, strike=strike, tau=tau,
+                    true_price=mid, est_price=est_price,
+                    rel_error=None if est_price is None else abs(1.0 - est_price / mid),
                     status=prediction_status(prediction),
                 )
             )

@@ -9,11 +9,20 @@ The file is UTF-8, and a leading byte-order mark is ignored. The header
 names each required column exactly once and nothing else but the
 optional implied_vol column; spaces around a name are ignored.
 Every other non-blank line is a row with exactly as many fields as the
-header, and blank lines are skipped. Dates are ISO (YYYY-MM-DD), kind is
-C or P, and the per-day market environment (spot, rate, div_hist) must
-repeat identically on every row of that day. The implied_vol column is
-written back when requested, blank where the input has none. It only
-passes through: pricelab inverts its own vols and never reads it.
+header. Blank lines are skipped, and so is a row whose every field is
+blank, as a spreadsheet writes an empty row of bare commas. Dates are ISO
+(YYYY-MM-DD), kind is C or P, volume fits in 64 bits, and the per-day
+market environment (spot, rate, div_hist) must repeat identically on
+every row of that day. The implied_vol column is written back when
+requested, blank where the input has none. It only passes through:
+pricelab inverts its own vols and never reads it.
+
+A DailyChain holds a day's quotes as columns, one array per field, and
+the filters and the protocol work on masks and slices of them.
+load_chains parses a file a block of rows at a time, each block a column
+at a time, and builds no per-quote object. DailyChain.quotes is the same quotes as OptionQuote records, a
+view for callers that want one object per quote: built from the columns
+on first use and kept.
 """
 
 from __future__ import annotations
@@ -22,9 +31,9 @@ import csv
 import datetime as dt
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +56,8 @@ _REQUIRED_COLUMNS = (
     "div_hist",
 )
 _OPTIONAL_COLUMNS = ("implied_vol",)
+_MAX_VOLUME = int(np.iinfo(np.int64).max)
+_EPOCH = dt.date(1970, 1, 1).toordinal()
 
 # Liquidity-filter defaults: drop quotes expiring in under a day or with
 # volume under 100 contracts. Bounds are inclusive for retention.
@@ -99,18 +110,101 @@ class MarketEnv:
     div_hist: float
 
 
-@dataclass(frozen=True)
-class DailyChain:
-    """All quotes of one trading day plus that day's environment."""
+def _datetime64(ordinals: list[int]) -> np.ndarray:
+    """datetime64[D] of the dates with these date.toordinal() values."""
+    return (np.array(ordinals, dtype=np.int64) - _EPOCH).view("datetime64[D]")
 
-    env: MarketEnv
-    quotes: tuple[OptionQuote, ...] = field(default_factory=tuple)
+
+class DailyChain:
+    """All quotes of one trading day, as columns, plus that day's environment.
+
+    Entry i of every column belongs to quote i: kinds (OptionKind
+    members), strikes, expiries (datetime64[D]), ttm_days, bids, asks,
+    volumes (int64) and implied_vols (NaN where the quote has none). The
+    columns are read-only. DailyChain(env, quotes) builds them from
+    OptionQuote records and keeps those records as .quotes; a chain parsed
+    from a file or selected from another builds its records from its
+    columns on first use of .quotes. Two chains are equal when their
+    environments and columns are.
+    """
+
+    _COLUMNS = ("kinds", "strikes", "expiries", "ttm_days", "bids", "asks", "volumes",
+                "implied_vols")
+
+    def __init__(self, env: MarketEnv, quotes: Iterable[OptionQuote] = ()):
+        quotes = tuple(quotes)
+        self._set_columns(
+            env,
+            np.array([q.kind for q in quotes], dtype=object),
+            np.array([q.strike for q in quotes], dtype=float),
+            _datetime64([q.expiry.toordinal() for q in quotes]),
+            np.array([q.ttm_days for q in quotes], dtype=np.int64),
+            np.array([q.bid for q in quotes], dtype=float),
+            np.array([q.ask for q in quotes], dtype=float),
+            np.array([q.volume for q in quotes], dtype=np.int64),
+            np.array([math.nan if q.implied_vol is None else q.implied_vol for q in quotes],
+                     dtype=float),
+        )
+        self._quotes = quotes
+
+    @classmethod
+    def _of_columns(cls, env: MarketEnv, *columns: np.ndarray) -> "DailyChain":
+        chain = cls.__new__(cls)
+        chain._set_columns(env, *columns)
+        chain._quotes = None
+        return chain
+
+    def _set_columns(self, env: MarketEnv, *columns: np.ndarray) -> None:
+        self.env = env
+        for name, column in zip(self._COLUMNS, columns, strict=True):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @property
+    def quotes(self) -> tuple[OptionQuote, ...]:
+        """The quotes as OptionQuote records, in column order."""
+        if self._quotes is None:
+            vols = [None if math.isnan(v) else v for v in self.implied_vols.tolist()]
+            self._quotes = tuple(map(
+                OptionQuote, self.kinds.tolist(), self.strikes.tolist(),
+                self.expiries.tolist(), self.ttm_days.tolist(), self.bids.tolist(),
+                self.asks.tolist(), self.volumes.tolist(), vols,
+            ))
+        return self._quotes
+
+    @property
+    def mids(self) -> np.ndarray:
+        """Mid prices, rounded as OptionQuote.mid rounds them."""
+        return 0.5 * (self.bids + self.asks)
+
+    @property
+    def taus(self) -> np.ndarray:
+        """Times to expiry in years, rounded as OptionQuote.tau rounds them."""
+        return self.ttm_days / DAYS_PER_YEAR
 
     def __len__(self) -> int:
-        return len(self.quotes)
+        return len(self.strikes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DailyChain):
+            return NotImplemented
+        return self.env == other.env and all(
+            np.array_equal(getattr(self, name), getattr(other, name),
+                           equal_nan=name == "implied_vols")
+            for name in self._COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        return f"DailyChain({self.env!r}, <{len(self)} quotes>)"
+
+    def select(self, which: np.ndarray) -> "DailyChain":
+        """The chain of the quotes that which picks, a boolean mask or an
+        index array, in that order."""
+        return DailyChain._of_columns(self.env,
+                                      *(getattr(self, name)[which] for name in self._COLUMNS))
 
     def of_kind(self, kind: OptionKind) -> "DailyChain":
-        return DailyChain(self.env, tuple(q for q in self.quotes if q.kind == kind))
+        return self.select(self.kinds == kind)
 
 
 def _parse_date(text: str, line: int, column: str) -> dt.date:
@@ -144,15 +238,150 @@ def quote_sort_key(q: OptionQuote):
     return (q.kind.value, q.expiry, q.strike)
 
 
+def _check_row(fields: list[str], line: int, index: dict[str, int]):
+    """One row's checks, in order; the first that fails raises its
+    ChainParseError. Returns the row's date and (spot, rate, div_hist)."""
+    if len(fields) != len(index):
+        raise ChainParseError(line, "wrong number of fields")
+    date = _parse_date(fields[index["date"]], line, "date")
+    expiry = _parse_date(fields[index["expiry"]], line, "expiry")
+    kind_text = fields[index["kind"]].strip()
+    try:
+        OptionKind(kind_text)
+    except ValueError:
+        raise ChainParseError(line, f"bad kind {kind_text!r}, expected C or P") from None
+    strike, bid, ask = (_parse_float(fields[index[c]], line, c) for c in ("strike", "bid", "ask"))
+    volume = _parse_int(fields[index["volume"]], line, "volume")
+    spot, rate, div_hist = (_parse_float(fields[index[c]], line, c)
+                            for c in ("spot", "rate", "div_hist"))
+    if strike <= 0.0:
+        raise ChainParseError(line, f"strike must be positive, got {strike}")
+    if spot <= 0.0:
+        raise ChainParseError(line, f"spot must be positive, got {spot}")
+    if bid < 0.0:
+        raise ChainParseError(line, f"bid must be non-negative, got {bid}")
+    if ask < bid:
+        raise ChainParseError(line, f"crossed quote: bid {bid} > ask {ask}")
+    if volume < 0:
+        raise ChainParseError(line, f"volume must be non-negative, got {volume}")
+    if volume > _MAX_VOLUME:
+        raise ChainParseError(line, f"volume must be at most {_MAX_VOLUME}, got {volume}")
+    if expiry < date:
+        raise ChainParseError(line, f"expiry {expiry} precedes quote date {date}")
+    if "implied_vol" in index:
+        text = fields[index["implied_vol"]].strip()
+        if text:
+            _parse_float(text, line, "implied_vol")
+    return date, (spot, rate, div_hist)
+
+
+# Rows parsed per block. One block's text is alive at a time, so a parse
+# needs memory for the columns and one block, whatever the file's length.
+_BLOCK_ROWS = 512
+
+# The environment of each day met so far: its first row's line number and
+# (spot, rate, div_hist).
+_Envs = dict[dt.date, tuple[int, tuple[float, float, float]]]
+
+
+def _first_error(names: list[str], rows: list[list[str]], lines: list[int],
+                 envs: _Envs) -> ChainParseError:
+    """The error of the block's first offending row, for the first check it
+    fails. The column checks find only that some row fails; this walk over
+    the rows names it. A day's environment is its first good row's, from
+    envs for the days of earlier blocks."""
+    index = {name: i for i, name in enumerate(names)}
+    envs = dict(envs)
+    for fields, line in zip(rows, lines):
+        try:
+            date, given = _check_row(fields, line, index)
+        except ChainParseError as error:
+            return error
+        first_line, seen = envs.setdefault(date, (line, given))
+        if seen != given:
+            diffs = ", ".join(
+                f"{name} {old} != {new}"
+                for name, old, new in zip(("spot", "rate", "div_hist"), seen, given)
+                if old != new
+            )
+            return ChainParseError(
+                line, f"environment for {date} conflicts with line {first_line}: {diffs}"
+            )
+    raise AssertionError("the column checks rejected rows that pass every row check")
+
+
+def _parse_dates(texts: tuple[str, ...]) -> np.ndarray:
+    """datetime64[D] of ISO dates, each distinct text read once by
+    date.fromisoformat (which, unlike numpy, reads 20120103 as a date and
+    rejects NaT); ValueError when one does not parse."""
+    ordinal = {text: dt.date.fromisoformat(text.strip()).toordinal() for text in set(texts)}
+    return _datetime64([ordinal[text] for text in texts])
+
+
+def _parse_block(names: list[str], rows: list[list[str]], lines: list[int],
+                 envs: _Envs) -> tuple[np.ndarray, ...]:
+    """The block's dates and then DailyChain's columns, parsed and checked
+    a column at a time; the first offending row raises its ChainParseError.
+    Adds the days that the block starts to envs."""
+    text = dict(zip(names, zip(*rows)))
+    try:
+        dates, expiries = _parse_dates(text["date"]), _parse_dates(text["expiry"])
+        kind_of = {t: OptionKind(t.strip()) for t in set(text["kind"])}
+        kinds = np.array([kind_of[t] for t in text["kind"]], dtype=object)
+        strikes, bids, asks, spots, rates, div_hists = (
+            np.array(text[c], dtype=float) for c in ("strike", "bid", "ask", "spot", "rate",
+                                                    "div_hist"))
+        volumes = np.array(text["volume"], dtype=np.int64)
+        vol_texts = [t.strip() for t in text.get("implied_vol", ())]
+        vols = np.array([t or "nan" for t in vol_texts], dtype=float)
+    except (ValueError, OverflowError):  # OverflowError: a volume beyond int64
+        raise _first_error(names, rows, lines, envs) from None
+    ttm_days = (expiries - dates).astype(np.int64)
+    bad = ~np.isfinite(np.array([strikes, bids, asks, spots, rates, div_hists])).all(axis=0)
+    bad |= (strikes <= 0.0) | (spots <= 0.0) | (bids < 0.0) | (asks < bids)
+    bad |= (volumes < 0) | (ttm_days < 0)
+    if vol_texts:
+        bad |= ~np.isfinite(vols) & np.array([bool(t) for t in vol_texts])
+    else:
+        vols = np.full(len(rows), math.nan)
+    days, first, day_of_row = np.unique(dates, return_index=True, return_inverse=True)
+    started = {day: (lines[i], (float(spots[i]), float(rates[i]), float(div_hists[i])))
+               for day, i in zip(days.tolist(), first.tolist()) if day not in envs}
+    expected = np.array([(envs.get(day) or started[day])[1] for day in days.tolist()])
+    bad |= (np.column_stack([spots, rates, div_hists]) != expected[day_of_row]).any(axis=1)
+    if bad.any():
+        raise _first_error(names, rows, lines, envs)
+    envs.update(started)
+    return dates, kinds, strikes, expiries, ttm_days, bids, asks, volumes, vols
+
+
+def _parsed_blocks(reader, names: list[str], envs: _Envs) -> Iterator[tuple[np.ndarray, ...]]:
+    """_parse_block of the non-blank rows after the header, _BLOCK_ROWS rows
+    at a time. A row of the wrong width raises its block's first error."""
+    rows: list[list[str]] = []
+    lines: list[int] = []
+    for fields in reader:
+        if not "".join(fields).strip():
+            continue  # a blank line, or an empty spreadsheet row
+        rows.append(fields)
+        lines.append(reader.line_num)
+        if len(fields) != len(names):
+            raise _first_error(names, rows, lines, envs)
+        if len(rows) == _BLOCK_ROWS:
+            yield _parse_block(names, rows, lines, envs)
+            rows, lines = [], []
+    if rows:
+        yield _parse_block(names, rows, lines, envs)
+
+
 def load_chains(path: str | Path) -> list[DailyChain]:
     """Parse a chain CSV into per-day chains, sorted by date.
 
-    Checks the header once, then each row's width, fields (prices, volume,
-    date ordering) and environment against its day's first row; any
-    violation raises ChainParseError with the offending line number.
+    Checks the header once, then every row's width, fields (prices,
+    volume, date ordering) and environment against its day's first row,
+    column by column; any violation raises ChainParseError naming the
+    first offending line.
     """
-    days: dict[dt.date, tuple[MarketEnv, int, list[OptionQuote]]] = {}
-
     with Path(path).open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -168,72 +397,23 @@ def load_chains(path: str | Path) -> list[DailyChain]:
                 f"bad header: missing {missing or 'none'}, unexpected {unexpected or 'none'}, "
                 f"repeated {repeated or 'none'}",
             )
-        index = {name: i for i, name in enumerate(names)}
-        (i_date, i_kind, i_strike, i_expiry, i_bid, i_ask, i_volume,
-         i_spot, i_rate, i_div_hist) = (index[c] for c in _REQUIRED_COLUMNS)
-        i_iv = index.get("implied_vol")
+        envs: _Envs = {}
+        blocks = list(_parsed_blocks(reader, names, envs))
+    if not blocks:
+        return []
 
-        for fields in reader:
-            if not fields:
-                continue  # a blank line
-            line = reader.line_num
-            if len(fields) != len(names):
-                raise ChainParseError(line, "wrong number of fields")
-            date = _parse_date(fields[i_date], line, "date")
-            expiry = _parse_date(fields[i_expiry], line, "expiry")
-            kind_text = fields[i_kind].strip()
-            try:
-                kind = OptionKind(kind_text)
-            except ValueError:
-                raise ChainParseError(line, f"bad kind {kind_text!r}, expected C or P") from None
-
-            strike = _parse_float(fields[i_strike], line, "strike")
-            bid = _parse_float(fields[i_bid], line, "bid")
-            ask = _parse_float(fields[i_ask], line, "ask")
-            volume = _parse_int(fields[i_volume], line, "volume")
-            spot = _parse_float(fields[i_spot], line, "spot")
-            rate = _parse_float(fields[i_rate], line, "rate")
-            div_hist = _parse_float(fields[i_div_hist], line, "div_hist")
-
-            if strike <= 0.0:
-                raise ChainParseError(line, f"strike must be positive, got {strike}")
-            if spot <= 0.0:
-                raise ChainParseError(line, f"spot must be positive, got {spot}")
-            if bid < 0.0:
-                raise ChainParseError(line, f"bid must be non-negative, got {bid}")
-            if ask < bid:
-                raise ChainParseError(line, f"crossed quote: bid {bid} > ask {ask}")
-            if volume < 0:
-                raise ChainParseError(line, f"volume must be non-negative, got {volume}")
-            ttm_days = (expiry - date).days
-            if ttm_days < 0:
-                raise ChainParseError(line, f"expiry {expiry} precedes quote date {date}")
-
-            iv: float | None = None
-            if i_iv is not None:
-                text = fields[i_iv].strip()
-                if text:
-                    iv = _parse_float(text, line, "implied_vol")
-
-            if date not in days:
-                days[date] = (MarketEnv(date, spot, rate, div_hist), line, [])
-            env, first_line, quotes = days[date]
-            seen, given = (env.spot, env.rate, env.div_hist), (spot, rate, div_hist)
-            if seen != given:
-                diffs = ", ".join(
-                    f"{name} {old} != {new}"
-                    for name, old, new in zip(("spot", "rate", "div_hist"), seen, given)
-                    if old != new
-                )
-                raise ChainParseError(
-                    line, f"environment for {date} conflicts with line {first_line}: {diffs}"
-                )
-            quotes.append(OptionQuote(kind=kind, strike=strike, expiry=expiry, ttm_days=ttm_days,
-                                      bid=bid, ask=ask, volume=volume, implied_vol=iv))
-
+    dates, *columns = (np.concatenate(column) for column in zip(*blocks))
+    kinds, strikes, expiries = columns[:3]
+    days, day_of_row = np.unique(dates, return_inverse=True)
+    # By day, then in quote_sort_key's order; lexsort is stable, so equal
+    # keys keep their file order.
+    order = np.lexsort((strikes, expiries, kinds == OptionKind.PUT, day_of_row))
+    columns = [column[order] for column in columns]
+    stops = np.cumsum(np.bincount(day_of_row)).tolist()
     return [
-        DailyChain(env, tuple(sorted(quotes, key=quote_sort_key)))
-        for env, _, quotes in sorted(days.values(), key=lambda day: day[0].date)
+        DailyChain._of_columns(MarketEnv(day, *envs[day][1]),
+                               *(column[start:stop] for column in columns))
+        for day, start, stop in zip(days.tolist(), [0] + stops[:-1], stops)
     ]
 
 
@@ -251,21 +431,18 @@ def save_chains(chains: Iterable[DailyChain], path: str | Path, include_iv: bool
         writer.writerow(columns)
         for chain in sorted(chains, key=lambda c: c.env.date):
             env = chain.env
-            for q in sorted(chain.quotes, key=quote_sort_key):
-                row = [
-                    env.date.isoformat(),
-                    q.kind.value,
-                    repr(float(q.strike)),
-                    q.expiry.isoformat(),
-                    repr(float(q.bid)),
-                    repr(float(q.ask)),
-                    str(q.volume),
-                    repr(float(env.spot)),
-                    repr(float(env.rate)),
-                    repr(float(env.div_hist)),
-                ]
+            date, spot, rate, div_hist = (env.date.isoformat(), repr(float(env.spot)),
+                                          repr(float(env.rate)), repr(float(env.div_hist)))
+            # quote_sort_key's order; lexsort is stable, as sorted() is.
+            order = np.lexsort((chain.strikes, chain.expiries, chain.kinds == OptionKind.PUT))
+            picked = (chain.kinds, chain.strikes, chain.expiries, chain.bids, chain.asks,
+                      chain.volumes, chain.implied_vols)
+            for kind, strike, expiry, bid, ask, volume, vol in zip(
+                    *(column[order].tolist() for column in picked)):
+                row = [date, kind.value, repr(strike), expiry.isoformat(), repr(bid), repr(ask),
+                       str(volume), spot, rate, div_hist]
                 if include_iv:
-                    row.append("" if q.implied_vol is None else repr(float(q.implied_vol)))
+                    row.append("" if math.isnan(vol) else repr(vol))
                 writer.writerow(row)
 
 
@@ -275,10 +452,7 @@ def filter_liquidity(
     min_volume: int = DEFAULT_MIN_VOLUME,
 ) -> DailyChain:
     """Drop quotes expiring too soon or too thinly traded (inclusive bounds)."""
-    kept = tuple(
-        q for q in chain.quotes if q.ttm_days >= min_ttm_days and q.volume >= min_volume
-    )
-    return DailyChain(chain.env, kept)
+    return chain.select((chain.ttm_days >= min_ttm_days) & (chain.volumes >= min_volume))
 
 
 def trim_mask(
@@ -291,7 +465,6 @@ def trim_mask(
     min_price and vol (one per quote, as fill_implied_vols returns them) at
     most max_iv. A quote whose vol is NaN (not invertible) is not kept."""
     vols = np.asarray(vols, dtype=float)
-    if vols.shape != (len(chain.quotes),):
-        raise ValueError(f"{vols.size} vols for {len(chain.quotes)} quotes")
-    mids = np.array([q.mid for q in chain.quotes], dtype=float)
-    return (mids >= min_price) & (vols <= max_iv)  # False for a NaN vol
+    if vols.shape != (len(chain),):
+        raise ValueError(f"{vols.size} vols for {len(chain)} quotes")
+    return (chain.mids >= min_price) & (vols <= max_iv)  # False for a NaN vol

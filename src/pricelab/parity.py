@@ -97,6 +97,12 @@ def forward_price(spot: float, rate: float, dividend: float, tau: float) -> floa
     return spot * math.exp((rate - dividend) * tau)
 
 
+def _log_moneyness(strike: float, forward: float) -> float:
+    if strike <= 0.0:
+        raise ValueError(f"strike must be positive, got {strike}")
+    return math.log(strike / forward)
+
+
 def classify_moneyness(kind: OptionKind, strike: float, env: MarketEnv, tau: float) -> MoneynessClass:
     """Log-moneyness against the day's forward, bucketed to ITM/ATM/OTM.
 
@@ -105,9 +111,7 @@ def classify_moneyness(kind: OptionKind, strike: float, env: MarketEnv, tau: flo
     often used to estimate. Calls are in the money below the band and
     out above it; puts the reverse.
     """
-    if strike <= 0.0:
-        raise ValueError(f"strike must be positive, got {strike}")
-    value = math.log(strike / forward_price(env.spot, env.rate, env.div_hist, tau))
+    value = _log_moneyness(strike, forward_price(env.spot, env.rate, env.div_hist, tau))
     if ATM_LO <= value <= ATM_HI:
         label = Moneyness.ATM
     elif value < ATM_LO:
@@ -146,25 +150,27 @@ class DividendCurve:
 
 
 def _atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
-    """ATM call/put pairs keyed by tau, matched on (expiry, strike)."""
-    calls: dict[tuple, float] = {}
-    puts: dict[tuple, float] = {}
-    taus: dict[tuple, float] = {}
-    for q in chain.quotes:
-        key = (q.expiry, q.strike)
-        taus[key] = q.tau
-        if q.kind is OptionKind.CALL:
-            calls[key] = q.mid
-        else:
-            puts[key] = q.mid
+    """ATM call/put pairs keyed by tau, matched on (expiry, strike). Where
+    a key repeats, its last quote of each kind counts, and the tau of its
+    last quote of either kind."""
+    env = chain.env
+    keys = list(zip(chain.expiries.tolist(), chain.strikes.tolist()))
+    is_call = (chain.kinds == OptionKind.CALL).tolist()
+    mids = chain.mids.tolist()
+    taus = dict(zip(keys, chain.taus.tolist()))
+    calls = {key: mid for key, mid, call in zip(keys, mids, is_call) if call}
+    puts = {key: mid for key, mid, call in zip(keys, mids, is_call) if not call}
 
+    # classify_moneyness's ATM test, with the forward of each maturity found once.
+    forwards = {tau: forward_price(env.spot, env.rate, env.div_hist, tau)
+                for tau in set(taus.values()) if tau > 0.0}
     pairs: dict[float, list[ParityLeg]] = {}
     for key in calls.keys() & puts.keys():
-        expiry, strike = key
+        _, strike = key
         tau = taus[key]
         if tau <= 0.0:
             continue
-        if classify_moneyness(OptionKind.CALL, strike, chain.env, tau).label is not Moneyness.ATM:
+        if not ATM_LO <= _log_moneyness(strike, forwards[tau]) <= ATM_HI:
             continue
         pairs.setdefault(tau, []).append(
             ParityLeg(strike=strike, tau=tau, call_mid=calls[key], put_mid=puts[key])

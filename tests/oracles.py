@@ -14,6 +14,12 @@ match them bit for bit. cv_objective_at is not an oracle: it evaluates
 the package's own kernel._cv_objective at given bandwidths, so tests can
 compare the bandwidths two selectors chose.
 
+filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
+are the chain operations as they were defined on OptionQuote records,
+one record at a time, before chains became columns. They return records
+(the filters), a mask, (vols, NaN count) and {tau: ParityLeg list}; the
+column forms must give the same records and the same bits.
+
 merge_duplicates(points, values) is the surface module's former merge,
 one np.all per point and one mask per group, on an (n, 2) array of points
 and n values; it returns the merged (points, values). The package's
@@ -49,13 +55,15 @@ from pricelab.black_scholes import (
     _VOL_LO,
     _price,
     _validate,
+    implied_vols,
     no_arbitrage_band,
     vega,
 )
 from pricelab.errors import DegenerateGeometry, NoArbitrageViolation, NoConvergence, NumericalUnderflow
 from pricelab.kernel import Bandwidths, NwModel
 from pricelab.kernel import _cv_objective as _package_cv_objective
-from pricelab.market_data import OptionKind
+from pricelab.market_data import DailyChain, OptionKind
+from pricelab.parity import Moneyness, ParityLeg, classify_moneyness
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
 # The result must carry an error estimate within _REL_TOL of itself (or
@@ -257,6 +265,53 @@ def implied_vol_brentq(
     if abs(objective(root)) > _PRICE_TOL * max(1.0, abs(price)):
         raise NoConvergence(f"residual {objective(root)} exceeds price tolerance at sigma {root}")
     return root
+
+
+def filter_liquidity(chain: DailyChain, min_ttm_days: int, min_volume: int) -> tuple:
+    return tuple(q for q in chain.quotes if q.ttm_days >= min_ttm_days and q.volume >= min_volume)
+
+
+def of_kind(chain: DailyChain, kind: OptionKind) -> tuple:
+    return tuple(q for q in chain.quotes if q.kind == kind)
+
+
+def trim_mask(chain: DailyChain, vols: np.ndarray, max_iv: float, min_price: float) -> np.ndarray:
+    mids = np.array([q.mid for q in chain.quotes], dtype=float)
+    return (mids >= min_price) & (vols <= max_iv)
+
+
+def fill_implied_vols(chain: DailyChain, dividend: Callable[[float], float]):
+    quotes = chain.quotes
+    taus = [q.tau for q in quotes]
+    by_tau = {tau: dividend(tau) for tau in set(taus) if tau > 0.0}
+    vols = implied_vols([q.kind for q in quotes], [q.mid for q in quotes], chain.env.spot,
+                        [q.strike for q in quotes], chain.env.rate,
+                        [by_tau.get(tau, 0.0) for tau in taus], taus)
+    return vols, int(np.isnan(vols).sum())
+
+
+def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
+    calls: dict[tuple, float] = {}
+    puts: dict[tuple, float] = {}
+    taus: dict[tuple, float] = {}
+    for q in chain.quotes:
+        key = (q.expiry, q.strike)
+        taus[key] = q.tau
+        if q.kind is OptionKind.CALL:
+            calls[key] = q.mid
+        else:
+            puts[key] = q.mid
+    pairs: dict[float, list[ParityLeg]] = {}
+    for key in calls.keys() & puts.keys():
+        _, strike = key
+        tau = taus[key]
+        if tau <= 0.0:
+            continue
+        if classify_moneyness(OptionKind.CALL, strike, chain.env, tau).label is not Moneyness.ATM:
+            continue
+        pairs.setdefault(tau, []).append(
+            ParityLeg(strike=strike, tau=tau, call_mid=calls[key], put_mid=puts[key]))
+    return pairs
 
 
 def merge_duplicates(points: np.ndarray, values: np.ndarray,

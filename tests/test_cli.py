@@ -426,6 +426,8 @@ def test_price_needs_query_columns(tmp_path, capsys):
     ("100,nan\n", 2, "finite and positive"),
     ("inf,0.5\n", 2, "finite and positive"),
     ("100,0\n", 2, "finite and positive"),
+    # A spreadsheet's empty row of bare commas is a blank line.
+    ("100,0.5\n,\n , \n-5,0.5\n", 5, "finite and positive"),
 ])
 def test_price_rejects_a_bad_query_row_before_writing(tmp_path, capsys, rows, line, message):
     source = synth_into(capsys, tmp_path)

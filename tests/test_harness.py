@@ -143,7 +143,7 @@ def test_prepare_day_hands_over_the_vols_of_the_quotes_it_keeps(noisy_days, kind
         # vols, drop the quotes they drop when they invert on their own.
         split = split_day(len(day), day.env.date)
         train = [day.quotes[i] for i in split.train]
-        training = TrainingSet(kind, train, day.env, curve, vols[list(split.train)])
+        training = TrainingSet(kind, DailyChain(day.env, train), curve, vols[list(split.train)])
         for label in ("BS", "BSNW"):
             shared = training.fit(label)
             alone = fit(label, kind, train, day.env, curve)

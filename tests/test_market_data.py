@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from pricelab import market_data
 from pricelab.errors import ChainParseError
 from pricelab.market_data import (
     DAYS_PER_YEAR,
@@ -144,6 +145,148 @@ def test_bad_rows_name_the_line(tmp_path, bad_row, fragment):
     assert fragment in str(exc.value)
 
 
+IV_HEADER = HEADER + ",implied_vol"
+
+# (rows after the header, the header, the full message of the error). Each
+# check's message is pinned whole, and so is the order of the checks: the
+# earlier line wins, and within a row the first failing check.
+MESSAGE_CASES = {
+    "wrong width": ([row(), row() + ",0.2"], HEADER, "line 3: wrong number of fields"),
+    "date": ([row(), row(date="2012/01/03")], HEADER,
+             "line 3: bad date '2012/01/03', expected YYYY-MM-DD"),
+    "expiry": ([row(), row(expiry="soon")], HEADER,
+               "line 3: bad expiry 'soon', expected YYYY-MM-DD"),
+    "kind": ([row(), row(kind=" X ")], HEADER, "line 3: bad kind 'X', expected C or P"),
+    "strike": ([row(), row(strike="abc")], HEADER, "line 3: bad strike 'abc'"),
+    "a comma in a number": ([row(), row(bid="5,0")], HEADER, "line 3: wrong number of fields"),
+    "bid": ([row(), row(bid="five")], HEADER, "line 3: bad bid 'five'"),
+    "ask": ([row(), row(ask="")], HEADER, "line 3: bad ask ''"),
+    "volume": ([row(), row(volume="1.5")], HEADER, "line 3: bad volume '1.5'"),
+    "spot": ([row(), row(spot="n/a")], HEADER, "line 3: bad spot 'n/a'"),
+    "rate": ([row(), row(rate="2%")], HEADER, "line 3: bad rate '2%'"),
+    "div_hist": ([row(), row(div="none")], HEADER, "line 3: bad div_hist 'none'"),
+    "non-finite strike": ([row(), row(strike="inf")], HEADER, "line 3: non-finite strike 'inf'"),
+    "non-finite bid": ([row(), row(bid="nan")], HEADER, "line 3: non-finite bid 'nan'"),
+    "non-finite ask": ([row(), row(ask="1e999")], HEADER, "line 3: non-finite ask '1e999'"),
+    "non-finite spot": ([row(), row(spot=" -inf")], HEADER, "line 3: non-finite spot ' -inf'"),
+    "non-finite rate": ([row(), row(rate="NaN")], HEADER, "line 3: non-finite rate 'NaN'"),
+    "non-finite div_hist": ([row(), row(div="Infinity")], HEADER,
+                            "line 3: non-finite div_hist 'Infinity'"),
+    "strike <= 0": ([row(), row(strike="-5")], HEADER, "line 3: strike must be positive, got -5.0"),
+    "strike 0": ([row(), row(strike="0")], HEADER, "line 3: strike must be positive, got 0.0"),
+    "spot <= 0": ([row(), row(spot="0")], HEADER, "line 3: spot must be positive, got 0.0"),
+    "bid < 0": ([row(), row(bid="-0.5")], HEADER, "line 3: bid must be non-negative, got -0.5"),
+    "crossed": ([row(), row(bid="6.0")], HEADER, "line 3: crossed quote: bid 6.0 > ask 5.2"),
+    "volume < 0": ([row(), row(volume="-3")], HEADER,
+                   "line 3: volume must be non-negative, got -3"),
+    "expiry before date": ([row(), row(expiry="2011-12-30")], HEADER,
+                           "line 3: expiry 2011-12-30 precedes quote date 2012-01-03"),
+    "implied_vol": ([row() + ",", row() + ",abc"], IV_HEADER, "line 3: bad implied_vol 'abc'"),
+    "non-finite implied_vol": ([row() + ",0.2", row() + ", nan "], IV_HEADER,
+                               "line 3: non-finite implied_vol 'nan'"),
+    "environment": ([row(), row(spot="101.0", strike="95.0")], HEADER,
+                    "line 3: environment for 2012-01-03 conflicts with line 2: spot 100.0 != 101.0"),
+    "environment, two fields": (
+        [row(), row(date="2012-01-04", expiry="2012-02-03"), row(rate="0.03", div="0.02")], HEADER,
+        "line 4: environment for 2012-01-03 conflicts with line 2: "
+        "rate 0.02 != 0.03, div_hist 0.01 != 0.02"),
+    # Two faulty rows: the earlier line wins, whatever its check.
+    "bad number, then wrong width": ([row(strike="abc"), row() + ",1"], HEADER,
+                                     "line 2: bad strike 'abc'"),
+    "wrong width, then bad number": ([row() + ",1", row(strike="abc")], HEADER,
+                                     "line 2: wrong number of fields"),
+    "environment, then bad date": ([row(), row(spot="99.0"), row(date="x")], HEADER,
+                                   "line 3: environment for 2012-01-03 conflicts with line 2: "
+                                   "spot 100.0 != 99.0"),
+    "bad date, then environment": ([row(), row(date="x"), row(spot="99.0")], HEADER,
+                                   "line 3: bad date 'x', expected YYYY-MM-DD"),
+    "crossed, then non-finite": ([row(bid="9.0"), row(strike="nan")], HEADER,
+                                 "line 2: crossed quote: bid 9.0 > ask 5.2"),
+    "non-finite, then crossed": ([row(strike="nan"), row(bid="9.0")], HEADER,
+                                 "line 2: non-finite strike 'nan'"),
+    "a later conflict after a clean day": (
+        [row(), row(date="2012-01-04", expiry="2012-02-03", spot="90.0"),
+         row(date="2012-01-04", expiry="2012-02-03", spot="91.0")], HEADER,
+        "line 4: environment for 2012-01-04 conflicts with line 3: spot 90.0 != 91.0"),
+    # Several faults in one row: the first check in the row's order wins.
+    "date before kind and strike": ([row(date="bad", kind="X", strike="-1")], HEADER,
+                                    "line 2: bad date 'bad', expected YYYY-MM-DD"),
+    "kind before strike": ([row(kind="X", strike="abc")], HEADER,
+                           "line 2: bad kind 'X', expected C or P"),
+    "strike text before volume text": ([row(strike="abc", volume="1.5")], HEADER,
+                                       "line 2: bad strike 'abc'"),
+    "texts before values": ([row(strike="-1", rate="x")], HEADER, "line 2: bad rate 'x'"),
+    "strike before spot": ([row(strike="-1", spot="0")], HEADER,
+                           "line 2: strike must be positive, got -1.0"),
+    "bid before volume": ([row(bid="-1", volume="-5")], HEADER,
+                          "line 2: bid must be non-negative, got -1.0"),
+    "volume before expiry": ([row(volume="-1", expiry="2011-01-01")], HEADER,
+                             "line 2: volume must be non-negative, got -1"),
+    "expiry before implied_vol": ([row(expiry="2011-01-01") + ",x"], IV_HEADER,
+                                  "line 2: expiry 2011-01-01 precedes quote date 2012-01-03"),
+    "implied_vol before environment": ([row() + ",", row(spot="1.0") + ",x"], IV_HEADER,
+                                       "line 3: bad implied_vol 'x'"),
+    # Date texts that numpy's datetime64 reads but date.fromisoformat does not.
+    "date with an hour": ([row(date="2012-01-03T00")], HEADER,
+                          "line 2: bad date '2012-01-03T00', expected YYYY-MM-DD"),
+    "date NaT": ([row(date="NaT")], HEADER, "line 2: bad date 'NaT', expected YYYY-MM-DD"),
+    "blank date": ([row(date="")], HEADER, "line 2: bad date '', expected YYYY-MM-DD"),
+    "expiry NaT": ([row(expiry="NaT")], HEADER, "line 2: bad expiry 'NaT', expected YYYY-MM-DD"),
+    "negative volume beyond int64": ([row(volume="-" + "9" * 20)], HEADER,
+                                     "line 2: volume must be non-negative, got -" + "9" * 20),
+}
+
+
+def assert_rejected(path, message):
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert str(exc.value) == message
+    assert exc.value.line == int(message.split(":")[0].split()[1])
+
+
+@pytest.mark.parametrize("rows, header, message", MESSAGE_CASES.values(), ids=MESSAGE_CASES)
+def test_each_check_pins_its_line_and_message(tmp_path, rows, header, message):
+    assert_rejected(write_csv(tmp_path / "bad.csv", rows, header=header), message)
+
+
+@pytest.fixture(params=[1, 2], ids=lambda n: f"blocks of {n}")
+def small_blocks(request, monkeypatch):
+    """Parse that many rows at a time, so that rows and days straddle blocks."""
+    monkeypatch.setattr(market_data, "_BLOCK_ROWS", request.param)
+
+
+@pytest.mark.parametrize("rows, header, message", MESSAGE_CASES.values(), ids=MESSAGE_CASES)
+def test_blocks_keep_each_line_and_message(tmp_path, rows, header, message, small_blocks):
+    assert_rejected(write_csv(tmp_path / "bad.csv", rows, header=header), message)
+
+
+def test_blocks_load_what_one_block_loads(tmp_path, bs_days, small_blocks):
+    path = tmp_path / "year.csv"
+    save_chains(bs_days, path)
+    assert load_chains(path) == list(bs_days)
+
+
+def test_a_volume_beyond_int64_names_its_line(tmp_path):
+    # The largest int64 volume loads; one more is rejected at its line.
+    top = str(2**63 - 1)
+    (day,) = load_chains(write_csv(tmp_path / "top.csv", [row(volume=top)]))
+    assert day.quotes[0].volume == 2**63 - 1
+    path = write_csv(tmp_path / "big.csv", [row(), row(volume=str(2**63))])
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert str(exc.value) == f"line 3: volume must be at most {top}, got {2**63}"
+
+
+def test_compact_iso_dates_load_as_python_reads_them(tmp_path):
+    # date.fromisoformat reads 20120103 as 2012-01-03; numpy's datetime64
+    # would read the year 20120103.
+    rows = [row(date="20120103", expiry="20120202"), row(strike="105.0")]
+    (day,) = load_chains(write_csv(tmp_path / "compact.csv", rows))
+    assert day.env.date == DATE
+    assert [q.expiry for q in day.quotes] == [DATE + dt.timedelta(days=30)] * 2
+    assert [q.ttm_days for q in day.quotes] == [30, 30]
+
+
 def test_inconsistent_environment_rejected(tmp_path):
     path = write_csv(tmp_path / "env.csv", [row(), row(spot="101.0", strike="95.0")])
     with pytest.raises(ChainParseError) as exc:
@@ -202,6 +345,17 @@ def test_blank_lines_are_skipped_but_counted(tmp_path):
     assert exc.value.line == 5
     (day,) = load_chains(write_csv(tmp_path / "ok.csv", [row(), "", row(strike="105.0")]))
     assert [q.strike for q in day.quotes] == [100.0, 105.0]
+
+
+def test_a_spreadsheets_empty_rows_are_blank_lines(tmp_path):
+    # A spreadsheet export writes bare commas for an empty row in its used range.
+    rows = [row(), ",,,,,,,,,", row(strike="105.0"), " , ,", ",,", row(bid="-1")]
+    path = write_csv(tmp_path / "sheet.csv", rows)
+    with pytest.raises(ChainParseError) as exc:
+        load_chains(path)
+    assert exc.value.line == 7
+    plain = load_chains(write_csv(tmp_path / "plain.csv", [row(), row(strike="105.0")]))
+    assert load_chains(write_csv(tmp_path / "ok.csv", rows[:-1] + [",,,,,,,,,"])) == plain
 
 
 def test_a_blank_implied_vol_loads_as_none(tmp_path):

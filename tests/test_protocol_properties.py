@@ -1,6 +1,11 @@
-"""The protocol returns records, never exceptions: on small adversarial
-chains that load_chains accepts, every non-VG label gets one record per
-held-out quote, and each label's reports account for every record."""
+"""Properties over small adversarial chains that load_chains accepts.
+
+The protocol returns records, never exceptions: every non-VG label gets
+one record per held-out quote, and each label's reports account for every
+record. A chain's columns agree with its records: built from records or
+read back from a file, it holds the same quotes, and each operation on
+its columns gives what its record-by-record definition (tests/oracles.py)
+gives."""
 
 import datetime as dt
 import tempfile
@@ -9,10 +14,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pricelab.black_scholes import bs_price
+import oracles
+from pricelab.black_scholes import bs_price, fill_implied_vols
 from pricelab.harness import ProtocolConfig, prepare_day, run_protocol, split_day
-from pricelab.market_data import (DailyChain, MarketEnv, OptionKind, OptionQuote, load_chains,
-                                  save_chains)
+from pricelab.market_data import (DailyChain, MarketEnv, OptionKind, OptionQuote,
+                                  filter_liquidity, load_chains, quote_sort_key, save_chains,
+                                  trim_mask)
+from pricelab.parity import DividendCurve, _atm_pairs
 from pricelab.reporting import ErrorStatus
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
@@ -23,9 +31,10 @@ MATURITIES = (0, 1, 7, 30, 91, 182)
 STRIKES = tuple(float(k) for k in range(80, 121, 5))
 
 # One quote: (kind, strike, days to expiry, vol, price factor, quote style,
-# volume). The mid is the Black-Scholes price at the vol (the intrinsic
-# value when expiring today) times the factor, which can push it outside
-# the no-arbitrage band; the style widens the spread or zeroes the bid.
+# volume, the file's implied vol). The mid is the Black-Scholes price at
+# the vol (the intrinsic value when expiring today) times the factor,
+# which can push it outside the no-arbitrage band; the style widens the
+# spread or zeroes the bid. The implied vol only passes through.
 quotes = st.tuples(
     st.sampled_from((PUT, PUT, CALL)),
     st.sampled_from(STRIKES),
@@ -33,11 +42,12 @@ quotes = st.tuples(
     st.sampled_from((0.1, 0.25, 0.6)),
     st.sampled_from((1.0, 1.0, 0.9, 1.1)),
     st.sampled_from(("tight", "tight", "wide", "zero bid")),
-    st.sampled_from((1000, 1000, 10)),
+    st.sampled_from((1000, 1000, 10, 0)),
+    st.sampled_from((None, None, 0.3)),
 )
 
 
-def option_quote(kind, strike, days, vol, factor, style, volume):
+def option_quote(kind, strike, days, vol, factor, style, volume, implied_vol):
     if days == 0:
         price = max(strike - ENV.spot if kind is PUT else ENV.spot - strike, 0.0) + 0.05
     else:
@@ -46,20 +56,21 @@ def option_quote(kind, strike, days, vol, factor, style, volume):
     half_spread = 0.2 * mid if style == "wide" else 0.01 * mid
     bid = 0.0 if style == "zero bid" else mid - half_spread
     return OptionQuote(kind, strike, DAY + dt.timedelta(days=days), days, bid, mid + half_spread,
-                       volume)
+                       volume, implied_vol)
 
 
 def round_trip(rows):
     """The day of those quotes as load_chains reads it back from a file."""
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "chains.csv"
-        save_chains([DailyChain(ENV, tuple(option_quote(*row) for row in rows))], path)
+        save_chains([DailyChain(ENV, tuple(option_quote(*row) for row in rows))], path,
+                    include_iv=True)
         return load_chains(path)
 
 
 # Puts expiring today beside a month of puts, no calls (so no ATM pairs):
 # with min_ttm_days = 0 some of the held-out puts expire today.
-EXPIRING = ([(PUT, k, days, 0.25, 1.0, "tight", 1000) for k in STRIKES for days in (0, 30)],
+EXPIRING = ([(PUT, k, days, 0.25, 1.0, "tight", 1000, None) for k in STRIKES for days in (0, 30)],
             0, False)
 
 
@@ -84,3 +95,47 @@ def test_the_protocol_records_every_held_out_quote(rows, min_ttm_days, trim):
         failed = sum(r.status is ErrorStatus.FAILED for r in records)
         count = {part: result.report(label, part).count for part in ("all", "hull", "nohull")}
         assert count["all"] == len(records) == count["hull"] + count["nohull"] + failed
+
+
+CURVE = DividendCurve([0.1, 0.5], [0.012, 0.008])
+
+
+def pairs_by_tau(pairs):
+    return {tau: sorted(legs, key=lambda leg: leg.strike) for tau, legs in pairs.items()}
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rows=st.lists(quotes, min_size=1, max_size=30), min_ttm_days=st.sampled_from((0, 1, 30)),
+       min_volume=st.sampled_from((0, 100, 1000)), max_iv=st.sampled_from((0.3, 0.7)),
+       min_price=st.sampled_from((0.0, 0.125, 1.0)))
+# An ATM contract quoted twice in each kind: the last quote of each counts.
+@example(rows=[(kind, 100.0, 30, vol, factor, "tight", 1000, None)
+               for kind in (CALL, PUT) for vol, factor in ((0.25, 1.0), (0.6, 1.1))],
+         min_ttm_days=1, min_volume=100, max_iv=0.7, min_price=0.125)
+def test_columns_agree_with_their_records(rows, min_ttm_days, min_volume, max_iv, min_price):
+    records = tuple(option_quote(*row) for row in rows)
+    built = DailyChain(ENV, records)
+    (loaded,) = round_trip(rows)
+    canonical = DailyChain(ENV, sorted(records, key=quote_sort_key))
+    assert built.quotes == records
+    assert loaded == canonical and loaded.quotes == canonical.quotes
+    # Records built from columns carry Python types, and None for no vol.
+    for q in loaded.quotes:
+        assert (type(q.strike), type(q.bid), type(q.ask)) == (float, float, float)
+        assert (type(q.ttm_days), type(q.volume), type(q.expiry)) == (int, int, dt.date)
+        assert q.implied_vol is None or type(q.implied_vol) is float
+    assert loaded.mids.tolist() == [q.mid for q in loaded.quotes]
+    assert loaded.taus.tolist() == [q.tau for q in loaded.quotes]
+
+    for chain in (built, loaded):
+        kept = filter_liquidity(chain, min_ttm_days, min_volume)
+        assert kept.quotes == oracles.filter_liquidity(chain, min_ttm_days, min_volume)
+        for kind in (CALL, PUT):
+            assert chain.of_kind(kind).quotes == oracles.of_kind(chain, kind)
+        vols, n_nan = fill_implied_vols(chain, CURVE)
+        expected, expected_nan = oracles.fill_implied_vols(chain, CURVE)
+        assert vols.tobytes() == expected.tobytes() and n_nan == expected_nan
+        mask = trim_mask(chain, vols, max_iv, min_price)
+        assert mask.tolist() == oracles.trim_mask(chain, vols, max_iv, min_price).tolist()
+        assert pairs_by_tau(_atm_pairs(chain)) == pairs_by_tau(oracles.atm_pairs(chain))
+        assert chain.select(mask).quotes == tuple(q for q, k in zip(chain.quotes, mask) if k)

@@ -90,7 +90,7 @@ def outcome(label, quotes, env, curve, lib_range, grid, training=None):
     class and message of the fit's failure. The label is fitted on the
     training set when one is given, else on a set of its own."""
     try:
-        estimator = (TrainingSet(PUT, quotes, env, curve) if training is None
+        estimator = (TrainingSet(PUT, DailyChain(env, quotes), curve) if training is None
                      else training).fit(label, lib_range)
     except ESTIMATOR_ERRORS as exc:
         return type(exc), str(exc)
@@ -124,7 +124,7 @@ FITTED = {
 @pytest.mark.parametrize("case", [case[0] for case in days()])
 def test_a_shared_fit_equals_a_standalone_fit_bit_for_bit(case):
     _, env, quotes, curve, vols, lib_range = next(day for day in days() if day[0] == case)
-    training = TrainingSet(PUT, quotes, env, curve, vols)
+    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols)
     grid = queries(quotes, env.spot)
     shared = {label: outcome(label, quotes, env, curve, lib_range, grid, training)
               for label in EstimatorLabel}
@@ -148,10 +148,11 @@ def test_a_training_set_keeps_its_kind_and_checks_its_vols():
     env, quotes, curve = puts_day()
     # Quotes of another kind are left out of the set, and so out of its fits.
     calls = [replace(q, kind=OptionKind.CALL) for q in quotes[:3]]
-    assert TrainingSet(PUT, quotes + calls, env, curve).fit("LI").meta["n_train"] == len(quotes)
+    mixed = DailyChain(env, quotes + calls)
+    assert TrainingSet(PUT, mixed, curve).fit("LI").meta["n_train"] == len(quotes)
     assert fit("LI", PUT, quotes + calls, env, curve).meta["n_train"] == len(quotes)
     with pytest.raises(ValueError):
-        TrainingSet(PUT, quotes, env, curve, np.zeros(len(quotes) + 1))
+        TrainingSet(PUT, DailyChain(env, quotes), curve, np.zeros(len(quotes) + 1))
     # The protocol raises too, rather than recording the day FAILED, though
     # the training side's slice of the vols would have the right length.
     day = DailyChain(env, tuple(quotes))
@@ -216,7 +217,7 @@ def test_a_lone_fit_inverts_and_triangulates_only_for_its_label(counts):
     assert dict(counts) == {"triangulations": 1}
     fit("BSNW", PUT, quotes, env, curve=curve)
     assert dict(counts) == {"triangulations": 2, "inversions": 1}
-    TrainingSet(PUT, quotes, env, curve).fit("LIB", (60.0, 140.0))
+    TrainingSet(PUT, DailyChain(env, quotes), curve).fit("LIB", (60.0, 140.0))
     assert dict(counts) == {"triangulations": 3, "inversions": 1}
     counts.clear()
     # NWCV alone searches the prices only: it inverts no vol to score them.
@@ -234,7 +235,7 @@ SHARED_CV_PASSES = {"untrimmed with NaN vols": 2, "single maturity": 2, "two quo
 def test_a_shared_cv_grid_gives_each_label_its_standalone_fit(counts, case):
     _, env, quotes, curve, vols, lib_range = next(day for day in days() if day[0] == case)
     cv_labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
-    training = TrainingSet(PUT, quotes, env, curve, vols, labels=EstimatorLabel)
+    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols, labels=EstimatorLabel)
     grid = queries(quotes, env.spot)
     counts.clear()
     shared = {label: outcome(label, quotes, env, curve, lib_range, grid, training)
@@ -252,12 +253,13 @@ def test_targets_of_other_zero_patterns_get_grid_passes_of_their_own(counts):
     at = int(np.flatnonzero(~np.isnan(vols))[0])
     quotes = quotes[:at] + [replace(quotes[at], bid=0.0, ask=0.0)] + quotes[at + 1:]
     labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
-    training = TrainingSet(PUT, quotes, env, curve, vols, labels=labels)
+    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols, labels=labels)
     grid = queries(quotes, env.spot)
     counts.clear()
     shared = [outcome(label, quotes, env, curve, None, grid, training) for label in labels]
     assert counts["cv_grids"] == 2
-    alone = [outcome(label, quotes, env, curve, None, grid, TrainingSet(PUT, quotes, env, curve, vols))
+    alone = [outcome(label, quotes, env, curve, None, grid,
+                     TrainingSet(PUT, DailyChain(env, quotes), curve, vols))
              for label in labels]
     assert shared == alone
     assert all(isinstance(result[0], dict) for result in shared)
