@@ -45,7 +45,6 @@ from .harness import (
     cross_date_report,
     day_seed,
     evaluate_day,
-    load_config,
     prepare_day,
     run_protocol,
     split_day,

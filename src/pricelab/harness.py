@@ -66,7 +66,6 @@ __all__ = [
     "cross_date_report",
     "read_config",
     "apply_config",
-    "load_config",
 ]
 
 
@@ -306,22 +305,24 @@ def cross_date_report(
     most the tolerance, list quotes matching on (kind, strike, days to
     expiry) with their price difference."""
     chains = sorted(chains, key=lambda c: c.env.date)
+    # Each day's (kind, strike, ttm_days, mid) of every quote.
+    quotes = [list(zip(c.kinds.tolist(), c.strikes.tolist(), c.ttm_days.tolist(),
+                       c.mids.tolist())) for c in chains]
     matches: list[CrossDateMatch] = []
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
             a, b = chains[i], chains[j]
             if abs(a.env.spot - b.env.spot) > spot_tolerance:
                 continue
-            quotes_b = {(q.kind, q.strike, q.ttm_days): q.mid for q in b.quotes}
-            for q in a.quotes:
-                other = quotes_b.get((q.kind, q.strike, q.ttm_days))
+            mids_b = {(kind, strike, ttm): mid for kind, strike, ttm, mid in quotes[j]}
+            for kind, strike, ttm, mid in quotes[i]:
+                other = mids_b.get((kind, strike, ttm))
                 if other is None:
                     continue
                 matches.append(
                     CrossDateMatch(
-                        date_a=a.env.date, date_b=b.env.date, kind=q.kind,
-                        strike=q.strike, ttm_days=q.ttm_days,
-                        price_a=q.mid, price_b=other,
+                        date_a=a.env.date, date_b=b.env.date, kind=kind,
+                        strike=strike, ttm_days=ttm, price_a=mid, price_b=other,
                     )
                 )
     return matches
@@ -385,8 +386,3 @@ def apply_config(settings: dict[str, str], base: ProtocolConfig = ProtocolConfig
         except ValueError as exc:
             raise ValueError(f"bad {key} {text!r}: {exc}") from None
     return dataclasses.replace(base, **updates)
-
-
-def load_config(path: str | Path, base: ProtocolConfig = ProtocolConfig()) -> ProtocolConfig:
-    """Read a config file's key=value lines into a ProtocolConfig."""
-    return apply_config(read_config(path), base)

@@ -20,9 +20,12 @@ pricelab inverts its own vols and never reads it.
 A DailyChain holds a day's quotes as columns, one array per field, and
 the filters and the protocol work on masks and slices of them.
 load_chains parses a file a block of rows at a time, each block a column
-at a time, and builds no per-quote object. DailyChain.quotes is the same quotes as OptionQuote records, a
-view for callers that want one object per quote: built from the columns
-on first use and kept.
+at a time, and builds no per-quote object. Each row check is written
+once, as a mask over a block's rows in one ordered table: the first row
+that any mask rejects names the error, with the message of its first
+failing check. DailyChain.quotes is the same quotes as OptionQuote
+records, a view for callers that want one object per quote: built from
+the columns on first use and kept.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,72 +210,11 @@ class DailyChain:
         return self.select(self.kinds == kind)
 
 
-def _parse_date(text: str, line: int, column: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text.strip())
-    except ValueError:
-        raise ChainParseError(line, f"bad {column} {text!r}, expected YYYY-MM-DD") from None
-
-
-def _parse_float(text: str, line: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ChainParseError(line, f"bad {column} {text!r}") from None
-    if not math.isfinite(value):
-        raise ChainParseError(line, f"non-finite {column} {text!r}")
-    return value
-
-
-def _parse_int(text: str, line: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ChainParseError(line, f"bad {column} {text!r}") from None
-
-
 def quote_sort_key(q: OptionQuote):
     """Canonical within-day quote order: kind, then expiry, then strike.
     Loading and saving both normalize to it, so chain files have one
     well-defined byte representation."""
     return (q.kind.value, q.expiry, q.strike)
-
-
-def _check_row(fields: list[str], line: int, index: dict[str, int]):
-    """One row's checks, in order; the first that fails raises its
-    ChainParseError. Returns the row's date and (spot, rate, div_hist)."""
-    if len(fields) != len(index):
-        raise ChainParseError(line, "wrong number of fields")
-    date = _parse_date(fields[index["date"]], line, "date")
-    expiry = _parse_date(fields[index["expiry"]], line, "expiry")
-    kind_text = fields[index["kind"]].strip()
-    try:
-        OptionKind(kind_text)
-    except ValueError:
-        raise ChainParseError(line, f"bad kind {kind_text!r}, expected C or P") from None
-    strike, bid, ask = (_parse_float(fields[index[c]], line, c) for c in ("strike", "bid", "ask"))
-    volume = _parse_int(fields[index["volume"]], line, "volume")
-    spot, rate, div_hist = (_parse_float(fields[index[c]], line, c)
-                            for c in ("spot", "rate", "div_hist"))
-    if strike <= 0.0:
-        raise ChainParseError(line, f"strike must be positive, got {strike}")
-    if spot <= 0.0:
-        raise ChainParseError(line, f"spot must be positive, got {spot}")
-    if bid < 0.0:
-        raise ChainParseError(line, f"bid must be non-negative, got {bid}")
-    if ask < bid:
-        raise ChainParseError(line, f"crossed quote: bid {bid} > ask {ask}")
-    if volume < 0:
-        raise ChainParseError(line, f"volume must be non-negative, got {volume}")
-    if volume > _MAX_VOLUME:
-        raise ChainParseError(line, f"volume must be at most {_MAX_VOLUME}, got {volume}")
-    if expiry < date:
-        raise ChainParseError(line, f"expiry {expiry} precedes quote date {date}")
-    if "implied_vol" in index:
-        text = fields[index["implied_vol"]].strip()
-        if text:
-            _parse_float(text, line, "implied_vol")
-    return date, (spot, rate, div_hist)
 
 
 # Rows parsed per block. One block's text is alive at a time, so a parse
@@ -284,89 +226,128 @@ _BLOCK_ROWS = 512
 _Envs = dict[dt.date, tuple[int, tuple[float, float, float]]]
 
 
-def _first_error(names: list[str], rows: list[list[str]], lines: list[int],
-                 envs: _Envs) -> ChainParseError:
-    """The error of the block's first offending row, for the first check it
-    fails. The column checks find only that some row fails; this walk over
-    the rows names it. A day's environment is its first good row's, from
-    envs for the days of earlier blocks."""
-    index = {name: i for i, name in enumerate(names)}
-    envs = dict(envs)
-    for fields, line in zip(rows, lines):
+def _read_distinct(texts: Sequence[str], read: Callable[[str], object],
+                   default: object) -> tuple[list, np.ndarray]:
+    """read of each text, each distinct text read once, and the mask of the
+    texts that read rejects with ValueError, which read as default."""
+    value: dict[str, object] = {}
+    rejected: set[str] = set()
+    for text in set(texts):
         try:
-            date, given = _check_row(fields, line, index)
-        except ChainParseError as error:
-            return error
-        first_line, seen = envs.setdefault(date, (line, given))
-        if seen != given:
-            diffs = ", ".join(
-                f"{name} {old} != {new}"
-                for name, old, new in zip(("spot", "rate", "div_hist"), seen, given)
-                if old != new
-            )
-            return ChainParseError(
-                line, f"environment for {date} conflicts with line {first_line}: {diffs}"
-            )
-    raise AssertionError("the column checks rejected rows that pass every row check")
-
-
-def _parse_dates(texts: tuple[str, ...]) -> np.ndarray:
-    """datetime64[D] of ISO dates, each distinct text read once by
-    date.fromisoformat (which, unlike numpy, reads 20120103 as a date and
-    rejects NaT); ValueError when one does not parse."""
-    ordinal = {text: dt.date.fromisoformat(text.strip()).toordinal() for text in set(texts)}
-    return _datetime64([ordinal[text] for text in texts])
+            value[text] = read(text)
+        except ValueError:
+            value[text] = default
+            rejected.add(text)
+    bad = (np.array([text in rejected for text in texts]) if rejected
+           else np.zeros(len(texts), dtype=bool))
+    return [value[text] for text in texts], bad
 
 
 def _parse_block(names: list[str], rows: list[list[str]], lines: list[int],
                  envs: _Envs) -> tuple[np.ndarray, ...]:
     """The block's dates and then DailyChain's columns, parsed and checked
-    a column at a time; the first offending row raises its ChainParseError.
-    Adds the days that the block starts to envs."""
+    a column at a time. Adds the days that the block starts to envs.
+
+    checks holds each check once, as the mask of the rows it rejects and
+    the message of such a row, in the order a row takes them: each
+    column's parse, then the values, the implied vol and the day's
+    environment, which is its first row's (from envs for the days of
+    earlier blocks). The block's first rejected row raises ChainParseError
+    with the message of its first failing check."""
     text = dict(zip(names, zip(*rows)))
-    try:
-        dates, expiries = _parse_dates(text["date"]), _parse_dates(text["expiry"])
-        kind_of = {t: OptionKind(t.strip()) for t in set(text["kind"])}
-        kinds = np.array([kind_of[t] for t in text["kind"]], dtype=object)
-        strikes, bids, asks, spots, rates, div_hists = (
-            np.array(text[c], dtype=float) for c in ("strike", "bid", "ask", "spot", "rate",
-                                                    "div_hist"))
-        volumes = np.array(text["volume"], dtype=np.int64)
-        vol_texts = [t.strip() for t in text.get("implied_vol", ())]
-        vols = np.array([t or "nan" for t in vol_texts], dtype=float)
-    except (ValueError, OverflowError):  # OverflowError: a volume beyond int64
-        raise _first_error(names, rows, lines, envs) from None
+    checks: list[tuple[np.ndarray, Callable[[int], str]]] = []
+
+    def iso_dates(name: str) -> np.ndarray:
+        # date.fromisoformat, unlike numpy, reads 20120103 as a date and rejects NaT.
+        ordinals, bad = _read_distinct(
+            text[name], lambda t: dt.date.fromisoformat(t.strip()).toordinal(), _EPOCH)
+        checks.append((bad, lambda i: f"bad {name} {text[name][i]!r}, expected YYYY-MM-DD"))
+        return _datetime64(ordinals)
+
+    def numbers(name: str, to_number: type = float,
+                present: np.ndarray | bool = True) -> np.ndarray:
+        texts = text[name]
+        try:
+            values = np.array(texts, dtype=np.int64 if to_number is int else float)
+            bad = np.zeros(len(texts), dtype=bool)
+        except (ValueError, OverflowError):  # OverflowError: an int beyond int64
+            # Only a column that numpy rejects is read a text at a time, to find
+            # the texts that fail. Ints stay Python ints, so that a volume
+            # beyond int64 keeps its value.
+            values, bad = _read_distinct(texts, to_number, 0)
+            values = np.array(values, dtype=object if to_number is int else float)
+        checks.append((bad, lambda i: f"bad {name} {texts[i]!r}"))
+        if to_number is float:
+            checks.append((~np.isfinite(values) & present,
+                           lambda i: f"non-finite {name} {texts[i]!r}"))
+        return values
+
+    dates, expiries = iso_dates("date"), iso_dates("expiry")
+    kinds, bad = _read_distinct(text["kind"], lambda t: OptionKind(t.strip()), None)
+    checks.append((bad, lambda i: f"bad kind {text['kind'][i].strip()!r}, expected C or P"))
+    kinds = np.array(kinds, dtype=object)
+    strikes, bids, asks = numbers("strike"), numbers("bid"), numbers("ask")
+    volumes = numbers("volume", int)
+    spots, rates, div_hists = numbers("spot"), numbers("rate"), numbers("div_hist")
+
     ttm_days = (expiries - dates).astype(np.int64)
-    bad = ~np.isfinite(np.array([strikes, bids, asks, spots, rates, div_hists])).all(axis=0)
-    bad |= (strikes <= 0.0) | (spots <= 0.0) | (bids < 0.0) | (asks < bids)
-    bad |= (volumes < 0) | (ttm_days < 0)
-    if vol_texts:
-        bad |= ~np.isfinite(vols) & np.array([bool(t) for t in vol_texts])
+    checks += [
+        (strikes <= 0.0, lambda i: f"strike must be positive, got {strikes[i]}"),
+        (spots <= 0.0, lambda i: f"spot must be positive, got {spots[i]}"),
+        (bids < 0.0, lambda i: f"bid must be non-negative, got {bids[i]}"),
+        (asks < bids, lambda i: f"crossed quote: bid {bids[i]} > ask {asks[i]}"),
+        (volumes < 0, lambda i: f"volume must be non-negative, got {volumes[i]}"),
+        (volumes > _MAX_VOLUME,
+         lambda i: f"volume must be at most {_MAX_VOLUME}, got {volumes[i]}"),
+        (ttm_days < 0, lambda i: f"expiry {expiries[i]} precedes quote date {dates[i]}"),
+    ]
+    if "implied_vol" in text:
+        vol_texts = [t.strip() for t in text["implied_vol"]]
+        text["implied_vol"] = [t or "nan" for t in vol_texts]  # blank: no vol, not a fault
+        vols = numbers("implied_vol", present=np.array([bool(t) for t in vol_texts]))
     else:
         vols = np.full(len(rows), math.nan)
+
     days, first, day_of_row = np.unique(dates, return_index=True, return_inverse=True)
     started = {day: (lines[i], (float(spots[i]), float(rates[i]), float(div_hists[i])))
                for day, i in zip(days.tolist(), first.tolist()) if day not in envs}
-    expected = np.array([(envs.get(day) or started[day])[1] for day in days.tolist()])
-    bad |= (np.column_stack([spots, rates, div_hists]) != expected[day_of_row]).any(axis=1)
+    known = [envs.get(day) or started[day] for day in days.tolist()]
+    row_envs = np.column_stack([spots, rates, div_hists])
+    expected = np.array([env for _, env in known])[day_of_row]
+
+    def conflict(i: int) -> str:
+        first_line, seen = known[day_of_row[i]]
+        diffs = ", ".join(f"{name} {old} != {new}" for name, old, new
+                          in zip(("spot", "rate", "div_hist"), seen, row_envs[i].tolist())
+                          if old != new)
+        return f"environment for {dates[i]} conflicts with line {first_line}: {diffs}"
+
+    checks.append(((row_envs != expected).any(axis=1), conflict))
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
     if bad.any():
-        raise _first_error(names, rows, lines, envs)
+        i = int(bad.argmax())
+        raise ChainParseError(lines[i], next(message(i) for mask, message in checks if mask[i]))
     envs.update(started)
-    return dates, kinds, strikes, expiries, ttm_days, bids, asks, volumes, vols
+    # astype: a volume column read a text at a time holds Python ints.
+    return (dates, kinds, strikes, expiries, ttm_days, bids, asks,
+            volumes.astype(np.int64, copy=False), vols)
 
 
 def _parsed_blocks(reader, names: list[str], envs: _Envs) -> Iterator[tuple[np.ndarray, ...]]:
     """_parse_block of the non-blank rows after the header, _BLOCK_ROWS rows
-    at a time. A row of the wrong width raises its block's first error."""
+    at a time. A row of the wrong width raises once the rows before it in
+    its block have passed their checks."""
     rows: list[list[str]] = []
     lines: list[int] = []
     for fields in reader:
         if not "".join(fields).strip():
             continue  # a blank line, or an empty spreadsheet row
+        if len(fields) != len(names):
+            if rows:
+                _parse_block(names, rows, lines, envs)
+            raise ChainParseError(reader.line_num, "wrong number of fields")
         rows.append(fields)
         lines.append(reader.line_num)
-        if len(fields) != len(names):
-            raise _first_error(names, rows, lines, envs)
         if len(rows) == _BLOCK_ROWS:
             yield _parse_block(names, rows, lines, envs)
             rows, lines = [], []

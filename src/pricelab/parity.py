@@ -206,35 +206,35 @@ def historical_curve(env: MarketEnv) -> DividendCurve:
 
 def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[PricingError], int]:
     """Per-quote parity audit records plus the skipped-ITM count."""
-    mids: dict[tuple, float] = {}
-    for q in chain.quotes:
-        mids[(q.kind, q.expiry, q.strike)] = q.mid
+    env = chain.env
+    quotes = list(zip(chain.kinds.tolist(), chain.expiries.tolist(), chain.strikes.tolist(),
+                      chain.mids.tolist(), chain.taus.tolist()))
+    # Where a contract repeats, its last quote is the counterpart.
+    mids = {(kind, expiry, strike): mid for kind, expiry, strike, mid, _ in quotes}
 
     other = {OptionKind.CALL: OptionKind.PUT, OptionKind.PUT: OptionKind.CALL}
     records: list[PricingError] = []
     skipped = 0
-    for q in chain.quotes:
-        if q.tau <= 0.0:
+    for kind, expiry, strike, mid, tau in quotes:
+        if tau <= 0.0:
             continue
-        if classify_moneyness(q.kind, q.strike, chain.env, q.tau).label is not Moneyness.ITM:
+        if classify_moneyness(kind, strike, env, tau).label is not Moneyness.ITM:
             continue
-        counterpart = mids.get((other[q.kind], q.expiry, q.strike))
-        if counterpart is None or q.mid <= 0.0:
+        counterpart = mids.get((other[kind], expiry, strike))
+        if counterpart is None or mid <= 0.0:
             skipped += 1
             continue
-        estimate = parity_price(
-            q.kind, counterpart, chain.env.spot, q.strike, chain.env.rate,
-            curve.value_at(q.tau), q.tau,
-        )
+        estimate = parity_price(kind, counterpart, env.spot, strike, env.rate,
+                                curve.value_at(tau), tau)
         records.append(
             PricingError(
-                date=chain.env.date,
+                date=env.date,
                 label="PARITY",
-                strike=q.strike,
-                tau=q.tau,
-                true_price=q.mid,
+                strike=strike,
+                tau=tau,
+                true_price=mid,
                 est_price=estimate,
-                rel_error=abs(1.0 - estimate / q.mid),
+                rel_error=abs(1.0 - estimate / mid),
                 status=ErrorStatus.PRICED,
             )
         )

@@ -35,8 +35,18 @@ kernel and VG labels: point location over the raw points, duplicates and
 all, or, when they are collinear, the segment (_Line) of the points as
 merge_duplicates merges them. The package now tests every label's hull
 on the merged points, and the two must agree.
+
+chain_file_error(path) is the chain loader's former row-by-row check:
+the rows in file order, each row's checks in their order, and each day's
+environment its first good row's. It returns the ChainParseError of the
+first row that fails, or None; load_chains must raise the same line and
+message, whatever its block size. itm_parity_records is the parity audit
+as it was defined on OptionQuote records, and the column form must give
+the same records, Python types included.
 """
 
+import csv
+import datetime as dt
 import math
 import warnings
 from typing import Callable
@@ -59,11 +69,13 @@ from pricelab.black_scholes import (
     no_arbitrage_band,
     vega,
 )
-from pricelab.errors import DegenerateGeometry, NoArbitrageViolation, NoConvergence, NumericalUnderflow
+from pricelab.errors import (ChainParseError, DegenerateGeometry, NoArbitrageViolation,
+                             NoConvergence, NumericalUnderflow)
 from pricelab.kernel import Bandwidths, NwModel
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
-from pricelab.parity import Moneyness, ParityLeg, classify_moneyness
+from pricelab.parity import Moneyness, ParityLeg, classify_moneyness, parity_price
+from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
 # The result must carry an error estimate within _REL_TOL of itself (or
@@ -363,3 +375,131 @@ def raw_normalized_domain(strikes, taus, spot: float) -> Callable[[float, float]
         line = _Line(merge_duplicates(points, np.zeros(len(points)))[0])
         return lambda strike, tau: line.find(strike / spot, tau) is not None
     return lambda strike, tau: triangles.find(strike / spot, tau) is not None
+
+
+def _parse_date(text: str, line: int, column: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text.strip())
+    except ValueError:
+        raise ChainParseError(line, f"bad {column} {text!r}, expected YYYY-MM-DD") from None
+
+
+def _parse_float(text: str, line: int, column: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ChainParseError(line, f"bad {column} {text!r}") from None
+    if not math.isfinite(value):
+        raise ChainParseError(line, f"non-finite {column} {text!r}")
+    return value
+
+
+def _parse_int(text: str, line: int, column: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ChainParseError(line, f"bad {column} {text!r}") from None
+
+
+_MAX_VOLUME = 2**63 - 1
+
+
+def _check_row(fields: list[str], line: int, index: dict[str, int]):
+    """One row's checks, in order; the first that fails raises its
+    ChainParseError. Returns the row's date and (spot, rate, div_hist)."""
+    if len(fields) != len(index):
+        raise ChainParseError(line, "wrong number of fields")
+    date = _parse_date(fields[index["date"]], line, "date")
+    expiry = _parse_date(fields[index["expiry"]], line, "expiry")
+    kind_text = fields[index["kind"]].strip()
+    try:
+        OptionKind(kind_text)
+    except ValueError:
+        raise ChainParseError(line, f"bad kind {kind_text!r}, expected C or P") from None
+    strike, bid, ask = (_parse_float(fields[index[c]], line, c) for c in ("strike", "bid", "ask"))
+    volume = _parse_int(fields[index["volume"]], line, "volume")
+    spot, rate, div_hist = (_parse_float(fields[index[c]], line, c)
+                            for c in ("spot", "rate", "div_hist"))
+    if strike <= 0.0:
+        raise ChainParseError(line, f"strike must be positive, got {strike}")
+    if spot <= 0.0:
+        raise ChainParseError(line, f"spot must be positive, got {spot}")
+    if bid < 0.0:
+        raise ChainParseError(line, f"bid must be non-negative, got {bid}")
+    if ask < bid:
+        raise ChainParseError(line, f"crossed quote: bid {bid} > ask {ask}")
+    if volume < 0:
+        raise ChainParseError(line, f"volume must be non-negative, got {volume}")
+    if volume > _MAX_VOLUME:
+        raise ChainParseError(line, f"volume must be at most {_MAX_VOLUME}, got {volume}")
+    if expiry < date:
+        raise ChainParseError(line, f"expiry {expiry} precedes quote date {date}")
+    if "implied_vol" in index:
+        text = fields[index["implied_vol"]].strip()
+        if text:
+            _parse_float(text, line, "implied_vol")
+    return date, (spot, rate, div_hist)
+
+
+def chain_file_error(path) -> ChainParseError | None:
+    """The error of the first row of a chain file (one with a good header)
+    that fails a check, or None when every row passes."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        index = {name.strip(): i for i, name in enumerate(next(reader))}
+        envs: dict[dt.date, tuple[int, tuple[float, float, float]]] = {}
+        for fields in reader:
+            if not "".join(fields).strip():
+                continue
+            line = reader.line_num
+            try:
+                date, given = _check_row(fields, line, index)
+            except ChainParseError as error:
+                return error
+            first_line, seen = envs.setdefault(date, (line, given))
+            if seen != given:
+                diffs = ", ".join(
+                    f"{name} {old} != {new}"
+                    for name, old, new in zip(("spot", "rate", "div_hist"), seen, given)
+                    if old != new
+                )
+                return ChainParseError(
+                    line, f"environment for {date} conflicts with line {first_line}: {diffs}"
+                )
+    return None
+
+
+def itm_parity_records(chain: DailyChain, curve) -> tuple[list[PricingError], int]:
+    mids: dict[tuple, float] = {}
+    for q in chain.quotes:
+        mids[(q.kind, q.expiry, q.strike)] = q.mid
+
+    other = {OptionKind.CALL: OptionKind.PUT, OptionKind.PUT: OptionKind.CALL}
+    records: list[PricingError] = []
+    skipped = 0
+    for q in chain.quotes:
+        if q.tau <= 0.0:
+            continue
+        if classify_moneyness(q.kind, q.strike, chain.env, q.tau).label is not Moneyness.ITM:
+            continue
+        counterpart = mids.get((other[q.kind], q.expiry, q.strike))
+        if counterpart is None or q.mid <= 0.0:
+            skipped += 1
+            continue
+        estimate = parity_price(
+            q.kind, counterpart, chain.env.spot, q.strike, chain.env.rate,
+            curve.value_at(q.tau), q.tau,
+        )
+        records.append(
+            PricingError(
+                date=chain.env.date,
+                label="PARITY",
+                strike=q.strike,
+                tau=q.tau,
+                true_price=q.mid,
+                est_price=estimate,
+                rel_error=abs(1.0 - estimate / q.mid),
+                status=ErrorStatus.PRICED,
+            )
+        )
+    return records, skipped

@@ -13,10 +13,10 @@ from pricelab.harness import (
     DEFAULT_MASTER_SEED,
     DaySplit,
     ProtocolConfig,
+    apply_config,
     cross_date_report,
     day_seed,
     evaluate_day,
-    load_config,
     prepare_day,
     read_config,
     run_protocol,
@@ -481,7 +481,7 @@ def test_load_config(tmp_path):
         workers = 3
         """
     )
-    config = load_config(path)
+    config = apply_config(read_config(path))
     assert config.master_seed == 7
     assert config.fraction == 0.8
     assert config.labels == ("LI", "NW")
@@ -498,7 +498,7 @@ def test_load_config(tmp_path):
 def test_load_config_partial_keeps_base(tmp_path):
     path = tmp_path / "partial.cfg"
     path.write_text("master_seed=99\n")
-    config = load_config(path)
+    config = apply_config(read_config(path))
     base = ProtocolConfig()
     assert config.master_seed == 99
     assert config.labels == base.labels
@@ -525,7 +525,7 @@ def test_load_config_rejects_bad_input(tmp_path, text, fragment):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
-        load_config(path)
+        apply_config(read_config(path))
 
 
 def test_read_config_skips_a_byte_order_mark(tmp_path):
@@ -563,4 +563,4 @@ def test_protocol_config_rejects_bad_values(overrides, fragment):
 def test_load_config_trim_spellings(tmp_path, text, value):
     path = tmp_path / "trim.cfg"
     path.write_text(f"trim = {text}\n")
-    assert load_config(path).trim is value
+    assert apply_config(read_config(path)).trim is value

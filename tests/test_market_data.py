@@ -3,10 +3,16 @@
 import dataclasses
 import datetime as dt
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pricelab import market_data
 from pricelab.errors import ChainParseError
 from pricelab.market_data import (
@@ -264,6 +270,48 @@ def test_blocks_load_what_one_block_loads(tmp_path, bs_days, small_blocks):
     path = tmp_path / "year.csv"
     save_chains(bs_days, path)
     assert load_chains(path) == list(bs_days)
+
+
+# Two days, each with its own environment.
+DAYS = (dict(date="2012-01-03", expiry="2012-02-02"),
+        dict(date="2012-01-04", expiry="2012-02-03", spot="90.0", rate="0.03"))
+# Texts that break a field in some columns and not in others: a word,
+# non-finite and non-positive numbers, a fraction, NaT, a compact date, a
+# volume beyond int64, a spot off its day's, an expiry before its date, a
+# blank, and a comma that adds a field.
+CORRUPTIONS = ("abc", "nan", "inf", "-1", "0", "1.5", "NaT", "20120103", str(2**63), "101.0",
+               "2011-12-30", "", "5,0")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), with_iv=st.booleans(), block_rows=st.sampled_from((1, 2, 512)))
+def test_load_names_the_error_that_the_row_check_names(data, with_iv, block_rows):
+    quotes = data.draw(st.lists(st.tuples(st.sampled_from(DAYS), st.sampled_from("CP"),
+                                          st.sampled_from(("95.0", "100.0")),
+                                          st.sampled_from(("0.2", ""))),
+                                min_size=1, max_size=8))
+    rows = [row(kind=kind, strike=strike, **day).split(",") + ([vol] if with_iv else [])
+            for day, kind, strike, vol in quotes]
+    # One or two rows, each with up to four faulty fields. The texts come
+    # from a few of the corruptions, so that one row often holds a text
+    # that two of its checks reject.
+    texts = st.sampled_from(data.draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=1,
+                                               max_size=3, unique=True)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        fields = rows[data.draw(st.integers(0, len(rows) - 1))]
+        for _ in range(data.draw(st.integers(1, 4))):
+            fields[data.draw(st.sampled_from(range(len(fields))))] = data.draw(texts)
+    with tempfile.TemporaryDirectory() as directory:
+        path = write_csv(Path(directory) / "chains.csv", [",".join(fields) for fields in rows],
+                         header=IV_HEADER if with_iv else HEADER)
+        expected = oracles.chain_file_error(path)
+        with mock.patch.object(market_data, "_BLOCK_ROWS", block_rows):
+            if expected is None:
+                load_chains(path)
+            else:
+                with pytest.raises(ChainParseError) as exc:
+                    load_chains(path)
+                assert (exc.value.line, str(exc.value)) == (expected.line, str(expected))
 
 
 def test_a_volume_beyond_int64_names_its_line(tmp_path):

@@ -5,7 +5,7 @@ one record per held-out quote, and each label's reports account for every
 record. A chain's columns agree with its records: built from records or
 read back from a file, it holds the same quotes, and each operation on
 its columns gives what its record-by-record definition (tests/oracles.py)
-gives."""
+gives, the parity audit included."""
 
 import datetime as dt
 import tempfile
@@ -20,7 +20,7 @@ from pricelab.harness import ProtocolConfig, prepare_day, run_protocol, split_da
 from pricelab.market_data import (DailyChain, MarketEnv, OptionKind, OptionQuote,
                                   filter_liquidity, load_chains, quote_sort_key, save_chains,
                                   trim_mask)
-from pricelab.parity import DividendCurve, _atm_pairs
+from pricelab.parity import DividendCurve, _atm_pairs, itm_parity_records
 from pricelab.reporting import ErrorStatus
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
@@ -112,6 +112,11 @@ def pairs_by_tau(pairs):
 @example(rows=[(kind, 100.0, 30, vol, factor, "tight", 1000, None)
                for kind in (CALL, PUT) for vol, factor in ((0.25, 1.0), (0.6, 1.1))],
          min_ttm_days=1, min_volume=100, max_iv=0.7, min_price=0.125)
+# An in-the-money call and its put, each quoted twice: the audit prices
+# each call off the last put.
+@example(rows=[(kind, 85.0, 30, vol, factor, "tight", 1000, None)
+               for kind in (CALL, PUT) for vol, factor in ((0.25, 1.0), (0.6, 1.1))],
+         min_ttm_days=1, min_volume=100, max_iv=0.7, min_price=0.125)
 def test_columns_agree_with_their_records(rows, min_ttm_days, min_volume, max_iv, min_price):
     records = tuple(option_quote(*row) for row in rows)
     built = DailyChain(ENV, records)
@@ -138,4 +143,7 @@ def test_columns_agree_with_their_records(rows, min_ttm_days, min_volume, max_iv
         mask = trim_mask(chain, vols, max_iv, min_price)
         assert mask.tolist() == oracles.trim_mask(chain, vols, max_iv, min_price).tolist()
         assert pairs_by_tau(_atm_pairs(chain)) == pairs_by_tau(oracles.atm_pairs(chain))
+        # repr tells a NumPy scalar from a Python float, and a NaN equals itself.
+        audit = itm_parity_records(chain, CURVE)
+        assert repr(audit) == repr(oracles.itm_parity_records(chain, CURVE))
         assert chain.select(mask).quotes == tuple(q for q, k in zip(chain.quotes, mask) if k)
