@@ -25,11 +25,10 @@ searched on a log grid around the Silverman seed and refined with
 Nelder-Mead in log-bandwidth space. Both are deterministic.
 
 The CV weights depend on the points and the bandwidths alone, so one
-grid pass can score several value vectors with one zero pattern on the
-same points: each grid point builds one weight matrix, and each vector
-gets its own matrix-vector product on it, so each gets the bits of a
-search of its own (loo_cv_grids; loo_cv_bandwidths then refines one
-vector from its grid result). Each evaluation also skips what the
+exact evaluation (_cv_objectives) can score several value vectors with
+one zero pattern on the same points: it builds one weight matrix, and
+each vector gets its own matrix-vector product on it, so each gets the
+bits of an evaluation of its own. Each evaluation also skips what the
 points fix:
 
 - Samples fall into runs of equal consecutive taus. Within a run a
@@ -41,6 +40,34 @@ points fix:
   plus the Gaussian normalization and log n is below the 1e-300 floor by
   a safe margin, the objective is +inf before any n x n work is done.
 - The strike term is kept while eps1 repeats, as it does along the grid.
+
+The grid stage (loo_cv_grids; loo_cv_bandwidths then refines one vector
+from its grid result) screens the 225 candidates and scores only a few
+of them exactly. The screen (_cv_screen) uses that a weight is a strike
+factor times a tau factor. For each eps1 it makes one pass over the
+(sample, kept row) table, with the samples sorted by tau: it
+exponentiates the strike terms, each shifted by its largest within its
+row and tau, and sums them, and them times each vector, per distinct
+tau. All 15 eps2 then cost (tau, row) work together: the tau factors,
+shifted by each row's largest log-weight, weigh those sums. An eps1 at
+which every candidate certainly underflows is skipped.
+
+The screen adds in another order than the exact objective, so it also
+bounds each score's distance from the exact one. The two agree on a
+prediction to within about 1e-11 of its kernel-weighted mean |value|;
+the screen allows 1e-10 of the largest |value|, then carries that
+through each ratio, its square and the sum. The exact objective then
+scores, in grid order, only the seed, the candidates the screen cannot
+classify (a row within a margin of the 1e-300 floor, a Gaussian
+normalization outside the float range, or a score or bound that is not
+finite) and, for any vector, the candidates whose least
+possible score is at most the least score some candidate is sure to
+reach. Every other candidate certainly scores more than one of these, or
+underflows, so the first strictly least score and the tie rule for the
+seed see what scoring all 225 would: each vector gets the CvGrid of the
+brute-force grid (tests/oracles.py cv_grid) bit for bit. When the screen
+cannot tell the candidates apart, as for values equal to rounding, it
+leaves every candidate to the exact objective.
 """
 
 from __future__ import annotations
@@ -67,10 +94,22 @@ _SILVERMAN_FACTOR = 0.9
 _IQR_SCALE = 1.34
 
 # CV search: 15 log-spaced factors per coordinate spanning 1e-3..1e3
-# around the Silverman seed. The factor 1 sits on the grid, so the seed
-# itself is always a candidate.
+# around the Silverman seed. The middle factor is exactly 1, so the seed
+# itself is the grid's middle cell.
 _CV_GRID_DECADES = 3.0
 _CV_GRID_SIZE = 15
+_CV_FACTORS = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
+_CV_SEED = _CV_GRID_SIZE // 2
+if _CV_FACTORS[_CV_SEED] != 1.0:
+    raise ImportError("the middle factor of the CV grid must be exactly 1")
+# The grid screen's allowance for the rounding of one prediction, in units
+# of the largest |value|. The exact objective and the screen each compute a
+# weight within about 5e-16 (746 + |row max|) relative of its true value,
+# and a weighted sum of n terms within n 1.1e-16 of its magnitudes' sum, so
+# the two predictions differ by at most about 1e-11 of the kernel-weighted
+# mean |value| for rows not certain to underflow (|row max| < 2300) and n
+# up to 10^4.
+_SCREEN_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -290,15 +329,144 @@ class CvGrid:
     score: float
 
 
+def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
+               eps1s: np.ndarray, eps2s: np.ndarray):
+    """The LOO-CV scores of every candidate of the grid eps1s x eps2s,
+    computed cheaply, each with a bound on its distance from the exact
+    objective's score.
+
+    Returns (scores, bounds, underflow, sure). scores and bounds hold one
+    (eps1, eps2) table per vector. underflow marks the candidates at which
+    the exact objective certainly returns +inf, sure those at which its
+    scores certainly lie within bounds of these. A candidate that is
+    neither needs the exact objective.
+
+    A weight is a strike factor times a tau factor. Per eps1, one pass
+    over the (sample, kept row) table exponentiates the strike terms, each
+    shifted by its largest within its row and tau, and sums them, and them
+    times each vector, per tau. Each eps2 then weighs those sums with the
+    tau factors shifted by the row's largest log-weight: (tau, row) work.
+    """
+    strikes, taus = points[:, 0], points[:, 1]
+    n = len(strikes)
+    rows = np.flatnonzero(value_vectors[0] != 0.0)
+    # (sample, row) tables with the samples sorted by tau, so that each
+    # distinct tau is one block of samples.
+    order = np.argsort(taus, kind="stable")
+    sorted_taus = taus[order]
+    starts = np.flatnonzero(np.concatenate([[True], sorted_taus[1:] != sorted_taus[:-1]]))
+    ends = np.append(starts[1:], n)
+    # Squared distances in units of the widest bandwidth, so that neither
+    # they nor the scales below leave the float range at any unit.
+    unit = eps1s.max()
+    excess = strikes[order][:, None] - strikes[rows]
+    excess /= unit
+    np.square(excess, out=excess)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    # A row leaves its own sample out.
+    excess[position[rows], np.arange(rows.size)] = np.inf
+    # Each block's least square per row, and the excess over it: 0 at the
+    # row's nearest strike in the block, +inf where no weight can be nonzero.
+    nearest = np.minimum.reduceat(excess, starts, axis=0)
+    with np.errstate(invalid="ignore"):
+        excess -= np.repeat(nearest, ends - starts, axis=0)
+    excess[np.isnan(excess)] = np.inf
+    # The log-weight at each row's nearest strike per tau is sum_k
+    # factors[k, eps2] terms[k, tau, row]: the tau term, scale times squared
+    # tau distance, plus the strike term, filled in per eps1.
+    terms = np.empty((2, starts.size, rows.size))
+    np.square((sorted_taus[starts][:, None] - taus[rows]) / eps2s.max(), out=terms[0])
+    factors = np.ones((2, eps2s.size))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        factors[0] = -0.5 * (eps2s.max() / eps2s) ** 2
+        log_norm = -np.log(2.0 * math.pi * eps1s[:, None] * eps2s)
+    # Per sample: 1, for the weight sums, and each vector's value.
+    columns = np.vstack([np.ones(n)] + [values[order] for values in value_vectors])
+    blocks = list(zip(starts.tolist(), ends.tolist()))
+    kept_vectors = [values[rows] for values in value_vectors]
+    # errors bounds each ratio's distance from the exact objective's, in
+    # units of _SCREEN_TOL: the predictions' (a weight below exp(-700)
+    # counts as exp(-700) here, which adds at most 2n exp(-700) of the
+    # largest |value|), and the ratio's own rounding.
+    errors = [1.0 + (2.0 + n * 1e-293) * np.abs(values).max() / np.abs(kept_values)
+              for values, kept_values in zip(value_vectors, kept_vectors)]
+    shape = (len(value_vectors), eps1s.size, eps2s.size)
+    scores, bounds = np.full(shape, np.nan), np.full(shape, np.nan)
+    underflow = np.ones(shape[1:], dtype=bool)
+    sure = np.zeros(shape[1:], dtype=bool)
+    weights = np.empty_like(excess)
+    block_sums = np.empty((len(columns), starts.size, rows.size))
+    log_weights = np.empty((eps2s.size, starts.size, rows.size))
+    # (eps2, row): the weight sum, and each vector's weighted sum, each
+    # shifted by the row's largest log-weight.
+    sums = np.empty((len(columns), eps2s.size, rows.size))
+    log_n = math.log(n)
+    for i, eps1 in enumerate(eps1s):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scale = -0.5 * (unit / eps1) ** 2
+            if not -math.inf < scale < 0.0:
+                # An eps1 of 0 (a seed below 1e-321): the exact objective decides.
+                underflow[i] = False
+                continue
+            np.multiply(nearest, scale, out=terms[1])
+            np.einsum("ke,ktr->etr", factors, terms, out=log_weights)
+            row_max = log_weights.max(axis=1)
+            lowest = row_max.min(axis=1)
+            pad = _MARGIN * (1.0 + np.abs(lowest) + np.abs(log_norm[i]))
+            # A row's shifted weight sum lies in [1, n].
+            if np.all((lowest == -np.inf) | (lowest + log_norm[i] + log_n < _LOG_FLOOR - pad)):
+                continue
+        # The strike factors, each block's largest 1, and per block their
+        # sums and their products with each vector. Clamped at -700, where
+        # np.exp stays fast (see _exp).
+        np.multiply(excess, scale, out=weights)
+        np.maximum(weights, _EXP_NORMAL, out=weights)
+        np.exp(weights, out=weights)
+        for b, (start, end) in enumerate(blocks):
+            np.einsum("sj,jr->sr", columns[:, start:end], weights[start:end], out=block_sums[:, b])
+        # Rows without a finite log-weight make NaNs from here on; they
+        # underflow. A tiny value can send a ratio, its square or a bound to
+        # +inf; the candidate is then not sure, and the exact objective
+        # scores it. In place, the vectors' sums turn into ratios, and the
+        # weight sums into log-denominators.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            log_weights -= row_max[:, None, :]
+            tau_factors = np.exp(log_weights, out=log_weights)
+            np.einsum("etr,str->ser", tau_factors, block_sums, out=sums)
+            denom, ratios = sums[0], sums[1:]
+            ratios /= denom
+            np.maximum(ratios, 0.0, out=ratios)
+            np.log(denom, out=denom)
+            denom += row_max
+            log_denominator = denom.min(axis=1) + log_norm[i]
+            underflow[i] = (lowest == -np.inf) | (log_denominator < _LOG_FLOOR - pad)
+            sure[i] = ((log_denominator >= _LOG_FLOOR + pad) & np.isfinite(log_norm[i])
+                       & ~underflow[i])
+            for v, vector_ratios in enumerate(ratios):
+                vector_ratios /= kept_vectors[v]
+                np.subtract(1.0, vector_ratios, out=vector_ratios)
+                scores[v, i] = np.einsum("er,er->e", vector_ratios, vector_ratios)
+                np.abs(vector_ratios, out=vector_ratios)
+                # |a^2 - b^2| <= |a - b| (2 |a| + |a - b|), and the sum's rounding.
+                bounds[v, i] = _SCREEN_TOL * (
+                    2.0 * np.einsum("er,r->e", vector_ratios, errors[v])
+                    + _SCREEN_TOL * (errors[v] * errors[v]).sum() + scores[v, i])
+            sure[i] &= np.isfinite(scores[:, i]).all(axis=0) & np.isfinite(bounds[:, i]).all(axis=0)
+    return scores, bounds, underflow, sure
+
+
 def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
     """The grid stage of loo_cv_bandwidths, for several value vectors
     with one zero pattern on one set of points: the 15x15 log grid
     spanning six decades around the Silverman seed, exact ties resolved
     to the seed.
 
-    The vectors are scored on one weight matrix per candidate, each with
-    its own matrix-vector product, so each gets the bits of a grid of its
-    own.
+    The grid is screened (_cv_screen), and the exact objective scores only
+    the seed, the candidates the screen cannot classify, and those whose
+    screened score could be the least for some vector; the rest certainly
+    score more than one of these, or +inf. Walked in grid order, these give
+    each vector the bits of a brute-force grid of its own.
 
     Raises ValueError on the inputs loo_cv_bandwidths rejects, and when
     the vectors' zero patterns differ: they would leave out other rows.
@@ -308,18 +476,23 @@ def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
     if any(not np.array_equal(values != 0.0, kept) for values in vectors[1:]):
         raise ValueError("value vectors scored on one grid must share their zero pattern")
     seed = silverman_bandwidths(points)
-    factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
+    eps1s, eps2s = seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
+    scores, bounds, underflow, sure = _cv_screen(points, vectors, eps1s, eps2s)
+    with np.errstate(invalid="ignore"):
+        # Per vector, a score that some sure candidate certainly reaches.
+        ceiling = np.where(sure, scores + bounds, np.inf).min(axis=(1, 2))
+        contender = (np.where(sure, scores - bounds, np.inf) <= ceiling[:, None, None]).any(axis=0)
+    rescore = ~underflow & (contender | ~sure)
+    rescore[_CV_SEED, _CV_SEED] = True
     objectives = _cv_objectives(points, vectors)
     best = [CvGrid(None, float("inf"))] * len(vectors)
-    seed_scores = None
-    for f1 in factors:
-        for f2 in factors:
-            eps = (seed.eps1 * f1, seed.eps2 * f2)
-            scores = objectives(*eps)
-            if f1 == 1.0 and f2 == 1.0:
-                seed_scores = scores
-            best = [CvGrid(eps, cv) if cv < grid.score else grid
-                    for grid, cv in zip(best, scores)]
+    for i1, i2 in zip(*np.nonzero(rescore)):
+        eps = (eps1s[i1], eps2s[i2])
+        exact = objectives(*eps)
+        if i1 == i2 == _CV_SEED:
+            seed_scores = exact
+        best = [CvGrid(eps, cv) if cv < grid.score else grid
+                for grid, cv in zip(best, exact)]
     return [CvGrid((seed.eps1, seed.eps2), seed_cv)
             if grid.best is not None and seed_cv == grid.score else grid
             for grid, seed_cv in zip(best, seed_scores)]

@@ -12,7 +12,12 @@ forms: every weight from np.exp, the weight sum from logsumexp, and the
 CV matrix built whole for each evaluation. The package's forms must
 match them bit for bit. cv_objective_at is not an oracle: it evaluates
 the package's own kernel._cv_objective at given bandwidths, so tests can
-compare the bandwidths two selectors chose.
+compare the bandwidths two selectors chose. cv_grid(points, vectors) is
+the grid stage of the bandwidth search by brute force: the package's
+exact objective (kernel._cv_objectives) at each of the 225 candidates in
+grid order. kernel.loo_cv_grids screens the grid and scores exactly only
+the candidates the screen cannot rule out, and must return the same
+CvGrids bit for bit.
 
 filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
 are the chain operations as they were defined on OptionQuote records,
@@ -71,7 +76,8 @@ from pricelab.black_scholes import (
 )
 from pricelab.errors import (ChainParseError, DegenerateGeometry, NoArbitrageViolation,
                              NoConvergence, NumericalUnderflow)
-from pricelab.kernel import Bandwidths, NwModel
+from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, CvGrid, NwModel,
+                             _cv_inputs, _cv_objectives, silverman_bandwidths)
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
 from pricelab.parity import Moneyness, ParityLeg, classify_moneyness, parity_price
@@ -219,6 +225,33 @@ def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
     points = np.asarray(points, dtype=float)
     values = np.asarray(values, dtype=float)
     return _package_cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)
+
+
+def cv_grid(points, value_vectors) -> list[CvGrid]:
+    """The LOO-CV grid stage by brute force: every one of the 15x15
+    candidates scored by the package's exact objective, in grid order,
+    the first strictly smallest score kept, exact ties resolved to the
+    seed."""
+    points, vectors = _cv_inputs(points, value_vectors)
+    kept = vectors[0] != 0.0
+    if any(not np.array_equal(values != 0.0, kept) for values in vectors[1:]):
+        raise ValueError("value vectors scored on one grid must share their zero pattern")
+    seed = silverman_bandwidths(points)
+    factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
+    objectives = _cv_objectives(points, vectors)
+    best = [CvGrid(None, float("inf"))] * len(vectors)
+    seed_scores = None
+    for f1 in factors:
+        for f2 in factors:
+            eps = (seed.eps1 * f1, seed.eps2 * f2)
+            scores = objectives(*eps)
+            if f1 == 1.0 and f2 == 1.0:
+                seed_scores = scores
+            best = [CvGrid(eps, cv) if cv < grid.score else grid
+                    for grid, cv in zip(best, scores)]
+    return [CvGrid((seed.eps1, seed.eps2), seed_cv)
+            if grid.best is not None and seed_cv == grid.score else grid
+            for grid, seed_cv in zip(best, seed_scores)]
 
 
 def implied_vol_brentq(

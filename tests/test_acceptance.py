@@ -14,7 +14,9 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from oracles import cv_objective_at, gamma_expectation
+import pricelab.estimators as estimators
+import pricelab.kernel as kernel
+from oracles import cv_grid, cv_objective_at, gamma_expectation
 from pricelab.black_scholes import (
     bs_price,
     implied_vol,
@@ -45,6 +47,24 @@ CALL, PUT = OptionKind.CALL, OptionKind.PUT
 # Criteria 7 and 8 share one synthetic world and one protocol run; the
 # first test to need it pays the cost and the stash serves the other.
 _WORLD: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def cv_grids_match_the_brute_force_grid(monkeypatch):
+    """Every LOO-CV grid a criterion searches (criterion 6's selector, and
+    NWCV's and BSNWCV's in the protocol runs) must be the brute-force
+    grid's, bit for bit."""
+    screened = kernel.loo_cv_grids
+
+    def checked(points, value_vectors):
+        grids = screened(points, value_vectors)
+        expected = cv_grid(points, value_vectors)
+        assert [(grid.best, grid.score.hex()) for grid in grids] == [
+            (grid.best, grid.score.hex()) for grid in expected]
+        return grids
+
+    monkeypatch.setattr(kernel, "loo_cv_grids", checked)
+    monkeypatch.setattr(estimators, "loo_cv_grids", checked)
 
 
 @contextlib.contextmanager

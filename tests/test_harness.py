@@ -7,6 +7,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+import oracles
+import pricelab.estimators as estimators
 from pricelab.black_scholes import fill_implied_vols
 from pricelab.estimators import TrainingSet, fit, predict, prediction_status
 from pricelab.harness import (
@@ -350,6 +352,21 @@ def test_run_protocol_reports_stay_pinned(noisy_days):
         got = (report.mean, report.median, report.max)
         for value, pinned in zip(got, stats):
             assert value == (None if pinned is None else pytest.approx(pinned, rel=1e-10)), key
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_run_protocol_gives_the_reports_of_a_brute_force_cv_grid(noisy_days, monkeypatch,
+                                                                 tmp_path, trim):
+    # The grid screen scores few candidates exactly; the fits, records and
+    # reports must be those of scoring every candidate.
+    config = ProtocolConfig(labels=NON_VG_LABELS, trim=trim)
+    screened = run_protocol(noisy_days, config)
+    monkeypatch.setattr(estimators, "loo_cv_grids", oracles.cv_grid)
+    brute = run_protocol(noisy_days, config)
+    assert screened.errors == brute.errors
+    assert screened.reports.keys() == brute.reports.keys()
+    written = zip(screened.write(tmp_path / "screened"), brute.write(tmp_path / "brute"))
+    assert all(a.read_bytes() == b.read_bytes() for a, b in written)
 
 
 def test_run_protocol_deterministic_and_parallel(bs_days):

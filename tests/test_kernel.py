@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import pricelab.kernel as kernel
 from oracles import cv_objective_at
 from pricelab.errors import DegenerateDispersion, NumericalUnderflow
 from pricelab.kernel import (
+    _CV_FACTORS,
     Bandwidths,
     NwModel,
     _cv_objective,
@@ -23,6 +25,8 @@ from pricelab.kernel import (
     nw_estimate,
     silverman_bandwidths,
 )
+from pricelab.market_data import OptionKind
+from pricelab.synth import synth_chain
 
 
 def naive_estimate(model, strike, tau):
@@ -541,3 +545,173 @@ def test_a_shared_grid_takes_only_vectors_of_one_zero_pattern():
         loo_cv_grids(points, [prices, vols])
     with pytest.raises(ValueError, match="zero pattern"):
         loo_cv_grids(points, [vols, vols * 1.5, prices])
+
+
+def grid_bits(grids):
+    return [(None if grid.best is None else tuple(float(eps).hex() for eps in grid.best),
+             grid.score.hex()) for grid in grids]
+
+
+def assert_grids_match_the_oracle(points, vectors):
+    """loo_cv_grids against the brute-force grid: the same CvGrids bit for
+    bit, or the same exception."""
+    try:
+        expected = oracles.cv_grid(points, vectors)
+    except (DegenerateDispersion, ValueError) as error:
+        with pytest.raises(type(error)):
+            loo_cv_grids(points, vectors)
+        return None
+    got = loo_cv_grids(points, vectors)
+    assert got == expected
+    assert grid_bits(got) == grid_bits(expected)
+    return got
+
+
+@st.composite
+def grid_problems(draw):
+    """shared_cv_points in each order, on 1 to 12 taus, with one or both
+    vectors; sometimes with a repeated point, one vector constant to 1e-12
+    and nowhere zero, values of either sign, a tiny value whose ratio
+    overflows, a kept point so far from the rest that its row underflows at
+    every candidate, the points scaled up so far that the Gaussian
+    normalization sends some candidates below the 1e-300 floor, or scaled
+    down so far that it leaves the float range (the exact objective then
+    raises ValueError)."""
+    order = draw(st.sampled_from(["by tau", "shuffled", "distinct taus"]))
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points, prices, vols = shared_cv_points(rng, n, draw(st.integers(1, 12)), order)
+    if draw(st.booleans()):
+        points[1] = points[0]
+    vectors = draw(st.sampled_from([[prices], [vols], [prices, vols], [vols, prices]]))
+    kept = np.flatnonzero(prices)
+    oddity = draw(st.sampled_from(
+        ["none"] * 6 + ["flat values", "negative values", "tiny value", "far point"]))
+    if oddity == "negative values":
+        vectors[0] = np.where(vectors[0] != 0.0, vectors[0] - vectors[0].mean() - 1e-3, 0.0)
+    elif oddity == "flat values":
+        # Every candidate predicts the values to about 1e-13: the screen
+        # cannot order such scores, and the exact objective must.
+        vectors = [0.2 + 1e-13 * rng.uniform(size=n)]
+    elif oddity == "tiny value":
+        vectors[0] = vectors[0].copy()
+        vectors[0][kept[0]] = 1e-300
+    elif oddity == "far point":
+        points[kept[-1], 0] = 1e7
+        return points, vectors
+    # Up to where the largest candidates' eps1 * eps2 stays within the
+    # float range, or down to where the smallest candidates' leaves it.
+    exponent = draw(st.one_of(st.just(0.0), st.floats(140.0, 150.0), st.floats(-162.0, -150.0)))
+    return points * 10.0 ** exponent, vectors
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(grid_problems())
+def test_cv_grids_match_the_brute_force_grid(problem):
+    assert_grids_match_the_oracle(*problem)
+
+
+def test_cv_grids_match_the_brute_force_grid_on_near_ties():
+    # Values equal to 1e-13 relative, or noise of either sign: the widest
+    # candidates all predict about the mean, and many scores lie closer
+    # together than the screen resolves. Its order among them is not the
+    # exact objective's, and the exact objective must score them all.
+    rng = np.random.default_rng(131)
+    for order in ("by tau", "shuffled", "distinct taus"):
+        for n in (12, 30, 45):
+            points, _, _ = shared_cv_points(rng, n, 4, order)
+            assert_grids_match_the_oracle(points, [0.2 + 1e-13 * rng.uniform(size=n)])
+            assert_grids_match_the_oracle(points, [rng.standard_normal(n)])
+
+
+def test_cv_grids_match_the_brute_force_grid_where_every_candidate_underflows():
+    # A kept point far beyond the others' strikes has no weight at any
+    # candidate, so every candidate underflows.
+    rng = np.random.default_rng(113)
+    points, prices, vols = shared_cv_points(rng, 20, 4, "shuffled")
+    far = points.copy()
+    far[np.flatnonzero(prices)[0], 0] = 1e7
+    grids = assert_grids_match_the_oracle(far, [prices, vols])
+    assert [grid.best for grid in grids] == [None, None]
+    # A tiny value's ratio overflows at every candidate: its vector finds no
+    # best, while the other vector is scored as usual.
+    tiny = prices.copy()
+    tiny[np.flatnonzero(tiny)[0]] = 1e-300
+    grids = assert_grids_match_the_oracle(points, [tiny, vols])
+    assert grids[0].best is None and grids[1].best is not None
+    # Scaled down by 1e-160, the smallest candidates' eps1 * eps2 is 0.0, at
+    # which the exact objective raises ValueError; so must the grid.
+    with pytest.raises(ValueError, match="math domain error"):
+        oracles.cv_grid(points * 1e-160, [prices, vols])
+    assert assert_grids_match_the_oracle(points * 1e-160, [prices, vols]) is None
+
+
+def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
+    # Moving one kept point away from the rest shrinks its row's weight sum
+    # at every candidate, as shrinking both bandwidths would. Around the
+    # distance at which that row sends the brute-force grid's best
+    # candidate below the 1e-300 floor, the screen must neither rule the
+    # candidate out early nor keep it late.
+    rng = np.random.default_rng(127)
+    for case in range(12):
+        order = ("by tau", "shuffled", "distinct taus")[case % 3]
+        points, prices, vols = shared_cv_points(rng, int(rng.integers(8, 40)), 5, order)
+        vectors = [prices, vols]
+        row = np.flatnonzero(prices)[-1]
+        edge = points[:, 0].max()
+
+        def moved(distance):
+            out = points.copy()
+            out[row, 0] = edge + distance
+            return out
+
+        def cell(distance):
+            seed = silverman_bandwidths(moved(distance))
+            return seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
+
+        start = 5.0
+        best = oracles.cv_grid(moved(start), vectors)[0].best
+        eps1s, eps2s = cell(start)
+        i1, i2 = int(np.flatnonzero(eps1s == best[0])[0]), int(np.flatnonzero(eps2s == best[1])[0])
+
+        def best_cell_underflows(distance):
+            eps1s, eps2s = cell(distance)
+            return _cv_objectives(moved(distance), vectors)(eps1s[i1], eps2s[i2])[0] == math.inf
+
+        finite, underflowed = start, 1e7
+        assert not best_cell_underflows(finite) and best_cell_underflows(underflowed)
+        while True:  # bisect down to adjacent floats
+            middle = 0.5 * (finite + underflowed)
+            if middle in (finite, underflowed):
+                break
+            if best_cell_underflows(middle):
+                underflowed = middle
+            else:
+                finite = middle
+        step = underflowed - finite
+        for distance in (finite - step, finite, underflowed, underflowed + step):
+            assert_grids_match_the_oracle(moved(distance), vectors)
+
+
+def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
+    # The screen leaves only a handful of the 225 candidates to the exact
+    # objective on a chain's prices, so that a change cannot fall back to
+    # brute force unseen. (This chain's vols are one constant: every
+    # candidate predicts it to rounding, so the screen tells none apart and
+    # a vol grid scores all of them exactly.)
+    calls = []
+
+    def counting(points, vectors):
+        objectives = _cv_objectives(points, vectors)
+
+        def counted(eps1, eps2):
+            calls[-1] += 1
+            return objectives(eps1, eps2)
+        return counted
+
+    monkeypatch.setattr(kernel, "_cv_objectives", counting)
+    for chain in synth_chain("bs", n_days=2):
+        puts = chain.select((chain.kinds == OptionKind.PUT) & (chain.taus > 0.0))
+        calls.append(0)
+        loo_cv_grids(np.column_stack([puts.strikes, puts.taus]), [puts.mids])
+    assert all(1 <= count <= 20 for count in calls), calls
