@@ -279,7 +279,7 @@ def _nw(select_bandwidths):
 _LI = _Smoother(3, False, _li)
 _NW = _Smoother(1, True, _nw(lambda cv_grid, points, values: silverman_bandwidths(points)))
 _NWCV = _Smoother(3, True, _nw(
-    lambda cv_grid, points, values: loo_cv_bandwidths(points, values, cv_grid)))
+    lambda cv_grid, points, values: loo_cv_bandwidths(points, values, cv_grid())))
 
 # Every label but VG, as (target, smoother). LIB also augments its quotes.
 _RECIPES = {

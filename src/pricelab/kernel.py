@@ -24,57 +24,26 @@ and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
 Nelder-Mead in log-bandwidth space. Both are deterministic.
 
-The CV weights depend on the points and the bandwidths alone, so one
-exact evaluation (_cv_objectives) can score several value vectors with
-one zero pattern on the same points: it builds one weight matrix, and
-each vector gets its own matrix-vector product on it, so each gets the
-bits of an evaluation of its own. Each evaluation also skips what the
-points fix:
+The exact CV objective (_cv_objective) builds what the points fix once
+and then works in place on two n x n arrays. Within a run of equal
+consecutive taus a row's largest log-weight sits at its nearest strike,
+so small (run, row) tables give each row's max and the whole matrix's
+tau term, which spares each evaluation one more n x n pass.
 
-- Samples fall into runs of equal consecutive taus. Within a run a
-  row's tau term is one number and its largest log-weight sits at its
-  nearest strike, so each row's max comes from a (run, row) table of
-  nearest strike distances, built once, and the tau term of the whole
-  matrix is that table's entry copied over the run.
-- A row's shifted weight sum lies in [1, n], so when the lowest row max
-  plus the Gaussian normalization and log n is below the 1e-300 floor by
-  a safe margin, the objective is +inf before any n x n work is done.
-- The strike term is kept while eps1 repeats, as it does along the grid.
-
-The grid stage (loo_cv_grids; loo_cv_bandwidths then refines one vector
-from its grid result) screens the 225 candidates and scores only a few
-of them exactly. The screen (_cv_screen) uses that a weight is a strike
-factor times a tau factor. For each eps1 it makes one pass over the
-(sample, kept row) table, with the samples sorted by tau: it
-exponentiates the strike terms, each shifted by its largest within its
-row and tau, and sums them, and them times each vector, per distinct
-tau. All 15 eps2 then cost (tau, row) work together: the tau factors,
-shifted by each row's largest log-weight, weigh those sums. An eps1 at
-which every candidate certainly underflows is skipped.
-
-The screen adds in another order than the exact objective, so it also
-bounds each score's distance from the exact one. The two agree on a
-prediction to within about 1e-11 of its kernel-weighted mean |value|;
-the screen allows 1e-10 of the largest |value|, then carries that
-through each ratio, its square and the sum. The exact objective then
-scores, in grid order, only the seed, the candidates the screen cannot
-classify (a row within a margin of the 1e-300 floor, a Gaussian
-normalization outside the float range, or a score or bound that is not
-finite) and, for any vector, the candidates whose least
-possible score is at most the least score some candidate is sure to
-reach. Every other candidate certainly scores more than one of these, or
-underflows, so the first strictly least score and the tie rule for the
-seed see what scoring all 225 would: each vector gets the CvGrid of the
-brute-force grid (tests/oracles.py cv_grid) bit for bit. When the screen
-cannot tell the candidates apart, as for values equal to rounding, it
-leaves every candidate to the exact objective.
+The grid stage (loo_cv_grids) screens the 225 candidates (_cv_screen):
+a weight is a strike factor times a tau factor, so one pass over the
+points per eps1 sums the strike factors per distinct tau, and all 15
+eps2 then cost (tau, row) work. The screen bounds each score's error,
+and each vector's exact objective scores, in grid order, only the seed,
+the candidates the screen cannot classify and those that could be the
+vector's least: the brute-force grid's CvGrid (tests/oracles.py), bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -82,7 +51,7 @@ from scipy.optimize import minimize
 from .errors import DegenerateDispersion, NumericalUnderflow
 
 _LOG_FLOOR = math.log(1e-300)
-# Relative margin of the CV objective's certain-underflow test.
+# Relative margin of the grid screen's underflow tests.
 _MARGIN = 1e-9
 # np.exp(x) is 0.0 for x <= _EXP_ZERO: exp(-746) ~ 1e-324 is below half the
 # smallest subnormal. For x > _EXP_NORMAL it is a normal number, which
@@ -167,6 +136,16 @@ def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
         return -0.5 * (z1 * z1 + z2 * z2)
 
 
+def _log_norm(eps1: float, eps2: float) -> float:
+    """-log(2 pi eps1 eps2) for positive bandwidths; -(log 2 pi + log eps1
+    + log eps2) where the product underflows to 0 or overflows."""
+    eps1, eps2 = float(eps1), float(eps2)
+    product = 2.0 * math.pi * eps1 * eps2
+    if 0.0 < product < math.inf:
+        return -math.log(product)
+    return -(math.log(2.0 * math.pi) + math.log(eps1) + math.log(eps2))
+
+
 def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     """Evaluate the regression at one query.
 
@@ -179,7 +158,7 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     """
     logw = _log_weights(model, strike, tau)
     # True weight sum includes the Gaussian normalization the estimate cancels.
-    log_norm = -math.log(2.0 * math.pi * model.bandwidths.eps1 * model.bandwidths.eps2)
+    log_norm = _log_norm(model.bandwidths.eps1, model.bandwidths.eps2)
     top = logw.max()
     if np.isfinite(top):
         shifted = _exp(logw - top)
@@ -207,7 +186,9 @@ def silverman_bandwidths(points) -> Bandwidths:
     eps = []
     for j in range(2):
         column = points[:, j]
-        spread = float(np.std(column, ddof=1))
+        # A deviation past the float range is +inf: the IQR term then binds.
+        with np.errstate(over="ignore"):
+            spread = float(np.std(column, ddof=1))
         q25, q75 = np.percentile(column, [25.0, 75.0])
         iqr = float(q75 - q25)
         if spread == 0.0 or iqr == 0.0:
@@ -216,22 +197,17 @@ def silverman_bandwidths(points) -> Bandwidths:
     return Bandwidths(eps[0], eps[1])
 
 
-def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
+def _cv_objective(points: np.ndarray, values: np.ndarray):
     """The leave-one-out sum of |1 - f_{-j}(x_j)/p_j|^2 over kept rows
-    (nonzero values), for each of several value vectors with one zero
-    pattern, as a function of (eps1, eps2) that returns one sum per
-    vector; +inf for every vector when any kept row underflows.
+    (nonzero values), as a function of (eps1, eps2); +inf when any kept
+    row underflows.
 
-    The weights depend on the points and the bandwidths alone, so each
-    call builds one weight matrix and gives every vector its own
-    matrix-vector product on it. What depends on the points alone is
-    built here, once. Besides the strike differences, calls work in
-    place in two float arrays of the matrix's size and allocate no
-    other: the strike term, kept while eps1 repeats, and a buffer.
+    What the points fix is built once. Besides the strike differences,
+    calls work in place in two n x n arrays: the strike term and a buffer.
     """
     strikes, taus = points[:, 0], points[:, 1]
     n = len(strikes)
-    rows = np.flatnonzero(value_vectors[0] != 0.0)
+    rows = np.flatnonzero(values != 0.0)
     d1 = strikes[rows][:, None] - strikes[None, :]
     # Flat index of each kept row's own sample, which its estimate leaves out.
     own = np.arange(rows.size) * n + rows
@@ -245,15 +221,10 @@ def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
     nearest = np.abs(d1)
     nearest.reshape(-1)[own] = np.inf
     nearest = np.ascontiguousarray(np.minimum.reduceat(nearest, starts, axis=1).T)
-    kept_vectors = [values[rows] for values in value_vectors]
-    # A row's weight sum, shifted by its max, lies in [1, n].
-    log_n = math.log(n)
+    kept_values = values[rows]
     z1, buffer = np.empty_like(d1), np.empty_like(d1)
-    z1_eps1 = None
 
-    def objectives(eps1: float, eps2: float) -> list[float]:
-        nonlocal z1_eps1
-        underflow = [float("inf")] * len(value_vectors)
+    def objective(eps1: float, eps2: float) -> float:
         # (d / eps)**2 as written: d**2 / eps**2 would round differently. A
         # tiny bandwidth sends a term to +inf, a weight of zero; eps2 = 0
         # makes 0/0 = NaN, which the test below scores +inf.
@@ -263,15 +234,9 @@ def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
         # -inf or NaN when some row has no finite weight; +inf without rows.
         lowest = float(row_max.min(initial=np.inf))
         if not lowest > -math.inf:
-            return underflow
-        log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
-        # Certain underflow, with a margin far beyond the sums' rounding.
-        if lowest + log_norm + log_n < _LOG_FLOOR - _MARGIN * (1.0 + abs(lowest) + abs(log_norm)):
-            return underflow
-        if z1_eps1 != eps1:
-            with np.errstate(over="ignore"):
-                np.square(np.divide(d1, eps1, out=z1), out=z1)
-            z1_eps1 = eps1
+            return math.inf
+        with np.errstate(over="ignore"):
+            np.square(np.divide(d1, eps1, out=z1), out=z1)
         # The tau term, copied over each run, plus the strike term: z2 + z1
         # has the bits of z1 + z2. mode="clip" lets take write into out
         # unbuffered; every index is in range.
@@ -282,28 +247,18 @@ def _cv_objectives(points: np.ndarray, value_vectors: Sequence[np.ndarray]):
         logw -= row_max[:, None]
         shifted = _exp(logw)
         denom = shifted.sum(axis=1)
-        log_denominator = row_max + np.log(denom) + log_norm
+        log_denominator = row_max + np.log(denom) + _log_norm(eps1, eps2)
         if (log_denominator < _LOG_FLOOR).any():
-            return underflow
-        scores = []
+            return math.inf
         # A kept value near zero can send its ratio or square past the float
         # range; the objective is then +inf, which the search already scores
         # as the worst candidate, so the overflow is expected, not a fault.
         with np.errstate(over="ignore"):
-            for values, kept_values in zip(value_vectors, kept_vectors):
-                # One product per vector: a two-column product may round differently.
-                predictions = np.maximum(shifted @ values / denom, 0.0)
-                ratios = 1.0 - predictions / kept_values
-                scores.append(float((ratios * ratios).sum()))
-        return scores
+            predictions = np.maximum(shifted @ values / denom, 0.0)
+            ratios = 1.0 - predictions / kept_values
+            return float((ratios * ratios).sum())
 
-    return objectives
-
-
-def _cv_objective(points: np.ndarray, values: np.ndarray):
-    """_cv_objectives for one value vector: one sum per call."""
-    objectives = _cv_objectives(points, [values])
-    return lambda eps1, eps2: objectives(eps1, eps2)[0]
+    return objective
 
 
 def _cv_inputs(points, value_vectors) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -380,7 +335,9 @@ def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
     factors = np.ones((2, eps2s.size))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         factors[0] = -0.5 * (eps2s.max() / eps2s) ** 2
-        log_norm = -np.log(2.0 * math.pi * eps1s[:, None] * eps2s)
+    # +inf at a bandwidth of 0 (a seed below 1e-321), as -log(0).
+    log_norm = np.array([[_log_norm(eps1, eps2) if eps1 > 0.0 < eps2 else math.inf
+                          for eps2 in eps2s] for eps1 in eps1s])
     # Per sample: 1, for the weight sums, and each vector's value.
     columns = np.vstack([np.ones(n)] + [values[order] for values in value_vectors])
     blocks = list(zip(starts.tolist(), ends.tolist()))
@@ -462,11 +419,9 @@ def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
     spanning six decades around the Silverman seed, exact ties resolved
     to the seed.
 
-    The grid is screened (_cv_screen), and the exact objective scores only
-    the seed, the candidates the screen cannot classify, and those whose
-    screened score could be the least for some vector; the rest certainly
-    score more than one of these, or +inf. Walked in grid order, these give
-    each vector the bits of a brute-force grid of its own.
+    The screen (_cv_screen) rules out the candidates that certainly score
+    +inf or more than another; each vector's exact objective scores the
+    rest and the seed in grid order, as a brute-force grid would.
 
     Raises ValueError on the inputs loo_cv_bandwidths rejects, and when
     the vectors' zero patterns differ: they would leave out other rows.
@@ -481,40 +436,45 @@ def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
     with np.errstate(invalid="ignore"):
         # Per vector, a score that some sure candidate certainly reaches.
         ceiling = np.where(sure, scores + bounds, np.inf).min(axis=(1, 2))
-        contender = (np.where(sure, scores - bounds, np.inf) <= ceiling[:, None, None]).any(axis=0)
+        contender = np.where(sure, scores - bounds, np.inf) <= ceiling[:, None, None]
     rescore = ~underflow & (contender | ~sure)
-    rescore[_CV_SEED, _CV_SEED] = True
-    objectives = _cv_objectives(points, vectors)
-    best = [CvGrid(None, float("inf"))] * len(vectors)
-    for i1, i2 in zip(*np.nonzero(rescore)):
-        eps = (eps1s[i1], eps2s[i2])
-        exact = objectives(*eps)
-        if i1 == i2 == _CV_SEED:
-            seed_scores = exact
-        best = [CvGrid(eps, cv) if cv < grid.score else grid
-                for grid, cv in zip(best, exact)]
-    return [CvGrid((seed.eps1, seed.eps2), seed_cv)
-            if grid.best is not None and seed_cv == grid.score else grid
-            for grid, seed_cv in zip(best, seed_scores)]
+    rescore[:, _CV_SEED, _CV_SEED] = True
+
+    def walk(values: np.ndarray, cells: np.ndarray) -> CvGrid:
+        # One vector's objective at a time: its n x n arrays go on return.
+        objective = _cv_objective(points, values)
+        best, score = None, math.inf
+        for i1, i2 in zip(*np.nonzero(cells)):
+            eps = (float(eps1s[i1]), float(eps2s[i2]))
+            cv = objective(*eps)
+            if i1 == i2 == _CV_SEED:
+                seed_cv = cv
+            if cv < score:
+                best, score = eps, cv
+        if best is not None and seed_cv == score:
+            best = (seed.eps1, seed.eps2)
+        return CvGrid(best, score)
+
+    return [walk(values, cells) for values, cells in zip(vectors, rescore)]
 
 
-def loo_cv_bandwidths(points, values,
-                      grid: Callable[[], CvGrid] | None = None) -> Bandwidths:
+def loo_cv_bandwidths(points, values, grid: CvGrid | None = None) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
     is undefined there). The search is a 15x15 log grid spanning six
     decades around the Silverman seed, then Nelder-Mead in log-bandwidth
     space from the best grid point; exact ties resolve to the seed.
-    grid, when given, returns loo_cv_grids' result for these points and
+    grid, when given, is loo_cv_grids' result for these points and
     values, which may come from a grid pass shared with other vectors;
-    the search calls it first and starts from that result.
+    the search then starts from it.
 
     Raises NumericalUnderflow only if every candidate underflows, and
     ValueError when no sample has a nonzero value.
     """
     points, (values,) = _cv_inputs(points, [values])
-    grid = grid() if grid is not None else loo_cv_grids(points, [values])[0]
+    if grid is None:
+        grid = loo_cv_grids(points, [values])[0]
     if grid.best is None:
         raise NumericalUnderflow("every bandwidth candidate underflowed")
     if grid.score == 0.0:

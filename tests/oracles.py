@@ -8,16 +8,17 @@ gamma_expectation is adaptive quadrature over the Gamma clock, an
 oracle independent of the package's log-clock trapezoid rule.
 
 nw_estimate and _cv_objective are the kernel module's straightforward
-forms: every weight from np.exp, the weight sum from logsumexp, and the
-CV matrix built whole for each evaluation. The package's forms must
-match them bit for bit. cv_objective_at is not an oracle: it evaluates
-the package's own kernel._cv_objective at given bandwidths, so tests can
-compare the bandwidths two selectors chose. cv_grid(points, vectors) is
-the grid stage of the bandwidth search by brute force: the package's
-exact objective (kernel._cv_objectives) at each of the 225 candidates in
-grid order. kernel.loo_cv_grids screens the grid and scores exactly only
-the candidates the screen cannot rule out, and must return the same
-CvGrids bit for bit.
+forms: every weight from np.exp, the weight sum from logsumexp, the CV
+matrix built whole for each evaluation, and the Gaussian normalization
+from the logs of its factors when their product leaves the float range.
+The package's forms must match them bit for bit. cv_objective_at is not
+an oracle: it evaluates the package's own kernel._cv_objective at given
+bandwidths, so tests can compare the bandwidths two selectors chose.
+cv_grid(points, vectors) is the grid stage of the bandwidth search by
+brute force: each vector's exact objective (kernel._cv_objective) at
+each of the 225 candidates in grid order. kernel.loo_cv_grids screens
+the grid and scores exactly only the candidates the screen cannot rule
+out, and must return the same CvGrids bit for bit.
 
 filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
 are the chain operations as they were defined on OptionQuote records,
@@ -77,7 +78,7 @@ from pricelab.black_scholes import (
 from pricelab.errors import (ChainParseError, DegenerateGeometry, NoArbitrageViolation,
                              NoConvergence, NumericalUnderflow)
 from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, CvGrid, NwModel,
-                             _cv_inputs, _cv_objectives, silverman_bandwidths)
+                             _cv_inputs, silverman_bandwidths)
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
 from pricelab.parity import Moneyness, ParityLeg, classify_moneyness, parity_price
@@ -164,6 +165,16 @@ def gamma_expectation(f: Callable[[float], float] | None, shape: float, rate: fl
 _LOG_FLOOR = math.log(1e-300)
 
 
+def _gaussian_log_norm(eps1: float, eps2: float) -> float:
+    """log of 1 / (2 pi eps1 eps2). Python floats multiply without a
+    warning; when the product is 0 or inf, the logs of the factors are
+    added instead, (log 2 pi + log eps1) + log eps2."""
+    product = 2.0 * math.pi * float(eps1) * float(eps2)
+    if product == 0.0 or product == math.inf:
+        return -((math.log(2.0 * math.pi) + math.log(eps1)) + math.log(eps2))
+    return -math.log(product)
+
+
 def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
     z1 = (strike - model.strikes) / model.bandwidths.eps1
     z2 = (tau - model.taus) / model.bandwidths.eps2
@@ -182,7 +193,7 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     """
     logw = _log_weights(model, strike, tau)
     # True weight sum includes the Gaussian normalization the estimate cancels.
-    log_norm = -math.log(2.0 * math.pi * model.bandwidths.eps1 * model.bandwidths.eps2)
+    log_norm = _gaussian_log_norm(model.bandwidths.eps1, model.bandwidths.eps2)
     log_denominator = logsumexp(logw) + log_norm
     if not np.isfinite(log_denominator) or log_denominator < _LOG_FLOOR:
         raise NumericalUnderflow(
@@ -205,8 +216,7 @@ def _cv_objective(d1: np.ndarray, d2: np.ndarray, values: np.ndarray, keep: np.n
         return float("inf")
     shifted = np.exp(logw - row_max[:, None])
     denom = shifted.sum(axis=1)
-    log_norm = -math.log(2.0 * math.pi * eps1 * eps2)
-    log_denominator = row_max + np.log(denom) + log_norm
+    log_denominator = row_max + np.log(denom) + _gaussian_log_norm(eps1, eps2)
     if np.any(log_denominator < _LOG_FLOOR):
         return float("inf")
     predictions = np.maximum(shifted @ values / denom, 0.0)
@@ -238,20 +248,22 @@ def cv_grid(points, value_vectors) -> list[CvGrid]:
         raise ValueError("value vectors scored on one grid must share their zero pattern")
     seed = silverman_bandwidths(points)
     factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
-    objectives = _cv_objectives(points, vectors)
-    best = [CvGrid(None, float("inf"))] * len(vectors)
-    seed_scores = None
-    for f1 in factors:
-        for f2 in factors:
-            eps = (seed.eps1 * f1, seed.eps2 * f2)
-            scores = objectives(*eps)
-            if f1 == 1.0 and f2 == 1.0:
-                seed_scores = scores
-            best = [CvGrid(eps, cv) if cv < grid.score else grid
-                    for grid, cv in zip(best, scores)]
-    return [CvGrid((seed.eps1, seed.eps2), seed_cv)
-            if grid.best is not None and seed_cv == grid.score else grid
-            for grid, seed_cv in zip(best, seed_scores)]
+    grids = []
+    for values in vectors:
+        objective = _package_cv_objective(points, values)
+        grid, seed_cv = CvGrid(None, float("inf")), None
+        for f1 in factors:
+            for f2 in factors:
+                eps = (seed.eps1 * f1, seed.eps2 * f2)
+                cv = objective(*eps)
+                if f1 == 1.0 and f2 == 1.0:
+                    seed_cv = cv
+                if cv < grid.score:
+                    grid = CvGrid(eps, cv)
+        if grid.best is not None and seed_cv == grid.score:
+            grid = CvGrid((seed.eps1, seed.eps2), seed_cv)
+        grids.append(grid)
+    return grids
 
 
 def implied_vol_brentq(

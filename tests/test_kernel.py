@@ -13,12 +13,12 @@ import oracles
 import pricelab.kernel as kernel
 from oracles import cv_objective_at
 from pricelab.errors import DegenerateDispersion, NumericalUnderflow
+from pricelab.harness import ProtocolConfig, run_protocol
 from pricelab.kernel import (
     _CV_FACTORS,
     Bandwidths,
     NwModel,
     _cv_objective,
-    _cv_objectives,
     _exp,
     loo_cv_bandwidths,
     loo_cv_grids,
@@ -162,6 +162,17 @@ def test_silverman_degenerate_inputs():
         silverman_bandwidths(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         silverman_bandwidths(np.zeros((4, 3)))
+
+
+def test_silverman_takes_the_iqr_where_the_deviation_overflows():
+    # The squared deviations pass the float range, so the deviation reads
+    # +inf, without a warning, and the IQR term binds.
+    column = np.array([1.0, 2.0, 4.0, 8.0, 16.0]) * 1e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bw = silverman_bandwidths(np.column_stack([column, np.arange(5.0)]))
+    q25, q75 = np.percentile(column, [25.0, 75.0])
+    assert bw.eps1 == 0.9 * (float(q75 - q25) / 1.34) * 5 ** (-0.2)
 
 
 def cv_points(rng, n=24):
@@ -443,10 +454,9 @@ def test_cv_objective_matches_oracle(problem):
     expected = oracle_cv(points, values, eps1, eps2)
     assert _cv_objective(points, values)(eps1, eps2).hex() == expected.hex()
     assert cv_objective_at(points, values, Bandwidths(eps1, eps2)).hex() == expected.hex()
-    # Two vectors on one weight matrix: each gets its own oracle's bits.
-    both = _cv_objectives(points, [values, other])(eps1, eps2)
-    assert [score.hex() for score in both] == [
-        expected.hex(), oracle_cv(points, other, eps1, eps2).hex()]
+    # Another vector with the same zeros gets its own oracle's bits.
+    assert (_cv_objective(points, other)(eps1, eps2).hex()
+            == oracle_cv(points, other, eps1, eps2).hex())
 
 
 def test_cv_objective_reuses_its_build_across_bandwidths():
@@ -465,8 +475,8 @@ def test_cv_objective_reuses_its_build_across_bandwidths():
 def test_cv_objective_matches_oracle_near_the_underflow_floor():
     # Shrinking both bandwidths by one factor sends some row's weight sum
     # below the 1e-300 floor. Around the factor where the oracle turns
-    # +inf, the objective's early +inf exit must not fire a candidate
-    # early, nor miss one.
+    # +inf, the objective's one floor test, after the row sums, must not
+    # fire a candidate early, nor miss one.
     rng = np.random.default_rng(109)
     outcomes = []
     for _ in range(30):
@@ -531,7 +541,7 @@ def test_a_shared_grid_gives_each_vector_the_bandwidths_of_its_own_search(order)
         grids = loo_cv_grids(points, [prices, vols])
         assert grids == [loo_cv_grids(points, [prices])[0], loo_cv_grids(points, [vols])[0]]
         for values, grid in zip((prices, vols), grids):
-            shared = loo_cv_bandwidths(points, values, lambda: grid)
+            shared = loo_cv_bandwidths(points, values, grid)
             alone = loo_cv_bandwidths(points, values)
             assert (shared.eps1.hex(), shared.eps2.hex()) == (alone.eps1.hex(), alone.eps2.hex())
 
@@ -564,6 +574,8 @@ def assert_grids_match_the_oracle(points, vectors):
     got = loo_cv_grids(points, vectors)
     assert got == expected
     assert grid_bits(got) == grid_bits(expected)
+    # Python floats, so that Bandwidths built from them hold no numpy scalar.
+    assert all(type(eps) is float for grid in got if grid.best is not None for eps in grid.best)
     return got
 
 
@@ -575,8 +587,8 @@ def grid_problems(draw):
     overflows, a kept point so far from the rest that its row underflows at
     every candidate, the points scaled up so far that the Gaussian
     normalization sends some candidates below the 1e-300 floor, or scaled
-    down so far that it leaves the float range (the exact objective then
-    raises ValueError)."""
+    down so far that the smallest candidates' eps1 * eps2 underflows to 0
+    (the normalization is then summed from logs)."""
     order = draw(st.sampled_from(["by tau", "shuffled", "distinct taus"]))
     n = draw(st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -639,11 +651,43 @@ def test_cv_grids_match_the_brute_force_grid_where_every_candidate_underflows():
     tiny[np.flatnonzero(tiny)[0]] = 1e-300
     grids = assert_grids_match_the_oracle(points, [tiny, vols])
     assert grids[0].best is None and grids[1].best is not None
-    # Scaled down by 1e-160, the smallest candidates' eps1 * eps2 is 0.0, at
-    # which the exact objective raises ValueError; so must the grid.
-    with pytest.raises(ValueError, match="math domain error"):
-        oracles.cv_grid(points * 1e-160, [prices, vols])
-    assert assert_grids_match_the_oracle(points * 1e-160, [prices, vols]) is None
+    # Scaled down by 1e-160, the smallest candidates' eps1 * eps2 is 0.0;
+    # their Gaussian normalization is then summed from logs, and each
+    # underflows or is scored like any other.
+    grids = assert_grids_match_the_oracle(points * 1e-160, [prices, vols])
+    assert all(grid.best is not None for grid in grids)
+
+
+@pytest.mark.parametrize("scale", [(1e151, 1e152), (1e-160, 1e-160)])
+def test_a_gaussian_normalization_outside_the_float_range_is_summed_from_logs(scale):
+    # Strikes x 1e151 and taus x 1e152 send the widest candidates' eps1 *
+    # eps2 past the float range; both x 1e-160 send the narrowest ones' to
+    # 0. Neither warns or raises: the normalization's log is summed from
+    # the factors' logs, as the oracle sums it on its own.
+    rng = np.random.default_rng(113)
+    points, prices, vols = shared_cv_points(rng, 20, 4, "shuffled")
+    scaled = points * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grids = assert_grids_match_the_oracle(scaled, [prices, vols])
+        seed = silverman_bandwidths(scaled)
+        for eps1, eps2 in [(seed.eps1, seed.eps2),
+                           (seed.eps1 * 1e3, seed.eps2 * 1e3), (seed.eps1 * 1e-3, seed.eps2 * 1e-3)]:
+            model = NwModel(scaled[:, 0], scaled[:, 1], prices, Bandwidths(eps1, eps2))
+            for strike, tau in scaled[:3]:
+                try:
+                    expected = oracles.nw_estimate(model, strike, tau)
+                except NumericalUnderflow:
+                    with pytest.raises(NumericalUnderflow):
+                        nw_estimate(model, strike, tau)
+                else:
+                    assert nw_estimate(model, strike, tau).hex() == expected.hex()
+    if scale[0] > 1.0:
+        # 1 / (2 pi eps1 eps2) < 1e-300 bounds the weight sums below the
+        # floor at every candidate.
+        assert [grid.best for grid in grids] == [None, None]
+    else:
+        assert all(grid.best is not None for grid in grids)
 
 
 def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
@@ -676,7 +720,7 @@ def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
 
         def best_cell_underflows(distance):
             eps1s, eps2s = cell(distance)
-            return _cv_objectives(moved(distance), vectors)(eps1s[i1], eps2s[i2])[0] == math.inf
+            return _cv_objective(moved(distance), prices)(eps1s[i1], eps2s[i2]) == math.inf
 
         finite, underflowed = start, 1e7
         assert not best_cell_underflows(finite) and best_cell_underflows(underflowed)
@@ -701,17 +745,55 @@ def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
     # a vol grid scores all of them exactly.)
     calls = []
 
-    def counting(points, vectors):
-        objectives = _cv_objectives(points, vectors)
+    def counting(points, values):
+        objective = _cv_objective(points, values)
 
         def counted(eps1, eps2):
             calls[-1] += 1
-            return objectives(eps1, eps2)
+            return objective(eps1, eps2)
         return counted
 
-    monkeypatch.setattr(kernel, "_cv_objectives", counting)
+    monkeypatch.setattr(kernel, "_cv_objective", counting)
     for chain in synth_chain("bs", n_days=2):
         puts = chain.select((chain.kinds == OptionKind.PUT) & (chain.taus > 0.0))
         calls.append(0)
         loo_cv_grids(np.column_stack([puts.strikes, puts.taus]), [puts.mids])
     assert all(1 <= count <= 20 for count in calls), calls
+
+
+def test_the_bandwidths_the_searches_visit_get_the_oracles_bits(monkeypatch):
+    # Every bandwidth pair that NWCV's and BSNWCV's searches score on an
+    # untrimmed noisy chain, Nelder-Mead's steps included; and per search
+    # eps2 = 0, a subnormal eps2, an eps1 * eps2 below the smallest
+    # subnormal and the seed shrunk by 10^-1 .. 10^-8, where rows with a
+    # finite largest weight fall below the 1e-300 floor. The exact
+    # objective gives each the independent oracle's bits.
+    searches = []
+
+    def recording(points, values):
+        objective = _cv_objective(points, values)
+        visits = []
+        searches.append((points, values, visits))
+
+        def recorded(eps1, eps2):
+            visits.append((eps1, eps2))
+            return objective(eps1, eps2)
+        return recorded
+
+    monkeypatch.setattr(kernel, "_cv_objective", recording)
+    run_protocol(synth_chain("bs", n_days=2, noise=0.005),
+                 ProtocolConfig(labels=("NWCV", "BSNWCV"), trim=False))
+    monkeypatch.undo()
+    assert sum(len(visits) for _, _, visits in searches) > 200
+    underflowed = 0
+    for points, values, visits in searches:
+        objective = _cv_objective(points, values)
+        seed = silverman_bandwidths(points)
+        shrunk = [(seed.eps1 * 10.0 ** -k, seed.eps2 * 10.0 ** -k) for k in range(1, 9)]
+        for eps1, eps2 in visits + shrunk + [(seed.eps1, 0.0), (seed.eps1, 5e-320),
+                                             (1e-170, 1e-170)]:
+            with np.errstate(all="ignore"):
+                expected = oracle_cv(points, values, eps1, eps2)
+            assert objective(eps1, eps2).hex() == expected.hex()
+            underflowed += expected == math.inf
+    assert underflowed > 2 * len(searches)
