@@ -9,12 +9,15 @@ values,
 with Gaussian factors rho. Weights are computed in log space with
 max-subtraction, so far-from-data queries stay well conditioned; only
 when the true weight sum drops below 1e-300 is the query declared
-unanswerable. The shifted weights come from one exponential pass, which
-also gives the log of the weight sum.
+unanswerable. NwModel keeps its samples as one (2, n) array, its
+bandwidths as a column and its normalization, so that a query costs a
+dozen numpy calls: one pass each subtracts, scales and squares both
+coordinates, and one exponential pass also gives the log of the sum.
 
 Far from the data most log-weights lie below -700, where np.exp is slow:
 a result that underflows to zero costs several times a normal one, and a
-subnormal result about a hundred times. _exp therefore exponentiates
+subnormal result about a hundred times. _exp therefore returns np.exp at
+once when every argument is above -700, and otherwise exponentiates
 arguments clamped at -700, zeroes those at or below it, and sends only
 the few in (-746, -700], whose results may be subnormal, through np.exp
 one gathered array at a time. Every weight is bit-identical to np.exp.
@@ -22,27 +25,15 @@ one gathered array at a time. Every weight is bit-identical to np.exp.
 Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
-Nelder-Mead in log-bandwidth space. Both are deterministic.
-
-The exact CV objective (_cv_objective) builds what the points fix once
-and then works in place on two n x n arrays. Within a run of equal
-consecutive taus a row's largest log-weight sits at its nearest strike,
-so small (run, row) tables give each row's max and the whole matrix's
-tau term, which spares each evaluation one more n x n pass.
-
-The grid stage (loo_cv_grids) screens the 225 candidates (_cv_screen):
-a weight is a strike factor times a tau factor, so one pass over the
-points per eps1 sums the strike factors per distinct tau, and all 15
-eps2 then cost (tau, row) work. The screen bounds each score's error,
-and each vector's exact objective scores, in grid order, only the seed,
-the candidates the screen cannot classify and those that could be the
-vector's least: the brute-force grid's CvGrid (tests/oracles.py), bit for bit.
+Nelder-Mead in log-bandwidth space. Both are deterministic. The grid
+stage (loo_cv_grids) scores exactly (_cv_objective) only the seed and
+the candidates that a cheap screen (_cv_screen) cannot rule out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -93,12 +84,16 @@ class Bandwidths:
 
 @dataclass(frozen=True)
 class NwModel:
-    """Samples plus bandwidths; immutable, safe to share across threads."""
+    """Samples plus bandwidths, and read-only caches built from them;
+    immutable, safe to share across threads."""
 
     strikes: np.ndarray
     taus: np.ndarray
     values: np.ndarray
     bandwidths: Bandwidths
+    _points: np.ndarray = field(init=False, repr=False, compare=False)
+    _scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         strikes = np.asarray(self.strikes, dtype=float)
@@ -108,15 +103,23 @@ class NwModel:
             raise ValueError("strikes, taus, values must be equal-length 1-D arrays")
         if strikes.size == 0:
             raise ValueError("at least one sample required")
-        object.__setattr__(self, "strikes", strikes)
-        object.__setattr__(self, "taus", taus)
-        object.__setattr__(self, "values", values)
+        eps1, eps2 = self.bandwidths.eps1, self.bandwidths.eps2
+        points, scale = np.stack([strikes, taus]), np.array([[eps1], [eps2]], dtype=float)
+        points.flags.writeable = scale.flags.writeable = False
+        for name, value in zip(["strikes", "taus", "values", "_points", "_scale", "_log_norm"],
+                               [strikes, taus, values, points, scale, _log_norm(eps1, eps2)]):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):  # as its fields: a copy builds its own caches
+        return type(self), (self.strikes, self.taus, self.values, self.bandwidths)
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """np.exp(x), bit for bit, for a C-contiguous array of log-weights
     x <= 0 (never NaN), computed in place: x is overwritten and returned."""
     live = x > _EXP_NORMAL
+    if live.all():
+        return np.exp(x, out=x)
     flat = x.reshape(-1)
     band = np.flatnonzero(live != (x > _EXP_ZERO))
     band_values = np.exp(flat[band])
@@ -125,15 +128,6 @@ def _exp(x: np.ndarray) -> np.ndarray:
     np.multiply(x, live, out=x)
     flat[band] = band_values
     return x
-
-
-def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
-    # A tiny bandwidth sends far samples' terms past the float range: their
-    # log-weights are then -inf, a weight of exactly zero, as intended.
-    with np.errstate(over="ignore"):
-        z1 = (strike - model.strikes) / model.bandwidths.eps1
-        z2 = (tau - model.taus) / model.bandwidths.eps2
-        return -0.5 * (z1 * z1 + z2 * z2)
 
 
 def _log_norm(eps1: float, eps2: float) -> float:
@@ -156,18 +150,22 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     Raises NumericalUnderflow when every kernel weight underflows the
     1e-300 floor (query absurdly far from the data).
     """
-    logw = _log_weights(model, strike, tau)
-    # True weight sum includes the Gaussian normalization the estimate cancels.
-    log_norm = _log_norm(model.bandwidths.eps1, model.bandwidths.eps2)
-    top = logw.max()
-    if np.isfinite(top):
-        shifted = _exp(logw - top)
+    # A square, or a sum of two, past the float range weighs exactly zero.
+    with np.errstate(over="ignore"):
+        z = np.subtract(((strike,), (tau,)), model._points)
+        z /= model._scale
+        np.square(z, out=z)
+        logw = z[0] + z[1]
+    logw *= -0.5
+    top = float(logw.max())
+    if math.isfinite(top):
+        shifted = _exp(np.subtract(logw, top, out=logw))
         total = shifted.sum()
-        if top + math.log(total) + log_norm >= _LOG_FLOOR:
+        # True weight sum includes the Gaussian normalization the estimate cancels.
+        if top + math.log(total) + model._log_norm >= _LOG_FLOOR:
             return max(float(shifted @ model.values / total), 0.0)
-    raise NumericalUnderflow(
-        f"kernel weights underflow at query ({strike}, {tau}) with {model.bandwidths}"
-    )
+    raise NumericalUnderflow(f"kernel weights underflow at query ({strike}, {tau}) "
+                             f"with {model.bandwidths}")
 
 
 def silverman_bandwidths(points) -> Bandwidths:
@@ -462,12 +460,10 @@ def loo_cv_bandwidths(points, values, grid: CvGrid | None = None) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
-    is undefined there). The search is a 15x15 log grid spanning six
-    decades around the Silverman seed, then Nelder-Mead in log-bandwidth
-    space from the best grid point; exact ties resolve to the seed.
-    grid, when given, is loo_cv_grids' result for these points and
-    values, which may come from a grid pass shared with other vectors;
-    the search then starts from it.
+    is undefined there). The search is loo_cv_grids' grid, or grid when
+    given (it may come from a pass shared with other vectors), then
+    Nelder-Mead in log-bandwidth space from its best point; a vertex
+    whose bandwidth would pass the float range scores +inf.
 
     Raises NumericalUnderflow only if every candidate underflows, and
     ValueError when no sample has a nonzero value.
@@ -481,14 +477,18 @@ def loo_cv_bandwidths(points, values, grid: CvGrid | None = None) -> Bandwidths:
         return Bandwidths(*grid.best)
 
     objective = _cv_objective(points, values)
-    result = minimize(
-        lambda u: objective(math.exp(u[0]), math.exp(u[1])),
-        x0=np.log(grid.best),
-        method="Nelder-Mead",
-        options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400},
-    )
-    refined = (math.exp(result.x[0]), math.exp(result.x[1]))
+
+    def score(u: np.ndarray) -> float:
+        try:
+            eps1, eps2 = math.exp(u[0]), math.exp(u[1])
+        except OverflowError:  # past log(1.8e308)
+            return math.inf
+        return objective(eps1, eps2)
+
+    result = minimize(score, x0=np.log(grid.best), method="Nelder-Mead",
+                      options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400})
+    # Only a finite score shows that result.x maps back to float bandwidths.
     if np.isfinite(result.fun) and result.fun <= grid.score:
-        return Bandwidths(*refined)
+        return Bandwidths(math.exp(result.x[0]), math.exp(result.x[1]))
     return Bandwidths(*grid.best)
 

@@ -18,6 +18,7 @@ quotes.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass
@@ -133,13 +134,31 @@ class DividendCurve:
             raise ValueError("knot and yield counts differ")
         order = np.argsort(taus)
         taus, yields = taus[order], yields[order]
-        if np.any(np.diff(taus) <= 0.0):
+        if not np.all(np.diff(taus) > 0.0):  # false at a NaN knot too
             raise ValueError("knot maturities must be strictly increasing")
         self.taus = taus
         self.yields = yields
+        self._knots = taus.tolist(), yields.tolist()
 
     def value_at(self, tau: float) -> float:
-        return float(np.interp(tau, self.taus, self.yields))
+        """np.interp(tau, taus, yields), bit for bit, by bisection on
+        Python floats: without numpy's call overhead."""
+        taus, yields = self._knots
+        if tau != tau and len(taus) > 1:  # NaN; one knot gives its yield
+            return float(tau)
+        j = bisect.bisect_right(taus, tau)
+        if j == 0:
+            return yields[0]
+        if j == len(taus) or taus[j - 1] == tau:
+            return yields[j - 1]
+        x0, x1, y0, y1 = taus[j - 1], taus[j], yields[j - 1], yields[j]
+        slope = (y1 - y0) / (x1 - x0)
+        value = slope * (tau - x0) + y0
+        if math.isnan(value):  # np.interp retries from the right knot
+            value = slope * (tau - x1) + y1
+            if math.isnan(value) and y0 == y1:
+                value = y0
+        return float(value)
 
     def __call__(self, tau: float) -> float:
         return self.value_at(tau)

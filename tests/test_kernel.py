@@ -1,7 +1,9 @@
 """Kernel regression: weighted-mean oracle, bandwidth rules, and the
 cross-validation selector."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -343,6 +345,40 @@ def test_exp_matches_numpy_bit_for_bit():
         assert np.array_equal(bits(_exp(np.array([single]))), bits(np.exp([single])))
 
 
+class NumpyCalls:
+    """Stands in for the kernel module's numpy and records which of its
+    functions the module looks up."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        self.names.append(name)
+        return getattr(np, name)
+
+
+def test_exp_hands_normal_arguments_to_np_exp_whole(monkeypatch):
+    calls = NumpyCalls()
+    monkeypatch.setattr(kernel, "np", calls)
+    normal = np.concatenate([np.linspace(-699.99, 0.0, 10_001), [np.nextafter(-700.0, 0.0), -0.0]])
+    rng = np.random.default_rng(89)
+    # Exactly -700.0 is not above _EXP_NORMAL: the array takes the banded path.
+    for x, whole in [(normal, True), (rng.permutation(normal)[:10_000].reshape(100, 100), True),
+                     (np.append(normal, -700.0), False), (np.array([-700.0]), False)]:
+        calls.names.clear()
+        result = _exp(x.copy())
+        assert np.array_equal(bits(result), bits(np.exp(x)))
+        assert (calls.names == ["exp"]) == whole
+        assert ("flatnonzero" in calls.names) != whole
+
+
+def estimate_outcome(model, strike, tau):
+    try:
+        return nw_estimate(model, strike, tau).hex()
+    except NumericalUnderflow:
+        return "underflow"
+
+
 def oracle_outcome(model, strike, tau):
     try:
         return oracles.nw_estimate(model, strike, tau).hex()
@@ -405,6 +441,54 @@ def test_nw_estimate_matches_oracle_everywhere():
                     nw_estimate(model, strike, tau)
             else:
                 assert nw_estimate(model, strike, tau).hex() == expected.hex()
+
+
+def test_nw_estimate_where_two_finite_squares_sum_past_the_float_range():
+    # 1.2e154 bandwidths off in both coordinates: each square is about
+    # 1.44e308, within the float range, and their sum is +inf.
+    offset = 1.2e154
+    assert math.isfinite(offset * offset) and offset * offset + offset * offset == math.inf
+    eps = Bandwidths(2.0, 0.25)
+    far_strike, far_tau = 100.0 + offset * eps.eps1, 0.5 + offset * eps.eps2
+    cases = [
+        (NwModel([100.0, 104.0], [0.5, 0.75], [3.0, 4.0], eps), far_strike, far_tau),
+        (NwModel([100.0, far_strike], [0.5, far_tau], [3.0, 4.0], eps), 100.0, 0.5),
+        (NwModel([100.0, far_strike], [0.5, far_tau], [3.0, 4.0], eps), far_strike, far_tau),
+    ]
+    outcomes = []
+    for model, strike, tau in cases:
+        with np.errstate(all="ignore"):
+            expected = oracle_outcome(model, strike, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_outcome(model, strike, tau) == expected
+        outcomes.append(expected)
+    assert outcomes == ["underflow", (3.0).hex(), (4.0).hex()]
+
+
+def test_nw_model_keeps_its_value_semantics():
+    model = sample_model(np.random.default_rng(97), n=30)
+    assert repr(model) == (f"NwModel(strikes={model.strikes!r}, taus={model.taus!r}, "
+                           f"values={model.values!r}, bandwidths={model.bandwidths!r})")
+    # The caches take no part in ==: the rebuilt ones are other arrays.
+    same = dataclasses.replace(model)
+    assert same == model and same._points is not model._points
+    wider = dataclasses.replace(model, bandwidths=Bandwidths(9.0, 0.7))
+    assert wider != model
+    fresh = NwModel(model.strikes, model.taus, model.values, Bandwidths(9.0, 0.7))
+    copy = pickle.loads(pickle.dumps(model))
+    queries = [(95.0, 0.3), (110.0, 1.2), (160.0, 0.5), (1e6, 0.5)]
+    for built, reference in [(same, model), (wider, fresh), (copy, model)]:
+        assert np.array_equal(built._points, np.stack([reference.strikes, reference.taus]))
+        assert built._scale.tolist() == [[reference.bandwidths.eps1], [reference.bandwidths.eps2]]
+        assert built._log_norm == reference._log_norm
+        for strike, tau in queries:
+            assert estimate_outcome(built, strike, tau) == estimate_outcome(reference, strike, tau)
+        for cache in (built._points, built._scale):
+            with pytest.raises(ValueError, match="read-only"):
+                cache[0, 0] = 1.0
+    assert [estimate_outcome(model, *query) == "underflow" for query in queries] == [
+        False, False, False, True]
 
 
 def oracle_cv(points, values, eps1, eps2):
@@ -544,6 +628,22 @@ def test_a_shared_grid_gives_each_vector_the_bandwidths_of_its_own_search(order)
             shared = loo_cv_bandwidths(points, values, grid)
             alone = loo_cv_bandwidths(points, values)
             assert (shared.eps1.hex(), shared.eps2.hex()) == (alone.eps1.hex(), alone.eps2.hex())
+
+
+@pytest.mark.parametrize("order", ["by tau", "shuffled"])
+def test_a_search_whose_simplex_passes_the_float_range_keeps_finite_bandwidths(order):
+    # Strikes x 1e300 put the grid's best eps1 near 1e301, so Nelder-Mead
+    # steps past log(1.8e308); such a vertex scores +inf.
+    for seed in range(4):
+        points, prices, vols = shared_cv_points(np.random.default_rng(seed), 30, 4, order)
+        points[:, 0] *= 1e300
+        for values in (prices, vols):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grid = loo_cv_grids(points, [values])[0]
+                chosen = loo_cv_bandwidths(points, values, grid)
+                assert math.isfinite(chosen.eps1) and math.isfinite(chosen.eps2)
+                assert _cv_objective(points, values)(chosen.eps1, chosen.eps2) <= grid.score
 
 
 def test_a_shared_grid_takes_only_vectors_of_one_zero_pattern():

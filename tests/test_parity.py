@@ -5,6 +5,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pricelab.black_scholes import bs_price
 from pricelab.errors import NoAtmPairs
@@ -138,9 +140,52 @@ def test_dividend_curve_sorts_knots():
     assert curve.value_at(0.5) == pytest.approx(0.01)
 
 
+@st.composite
+def curves_and_queries(draw):
+    """A curve of 1 to 8 knots, and queries on each knot, on the floats
+    beside it, between knots, beyond both ends, infinite and NaN."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    taus = sorted(draw(st.lists(st.one_of(finite, st.floats(-2.0, 5.0)), min_size=1,
+                                max_size=8, unique=True)))
+    yields = draw(st.lists(st.one_of(finite, st.floats(-0.1, 0.1)),
+                           min_size=len(taus), max_size=len(taus)))
+    beside = [math.nextafter(t, side) for t in taus for side in (-math.inf, math.inf)]
+    between = draw(st.lists(st.floats(allow_nan=False), max_size=6))
+    return taus, yields, taus + beside + between + [-math.inf, math.inf, math.nan, -0.0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(curves_and_queries())
+def test_dividend_curve_interpolates_as_np_interp(curve_and_queries):
+    taus, yields, queries = curve_and_queries
+    curve = DividendCurve(taus, yields)
+    for tau in queries:
+        expected = float(np.interp(tau, curve.taus, curve.yields))
+        got = curve.value_at(tau)
+        assert type(got) is float
+        if math.isnan(expected):
+            assert math.isnan(got), (tau, expected, got)
+        else:
+            assert got.hex() == expected.hex(), (tau, expected, got)
+        assert curve.value_at(np.float64(tau)) == got or math.isnan(got)
+
+
+def test_dividend_curve_keeps_np_interps_rules_at_infinite_yields():
+    # np.interp retries a NaN from the right knot, then takes the left
+    # knot's yield when the two are equal.
+    for taus, yields in [([0.5, 1.0], [math.inf, math.inf]), ([0.5, 1.0], [-math.inf, math.inf]),
+                         ([0.5, 1.0, 2.0], [0.01, math.inf, 0.02]), ([1.0], [math.nan])]:
+        curve = DividendCurve(taus, yields)
+        for tau in (0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, math.nan):
+            expected = float(np.interp(tau, taus, yields))
+            got = curve.value_at(tau)
+            assert got == expected or math.isnan(got) and math.isnan(expected)
+
+
 @pytest.mark.parametrize(
     "taus, yields",
-    [([], []), ([1.0], [0.01, 0.02]), ([1.0, 1.0], [0.01, 0.02])],
+    [([], []), ([1.0], [0.01, 0.02]), ([1.0, 1.0], [0.01, 0.02]), ([math.nan, 1.0], [0.01, 0.02]),
+     ([0.5, math.nan, 2.0], [0.01, 0.02, 0.03])],
 )
 def test_dividend_curve_rejects_bad_knots(taus, yields):
     with pytest.raises(ValueError):
