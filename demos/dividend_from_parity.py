@@ -26,7 +26,7 @@ def main():
         print(f"  {tau:8.4f} -> {y:.12f}   error {abs(y - TRUE_YIELD):.2e}")
 
     print("\nITM quotes repriced from their OTM twins via parity:")
-    print(render_reports([itm_parity_audit(day, curve)]))
+    print(render_reports([itm_parity_audit([(day, curve)])]))
 
     # Corrupt one ATM put by half a dollar; the median pair per maturity
     # barely reacts.

@@ -41,6 +41,7 @@ from scipy.special import ndtr
 
 from .errors import NoArbitrageViolation, NoConvergence
 from .market_data import DailyChain, OptionKind
+from .parity import DividendCurve
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -378,18 +379,17 @@ def implied_vol(
     return vol
 
 
-def fill_implied_vols(chain: DailyChain, dividend: Callable[[float], float]) -> tuple[np.ndarray, int]:
+def fill_implied_vols(chain: DailyChain, curve: DividendCurve) -> tuple[np.ndarray, int]:
     """Implied vols of the chain's quotes, one per quote in quote order.
 
-    dividend maps tau to the dividend yield (a parity.DividendCurve is
-    one; pass lambda tau: q for a flat yield), and is evaluated once per
-    distinct positive tau. The vol is NaN where a quote cannot be
-    inverted (zero time to expiry, price at or outside the band); the
-    second return value counts those quotes.
+    The dividend curve is evaluated once per distinct positive tau. The
+    vol is NaN where a quote cannot be inverted (zero time to expiry,
+    price at or outside the band); the second return value counts those
+    quotes.
     """
     env = chain.env
     taus = chain.taus
-    by_tau = {tau: dividend(tau) for tau in set(taus.tolist()) if tau > 0.0}
+    by_tau = {tau: curve.value_at(tau) for tau in set(taus.tolist()) if tau > 0.0}
     vols = implied_vols(
         chain.kinds,
         chain.mids,

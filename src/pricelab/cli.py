@@ -33,7 +33,7 @@ from .errors import NoAtmPairs, PricelabError
 from .estimators import EstimatorLabel, PricingEstimator, TrainingSet, predict, prediction_status
 from .harness import DEFAULT_MASTER_SEED, apply_config, prepare_day, read_config, run_protocol
 from .market_data import load_chains, save_chains
-from .parity import estimate_dividend_curve, itm_parity_records
+from .parity import estimate_dividend_curve, itm_parity_audit
 from .variance_gamma import vg_eta
 
 _ENV_SEED = "PRICELAB_SEED"
@@ -117,24 +117,18 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     chains = _load_input(args.input)
-    records = []
-    unmatched = 0
-    no_pairs = 0
+    days = []
     for chain in chains:
         liquid = market_data.filter_liquidity(chain)
         try:
-            day_records, skipped = itm_parity_records(liquid, estimate_dividend_curve(liquid))
+            days.append((liquid, estimate_dividend_curve(liquid)))
         except NoAtmPairs:
-            no_pairs += 1
-            continue
-        records.extend(day_records)
-        unmatched += skipped
-    merged = reporting.aggregate(
-        records, "all", label="PARITY", extra={"unmatched_itm": float(unmatched)}
-    )
+            pass
+    merged = itm_parity_audit(days)
     out = _out_dir(args) / "audit.csv"
     reporting.write_report_csv(merged, out)
     print(reporting.render_reports([merged]))
+    no_pairs = len(chains) - len(days)
     if no_pairs:
         print(f"skipped {no_pairs} of {len(chains)} days without ATM put-call pairs")
     print(f"wrote {out}")

@@ -120,24 +120,22 @@ class TrainingSet:
 
     chain holds the quotes of the kind at tau >= 0 of the chain given, in
     its order; strikes, taus and mids are its columns. curve is the day's
-    dividend curve, historical_curve(env) when None. vols, when passed,
-    holds one implied vol per quote of the chain given (NaN where none
-    exists), as fill_implied_vols gives them;
-    otherwise they are inverted on first use. geometry(mask) triangulates
-    a subset of the points on first use and hands the same geometry to
-    every later fit on that subset; cv_grid(mask, target) does the same
-    for the LOO-CV grid. labels are the labels the day will fit, which
-    tell cv_grid whether both CV targets will be searched. A TrainingSet
-    lives for one day's fits: fit(label) fits each of them on it.
+    dividend curve. vols, when passed, holds one implied vol per quote of
+    the chain given (NaN where none exists), as fill_implied_vols gives
+    them; otherwise they are inverted on first use. geometry(mask)
+    triangulates a subset of the points on first use and hands the same
+    geometry to every later fit on that subset; cv_grid(mask, target)
+    does the same for the LOO-CV grid. labels are the labels the day will
+    fit, which tell cv_grid whether both CV targets will be searched. A
+    TrainingSet lives for one day's fits: fit(label) fits each on it.
     """
 
-    def __init__(self, kind: OptionKind, chain: DailyChain, curve: DividendCurve | None = None,
+    def __init__(self, kind: OptionKind, chain: DailyChain, curve: DividendCurve,
                  vols: np.ndarray | None = None, labels: Iterable[EstimatorLabel] = ()):
         keep = (chain.kinds == kind) & (chain.taus >= 0.0)
         if vols is not None and len(vols) != len(keep):
             raise ValueError(f"{len(vols)} vols for {len(keep)} quotes")
-        self.kind, self.env = kind, chain.env
-        self.curve = historical_curve(self.env) if curve is None else curve
+        self.kind, self.env, self.curve = kind, chain.env, curve
         self.chain = chain.select(keep)
         self.strikes, self.taus, self.mids = self.chain.strikes, self.chain.taus, self.chain.mids
         self._vols = None if vols is None else np.asarray(vols, dtype=float)[keep]
@@ -303,8 +301,10 @@ def fit(
     curve: DividendCurve | None = None,
 ) -> PricingEstimator:
     """Fit one estimator to a day's training quotes: TrainingSet.fit on a
-    set of these quotes alone, which does only what the label needs."""
-    return TrainingSet(kind, DailyChain(env, quotes), curve).fit(label)
+    set of these quotes alone, which does only what the label needs. A
+    curve of None is the day's historical_curve(env)."""
+    return TrainingSet(kind, DailyChain(env, quotes),
+                       historical_curve(env) if curve is None else curve).fit(label)
 
 
 def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:

@@ -170,14 +170,15 @@ def evaluate_day(
     labels: Sequence[EstimatorLabel],
     day: DailyChain,
     split: DaySplit,
-    curve: DividendCurve | None = None,
+    curve: DividendCurve,
     vols: np.ndarray | None = None,
 ) -> list[PricingError]:
     """Fit each label on the day's training quotes and price its test quotes.
 
-    vols, when given, holds one implied vol per quote of the day, as
-    prepare_day returns them with the trim on; the fits reuse the training
-    side's instead of inverting their own. Every label fits on one
+    curve is the day's dividend curve, as prepare_day returns it. vols,
+    when given, holds one implied vol per quote of the day, as prepare_day
+    returns them with the trim on; the fits reuse the training side's
+    instead of inverting their own. Every label fits on one
     TrainingSet of the training side, and LIB's fictitious strikes span
     the whole day's strikes. The split must hold each index of the day
     exactly once, on one side; any other split raises ValueError.
@@ -302,29 +303,26 @@ def cross_date_report(
     chains: Sequence[DailyChain], spot_tolerance: float = DEFAULT_SPOT_TOLERANCE
 ) -> list[CrossDateMatch]:
     """Stability check: for every pair of days whose spots differ by at
-    most the tolerance, list quotes matching on (kind, strike, days to
-    expiry) with their price difference."""
+    most the tolerance, list the earlier day's quotes whose contract (kind,
+    strike, days to expiry) the later day quotes too, with the later day's
+    contract mid and the price difference."""
     chains = sorted(chains, key=lambda c: c.env.date)
-    # Each day's (kind, strike, ttm_days, mid) of every quote.
+    # Each day's (kind, strike, ttm_days, tau, mid) of every quote.
     quotes = [list(zip(c.kinds.tolist(), c.strikes.tolist(), c.ttm_days.tolist(),
-                       c.mids.tolist())) for c in chains]
+                       c.taus.tolist(), c.mids.tolist())) for c in chains]
+    contract_mids = [c.contract_mids() for c in chains]
     matches: list[CrossDateMatch] = []
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
             a, b = chains[i], chains[j]
             if abs(a.env.spot - b.env.spot) > spot_tolerance:
                 continue
-            mids_b = {(kind, strike, ttm): mid for kind, strike, ttm, mid in quotes[j]}
-            for kind, strike, ttm, mid in quotes[i]:
-                other = mids_b.get((kind, strike, ttm))
-                if other is None:
-                    continue
-                matches.append(
-                    CrossDateMatch(
-                        date_a=a.env.date, date_b=b.env.date, kind=kind,
-                        strike=strike, ttm_days=ttm, price_a=mid, price_b=other,
-                    )
-                )
+            for kind, strike, ttm, tau, mid in quotes[i]:
+                other = contract_mids[j][kind].get((tau, strike))
+                if other is not None:
+                    matches.append(CrossDateMatch(date_a=a.env.date, date_b=b.env.date, kind=kind,
+                                                  strike=strike, ttm_days=ttm, price_a=mid,
+                                                  price_b=other))
     return matches
 
 

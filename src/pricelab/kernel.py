@@ -113,6 +113,13 @@ class NwModel:
     def __reduce__(self):  # as its fields: a copy builds its own caches
         return type(self), (self.strikes, self.taus, self.values, self.bandwidths)
 
+    def __eq__(self, other: object) -> bool:  # by value: equal arrays, not the same ones
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.bandwidths == other.bandwidths and all(map(
+            np.array_equal, (self.strikes, self.taus, self.values),
+            (other.strikes, other.taus, other.values)))
+
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """np.exp(x), bit for bit, for a C-contiguous array of log-weights

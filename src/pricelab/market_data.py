@@ -25,7 +25,8 @@ once, as a mask over a block's rows in one ordered table: the first row
 that any mask rejects names the error, with the message of its first
 failing check. DailyChain.quotes is the same quotes as OptionQuote
 records, a view for callers that want one object per quote: built from
-the columns on first use and kept.
+the columns on first use and kept. DailyChain.contract_mids is the one
+table of a day's contracts, and the one place that picks their quotes.
 """
 
 from __future__ import annotations
@@ -208,6 +209,15 @@ class DailyChain:
 
     def of_kind(self, kind: OptionKind) -> "DailyChain":
         return self.select(self.kinds == kind)
+
+    def contract_mids(self) -> dict[OptionKind, dict[tuple[float, float], float]]:
+        """The day's mid of each contract, {kind: {(tau, strike): mid}}: in
+        one day, tau names the expiry. Where a contract is quoted more than
+        once, its last quote counts."""
+        taus, strikes, mids = self.taus, self.strikes, self.mids
+        # dict keeps the last value of a repeated key.
+        return {kind: dict(zip(zip(taus[of].tolist(), strikes[of].tolist()), mids[of].tolist()))
+                for kind in OptionKind for of in [self.kinds == kind]}
 
 
 def quote_sort_key(q: OptionQuote):

@@ -12,8 +12,10 @@ At-the-money pairs give the cleanest read (their prices carry the most
 time value relative to intrinsic), so the per-day dividend curve is the
 per-maturity median over ATM pairs. The same identity prices an
 illiquid in-the-money option off its liquid out-of-the-money
-counterpart; itm_parity_audit measures how well that works on a day of
-quotes.
+counterpart; itm_parity_audit, which pricelab audit runs, measures how
+well that works over any number of (chain, curve) days. Both read a
+contract's quote from DailyChain.contract_mids, the one place that picks
+it: where a day quotes a contract more than once, its last quote counts.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import bisect
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -104,6 +107,11 @@ def _log_moneyness(strike: float, forward: float) -> float:
     return math.log(strike / forward)
 
 
+def _at_the_money(value: float) -> bool:
+    """Whether a log-moneyness lies in the ATM band."""
+    return ATM_LO <= value <= ATM_HI
+
+
 def classify_moneyness(kind: OptionKind, strike: float, env: MarketEnv, tau: float) -> MoneynessClass:
     """Log-moneyness against the day's forward, bucketed to ITM/ATM/OTM.
 
@@ -113,7 +121,7 @@ def classify_moneyness(kind: OptionKind, strike: float, env: MarketEnv, tau: flo
     out above it; puts the reverse.
     """
     value = _log_moneyness(strike, forward_price(env.spot, env.rate, env.div_hist, tau))
-    if ATM_LO <= value <= ATM_HI:
+    if _at_the_money(value):
         label = Moneyness.ATM
     elif value < ATM_LO:
         label = Moneyness.ITM if kind is OptionKind.CALL else Moneyness.OTM
@@ -160,40 +168,26 @@ class DividendCurve:
                 value = y0
         return float(value)
 
-    def __call__(self, tau: float) -> float:
-        return self.value_at(tau)
-
     def __repr__(self) -> str:
         knots = ", ".join(f"{t:g}: {q:g}" for t, q in zip(self.taus, self.yields))
         return f"DividendCurve({{{knots}}})"
 
 
 def _atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
-    """ATM call/put pairs keyed by tau, matched on (expiry, strike). Where
-    a key repeats, its last quote of each kind counts, and the tau of its
-    last quote of either kind."""
+    """ATM call/put pairs keyed by tau: the contracts quoted in both
+    kinds, at their contract mids."""
     env = chain.env
-    keys = list(zip(chain.expiries.tolist(), chain.strikes.tolist()))
-    is_call = (chain.kinds == OptionKind.CALL).tolist()
-    mids = chain.mids.tolist()
-    taus = dict(zip(keys, chain.taus.tolist()))
-    calls = {key: mid for key, mid, call in zip(keys, mids, is_call) if call}
-    puts = {key: mid for key, mid, call in zip(keys, mids, is_call) if not call}
-
-    # classify_moneyness's ATM test, with the forward of each maturity found once.
+    mids = chain.contract_mids()
+    calls, puts = mids[OptionKind.CALL], mids[OptionKind.PUT]
+    paired = calls.keys() & puts.keys()
+    # classify_moneyness's forward, found once per maturity.
     forwards = {tau: forward_price(env.spot, env.rate, env.div_hist, tau)
-                for tau in set(taus.values()) if tau > 0.0}
+                for tau in {tau for tau, _ in paired} if tau > 0.0}
     pairs: dict[float, list[ParityLeg]] = {}
-    for key in calls.keys() & puts.keys():
-        _, strike = key
-        tau = taus[key]
-        if tau <= 0.0:
-            continue
-        if not ATM_LO <= _log_moneyness(strike, forwards[tau]) <= ATM_HI:
-            continue
-        pairs.setdefault(tau, []).append(
-            ParityLeg(strike=strike, tau=tau, call_mid=calls[key], put_mid=puts[key])
-        )
+    for key in paired:
+        tau, strike = key
+        if tau > 0.0 and _at_the_money(_log_moneyness(strike, forwards[tau])):
+            pairs.setdefault(tau, []).append(ParityLeg(strike, tau, calls[key], puts[key]))
     return pairs
 
 
@@ -224,50 +218,42 @@ def historical_curve(env: MarketEnv) -> DividendCurve:
 
 
 def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[PricingError], int]:
-    """Per-quote parity audit records plus the skipped-ITM count."""
+    """Per-quote parity audit records plus the skipped-ITM count. Each ITM
+    quote is priced off its counterpart's contract mid."""
     env = chain.env
-    quotes = list(zip(chain.kinds.tolist(), chain.expiries.tolist(), chain.strikes.tolist(),
-                      chain.mids.tolist(), chain.taus.tolist()))
-    # Where a contract repeats, its last quote is the counterpart.
-    mids = {(kind, expiry, strike): mid for kind, expiry, strike, mid, _ in quotes}
-
-    other = {OptionKind.CALL: OptionKind.PUT, OptionKind.PUT: OptionKind.CALL}
+    mids = chain.contract_mids()
+    counterparts = {OptionKind.CALL: mids[OptionKind.PUT], OptionKind.PUT: mids[OptionKind.CALL]}
     records: list[PricingError] = []
     skipped = 0
-    for kind, expiry, strike, mid, tau in quotes:
+    for kind, strike, mid, tau in zip(chain.kinds.tolist(), chain.strikes.tolist(),
+                                      chain.mids.tolist(), chain.taus.tolist()):
         if tau <= 0.0:
             continue
         if classify_moneyness(kind, strike, env, tau).label is not Moneyness.ITM:
             continue
-        counterpart = mids.get((other[kind], expiry, strike))
+        counterpart = counterparts[kind].get((tau, strike))
         if counterpart is None or mid <= 0.0:
             skipped += 1
             continue
         estimate = parity_price(kind, counterpart, env.spot, strike, env.rate,
                                 curve.value_at(tau), tau)
-        records.append(
-            PricingError(
-                date=env.date,
-                label="PARITY",
-                strike=strike,
-                tau=tau,
-                true_price=mid,
-                est_price=estimate,
-                rel_error=abs(1.0 - estimate / mid),
-                status=ErrorStatus.PRICED,
-            )
-        )
+        records.append(PricingError(date=env.date, label="PARITY", strike=strike, tau=tau,
+                                    true_price=mid, est_price=estimate,
+                                    rel_error=abs(1.0 - estimate / mid), status=ErrorStatus.PRICED))
     return records, skipped
 
 
-def itm_parity_audit(chain: DailyChain, curve: DividendCurve) -> ErrorReport:
-    """Reprice every in-the-money quote off its out-of-the-money
-    counterpart via parity and report the relative errors.
+def itm_parity_audit(days: Iterable[tuple[DailyChain, DividendCurve]]) -> ErrorReport:
+    """Reprice every in-the-money quote of each (chain, curve) day off its
+    out-of-the-money counterpart via parity and report the relative errors
+    of all the days together.
 
     A counterpart is the opposite kind on the same expiry and strike;
     sharing the log-moneyness, it is out of the money exactly when the
     audited quote is in. Unmatched or zero-mid ITM quotes are skipped
     and counted in the report's extra column.
     """
-    records, skipped = itm_parity_records(chain, curve)
+    audits = [itm_parity_records(chain, curve) for chain, curve in days]
+    records = [record for day_records, _ in audits for record in day_records]
+    skipped = sum(day_skipped for _, day_skipped in audits)
     return aggregate(records, "all", label="PARITY", extra={"unmatched_itm": float(skipped)})

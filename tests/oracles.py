@@ -47,8 +47,10 @@ the rows in file order, each row's checks in their order, and each day's
 environment its first good row's. It returns the ChainParseError of the
 first row that fails, or None; load_chains must raise the same line and
 message, whatever its block size. itm_parity_records is the parity audit
-as it was defined on OptionQuote records, and the column form must give
-the same records, Python types included.
+and cross_date_report the cross-date report as they were defined on
+OptionQuote records, each with its own dict of the last quote of each
+contract, and the column forms must give the same records, Python types
+included.
 """
 
 import csv
@@ -81,7 +83,8 @@ from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, CvGrid
                              _cv_inputs, silverman_bandwidths)
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
-from pricelab.parity import Moneyness, ParityLeg, classify_moneyness, parity_price
+from pricelab.harness import DEFAULT_SPOT_TOLERANCE, CrossDateMatch
+from pricelab.parity import DividendCurve, Moneyness, ParityLeg, classify_moneyness, parity_price
 from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
@@ -337,10 +340,10 @@ def trim_mask(chain: DailyChain, vols: np.ndarray, max_iv: float, min_price: flo
     return (mids >= min_price) & (vols <= max_iv)
 
 
-def fill_implied_vols(chain: DailyChain, dividend: Callable[[float], float]):
+def fill_implied_vols(chain: DailyChain, curve: DividendCurve):
     quotes = chain.quotes
     taus = [q.tau for q in quotes]
-    by_tau = {tau: dividend(tau) for tau in set(taus) if tau > 0.0}
+    by_tau = {tau: curve.value_at(tau) for tau in set(taus) if tau > 0.0}
     vols = implied_vols([q.kind for q in quotes], [q.mid for q in quotes], chain.env.spot,
                         [q.strike for q in quotes], chain.env.rate,
                         [by_tau.get(tau, 0.0) for tau in taus], taus)
@@ -514,7 +517,7 @@ def chain_file_error(path) -> ChainParseError | None:
     return None
 
 
-def itm_parity_records(chain: DailyChain, curve) -> tuple[list[PricingError], int]:
+def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[PricingError], int]:
     mids: dict[tuple, float] = {}
     for q in chain.quotes:
         mids[(q.kind, q.expiry, q.strike)] = q.mid
@@ -548,3 +551,23 @@ def itm_parity_records(chain: DailyChain, curve) -> tuple[list[PricingError], in
             )
         )
     return records, skipped
+
+
+def cross_date_report(chains, spot_tolerance: float = DEFAULT_SPOT_TOLERANCE) -> list:
+    chains = sorted(chains, key=lambda c: c.env.date)
+    matches = []
+    for i, a in enumerate(chains):
+        for b in chains[i + 1:]:
+            if abs(a.env.spot - b.env.spot) > spot_tolerance:
+                continue
+            mids_b: dict[tuple, float] = {}
+            for q in b.quotes:
+                mids_b[(q.kind, q.strike, q.ttm_days)] = q.mid
+            for q in a.quotes:
+                other = mids_b.get((q.kind, q.strike, q.ttm_days))
+                if other is None:
+                    continue
+                matches.append(CrossDateMatch(date_a=a.env.date, date_b=b.env.date, kind=q.kind,
+                                              strike=q.strike, ttm_days=q.ttm_days,
+                                              price_a=q.mid, price_b=other))
+    return matches

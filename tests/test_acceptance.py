@@ -144,7 +144,7 @@ def test_3_implied_dividend_recovery():
             chain = synth_chain("bs", dividend=q)[0]
             curve = estimate_dividend_curve(chain)
             assert float(np.max(np.abs(curve.yields - q))) <= 1e-10
-            audit = itm_parity_audit(chain, curve)
+            audit = itm_parity_audit([(chain, curve)])
             assert audit.n_errors > 0
             assert audit.mean < 1e-10  # percent, so stricter than fractional
             assert audit.extra["unmatched_itm"] == 0.0

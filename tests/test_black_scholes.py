@@ -266,7 +266,7 @@ def test_price_at_vol_floor_inverts_to_the_floor(kind, rate, tau):
 
 
 def test_fill_implied_vols_recovers_flat_vol(bs_day):
-    vols, failed = fill_implied_vols(bs_day, lambda tau: 0.013)
+    vols, failed = fill_implied_vols(bs_day, DividendCurve([0.0], [0.013]))
     assert failed == 0
     assert len(vols) == len(bs_day.quotes)
     assert all(v == pytest.approx(0.2, abs=1e-7) for v in vols)
@@ -279,17 +279,22 @@ def test_fill_implied_vols_counts_failures(bs_day):
         ttm_days=quotes[0].ttm_days, bid=0.0, ask=0.0, volume=quotes[0].volume,
     )
     chain = DailyChain(bs_day.env, (broken, *quotes[1:]))
-    vols, failed = fill_implied_vols(chain, lambda tau: 0.013)
+    vols, failed = fill_implied_vols(chain, DividendCurve([0.0], [0.013]))
     assert failed == 1
     assert math.isnan(vols[0])
     assert not np.isnan(vols[1:]).any()
 
 
 def test_fill_implied_vols_accepts_curve(bs_day):
-    # A one-knot curve is flat at its yield, bit for bit.
-    vols_flat, _ = fill_implied_vols(bs_day, lambda tau: 0.013)
-    vols_curve, _ = fill_implied_vols(bs_day, DividendCurve([0.0], [0.013]))
-    assert vols_flat.tobytes() == vols_curve.tobytes()
+    # Each quote is inverted at the curve's yield at its tau, bit for bit.
+    curve = DividendCurve([0.1, 0.5, 1.0], [0.011, 0.016, 0.013])
+    vols, _ = fill_implied_vols(bs_day, curve)
+    env = bs_day.env
+    dividends = [curve.value_at(q.tau) for q in bs_day.quotes]
+    assert len(set(dividends)) > 2
+    expected = implied_vols(bs_day.kinds, bs_day.mids, env.spot, bs_day.strikes, env.rate,
+                            dividends, bs_day.taus)
+    assert vols.tobytes() == expected.tobytes()
 
 
 def _otm_grid(rate, dividend=0.02, spot=100.0):
@@ -360,13 +365,14 @@ def test_brentq_lanes_takes_scipys_steps():
 def test_fill_implied_vols_evaluates_the_curve_once_per_tau(bs_day):
     seen = []
 
-    def curve(tau):
-        seen.append(tau)
-        return 0.013
+    class SeenCurve(DividendCurve):
+        def value_at(self, tau):
+            seen.append(tau)
+            return super().value_at(tau)
 
-    vols, failed = fill_implied_vols(bs_day, curve)
+    vols, failed = fill_implied_vols(bs_day, SeenCurve([0.0], [0.013]))
     assert sorted(seen) == sorted({q.tau for q in bs_day.quotes})
-    flat_vols, flat_failed = fill_implied_vols(bs_day, lambda tau: 0.013)
+    flat_vols, flat_failed = fill_implied_vols(bs_day, DividendCurve([0.0], [0.013]))
     assert (vols.tolist(), failed) == (flat_vols.tolist(), flat_failed)
 
 
@@ -422,7 +428,7 @@ def adversarial_chains(draw):
 def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
     chain, dividend = problem
     env = chain.env
-    vols, failed = fill_implied_vols(chain, lambda tau: dividend)
+    vols, failed = fill_implied_vols(chain, DividendCurve([0.0], [dividend]))
     assert len(vols) == len(chain.quotes)
     raised = 0
     for q, vol in zip(chain.quotes, vols.tolist()):

@@ -223,12 +223,12 @@ def test_evaluate_day_records(bs_days):
 
 def test_evaluate_day_rejects_bad_inputs(bs_days):
     config = ProtocolConfig()
-    day, _, _ = prepare_day(bs_days[0], config)
+    day, curve, _ = prepare_day(bs_days[0], config)
     with pytest.raises(ValueError):
-        evaluate_day(["LI"], day, split_day(200, day.env.date))
+        evaluate_day(["LI"], day, split_day(200, day.env.date), curve)
     mixed_split = split_day(len(bs_days[0]), DAY)
     with pytest.raises(ValueError):
-        evaluate_day(["LI"], bs_days[0], mixed_split)
+        evaluate_day(["LI"], bs_days[0], mixed_split, curve)
 
 
 @pytest.mark.parametrize("train, test", [
@@ -243,9 +243,10 @@ def test_evaluate_day_needs_each_index_exactly_once(train, test):
     [chain] = synth_chain("bs", maturities_days=(30,))
     day = chain.of_kind(PUT)
     assert len(day) == 13
-    evaluate_day(["LI"], day, DaySplit(tuple(range(1, 13)), (0,)))
+    curve = historical_curve(day.env)
+    evaluate_day(["LI"], day, DaySplit(tuple(range(1, 13)), (0,)), curve)
     with pytest.raises(ValueError, match="split indices"):
-        evaluate_day(["LI"], day, DaySplit(tuple(train), test))
+        evaluate_day(["LI"], day, DaySplit(tuple(train), test), curve)
 
 
 def test_evaluate_day_marks_whole_day_failed_on_fit_error():
@@ -255,7 +256,7 @@ def test_evaluate_day_marks_whole_day_failed_on_fit_error():
     )
     day = DailyChain(env, quotes)
     split = split_day(3, DAY)
-    records = evaluate_day(["LI"], day, split)  # 2 training quotes, LI needs 3
+    records = evaluate_day(["LI"], day, split, historical_curve(env))  # LI needs 3, gets 2
     assert len(records) == 1
     assert records[0].status is ErrorStatus.FAILED
     assert records[0].est_price is None
@@ -274,7 +275,7 @@ def test_evaluate_day_vg_prices_with_a_one_day_put_in_training():
         for strike, days in terms
     )
     split = DaySplit(train=(0, 1, 2, 3), test=(4,))
-    [record] = evaluate_day(["VG"], DailyChain(env, quotes), split)
+    [record] = evaluate_day(["VG"], DailyChain(env, quotes), split, historical_curve(env))
     assert record.status is ErrorStatus.EXTRAPOLATED
     assert record.rel_error < 1e-6
 
@@ -287,10 +288,11 @@ def test_an_expiring_test_quote_is_recorded_failed():
     puts = chain.of_kind(PUT).quotes
     expiring = tuple(make_quote(PUT, k, 0, k - 100.0 + 0.05) for k in (105.0, 110.0))
     train, n = tuple(range(1, len(puts))), len(puts)
+    curve = historical_curve(chain.env)
     records = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts + expiring),
-                           DaySplit(train, (0, n, n + 1)))
+                           DaySplit(train, (0, n, n + 1)), curve)
     alone = evaluate_day(NON_VG_LABELS, DailyChain(chain.env, puts),
-                         DaySplit(train, (0,)))
+                         DaySplit(train, (0,)), curve)
     assert records[::3] == alone
     held = [r for i, r in enumerate(records) if i % 3]
     assert len(held) == 2 * len(NON_VG_LABELS)

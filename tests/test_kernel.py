@@ -475,6 +475,16 @@ def test_nw_model_keeps_its_value_semantics():
     assert same == model and same._points is not model._points
     wider = dataclasses.replace(model, bandwidths=Bandwidths(9.0, 0.7))
     assert wider != model
+    # == compares the samples by value: equal arrays, not the same ones.
+    copied = NwModel(model.strikes.copy(), model.taus.copy(), model.values.copy(),
+                     model.bandwidths)
+    assert copied == model and model == copied and not copied != model
+    moved = model.values.copy()
+    moved[-1] += 1.0
+    assert NwModel(model.strikes, model.taus, moved, model.bandwidths) != model
+    assert NwModel(model.strikes[:-1], model.taus[:-1], model.values[:-1],
+                   model.bandwidths) != model
+    assert model != (model.strikes, model.taus, model.values, model.bandwidths)
     fresh = NwModel(model.strikes, model.taus, model.values, Bandwidths(9.0, 0.7))
     copy = pickle.loads(pickle.dumps(model))
     queries = [(95.0, 0.3), (110.0, 1.2), (160.0, 0.5), (1e6, 0.5)]

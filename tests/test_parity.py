@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pricelab.black_scholes import bs_price
 from pricelab.errors import NoAtmPairs
+from pricelab.harness import cross_date_report
 from pricelab.market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from pricelab.synth import synth_chain
 from pricelab.parity import (
@@ -18,6 +19,7 @@ from pricelab.parity import (
     DividendCurve,
     Moneyness,
     ParityLeg,
+    _atm_pairs,
     classify_moneyness,
     estimate_dividend_curve,
     forward_price,
@@ -131,7 +133,7 @@ def test_dividend_curve_interpolation():
     # Constant outside the knots.
     assert curve.value_at(0.0) == pytest.approx(0.01)
     assert curve.value_at(10.0) == pytest.approx(0.02)
-    assert curve(1.0) == curve.value_at(1.0) == pytest.approx(0.03)
+    assert curve.value_at(1.0) == pytest.approx(0.03)
 
 
 def test_dividend_curve_sorts_knots():
@@ -240,7 +242,7 @@ def test_estimate_dividend_curve_requires_atm_pairs(bs_day):
 
 def test_itm_parity_audit_on_consistent_chain(bs_day):
     curve = estimate_dividend_curve(bs_day)
-    report = itm_parity_audit(bs_day, curve)
+    report = itm_parity_audit([(bs_day, curve)])
     n_itm = sum(
         1 for q in bs_day.quotes
         if classify_moneyness(q.kind, q.strike, bs_day.env, q.tau).label is Moneyness.ITM
@@ -270,7 +272,12 @@ def test_itm_parity_audit_counts_unmatched(bs_day):
     full_records, _ = itm_parity_records(bs_day, curve)
     assert skipped == 1
     assert len(records) == len(full_records) - 1
-    assert itm_parity_audit(chain, curve).extra["unmatched_itm"] == 1.0
+    assert itm_parity_audit([(chain, curve)]).extra["unmatched_itm"] == 1.0
+    # Over several days the audit reports every day's records and skips together.
+    report = itm_parity_audit([(chain, curve), (bs_day, curve), (chain, curve)])
+    assert report.count == 2 * len(records) + len(full_records)
+    assert report.extra["unmatched_itm"] == 2.0
+    assert itm_parity_audit([]).count == 0
 
 
 def test_itm_parity_audit_skips_expiring_quotes(bs_day):
@@ -298,3 +305,35 @@ def test_itm_parity_audit_skips_zero_mid(bs_day):
     curve = estimate_dividend_curve(chain)
     _, skipped = itm_parity_records(chain, curve)
     assert skipped == 1
+
+
+def test_a_repeated_contract_counts_its_last_quote():
+    # An ATM put, an ITM call and its OTM put, each quoted twice at
+    # different mids: pairing, the audit and the cross-date report all
+    # take the last quote of a contract, in the chain's order.
+    env = MarketEnv(date=date(2012, 1, 3), spot=100.0, rate=0.02, div_hist=0.01)
+    expiry = date(2012, 2, 2)
+    terms = [(CALL, 100.0, 3.0), (PUT, 100.0, 2.0), (PUT, 100.0, 2.5), (CALL, 85.0, 15.5),
+             (CALL, 85.0, 15.6), (PUT, 85.0, 0.3), (PUT, 85.0, 0.2)]
+    chain = DailyChain(env, [OptionQuote(kind, strike, expiry, 30, mid, mid, 1000)
+                             for kind, strike, mid in terms])
+    tau = 30 / 365.0
+    assert chain.contract_mids() == {CALL: {(tau, 100.0): 3.0, (tau, 85.0): 15.6},
+                                     PUT: {(tau, 100.0): 2.5, (tau, 85.0): 0.2}}
+
+    assert _atm_pairs(chain) == {tau: [ParityLeg(100.0, tau, 3.0, 2.5)]}
+
+    curve = DividendCurve([tau], [0.012])
+    records, skipped = itm_parity_records(chain, curve)
+    assert skipped == 0
+    assert [(r.strike, r.true_price) for r in records] == [(85.0, 15.5), (85.0, 15.6)]
+    expected = parity_price(CALL, 0.2, 100.0, 85.0, 0.02, 0.012, tau)
+    assert [r.est_price for r in records] == [expected, expected]
+
+    # The next day quotes the same contracts in reverse order.
+    next_env = MarketEnv(date=date(2012, 1, 4), spot=100.0, rate=0.02, div_hist=0.01)
+    next_day = DailyChain(next_env, [OptionQuote(kind, strike, date(2012, 2, 3), 30, mid, mid, 1000)
+                                     for kind, strike, mid in reversed(terms)])
+    matches = cross_date_report([chain, next_day])
+    assert [(m.kind, m.strike, m.price_a) for m in matches] == terms
+    assert [m.price_b for m in matches] == [3.0, 2.0, 2.0, 15.5, 15.5, 0.3, 0.3]

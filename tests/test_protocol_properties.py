@@ -5,8 +5,9 @@ one record per held-out quote, and each label's reports account for every
 record. A chain's columns agree with its records: built from records or
 read back from a file, it holds the same quotes, and each operation on
 its columns gives what its record-by-record definition (tests/oracles.py)
-gives, the parity audit included."""
+gives, the parity audit and the cross-date report included."""
 
+import dataclasses
 import datetime as dt
 import tempfile
 from pathlib import Path
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 import oracles
 from pricelab.black_scholes import bs_price, fill_implied_vols
-from pricelab.harness import ProtocolConfig, prepare_day, run_protocol, split_day
+from pricelab.harness import (ProtocolConfig, cross_date_report, prepare_day, run_protocol,
+                              split_day)
 from pricelab.market_data import (DailyChain, MarketEnv, OptionKind, OptionQuote,
                                   filter_liquidity, load_chains, quote_sort_key, save_chains,
                                   trim_mask)
@@ -104,6 +106,15 @@ def pairs_by_tau(pairs):
     return {tau: sorted(legs, key=lambda leg: leg.strike) for tau, legs in pairs.items()}
 
 
+def later_day(chain, days, spot):
+    """The chain's quotes in reverse order, each at its days to expiry,
+    on the day that many days later, at this spot."""
+    shift = dt.timedelta(days=days)
+    env = dataclasses.replace(chain.env, date=chain.env.date + shift, spot=spot)
+    return DailyChain(env, [dataclasses.replace(q, expiry=q.expiry + shift)
+                            for q in reversed(chain.quotes)])
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=st.lists(quotes, min_size=1, max_size=30), min_ttm_days=st.sampled_from((0, 1, 30)),
        min_volume=st.sampled_from((0, 100, 1000)), max_iv=st.sampled_from((0.3, 0.7)),
@@ -146,4 +157,9 @@ def test_columns_agree_with_their_records(rows, min_ttm_days, min_volume, max_iv
         # repr tells a NumPy scalar from a Python float, and a NaN equals itself.
         audit = itm_parity_records(chain, CURVE)
         assert repr(audit) == repr(oracles.itm_parity_records(chain, CURVE))
+        # Three days within the spot tolerance of each other, one beyond it.
+        days = [later_day(chain, 2, 100.04), chain, later_day(chain, 3, 101.0),
+                later_day(chain, 1, 100.03)]
+        matches = cross_date_report(days)
+        assert repr(matches) == repr(oracles.cross_date_report(days))
         assert chain.select(mask).quotes == tuple(q for q, k in zip(chain.quotes, mask) if k)
