@@ -22,14 +22,13 @@ whenever the query leaves that same hull, so downstream reports can
 split errors by hull membership.
 
 A TrainingSet holds a day's training quotes as arrays together with the
-work their fits share: the implied vols, inverted once; one
+work their fits share: the implied vols, inverted once, and one
 NormalizedGeometry per distinct point set, which both LI's interpolant
-and the kernel labels' hull test come from; and the LOO-CV grid of each
-point set, on which NWCV and BSNWCV score prices and vols together when
-the day fits both. TrainingSet.fit(label) fits one label on the set, so
-the labels of one day fitted on one TrainingSet share that work; fit is
-its one-label case, on a set of its own quotes, and does only what its
-label needs.
+and the kernel labels' hull test come from. NWCV and BSNWCV each run
+their own LOO-CV search. TrainingSet.fit(label) fits one label on the
+set, so the labels of one day fitted on one TrainingSet share that work;
+fit is its one-label case, on a set of its own quotes, and does only
+what its label needs.
 """
 
 from __future__ import annotations
@@ -38,20 +37,13 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence, Sized
+from typing import Callable, NamedTuple, Sequence, Sized
 
 import numpy as np
 
 from .black_scholes import bs_price, fill_implied_vols
 from .errors import InsufficientData, PricelabError
-from .kernel import (
-    CvGrid,
-    NwModel,
-    loo_cv_bandwidths,
-    loo_cv_grids,
-    nw_estimate,
-    silverman_bandwidths,
-)
+from .kernel import NwModel, loo_cv_bandwidths, nw_estimate, silverman_bandwidths
 from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from .parity import DividendCurve, historical_curve
 from .reporting import ErrorStatus
@@ -124,14 +116,12 @@ class TrainingSet:
     the chain given (NaN where none exists), as fill_implied_vols gives
     them; otherwise they are inverted on first use. geometry(mask)
     triangulates a subset of the points on first use and hands the same
-    geometry to every later fit on that subset; cv_grid(mask, target)
-    does the same for the LOO-CV grid. labels are the labels the day will
-    fit, which tell cv_grid whether both CV targets will be searched. A
-    TrainingSet lives for one day's fits: fit(label) fits each on it.
+    geometry to every later fit on that subset. A TrainingSet lives for
+    one day's fits: fit(label) fits each on it.
     """
 
     def __init__(self, kind: OptionKind, chain: DailyChain, curve: DividendCurve,
-                 vols: np.ndarray | None = None, labels: Iterable[EstimatorLabel] = ()):
+                 vols: np.ndarray | None = None):
         keep = (chain.kinds == kind) & (chain.taus >= 0.0)
         if vols is not None and len(vols) != len(keep):
             raise ValueError(f"{len(vols)} vols for {len(keep)} quotes")
@@ -140,9 +130,6 @@ class TrainingSet:
         self.strikes, self.taus, self.mids = self.chain.strikes, self.chain.taus, self.chain.mids
         self._vols = None if vols is None else np.asarray(vols, dtype=float)[keep]
         self._geometries: dict[bytes, NormalizedGeometry] = {}
-        self._cv_grids: dict[bytes, dict[str, CvGrid]] = {}
-        recipes = [_RECIPES.get(EstimatorLabel(label)) for label in labels]
-        self._cv_targets = {recipe[0] for recipe in recipes if recipe and recipe[1] is _NWCV}
 
     @property
     def vols(self) -> np.ndarray:
@@ -150,38 +137,6 @@ class TrainingSet:
         if self._vols is None:
             self._vols, _ = fill_implied_vols(self.chain, self.curve)
         return self._vols
-
-    def values(self, target: str) -> np.ndarray:
-        """The target's value per quote: the mid price, or the implied vol."""
-        return self.vols if target is _VOL else self.mids
-
-    def usable(self, target: str, positive_tau: bool) -> np.ndarray:
-        """Where the target has a value, at positive tau only when
-        positive_tau is set."""
-        usable = self.taus > 0.0 if positive_tau else np.full(len(self.taus), True)
-        if target is _VOL:
-            usable &= ~np.isnan(self.vols)
-        return usable
-
-    def cv_grid(self, mask: np.ndarray, target: str) -> CvGrid:
-        """The LOO-CV grid stage of the target's values at the points where
-        mask is set. When the day also fits the other target's CV label on
-        the same points, with the same zero pattern, that target is scored
-        on the same grid pass."""
-        grids = self._cv_grids.setdefault(mask.tobytes(), {})
-        if target not in grids:
-            targets = [target]
-            other = _VOL if target is _PRICE else _PRICE
-            # A CV fit uses the quotes at positive tau where its target exists.
-            if (other in self._cv_targets and other not in grids
-                    and np.array_equal(self.usable(other, positive_tau=True), mask)
-                    and np.array_equal(self.values(other)[mask] == 0.0,
-                                       self.values(target)[mask] == 0.0)):
-                targets.append(other)
-            points = np.column_stack([self.strikes[mask], self.taus[mask]])
-            found = loo_cv_grids(points, [self.values(t)[mask] for t in targets])
-            grids.update(zip(targets, found))
-        return grids[target]
 
     def geometry(self, mask: np.ndarray) -> NormalizedGeometry:
         """The normalized geometry of the points where mask is set."""
@@ -210,12 +165,13 @@ class TrainingSet:
             return _fit_vg(self, meta)
 
         target, smoother = _RECIPES[label]
-        usable = self.usable(target, smoother.positive_tau)
+        usable = self.taus > 0.0 if smoother.positive_tau else np.full(len(self.taus), True)
+        values, value_scale = self.mids, env.spot
         if target is _VOL:
-            meta["dropped_noninvertible"] = int(np.isnan(self.vols).sum())
-        value_scale = 1.0 if target is _VOL else env.spot
-        strikes, taus = self.strikes[usable], self.taus[usable]
-        values = self.values(target)[usable]
+            values, value_scale = self.vols, 1.0
+            meta["dropped_noninvertible"] = int(np.isnan(values).sum())
+            usable &= ~np.isnan(values)
+        strikes, taus, values = self.strikes[usable], self.taus[usable], values[usable]
         _require(values, label, smoother.min_quotes)
         if label is EstimatorLabel.LIB:
             if lib_strike_range is None:
@@ -225,12 +181,11 @@ class TrainingSet:
             strikes = np.concatenate([strikes, expiring])
             taus = np.concatenate([taus, np.zeros(len(payoffs))])
             values = np.concatenate([values, payoffs])
-            geometry, cv_grid = partial(NormalizedGeometry, strikes, taus, env.spot), None
+            geometry = partial(NormalizedGeometry, strikes, taus, env.spot)
         else:
             geometry = partial(self.geometry, usable)
-            cv_grid = partial(self.cv_grid, usable, target)
 
-        value_at, hull_fn, smoother_meta = smoother.build(geometry, cv_grid, strikes, taus, values,
+        value_at, hull_fn, smoother_meta = smoother.build(geometry, strikes, taus, values,
                                                           value_scale)
         meta.update(smoother_meta)
         if target is _PRICE:
@@ -248,25 +203,24 @@ class TrainingSet:
 class _Smoother(NamedTuple):
     """Fits values at (strike, tau) points, from at least min_quotes
     quotes, all at positive tau when positive_tau is set. build(geometry,
-    cv_grid, strikes, taus, values, value_scale), with geometry() giving
-    the points' NormalizedGeometry and cv_grid() the LOO-CV grid of their
-    values, returns the value function, the hull test (None when the value
-    function answers OUTSIDE_HULL outside the hull) and the fit's meta
-    entries."""
+    strikes, taus, values, value_scale), with geometry() giving the
+    points' NormalizedGeometry, returns the value function, the hull test
+    (None when the value function answers OUTSIDE_HULL outside the hull)
+    and the fit's meta entries."""
 
     min_quotes: int
     positive_tau: bool
     build: Callable
 
 
-def _li(geometry, cv_grid, strikes, taus, values, value_scale):
+def _li(geometry, strikes, taus, values, value_scale):
     surf = geometry().surface(values, value_scale)
     return surf.value_at, None, {"coords": "normalized"}
 
 
 def _nw(select_bandwidths):
-    def build(geometry, cv_grid, strikes, taus, values, value_scale):
-        bandwidths = select_bandwidths(cv_grid, np.column_stack([strikes, taus]), values)
+    def build(geometry, strikes, taus, values, value_scale):
+        bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values)
         model = NwModel(strikes, taus, values, bandwidths)
         meta = {"coords": "raw", "bandwidths": (bandwidths.eps1, bandwidths.eps2)}
         return lambda k, t: nw_estimate(model, k, t), geometry().in_domain, meta
@@ -275,9 +229,9 @@ def _nw(select_bandwidths):
 
 
 _LI = _Smoother(3, False, _li)
-_NW = _Smoother(1, True, _nw(lambda cv_grid, points, values: silverman_bandwidths(points)))
-_NWCV = _Smoother(3, True, _nw(
-    lambda cv_grid, points, values: loo_cv_bandwidths(points, values, cv_grid())))
+_NW = _Smoother(1, True, _nw(lambda points, values: silverman_bandwidths(points)))
+# Called through the module global, which tracers and tests may rebind.
+_NWCV = _Smoother(3, True, _nw(lambda points, values: loo_cv_bandwidths(points, values)))
 
 # Every label but VG, as (target, smoother). LIB also augments its quotes.
 _RECIPES = {

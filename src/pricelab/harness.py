@@ -6,10 +6,9 @@ fit on the training side and asked to price the test side, and each test
 quote becomes one PricingError record. evaluate_day is the one place a
 day's fits run: it builds the day's one TrainingSet and fits every label
 through it, so its implied vols are inverted once (in trim mode they are
-prepare_day's own), each distinct set of training points is triangulated
-once, and when the day fits both NWCV and BSNWCV they score prices and
-vols on one LOO-CV grid pass. Aggregation slices the records by
-partition (all, in-hull, outside-hull, price above one dollar).
+prepare_day's own) and each distinct set of training points is
+triangulated once. Aggregation slices the records by partition (all,
+in-hull, outside-hull, price above one dollar).
 
 The protocol is reproducible end to end: the same input file and master
 seed produce byte-identical report files, regardless of worker count.
@@ -199,7 +198,7 @@ def evaluate_day(
     labels = [EstimatorLabel(label) for label in labels]
     train = np.array(split.train, dtype=np.intp)
     training = TrainingSet(kinds.pop(), day.select(train), curve,
-                           None if vols is None else vols[train], labels)
+                           None if vols is None else vols[train])
     lib_strike_range = (float(day.strikes.min()), float(day.strikes.max()))
     test = np.array(split.test, dtype=np.intp)
     held_out = list(zip(day.strikes[test].tolist(), day.taus[test].tolist(),

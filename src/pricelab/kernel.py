@@ -26,7 +26,7 @@ Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
 Nelder-Mead in log-bandwidth space. Both are deterministic. The grid
-stage (loo_cv_grids) scores exactly (_cv_objective) only the seed and
+stage (loo_cv_grid) scores exactly (_cv_objective) only the seed and
 the candidates that a cheap screen (_cv_screen) cannot rule out.
 """
 
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -266,18 +265,16 @@ def _cv_objective(points: np.ndarray, values: np.ndarray):
     return objective
 
 
-def _cv_inputs(points, value_vectors) -> tuple[np.ndarray, list[np.ndarray]]:
+def _cv_inputs(points, values) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=float)
-    vectors = [np.asarray(values, dtype=float) for values in value_vectors]
-    for values in vectors:
-        if points.ndim != 2 or points.shape[1] != 2 or values.shape != (points.shape[0],):
-            raise ValueError("points must be (n, 2) with one value per point")
+    values = np.asarray(values, dtype=float)
+    if points.ndim != 2 or points.shape[1] != 2 or values.shape != (points.shape[0],):
+        raise ValueError("points must be (n, 2) with one value per point")
     if points.shape[0] < 3:
         raise ValueError("cross-validation needs at least three samples")
-    for values in vectors:
-        if not np.any(values != 0.0):
-            raise ValueError("every sample value is zero; relative CV is undefined")
-    return points, vectors
+    if not np.any(values != 0.0):
+        raise ValueError("every sample value is zero; relative CV is undefined")
+    return points, values
 
 
 @dataclass(frozen=True)
@@ -289,27 +286,26 @@ class CvGrid:
     score: float
 
 
-def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
-               eps1s: np.ndarray, eps2s: np.ndarray):
+def _cv_screen(points: np.ndarray, values: np.ndarray, eps1s: np.ndarray, eps2s: np.ndarray):
     """The LOO-CV scores of every candidate of the grid eps1s x eps2s,
     computed cheaply, each with a bound on its distance from the exact
     objective's score.
 
-    Returns (scores, bounds, underflow, sure). scores and bounds hold one
-    (eps1, eps2) table per vector. underflow marks the candidates at which
-    the exact objective certainly returns +inf, sure those at which its
-    scores certainly lie within bounds of these. A candidate that is
-    neither needs the exact objective.
+    Returns (scores, bounds, underflow, sure), each an (eps1, eps2)
+    table. underflow marks the candidates at which the exact objective
+    certainly returns +inf, sure those at which its score certainly lies
+    within bounds of scores. A candidate that is neither needs the exact
+    objective.
 
     A weight is a strike factor times a tau factor. Per eps1, one pass
     over the (sample, kept row) table exponentiates the strike terms, each
     shifted by its largest within its row and tau, and sums them, and them
-    times each vector, per tau. Each eps2 then weighs those sums with the
+    times the values, per tau. Each eps2 then weighs those sums with the
     tau factors shifted by the row's largest log-weight: (tau, row) work.
     """
     strikes, taus = points[:, 0], points[:, 1]
     n = len(strikes)
-    rows = np.flatnonzero(value_vectors[0] != 0.0)
+    rows = np.flatnonzero(values != 0.0)
     # (sample, row) tables with the samples sorted by tau, so that each
     # distinct tau is one block of samples.
     order = np.argsort(taus, kind="stable")
@@ -343,24 +339,23 @@ def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
     # +inf at a bandwidth of 0 (a seed below 1e-321), as -log(0).
     log_norm = np.array([[_log_norm(eps1, eps2) if eps1 > 0.0 < eps2 else math.inf
                           for eps2 in eps2s] for eps1 in eps1s])
-    # Per sample: 1, for the weight sums, and each vector's value.
-    columns = np.vstack([np.ones(n)] + [values[order] for values in value_vectors])
+    # Per sample: 1, for the weight sums, and its value.
+    columns = np.vstack([np.ones(n), values[order]])
     blocks = list(zip(starts.tolist(), ends.tolist()))
-    kept_vectors = [values[rows] for values in value_vectors]
+    kept_values = values[rows]
     # errors bounds each ratio's distance from the exact objective's, in
     # units of _SCREEN_TOL: the predictions' (a weight below exp(-700)
     # counts as exp(-700) here, which adds at most 2n exp(-700) of the
     # largest |value|), and the ratio's own rounding.
-    errors = [1.0 + (2.0 + n * 1e-293) * np.abs(values).max() / np.abs(kept_values)
-              for values, kept_values in zip(value_vectors, kept_vectors)]
-    shape = (len(value_vectors), eps1s.size, eps2s.size)
+    errors = 1.0 + (2.0 + n * 1e-293) * np.abs(values).max() / np.abs(kept_values)
+    shape = (eps1s.size, eps2s.size)
     scores, bounds = np.full(shape, np.nan), np.full(shape, np.nan)
-    underflow = np.ones(shape[1:], dtype=bool)
-    sure = np.zeros(shape[1:], dtype=bool)
+    underflow = np.ones(shape, dtype=bool)
+    sure = np.zeros(shape, dtype=bool)
     weights = np.empty_like(excess)
     block_sums = np.empty((len(columns), starts.size, rows.size))
     log_weights = np.empty((eps2s.size, starts.size, rows.size))
-    # (eps2, row): the weight sum, and each vector's weighted sum, each
+    # (eps2, row): the weight sum, and the weighted sum of the values, each
     # shifted by the row's largest log-weight.
     sums = np.empty((len(columns), eps2s.size, rows.size))
     log_n = math.log(n)
@@ -380,7 +375,7 @@ def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
             if np.all((lowest == -np.inf) | (lowest + log_norm[i] + log_n < _LOG_FLOOR - pad)):
                 continue
         # The strike factors, each block's largest 1, and per block their
-        # sums and their products with each vector. Clamped at -700, where
+        # sums and their products with the values. Clamped at -700, where
         # np.exp stays fast (see _exp).
         np.multiply(excess, scale, out=weights)
         np.maximum(weights, _EXP_NORMAL, out=weights)
@@ -390,94 +385,79 @@ def _cv_screen(points: np.ndarray, value_vectors: Sequence[np.ndarray],
         # Rows without a finite log-weight make NaNs from here on; they
         # underflow. A tiny value can send a ratio, its square or a bound to
         # +inf; the candidate is then not sure, and the exact objective
-        # scores it. In place, the vectors' sums turn into ratios, and the
+        # scores it. In place, the weighted sums turn into ratios, and the
         # weight sums into log-denominators.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             log_weights -= row_max[:, None, :]
             tau_factors = np.exp(log_weights, out=log_weights)
             np.einsum("etr,str->ser", tau_factors, block_sums, out=sums)
-            denom, ratios = sums[0], sums[1:]
+            denom, ratios = sums
             ratios /= denom
             np.maximum(ratios, 0.0, out=ratios)
             np.log(denom, out=denom)
             denom += row_max
             log_denominator = denom.min(axis=1) + log_norm[i]
             underflow[i] = (lowest == -np.inf) | (log_denominator < _LOG_FLOOR - pad)
+            ratios /= kept_values
+            np.subtract(1.0, ratios, out=ratios)
+            scores[i] = np.einsum("er,er->e", ratios, ratios)
+            np.abs(ratios, out=ratios)
+            # |a^2 - b^2| <= |a - b| (2 |a| + |a - b|), and the sum's rounding.
+            bounds[i] = _SCREEN_TOL * (2.0 * np.einsum("er,r->e", ratios, errors)
+                                       + _SCREEN_TOL * (errors * errors).sum() + scores[i])
             sure[i] = ((log_denominator >= _LOG_FLOOR + pad) & np.isfinite(log_norm[i])
-                       & ~underflow[i])
-            for v, vector_ratios in enumerate(ratios):
-                vector_ratios /= kept_vectors[v]
-                np.subtract(1.0, vector_ratios, out=vector_ratios)
-                scores[v, i] = np.einsum("er,er->e", vector_ratios, vector_ratios)
-                np.abs(vector_ratios, out=vector_ratios)
-                # |a^2 - b^2| <= |a - b| (2 |a| + |a - b|), and the sum's rounding.
-                bounds[v, i] = _SCREEN_TOL * (
-                    2.0 * np.einsum("er,r->e", vector_ratios, errors[v])
-                    + _SCREEN_TOL * (errors[v] * errors[v]).sum() + scores[v, i])
-            sure[i] &= np.isfinite(scores[:, i]).all(axis=0) & np.isfinite(bounds[:, i]).all(axis=0)
+                       & ~underflow[i] & np.isfinite(scores[i]) & np.isfinite(bounds[i]))
     return scores, bounds, underflow, sure
 
 
-def loo_cv_grids(points, value_vectors) -> list[CvGrid]:
-    """The grid stage of loo_cv_bandwidths, for several value vectors
-    with one zero pattern on one set of points: the 15x15 log grid
-    spanning six decades around the Silverman seed, exact ties resolved
-    to the seed.
+def loo_cv_grid(points, values) -> CvGrid:
+    """The grid stage of loo_cv_bandwidths: the 15x15 log grid spanning
+    six decades around the Silverman seed, exact ties resolved to the
+    seed.
 
     The screen (_cv_screen) rules out the candidates that certainly score
-    +inf or more than another; each vector's exact objective scores the
-    rest and the seed in grid order, as a brute-force grid would.
+    +inf or more than another; the exact objective scores the rest and
+    the seed in grid order, as a brute-force grid would.
 
-    Raises ValueError on the inputs loo_cv_bandwidths rejects, and when
-    the vectors' zero patterns differ: they would leave out other rows.
+    Raises ValueError on the inputs loo_cv_bandwidths rejects.
     """
-    points, vectors = _cv_inputs(points, value_vectors)
-    kept = vectors[0] != 0.0
-    if any(not np.array_equal(values != 0.0, kept) for values in vectors[1:]):
-        raise ValueError("value vectors scored on one grid must share their zero pattern")
+    points, values = _cv_inputs(points, values)
     seed = silverman_bandwidths(points)
     eps1s, eps2s = seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
-    scores, bounds, underflow, sure = _cv_screen(points, vectors, eps1s, eps2s)
+    scores, bounds, underflow, sure = _cv_screen(points, values, eps1s, eps2s)
     with np.errstate(invalid="ignore"):
-        # Per vector, a score that some sure candidate certainly reaches.
-        ceiling = np.where(sure, scores + bounds, np.inf).min(axis=(1, 2))
-        contender = np.where(sure, scores - bounds, np.inf) <= ceiling[:, None, None]
+        # A score that some sure candidate certainly reaches.
+        ceiling = np.where(sure, scores + bounds, np.inf).min()
+        contender = np.where(sure, scores - bounds, np.inf) <= ceiling
     rescore = ~underflow & (contender | ~sure)
-    rescore[:, _CV_SEED, _CV_SEED] = True
-
-    def walk(values: np.ndarray, cells: np.ndarray) -> CvGrid:
-        # One vector's objective at a time: its n x n arrays go on return.
-        objective = _cv_objective(points, values)
-        best, score = None, math.inf
-        for i1, i2 in zip(*np.nonzero(cells)):
-            eps = (float(eps1s[i1]), float(eps2s[i2]))
-            cv = objective(*eps)
-            if i1 == i2 == _CV_SEED:
-                seed_cv = cv
-            if cv < score:
-                best, score = eps, cv
-        if best is not None and seed_cv == score:
-            best = (seed.eps1, seed.eps2)
-        return CvGrid(best, score)
-
-    return [walk(values, cells) for values, cells in zip(vectors, rescore)]
+    rescore[_CV_SEED, _CV_SEED] = True
+    objective = _cv_objective(points, values)
+    best, score = None, math.inf
+    for i1, i2 in zip(*np.nonzero(rescore)):
+        eps = (float(eps1s[i1]), float(eps2s[i2]))
+        cv = objective(*eps)
+        if i1 == i2 == _CV_SEED:
+            seed_cv = cv
+        if cv < score:
+            best, score = eps, cv
+    if best is not None and seed_cv == score:
+        best = (seed.eps1, seed.eps2)
+    return CvGrid(best, score)
 
 
-def loo_cv_bandwidths(points, values, grid: CvGrid | None = None) -> Bandwidths:
+def loo_cv_bandwidths(points, values) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
-    is undefined there). The search is loo_cv_grids' grid, or grid when
-    given (it may come from a pass shared with other vectors), then
+    is undefined there). The search is loo_cv_grid's grid, then
     Nelder-Mead in log-bandwidth space from its best point; a vertex
     whose bandwidth would pass the float range scores +inf.
 
     Raises NumericalUnderflow only if every candidate underflows, and
     ValueError when no sample has a nonzero value.
     """
-    points, (values,) = _cv_inputs(points, [values])
-    if grid is None:
-        grid = loo_cv_grids(points, [values])[0]
+    points, values = _cv_inputs(points, values)
+    grid = loo_cv_grid(points, values)
     if grid.best is None:
         raise NumericalUnderflow("every bandwidth candidate underflowed")
     if grid.score == 0.0:
@@ -498,4 +478,3 @@ def loo_cv_bandwidths(points, values, grid: CvGrid | None = None) -> Bandwidths:
     if np.isfinite(result.fun) and result.fun <= grid.score:
         return Bandwidths(math.exp(result.x[0]), math.exp(result.x[1]))
     return Bandwidths(*grid.best)
-

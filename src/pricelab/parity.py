@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -205,7 +206,12 @@ def estimate_dividend_curve(chain: DailyChain) -> DividendCurve:
             except ValueError:
                 continue
         if estimates:
-            knots.append((tau, float(np.median(estimates))))
+            # np.median's bits at a fraction of its cost on one to four
+            # floats. np.median sums from +0.0, so a -0.0 median (an argument
+            # of exactly 1) comes out +0.0; and it answers NaN where
+            # statistics.median would sort a NaN anywhere.
+            nan = any(map(math.isnan, estimates))
+            knots.append((tau, math.nan if nan else 0.0 + statistics.median(estimates)))
     if not knots:
         raise NoAtmPairs(f"no at-the-money call/put pairs on {chain.env.date}")
     return DividendCurve([t for t, _ in knots], [q for _, q in knots])

@@ -273,20 +273,26 @@ def vg_calibrate(
         return total
 
     theta0, sigma0, alpha0 = init
-    result = minimize(
-        objective,
-        x0=np.array([theta0 / alpha0, sigma0 / math.sqrt(alpha0)]),
-        method="Nelder-Mead",
-        options={
-            "maxiter": _CALIBRATION_MAXITER,
-            "maxfev": 2 * _CALIBRATION_MAXITER,
-            "fatol": _CALIBRATION_FATOL,
-            # fatol alone can trip while the simplex is still coarse;
-            # requiring a collapsed simplex keeps refining inside the
-            # basin instead of stopping at the first flat spot.
-            "xatol": 1e-9,
-        },
-    )
+    # A quoted price near the float floor can send its relative error past
+    # the float range, and a simplex holding several +inf scores subtracts
+    # inf from inf: the objective is then +inf or the simplex's spread NaN,
+    # which the search already treats as the worst point and as no
+    # convergence, so neither is a fault to warn about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(
+            objective,
+            x0=np.array([theta0 / alpha0, sigma0 / math.sqrt(alpha0)]),
+            method="Nelder-Mead",
+            options={
+                "maxiter": _CALIBRATION_MAXITER,
+                "maxfev": 2 * _CALIBRATION_MAXITER,
+                "fatol": _CALIBRATION_FATOL,
+                # fatol alone can trip while the simplex is still coarse;
+                # requiring a collapsed simplex keeps refining inside the
+                # basin instead of stopping at the first flat spot.
+                "xatol": 1e-9,
+            },
+        )
     if not result.success:
         raise CalibrationFailure(f"calibration stalled: {result.message}")
     theta, sigma = (float(v) for v in result.x)

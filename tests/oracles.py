@@ -14,17 +14,20 @@ from the logs of its factors when their product leaves the float range.
 The package's forms must match them bit for bit. cv_objective_at is not
 an oracle: it evaluates the package's own kernel._cv_objective at given
 bandwidths, so tests can compare the bandwidths two selectors chose.
-cv_grid(points, vectors) is the grid stage of the bandwidth search by
-brute force: each vector's exact objective (kernel._cv_objective) at
-each of the 225 candidates in grid order. kernel.loo_cv_grids screens
-the grid and scores exactly only the candidates the screen cannot rule
-out, and must return the same CvGrids bit for bit.
+cv_grid(points, values) is the grid stage of the bandwidth search by
+brute force: the exact objective (kernel._cv_objective) at each of the
+225 candidates in grid order. kernel.loo_cv_grid screens the grid and
+scores exactly only the candidates the screen cannot rule out, and must
+return the same CvGrid bit for bit.
 
 filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
 are the chain operations as they were defined on OptionQuote records,
 one record at a time, before chains became columns. They return records
 (the filters), a mask, (vols, NaN count) and {tau: ParityLeg list}; the
 column forms must give the same records and the same bits.
+dividend_knots is estimate_dividend_curve's former median, np.median
+over each maturity's estimates from atm_pairs; the curve's knots must
+have its bits.
 
 merge_duplicates(points, values) is the surface module's former merge,
 one np.all per point and one mask per group, on an (n, 2) array of points
@@ -84,7 +87,8 @@ from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, CvGrid
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
 from pricelab.harness import DEFAULT_SPOT_TOLERANCE, CrossDateMatch
-from pricelab.parity import DividendCurve, Moneyness, ParityLeg, classify_moneyness, parity_price
+from pricelab.parity import (DividendCurve, Moneyness, ParityLeg, classify_moneyness,
+                             implied_dividend, parity_price)
 from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
@@ -240,33 +244,27 @@ def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
     return _package_cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)
 
 
-def cv_grid(points, value_vectors) -> list[CvGrid]:
+def cv_grid(points, values) -> CvGrid:
     """The LOO-CV grid stage by brute force: every one of the 15x15
     candidates scored by the package's exact objective, in grid order,
     the first strictly smallest score kept, exact ties resolved to the
     seed."""
-    points, vectors = _cv_inputs(points, value_vectors)
-    kept = vectors[0] != 0.0
-    if any(not np.array_equal(values != 0.0, kept) for values in vectors[1:]):
-        raise ValueError("value vectors scored on one grid must share their zero pattern")
+    points, values = _cv_inputs(points, values)
     seed = silverman_bandwidths(points)
     factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
-    grids = []
-    for values in vectors:
-        objective = _package_cv_objective(points, values)
-        grid, seed_cv = CvGrid(None, float("inf")), None
-        for f1 in factors:
-            for f2 in factors:
-                eps = (seed.eps1 * f1, seed.eps2 * f2)
-                cv = objective(*eps)
-                if f1 == 1.0 and f2 == 1.0:
-                    seed_cv = cv
-                if cv < grid.score:
-                    grid = CvGrid(eps, cv)
-        if grid.best is not None and seed_cv == grid.score:
-            grid = CvGrid((seed.eps1, seed.eps2), seed_cv)
-        grids.append(grid)
-    return grids
+    objective = _package_cv_objective(points, values)
+    grid, seed_cv = CvGrid(None, float("inf")), None
+    for f1 in factors:
+        for f2 in factors:
+            eps = (seed.eps1 * f1, seed.eps2 * f2)
+            cv = objective(*eps)
+            if f1 == 1.0 and f2 == 1.0:
+                seed_cv = cv
+            if cv < grid.score:
+                grid = CvGrid(eps, cv)
+    if grid.best is not None and seed_cv == grid.score:
+        grid = CvGrid((seed.eps1, seed.eps2), seed_cv)
+    return grid
 
 
 def implied_vol_brentq(
@@ -372,6 +370,23 @@ def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
         pairs.setdefault(tau, []).append(
             ParityLeg(strike=strike, tau=tau, call_mid=calls[key], put_mid=puts[key]))
     return pairs
+
+
+def dividend_knots(chain: DailyChain) -> list[tuple[float, float]]:
+    """The dividend curve's (tau, yield) knots as estimate_dividend_curve
+    found them before it took statistics.median: np.median of each
+    maturity's implied dividends, over atm_pairs above."""
+    knots = []
+    for tau, legs in sorted(atm_pairs(chain).items()):
+        estimates = []
+        for leg in legs:
+            try:
+                estimates.append(implied_dividend(leg, chain.env.spot, chain.env.rate))
+            except ValueError:
+                continue
+        if estimates:
+            knots.append((tau, float(np.median(estimates))))
+    return knots
 
 
 def merge_duplicates(points: np.ndarray, values: np.ndarray,

@@ -14,7 +14,6 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-import pricelab.estimators as estimators
 import pricelab.kernel as kernel
 from oracles import cv_grid, cv_objective_at, gamma_expectation
 from pricelab.black_scholes import (
@@ -54,17 +53,15 @@ def cv_grids_match_the_brute_force_grid(monkeypatch):
     """Every LOO-CV grid a criterion searches (criterion 6's selector, and
     NWCV's and BSNWCV's in the protocol runs) must be the brute-force
     grid's, bit for bit."""
-    screened = kernel.loo_cv_grids
+    screened = kernel.loo_cv_grid
 
-    def checked(points, value_vectors):
-        grids = screened(points, value_vectors)
-        expected = cv_grid(points, value_vectors)
-        assert [(grid.best, grid.score.hex()) for grid in grids] == [
-            (grid.best, grid.score.hex()) for grid in expected]
-        return grids
+    def checked(points, values):
+        grid = screened(points, values)
+        expected = cv_grid(points, values)
+        assert (grid.best, grid.score.hex()) == (expected.best, expected.score.hex())
+        return grid
 
-    monkeypatch.setattr(kernel, "loo_cv_grids", checked)
-    monkeypatch.setattr(estimators, "loo_cv_grids", checked)
+    monkeypatch.setattr(kernel, "loo_cv_grid", checked)
 
 
 @contextlib.contextmanager

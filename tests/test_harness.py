@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-import pricelab.estimators as estimators
+import pricelab.kernel as kernel
 from pricelab.black_scholes import fill_implied_vols
 from pricelab.estimators import TrainingSet, fit, predict, prediction_status
 from pricelab.harness import (
@@ -363,7 +363,7 @@ def test_run_protocol_gives_the_reports_of_a_brute_force_cv_grid(noisy_days, mon
     # reports must be those of scoring every candidate.
     config = ProtocolConfig(labels=NON_VG_LABELS, trim=trim)
     screened = run_protocol(noisy_days, config)
-    monkeypatch.setattr(estimators, "loo_cv_grids", oracles.cv_grid)
+    monkeypatch.setattr(kernel, "loo_cv_grid", oracles.cv_grid)
     brute = run_protocol(noisy_days, config)
     assert screened.errors == brute.errors
     assert screened.reports.keys() == brute.reports.keys()

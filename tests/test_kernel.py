@@ -23,7 +23,7 @@ from pricelab.kernel import (
     _cv_objective,
     _exp,
     loo_cv_bandwidths,
-    loo_cv_grids,
+    loo_cv_grid,
     nw_estimate,
     silverman_bandwidths,
 )
@@ -607,7 +607,7 @@ def test_cv_objective_matches_oracle_near_the_underflow_floor():
     assert len(outcomes) > 500 and 0.3 < np.mean(outcomes) < 0.7
 
 
-def shared_cv_points(rng, n, n_taus, order):
+def price_and_vol_points(rng, n, n_taus, order):
     """n points on a strike grid and n_taus expiries, in chain order (by
     tau), shuffled, or with every tau distinct; with a price-like and a
     vol-like value vector, both zero at the same two points."""
@@ -627,17 +627,20 @@ def shared_cv_points(rng, n, n_taus, order):
 
 
 @pytest.mark.parametrize("order", ["by tau", "shuffled", "distinct taus"])
-def test_a_shared_grid_gives_each_vector_the_bandwidths_of_its_own_search(order):
+def test_each_vector_gets_the_bandwidths_of_a_brute_force_grid_search(monkeypatch, order):
+    # Prices and vols on one point set, each searched on its own: the
+    # screened grid stage hands Nelder-Mead the start that the brute-force
+    # grid would, so the search ends on the same bandwidths.
     rng = np.random.default_rng({"by tau": 97, "shuffled": 101, "distinct taus": 103}[order])
     for n in (12, 30, 45):
-        points, prices, vols = shared_cv_points(rng, n, 4, order)
+        points, prices, vols = price_and_vol_points(rng, n, 4, order)
         points[1] = points[0]  # a duplicate point
-        grids = loo_cv_grids(points, [prices, vols])
-        assert grids == [loo_cv_grids(points, [prices])[0], loo_cv_grids(points, [vols])[0]]
-        for values, grid in zip((prices, vols), grids):
-            shared = loo_cv_bandwidths(points, values, grid)
-            alone = loo_cv_bandwidths(points, values)
-            assert (shared.eps1.hex(), shared.eps2.hex()) == (alone.eps1.hex(), alone.eps2.hex())
+        for values in (prices, vols):
+            screened = loo_cv_bandwidths(points, values)
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel, "loo_cv_grid", oracles.cv_grid)
+                brute = loo_cv_bandwidths(points, values)
+            assert (screened.eps1.hex(), screened.eps2.hex()) == (brute.eps1.hex(), brute.eps2.hex())
 
 
 @pytest.mark.parametrize("order", ["by tau", "shuffled"])
@@ -645,53 +648,47 @@ def test_a_search_whose_simplex_passes_the_float_range_keeps_finite_bandwidths(o
     # Strikes x 1e300 put the grid's best eps1 near 1e301, so Nelder-Mead
     # steps past log(1.8e308); such a vertex scores +inf.
     for seed in range(4):
-        points, prices, vols = shared_cv_points(np.random.default_rng(seed), 30, 4, order)
+        points, prices, vols = price_and_vol_points(np.random.default_rng(seed), 30, 4, order)
         points[:, 0] *= 1e300
         for values in (prices, vols):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                grid = loo_cv_grids(points, [values])[0]
-                chosen = loo_cv_bandwidths(points, values, grid)
+                grid = loo_cv_grid(points, values)
+                chosen = loo_cv_bandwidths(points, values)
                 assert math.isfinite(chosen.eps1) and math.isfinite(chosen.eps2)
                 assert _cv_objective(points, values)(chosen.eps1, chosen.eps2) <= grid.score
 
 
-def test_a_shared_grid_takes_only_vectors_of_one_zero_pattern():
-    rng = np.random.default_rng(107)
-    points, prices, vols = shared_cv_points(rng, 30, 4, "by tau")
-    nonzero = np.flatnonzero(vols)
-    prices[nonzero[:2]] = 0.0  # vols stay nonzero there: other rows are left out
-    with pytest.raises(ValueError, match="zero pattern"):
-        loo_cv_grids(points, [prices, vols])
-    with pytest.raises(ValueError, match="zero pattern"):
-        loo_cv_grids(points, [vols, vols * 1.5, prices])
-
-
-def grid_bits(grids):
-    return [(None if grid.best is None else tuple(float(eps).hex() for eps in grid.best),
-             grid.score.hex()) for grid in grids]
+def grid_bits(grid):
+    return (None if grid.best is None else tuple(float(eps).hex() for eps in grid.best),
+            grid.score.hex())
 
 
 def assert_grids_match_the_oracle(points, vectors):
-    """loo_cv_grids against the brute-force grid: the same CvGrids bit for
-    bit, or the same exception."""
-    try:
-        expected = oracles.cv_grid(points, vectors)
-    except (DegenerateDispersion, ValueError) as error:
-        with pytest.raises(type(error)):
-            loo_cv_grids(points, vectors)
-        return None
-    got = loo_cv_grids(points, vectors)
-    assert got == expected
-    assert grid_bits(got) == grid_bits(expected)
-    # Python floats, so that Bandwidths built from them hold no numpy scalar.
-    assert all(type(eps) is float for grid in got if grid.best is not None for eps in grid.best)
-    return got
+    """loo_cv_grid against the brute-force grid, one vector at a time: the
+    same CvGrid bit for bit, or the same exception. Returns the grids,
+    None where both raised."""
+    grids = []
+    for values in vectors:
+        try:
+            expected = oracles.cv_grid(points, values)
+        except (DegenerateDispersion, ValueError) as error:
+            with pytest.raises(type(error)):
+                loo_cv_grid(points, values)
+            grids.append(None)
+            continue
+        got = loo_cv_grid(points, values)
+        assert got == expected
+        assert grid_bits(got) == grid_bits(expected)
+        # Python floats, so that Bandwidths built from them hold no numpy scalar.
+        assert all(type(eps) is float for eps in got.best or ())
+        grids.append(got)
+    return grids
 
 
 @st.composite
 def grid_problems(draw):
-    """shared_cv_points in each order, on 1 to 12 taus, with one or both
+    """price_and_vol_points in each order, on 1 to 12 taus, with one or both
     vectors; sometimes with a repeated point, one vector constant to 1e-12
     and nowhere zero, values of either sign, a tiny value whose ratio
     overflows, a kept point so far from the rest that its row underflows at
@@ -702,7 +699,7 @@ def grid_problems(draw):
     order = draw(st.sampled_from(["by tau", "shuffled", "distinct taus"]))
     n = draw(st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    points, prices, vols = shared_cv_points(rng, n, draw(st.integers(1, 12)), order)
+    points, prices, vols = price_and_vol_points(rng, n, draw(st.integers(1, 12)), order)
     if draw(st.booleans()):
         points[1] = points[0]
     vectors = draw(st.sampled_from([[prices], [vols], [prices, vols], [vols, prices]]))
@@ -741,7 +738,7 @@ def test_cv_grids_match_the_brute_force_grid_on_near_ties():
     rng = np.random.default_rng(131)
     for order in ("by tau", "shuffled", "distinct taus"):
         for n in (12, 30, 45):
-            points, _, _ = shared_cv_points(rng, n, 4, order)
+            points, _, _ = price_and_vol_points(rng, n, 4, order)
             assert_grids_match_the_oracle(points, [0.2 + 1e-13 * rng.uniform(size=n)])
             assert_grids_match_the_oracle(points, [rng.standard_normal(n)])
 
@@ -750,7 +747,7 @@ def test_cv_grids_match_the_brute_force_grid_where_every_candidate_underflows():
     # A kept point far beyond the others' strikes has no weight at any
     # candidate, so every candidate underflows.
     rng = np.random.default_rng(113)
-    points, prices, vols = shared_cv_points(rng, 20, 4, "shuffled")
+    points, prices, vols = price_and_vol_points(rng, 20, 4, "shuffled")
     far = points.copy()
     far[np.flatnonzero(prices)[0], 0] = 1e7
     grids = assert_grids_match_the_oracle(far, [prices, vols])
@@ -775,7 +772,7 @@ def test_a_gaussian_normalization_outside_the_float_range_is_summed_from_logs(sc
     # 0. Neither warns or raises: the normalization's log is summed from
     # the factors' logs, as the oracle sums it on its own.
     rng = np.random.default_rng(113)
-    points, prices, vols = shared_cv_points(rng, 20, 4, "shuffled")
+    points, prices, vols = price_and_vol_points(rng, 20, 4, "shuffled")
     scaled = points * scale
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -809,7 +806,7 @@ def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
     rng = np.random.default_rng(127)
     for case in range(12):
         order = ("by tau", "shuffled", "distinct taus")[case % 3]
-        points, prices, vols = shared_cv_points(rng, int(rng.integers(8, 40)), 5, order)
+        points, prices, vols = price_and_vol_points(rng, int(rng.integers(8, 40)), 5, order)
         vectors = [prices, vols]
         row = np.flatnonzero(prices)[-1]
         edge = points[:, 0].max()
@@ -824,7 +821,7 @@ def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
             return seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
 
         start = 5.0
-        best = oracles.cv_grid(moved(start), vectors)[0].best
+        best = oracles.cv_grid(moved(start), prices).best
         eps1s, eps2s = cell(start)
         i1, i2 = int(np.flatnonzero(eps1s == best[0])[0]), int(np.flatnonzero(eps2s == best[1])[0])
 
@@ -867,7 +864,7 @@ def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
     for chain in synth_chain("bs", n_days=2):
         puts = chain.select((chain.kinds == OptionKind.PUT) & (chain.taus > 0.0))
         calls.append(0)
-        loo_cv_grids(np.column_stack([puts.strikes, puts.taus]), [puts.mids])
+        loo_cv_grid(np.column_stack([puts.strikes, puts.taus]), puts.mids)
     assert all(1 <= count <= 20 for count in calls), calls
 
 

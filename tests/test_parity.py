@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from pricelab.black_scholes import bs_price
 from pricelab.errors import NoAtmPairs
 from pricelab.harness import cross_date_report
@@ -232,6 +233,32 @@ def test_estimate_dividend_curve_skips_a_pair_with_a_non_positive_log_argument()
     # gives no estimate and the other two give the yield.
     curve, tau = curve_with_one_atm_put_bumped(200.0)
     assert curve.value_at(tau) == pytest.approx(0.013, abs=1e-12)
+
+
+def knot_bits(knots):
+    # A NaN's hex names its sign, which np.median does not fix.
+    return [(tau.hex(), "nan" if math.isnan(q) else q.hex()) for tau, q in knots]
+
+
+def test_estimate_dividend_curve_takes_np_medians_bits():
+    # Noisy days give each maturity one to four estimates of various
+    # spreads. On a day at zero rate and yield with equal call and put
+    # mids, the pair struck at the spot has a log argument of exactly 1
+    # and the median estimate, -0.0, which np.median gives as +0.0; a NaN
+    # mid, which only a hand-built chain can hold, makes its maturity's
+    # knot NaN.
+    days = synth_chain("bs", n_days=6, dividend=0.013, noise=0.01, seed=11,
+                       strikes=[float(k) for k in range(90, 111, 2)])
+    env = MarketEnv(date=date(2012, 1, 3), spot=100.0, rate=0.0, div_hist=0.0)
+    flat = [OptionQuote(kind, strike, date(2012, 1, 3 + days), days, mid, mid, 1000)
+            for days in (1, 2) for strike in (99.0, 100.0, 101.0) for kind in (CALL, PUT)
+            for mid in [math.nan if (days, strike, kind) == (2, 101.0, PUT) else 1.5]]
+    flat_day = DailyChain(env, tuple(flat))
+    for chain in days + [flat_day]:
+        curve = estimate_dividend_curve(chain)
+        knots = list(zip(curve.taus.tolist(), curve.yields.tolist()))
+        assert knot_bits(knots) == knot_bits(oracles.dividend_knots(chain))
+    assert knot_bits(knots) == [((1 / 365).hex(), "0x0.0p+0"), ((2 / 365).hex(), "nan")]
 
 
 def test_estimate_dividend_curve_requires_atm_pairs(bs_day):

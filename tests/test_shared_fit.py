@@ -10,7 +10,7 @@ import pytest
 import scipy.spatial
 
 import pricelab.black_scholes as black_scholes
-import pricelab.estimators as estimators
+import pricelab.kernel as kernel
 import pricelab.surface as surface
 from pricelab.errors import NoAtmPairs
 from pricelab.estimators import ESTIMATOR_ERRORS, EstimatorLabel, TrainingSet, fit, predict
@@ -176,26 +176,25 @@ def counts(monkeypatch):
     monkeypatch.setattr(black_scholes, "implied_vols",
                         counting("inversions", black_scholes.implied_vols))
     monkeypatch.setattr(surface, "_triangulate", counting("triangulations", surface._triangulate))
-    monkeypatch.setattr(estimators, "loo_cv_grids", counting("cv_grids", estimators.loo_cv_grids))
+    monkeypatch.setattr(kernel, "loo_cv_grid", counting("cv_grids", kernel.loo_cv_grid))
     return tally
 
 
 @pytest.mark.parametrize("trim, noise, labels, per_day", [
     # prepare_day inverts; the fits reuse its vols. One geometry is shared
     # by LI, BS, NW and the rest, and LIB's has the expiring row too. NWCV
-    # and BSNWCV score prices and vols on one CV grid pass.
-    (True, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
-    (True, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
+    # and BSNWCV each make one CV grid pass.
+    (True, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 2}),
+    (True, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 2}),
     # Without the trim the training vols are inverted once, on first use.
-    (False, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 1}),
+    (False, 0.0, NON_VG_LABELS, {"inversions": 1, "triangulations": 2, "cv_grids": 2}),
     (False, 0.0, ("LI", "NW", "NWCV"), {"triangulations": 1, "cv_grids": 1}),
     # Some vols are NaN: the vol labels share a geometry of their own, and
     # BSNWCV searches on other points than NWCV.
     (False, 0.02, NON_VG_LABELS, {"inversions": 1, "triangulations": 3, "cv_grids": 2}),
-    # BSNWCV inverts the vols either way: NWCV first inverts them for the
-    # shared grid pass, and BSNWCV then finds them at hand.
-    (False, 0.0, ("BSNWCV", "NWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 1}),
-    (False, 0.0, ("NWCV", "BSNWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 1}),
+    # BSNWCV inverts the vols in either order, and NWCV never needs them.
+    (False, 0.0, ("BSNWCV", "NWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 2}),
+    (False, 0.0, ("NWCV", "BSNWCV"), {"inversions": 1, "triangulations": 1, "cv_grids": 2}),
 ])
 def test_a_day_inverts_once_and_triangulates_each_point_set_once(counts, trim, noise, labels,
                                                                  per_day):
@@ -225,22 +224,21 @@ def test_a_lone_fit_inverts_and_triangulates_only_for_its_label(counts):
     assert dict(counts) == {"triangulations": 1, "cv_grids": 1}
 
 
-# Grid passes of the two CV labels' shared TrainingSet, where one pass
-# scores both targets: the NaN vols leave out other points than the
-# prices, and on one maturity the Silverman seed of each search fails.
-SHARED_CV_PASSES = {"untrimmed with NaN vols": 2, "single maturity": 2, "two quotes": 0}
+# Each CV label makes one grid pass, even where its Silverman seed then
+# fails (on one maturity); on two quotes neither has enough to search.
+CV_PASSES = {"two quotes": 0}
 
 
 @pytest.mark.parametrize("case", [case[0] for case in days()])
 def test_a_shared_cv_grid_gives_each_label_its_standalone_fit(counts, case):
     _, env, quotes, curve, vols, lib_range = next(day for day in days() if day[0] == case)
     cv_labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
-    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols, labels=EstimatorLabel)
+    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols)
     grid = queries(quotes, env.spot)
     counts.clear()
     shared = {label: outcome(label, quotes, env, curve, lib_range, grid, training)
               for label in cv_labels}
-    assert counts["cv_grids"] == SHARED_CV_PASSES.get(case, 1)
+    assert counts["cv_grids"] == CV_PASSES.get(case, 2)
     alone = {label: outcome(label, quotes, env, curve, lib_range, grid) for label in cv_labels}
     assert shared == alone
 
@@ -253,7 +251,7 @@ def test_targets_of_other_zero_patterns_get_grid_passes_of_their_own(counts):
     at = int(np.flatnonzero(~np.isnan(vols))[0])
     quotes = quotes[:at] + [replace(quotes[at], bid=0.0, ask=0.0)] + quotes[at + 1:]
     labels = (EstimatorLabel.NWCV, EstimatorLabel.BSNWCV)
-    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols, labels=labels)
+    training = TrainingSet(PUT, DailyChain(env, quotes), curve, vols)
     grid = queries(quotes, env.spot)
     counts.clear()
     shared = [outcome(label, quotes, env, curve, None, grid, training) for label in labels]
@@ -265,12 +263,13 @@ def test_targets_of_other_zero_patterns_get_grid_passes_of_their_own(counts):
     assert all(isinstance(result[0], dict) for result in shared)
 
 
-# Each order of the two CV labels scores both targets on one grid pass a
-# day, unless some vols are NaN: BSNWCV then searches on other points.
-@pytest.mark.parametrize("trim, noise, passes", [
+# Each order of the two CV labels makes two grid passes a day and
+# triangulates each point set once: one a day, unless some vols are NaN,
+# when BSNWCV searches on other points than NWCV.
+@pytest.mark.parametrize("trim, noise, point_sets", [
     (True, 0.02, 2), (False, 0.0, 2), (False, 0.02, 4),
 ])
-def test_the_order_of_the_cv_labels_changes_no_record(counts, tmp_path, trim, noise, passes):
+def test_the_order_of_the_cv_labels_changes_no_record(counts, tmp_path, trim, noise, point_sets):
     maturities = (7, 30, 91, 182, 365) if noise else (30, 91, 182, 365)
     chains = synth_chain("bs", n_days=2, dividend=0.01, noise=noise, seed=5,
                          maturities_days=maturities)
@@ -278,8 +277,8 @@ def test_the_order_of_the_cv_labels_changes_no_record(counts, tmp_path, trim, no
     for labels in (("NWCV", "BSNWCV"), ("BSNWCV", "NWCV")):
         counts.clear()
         results.append(run_protocol(chains, ProtocolConfig(labels=labels, trim=trim)))
-        found.append(counts["cv_grids"])
-    assert found == [passes, passes]
+        found.append((counts["cv_grids"], counts["triangulations"]))
+    assert found == [(4, point_sets), (4, point_sets)]
     first, second = results
     assert sorted(first.errors, key=repr) == sorted(second.errors, key=repr)
     written = [{path.name: path.read_bytes() for path in result.write(tmp_path / str(i))}

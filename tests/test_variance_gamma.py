@@ -323,3 +323,15 @@ def test_calibration_failure_when_every_start_stalls(monkeypatch):
     monkeypatch.setattr(vg, "minimize", stalled)
     with pytest.raises(CalibrationFailure, match="out of budget"):
         vg_calibrate([(100.0, 0.5, 5.0)], CALL, 100.0, 0.02, 0.01)
+
+
+def test_a_stalled_calibration_raises_no_floating_point_warning():
+    # A call quoted at 6.9e-245 overflows its squared relative error, and
+    # the simplex then holds several +inf scores, whose spread is inf - inf.
+    # Both are the search's own signals, not warnings for the user.
+    quotes = [(105.0, 1 / 365, 0.014261546743565168), (1000.0, 7 / 365, 6.917851566866738e-245),
+              (90.0, 91 / 365, 33.37227925360416), (95.0, 1.0, 0.08579653822103706)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(CalibrationFailure, match="calibration stalled"):
+            vg_calibrate(quotes, CALL, 100.0, 0.02, 0.5)
