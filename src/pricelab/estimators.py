@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence, Sized
 import numpy as np
 
 from .black_scholes import bs_price, fill_implied_vols
-from .errors import InsufficientData, PricelabError
+from .errors import DegenerateDispersion, InsufficientData, PricelabError
 from .kernel import NwModel, loo_cv_bandwidths, nw_estimate, silverman_bandwidths
 from .market_data import DailyChain, MarketEnv, OptionKind, OptionQuote
 from .parity import DividendCurve, historical_curve
@@ -156,7 +156,9 @@ class TrainingSet:
         full day's range when the quotes are a training subset).
 
         Raises InsufficientData when too few usable quotes remain for the
-        label, and propagates calibration or geometry failures.
+        label, DegenerateDispersion, with the label in front, when its
+        bandwidth rule has no spread to rule on, and propagates calibration
+        or geometry failures.
         """
         label = EstimatorLabel(label)
         kind, env, dividend_at = self.kind, self.env, self.curve.value_at
@@ -185,8 +187,11 @@ class TrainingSet:
         else:
             geometry = partial(self.geometry, usable)
 
-        value_at, hull_fn, smoother_meta = smoother.build(geometry, strikes, taus, values,
-                                                          value_scale)
+        try:
+            value_at, hull_fn, smoother_meta = smoother.build(geometry, strikes, taus, values,
+                                                              value_scale)
+        except DegenerateDispersion as error:
+            raise DegenerateDispersion(f"{label.value}: {error}") from None
         meta.update(smoother_meta)
         if target is _PRICE:
             return PricingEstimator(label, value_at, hull_fn, meta)

@@ -178,8 +178,9 @@ def silverman_bandwidths(points) -> Bandwidths:
     """Per-coordinate rule of thumb: 0.9 min(D, Q/1.34) n^{-1/5}, with D
     the n-1 sample deviation and Q the interquartile range.
 
-    Raises DegenerateDispersion when either coordinate has D = 0 or
-    Q = 0; callers must then select bandwidths another way.
+    Raises DegenerateDispersion, naming the coordinate (strike or tau),
+    when either has D = 0 or Q = 0; callers must then select bandwidths
+    another way.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -188,15 +189,14 @@ def silverman_bandwidths(points) -> Bandwidths:
     if n < 2:
         raise DegenerateDispersion("dispersion undefined for fewer than two points")
     eps = []
-    for j in range(2):
-        column = points[:, j]
+    for name, column in zip(["strike", "tau"], points.T):
         # A deviation past the float range is +inf: the IQR term then binds.
         with np.errstate(over="ignore"):
             spread = float(np.std(column, ddof=1))
         q25, q75 = np.percentile(column, [25.0, 75.0])
         iqr = float(q75 - q25)
         if spread == 0.0 or iqr == 0.0:
-            raise DegenerateDispersion(f"coordinate {j} has zero spread")
+            raise DegenerateDispersion(f"{name} has zero spread")
         eps.append(_SILVERMAN_FACTOR * min(spread, iqr / _IQR_SCALE) * n ** (-0.2))
     return Bandwidths(eps[0], eps[1])
 
@@ -206,58 +206,42 @@ def _cv_objective(points: np.ndarray, values: np.ndarray):
     (nonzero values), as a function of (eps1, eps2); +inf when any kept
     row underflows.
 
-    What the points fix is built once. Besides the strike differences,
-    calls work in place in two n x n arrays: the strike term and a buffer.
+    What the points fix is built once: each kept row's strike and tau
+    differences from every sample. A call scales and squares them into
+    two (kept row, sample) buffers and sums them in the first, where the
+    rest of the evaluation works in place.
     """
     strikes, taus = points[:, 0], points[:, 1]
-    n = len(strikes)
     rows = np.flatnonzero(values != 0.0)
     d1 = strikes[rows][:, None] - strikes[None, :]
+    d2 = taus[rows][:, None] - taus[None, :]
     # Flat index of each kept row's own sample, which its estimate leaves out.
-    own = np.arange(rows.size) * n + rows
-    # Runs of equal consecutive taus, in column order. Within a run a row's
-    # tau difference is one number, and its largest log-weight is at its
-    # nearest strike, as (d / eps)**2 grows with |d|. Both tables are
-    # (run, row), so that a row's max is a reduction along whole rows.
-    starts = np.flatnonzero(np.concatenate([[True], taus[1:] != taus[:-1]]))
-    run_of = np.repeat(np.arange(starts.size), np.diff(np.append(starts, n)))
-    d2 = taus[starts][:, None] - taus[rows][None, :]
-    nearest = np.abs(d1)
-    nearest.reshape(-1)[own] = np.inf
-    nearest = np.ascontiguousarray(np.minimum.reduceat(nearest, starts, axis=1).T)
+    own = np.arange(rows.size) * len(strikes) + rows
     kept_values = values[rows]
-    z1, buffer = np.empty_like(d1), np.empty_like(d1)
+    z1, z2 = np.empty_like(d1), np.empty_like(d1)
 
     def objective(eps1: float, eps2: float) -> float:
         # (d / eps)**2 as written: d**2 / eps**2 would round differently. A
         # tiny bandwidth sends a term to +inf, a weight of zero; eps2 = 0
-        # makes 0/0 = NaN, which the test below scores +inf.
+        # makes 0/0 = NaN, which the test below scores +inf. A kept value
+        # near zero can send its ratio or square past the float range; the
+        # objective is then +inf, which the search already scores as the
+        # worst candidate, so the overflow is expected, not a fault.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            z2 = np.square(d2 / eps2)
-            row_max = (-0.5 * (np.square(nearest / eps1) + z2)).max(axis=0)
-        # -inf or NaN when some row has no finite weight; +inf without rows.
-        lowest = float(row_max.min(initial=np.inf))
-        if not lowest > -math.inf:
-            return math.inf
-        with np.errstate(over="ignore"):
-            np.square(np.divide(d1, eps1, out=z1), out=z1)
-        # The tau term, copied over each run, plus the strike term: z2 + z1
-        # has the bits of z1 + z2. mode="clip" lets take write into out
-        # unbuffered; every index is in range.
-        logw = np.take(z2.T, run_of, axis=1, out=buffer, mode="clip")
-        logw += z1
-        logw *= -0.5
-        logw.reshape(-1)[own] = -np.inf
-        logw -= row_max[:, None]
-        shifted = _exp(logw)
-        denom = shifted.sum(axis=1)
-        log_denominator = row_max + np.log(denom) + _log_norm(eps1, eps2)
-        if (log_denominator < _LOG_FLOOR).any():
-            return math.inf
-        # A kept value near zero can send its ratio or square past the float
-        # range; the objective is then +inf, which the search already scores
-        # as the worst candidate, so the overflow is expected, not a fault.
-        with np.errstate(over="ignore"):
+            logw = np.square(np.divide(d1, eps1, out=z1), out=z1)
+            logw += np.square(np.divide(d2, eps2, out=z2), out=z2)
+            logw *= -0.5
+            logw.reshape(-1)[own] = -np.inf
+            row_max = logw.max(axis=1)
+            # -inf or NaN when some row has no finite weight; +inf without rows.
+            if not float(row_max.min(initial=np.inf)) > -math.inf:
+                return math.inf
+            logw -= row_max[:, None]
+            shifted = _exp(logw)
+            denom = shifted.sum(axis=1)
+            log_denominator = row_max + np.log(denom) + _log_norm(eps1, eps2)
+            if (log_denominator < _LOG_FLOOR).any():
+                return math.inf
             predictions = np.maximum(shifted @ values / denom, 0.0)
             ratios = 1.0 - predictions / kept_values
             return float((ratios * ratios).sum())

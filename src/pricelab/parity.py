@@ -113,22 +113,31 @@ def _at_the_money(value: float) -> bool:
     return ATM_LO <= value <= ATM_HI
 
 
+def _moneyness(kind: OptionKind, value: float) -> Moneyness:
+    """The bucket of a log-moneyness: calls are in the money below the
+    band and out above it; puts the reverse."""
+    if _at_the_money(value):
+        return Moneyness.ATM
+    if value < ATM_LO:
+        return Moneyness.ITM if kind is OptionKind.CALL else Moneyness.OTM
+    return Moneyness.OTM if kind is OptionKind.CALL else Moneyness.ITM
+
+
+def _forwards(env: MarketEnv, taus: Iterable[float]) -> dict[float, float]:
+    """classify_moneyness's forward at each distinct positive tau."""
+    return {tau: forward_price(env.spot, env.rate, env.div_hist, tau)
+            for tau in set(taus) if tau > 0.0}
+
+
 def classify_moneyness(kind: OptionKind, strike: float, env: MarketEnv, tau: float) -> MoneynessClass:
     """Log-moneyness against the day's forward, bucketed to ITM/ATM/OTM.
 
     The forward uses the environment's rate and historical dividend, so
     classification never depends on the option-implied dividend it is
-    often used to estimate. Calls are in the money below the band and
-    out above it; puts the reverse.
+    often used to estimate.
     """
     value = _log_moneyness(strike, forward_price(env.spot, env.rate, env.div_hist, tau))
-    if _at_the_money(value):
-        label = Moneyness.ATM
-    elif value < ATM_LO:
-        label = Moneyness.ITM if kind is OptionKind.CALL else Moneyness.OTM
-    else:
-        label = Moneyness.OTM if kind is OptionKind.CALL else Moneyness.ITM
-    return MoneynessClass(value, label)
+    return MoneynessClass(value, _moneyness(kind, value))
 
 
 class DividendCurve:
@@ -177,13 +186,10 @@ class DividendCurve:
 def _atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
     """ATM call/put pairs keyed by tau: the contracts quoted in both
     kinds, at their contract mids."""
-    env = chain.env
     mids = chain.contract_mids()
     calls, puts = mids[OptionKind.CALL], mids[OptionKind.PUT]
     paired = calls.keys() & puts.keys()
-    # classify_moneyness's forward, found once per maturity.
-    forwards = {tau: forward_price(env.spot, env.rate, env.div_hist, tau)
-                for tau in {tau for tau, _ in paired} if tau > 0.0}
+    forwards = _forwards(chain.env, (tau for tau, _ in paired))
     pairs: dict[float, list[ParityLeg]] = {}
     for key in paired:
         tau, strike = key
@@ -229,13 +235,15 @@ def itm_parity_records(chain: DailyChain, curve: DividendCurve) -> tuple[list[Pr
     env = chain.env
     mids = chain.contract_mids()
     counterparts = {OptionKind.CALL: mids[OptionKind.PUT], OptionKind.PUT: mids[OptionKind.CALL]}
+    taus = chain.taus.tolist()
+    forwards = _forwards(env, taus)
     records: list[PricingError] = []
     skipped = 0
     for kind, strike, mid, tau in zip(chain.kinds.tolist(), chain.strikes.tolist(),
-                                      chain.mids.tolist(), chain.taus.tolist()):
+                                      chain.mids.tolist(), taus):
         if tau <= 0.0:
             continue
-        if classify_moneyness(kind, strike, env, tau).label is not Moneyness.ITM:
+        if _moneyness(kind, _log_moneyness(strike, forwards[tau])) is not Moneyness.ITM:
             continue
         counterpart = counterparts[kind].get((tau, strike))
         if counterpart is None or mid <= 0.0:

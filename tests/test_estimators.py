@@ -221,6 +221,10 @@ def test_nw_minimal_fits(bs_day):
     # One quote passes the count check but has no dispersion to rule on.
     with pytest.raises(DegenerateDispersion):
         fit(L.NW, CALL, pair[:1], bs_day.env)
+    # One maturity has no tau spread; the error names the label and the coordinate.
+    one_maturity = [q for q in calls if q.ttm_days == 30]
+    with pytest.raises(DegenerateDispersion, match="^NW: tau has zero spread$"):
+        fit(L.NW, CALL, one_maturity, bs_day.env)
 
 
 def test_bs_drops_uninvertible_quotes(bs_day):

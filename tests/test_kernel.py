@@ -871,10 +871,10 @@ def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
 def test_the_bandwidths_the_searches_visit_get_the_oracles_bits(monkeypatch):
     # Every bandwidth pair that NWCV's and BSNWCV's searches score on an
     # untrimmed noisy chain, Nelder-Mead's steps included; and per search
-    # eps2 = 0, a subnormal eps2, an eps1 * eps2 below the smallest
-    # subnormal and the seed shrunk by 10^-1 .. 10^-8, where rows with a
-    # finite largest weight fall below the 1e-300 floor. The exact
-    # objective gives each the independent oracle's bits.
+    # eps1 = 0, eps2 = 0, a subnormal eps1 and eps2, an eps1 * eps2 below
+    # the smallest subnormal and the seed shrunk by 10^-1 .. 10^-8, where
+    # rows with a finite largest weight fall below the 1e-300 floor. The
+    # exact objective gives each the independent oracle's bits.
     searches = []
 
     def recording(points, values):
@@ -897,8 +897,9 @@ def test_the_bandwidths_the_searches_visit_get_the_oracles_bits(monkeypatch):
         objective = _cv_objective(points, values)
         seed = silverman_bandwidths(points)
         shrunk = [(seed.eps1 * 10.0 ** -k, seed.eps2 * 10.0 ** -k) for k in range(1, 9)]
-        for eps1, eps2 in visits + shrunk + [(seed.eps1, 0.0), (seed.eps1, 5e-320),
-                                             (1e-170, 1e-170)]:
+        edges = [(0.0, seed.eps2), (5e-320, seed.eps2), (seed.eps1, 0.0), (seed.eps1, 5e-320),
+                 (1e-170, 1e-170)]
+        for eps1, eps2 in visits + shrunk + edges:
             with np.errstate(all="ignore"):
                 expected = oracle_cv(points, values, eps1, eps2)
             assert objective(eps1, eps2).hex() == expected.hex()
