@@ -224,19 +224,23 @@ def _li(geometry, strikes, taus, values, value_scale):
 
 
 def _nw(select_bandwidths):
+    """The kernel smoother, its bandwidths by select_bandwidths(points,
+    values, meta), which may add its own meta entries."""
     def build(geometry, strikes, taus, values, value_scale):
-        bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values)
+        meta = {"coords": "raw"}
+        bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values, meta)
         model = NwModel(strikes, taus, values, bandwidths)
-        meta = {"coords": "raw", "bandwidths": (bandwidths.eps1, bandwidths.eps2)}
+        meta["bandwidths"] = (bandwidths.eps1, bandwidths.eps2)
         return lambda k, t: nw_estimate(model, k, t), geometry().in_domain, meta
 
     return build
 
 
 _LI = _Smoother(3, False, _li)
-_NW = _Smoother(1, True, _nw(lambda points, values: silverman_bandwidths(points)))
+_NW = _Smoother(1, True, _nw(lambda points, values, meta: silverman_bandwidths(points)))
 # Called through the module global, which tracers and tests may rebind.
-_NWCV = _Smoother(3, True, _nw(lambda points, values: loo_cv_bandwidths(points, values)))
+_NWCV = _Smoother(3, True, _nw(
+    lambda points, values, meta: loo_cv_bandwidths(points, values, meta)))
 
 # Every label but VG, as (target, smoother). LIB also augments its quotes.
 _RECIPES = {
@@ -274,7 +278,7 @@ def _fit_vg(training: TrainingSet, meta: dict) -> PricingEstimator:
     hull_fn = training.geometry(pricable).in_domain
     triples = list(zip(strikes, taus, training.mids[pricable].tolist()))
     dividend = training.curve.value_at(float(np.median(taus)))
-    params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend)
+    params, objective = vg_calibrate(triples, kind, env.spot, env.rate, dividend, meta=meta)
     meta.update(params=(params.theta, params.sigma, params.alpha), objective=objective,
                 dividend=dividend)
     return PricingEstimator(

@@ -27,7 +27,9 @@ and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
 Nelder-Mead in log-bandwidth space. Both are deterministic. The grid
 stage (loo_cv_grid) scores exactly (_cv_objective) only the seed and
-the candidates that a cheap screen (_cv_screen) cannot rule out.
+the candidates that a cheap screen (_cv_screen) cannot rule out. The
+simplex is pricelab's own (simplex.nelder_mead), with scipy's iterates
+bit for bit, and one exact objective serves both stages of a search.
 """
 
 from __future__ import annotations
@@ -36,9 +38,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DegenerateDispersion, NumericalUnderflow
+from .simplex import nelder_mead
 
 _LOG_FLOOR = math.log(1e-300)
 # Relative margin of the grid screen's underflow tests.
@@ -406,6 +408,11 @@ def loo_cv_grid(points, values) -> CvGrid:
     Raises ValueError on the inputs loo_cv_bandwidths rejects.
     """
     points, values = _cv_inputs(points, values)
+    return _cv_grid(points, values, _cv_objective(points, values))
+
+
+def _cv_grid(points: np.ndarray, values: np.ndarray, objective) -> CvGrid:
+    """loo_cv_grid on checked inputs, scored by their exact objective."""
     seed = silverman_bandwidths(points)
     eps1s, eps2s = seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
     scores, bounds, underflow, sure = _cv_screen(points, values, eps1s, eps2s)
@@ -415,7 +422,6 @@ def loo_cv_grid(points, values) -> CvGrid:
         contender = np.where(sure, scores - bounds, np.inf) <= ceiling
     rescore = ~underflow & (contender | ~sure)
     rescore[_CV_SEED, _CV_SEED] = True
-    objective = _cv_objective(points, values)
     best, score = None, math.inf
     for i1, i2 in zip(*np.nonzero(rescore)):
         eps = (float(eps1s[i1]), float(eps2s[i2]))
@@ -429,36 +435,42 @@ def loo_cv_grid(points, values) -> CvGrid:
     return CvGrid(best, score)
 
 
-def loo_cv_bandwidths(points, values) -> Bandwidths:
+def loo_cv_bandwidths(points, values, meta: dict | None = None) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
     is undefined there). The search is loo_cv_grid's grid, then
     Nelder-Mead in log-bandwidth space from its best point; a vertex
-    whose bandwidth would pass the float range scores +inf.
+    whose bandwidth would pass the float range scores +inf. Given a
+    meta dict, it records cv_evaluations, Nelder-Mead's count of exact
+    evaluations (0 when the grid's best scores 0), and cv_converged,
+    False when the simplex stopped at its 400 iterations.
 
     Raises NumericalUnderflow only if every candidate underflows, and
     ValueError when no sample has a nonzero value.
     """
     points, values = _cv_inputs(points, values)
-    grid = loo_cv_grid(points, values)
+    objective = _cv_objective(points, values)
+    grid = _cv_grid(points, values, objective)
     if grid.best is None:
         raise NumericalUnderflow("every bandwidth candidate underflowed")
     if grid.score == 0.0:
+        if meta is not None:
+            meta.update(cv_evaluations=0, cv_converged=True)
         return Bandwidths(*grid.best)
 
-    objective = _cv_objective(points, values)
-
-    def score(u: np.ndarray) -> float:
+    def score(u1: float, u2: float) -> float:
         try:
-            eps1, eps2 = math.exp(u[0]), math.exp(u[1])
+            eps1, eps2 = math.exp(u1), math.exp(u2)
         except OverflowError:  # past log(1.8e308)
             return math.inf
         return objective(eps1, eps2)
 
-    result = minimize(score, x0=np.log(grid.best), method="Nelder-Mead",
-                      options={"xatol": 1e-4, "fatol": 1e-12, "maxiter": 400})
+    # np.log, not math.log: the two can differ in the last bit.
+    result = nelder_mead(score, np.log(grid.best), xatol=1e-4, fatol=1e-12, maxiter=400)
+    if meta is not None:
+        meta.update(cv_evaluations=result.nfev, cv_converged=result.status == 0)
     # Only a finite score shows that result.x maps back to float bandwidths.
-    if np.isfinite(result.fun) and result.fun <= grid.score:
+    if math.isfinite(result.fun) and result.fun <= grid.score:
         return Bandwidths(math.exp(result.x[0]), math.exp(result.x[1]))
     return Bandwidths(*grid.best)

@@ -49,9 +49,10 @@ unchanged. Only two parameters are identified, as in Madan, Carr & Chang
 calibration runs Nelder-Mead over the two coordinates (theta/alpha,
 sigma/sqrt(alpha)) of the alpha = 1 triple, on the sum of squared
 relative pricing errors with an infinite penalty outside the domain, and
-returns the same law at the starting alpha. Distinct pairs can still
-price a sparse quote set almost identically, so treat fitted parameters
-as a pricing device.
+returns the same law at the starting alpha. The simplex is pricelab's
+own (simplex.nelder_mead), with scipy's iterates bit for bit. Distinct
+pairs can still price a sparse quote set almost identically, so treat
+fitted parameters as a pricing device.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import gammaln, ndtr
 
 from .errors import CalibrationFailure, DomainViolation
 from .market_data import OptionKind
+from .simplex import nelder_mead
 
 # Trapezoid grid in x = log(clock). Below -70 the integrand less its limit
 # is O(e^-35) of the legs; the right end is where its exponent falls below
@@ -229,6 +230,7 @@ def vg_calibrate(
     rate: float,
     dividend: float,
     init: tuple[float, float, float] = _DEFAULT_INIT,
+    meta: dict | None = None,
 ) -> tuple[VgParams, float]:
     """Fit (theta, sigma, alpha) to (strike, tau, price) triples.
 
@@ -238,7 +240,8 @@ def vg_calibrate(
     stays inside the domain. The quotes are grouped by tau once, and each
     maturity's strikes are priced in one array. Deterministic given the
     start. Returns the fitted law at the start's alpha, and the attained
-    objective.
+    objective. Given a meta dict, it records the simplex's evaluations
+    and whether it converged, before any CalibrationFailure.
 
     Raises CalibrationFailure if the simplex stalls before reaching the
     1e-10 objective spread within 2000 iterations, and ValueError on an
@@ -260,8 +263,7 @@ def vg_calibrate(
         prices.append(price)
     groups = [(tau, strikes, np.asarray(prices)) for tau, (strikes, prices) in by_tau.items()]
 
-    def objective(x: np.ndarray) -> float:
-        theta, sigma = float(x[0]), float(x[1])
+    def objective(theta: float, sigma: float) -> float:
         if sigma <= 0.0 or theta + 0.5 * sigma * sigma >= 1.0:
             return float("inf")
         params = VgParams(theta, sigma, 1.0)
@@ -274,26 +276,18 @@ def vg_calibrate(
 
     theta0, sigma0, alpha0 = init
     # A quoted price near the float floor can send its relative error past
-    # the float range, and a simplex holding several +inf scores subtracts
-    # inf from inf: the objective is then +inf or the simplex's spread NaN,
-    # which the search already treats as the worst point and as no
-    # convergence, so neither is a fault to warn about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = minimize(
-            objective,
-            x0=np.array([theta0 / alpha0, sigma0 / math.sqrt(alpha0)]),
-            method="Nelder-Mead",
-            options={
-                "maxiter": _CALIBRATION_MAXITER,
-                "maxfev": 2 * _CALIBRATION_MAXITER,
-                "fatol": _CALIBRATION_FATOL,
-                # fatol alone can trip while the simplex is still coarse;
-                # requiring a collapsed simplex keeps refining inside the
-                # basin instead of stopping at the first flat spot.
-                "xatol": 1e-9,
-            },
-        )
-    if not result.success:
+    # the float range: the objective is then +inf, which the search already
+    # treats as the worst point, so the overflow is not a fault to warn about.
+    with np.errstate(over="ignore"):
+        # fatol alone can trip while the simplex is still coarse; requiring
+        # a collapsed simplex (xatol) keeps refining inside the basin instead
+        # of stopping at the first flat spot.
+        result = nelder_mead(objective, (theta0 / alpha0, sigma0 / math.sqrt(alpha0)),
+                             xatol=1e-9, fatol=_CALIBRATION_FATOL,
+                             maxiter=_CALIBRATION_MAXITER, maxfev=2 * _CALIBRATION_MAXITER)
+    if meta is not None:
+        meta.update(evaluations=result.nfev, converged=result.status == 0)
+    if result.status != 0:
         raise CalibrationFailure(f"calibration stalled: {result.message}")
-    theta, sigma = (float(v) for v in result.x)
-    return VgParams(alpha0 * theta, math.sqrt(alpha0) * sigma, alpha0), float(result.fun)
+    theta, sigma = result.x
+    return VgParams(alpha0 * theta, math.sqrt(alpha0) * sigma, alpha0), result.fun

@@ -1,14 +1,40 @@
-"""Shared synthetic fixtures.
+"""Shared synthetic fixtures, and simplex_searches.
 
 Session scope where generation is not free; every fixture is a pure
 function of fixed seeds, so tests never interact through them.
+simplex_searches holds a test's Nelder-Mead searches to scipy's.
 """
 
 import numpy as np
 import pytest
 
+import oracles
+import pricelab.kernel as kernel
+import pricelab.variance_gamma as vg
+from pricelab import simplex
 from pricelab.market_data import OptionKind
 from pricelab.synth import synth_chain
+
+
+@pytest.fixture
+def simplex_searches(monkeypatch):
+    """Every Nelder-Mead search the test runs, LOO-CV's and VG's, as
+    (objective, x0, options, result); at teardown each is run again
+    through scipy (oracles.nelder_mead), which must give its result bit
+    for bit."""
+    searches = []
+
+    def recording(objective, x0, **options):
+        result = simplex.nelder_mead(objective, x0, **options)
+        searches.append((objective, x0, options, result))
+        return result
+
+    monkeypatch.setattr(kernel, "nelder_mead", recording)
+    monkeypatch.setattr(vg, "nelder_mead", recording)
+    yield searches
+    for objective, x0, options, result in searches:
+        expected = oracles.nelder_mead(objective, x0, **options)
+        assert oracles.simplex_bits(result) == oracles.simplex_bits(expected), (x0, options)
 
 
 @pytest.fixture(scope="session")

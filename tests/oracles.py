@@ -20,6 +20,11 @@ brute force: the exact objective (kernel._cv_objective) at each of the
 scores exactly only the candidates the screen cannot rule out, and must
 return the same CvGrid bit for bit.
 
+nelder_mead(objective, x0, ...) is scipy's minimize(method="Nelder-Mead"),
+which the package's searches called before simplex.nelder_mead replaced
+it; it returns the same SimplexResult fields, which must match bit for
+bit.
+
 filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
 are the chain operations as they were defined on OptionQuote records,
 one record at a time, before chains became columns. They return records
@@ -65,7 +70,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import LinearNDInterpolator
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 from scipy.spatial import Delaunay
 from scipy.special import gammaln, logsumexp
 
@@ -90,6 +95,7 @@ from pricelab.harness import DEFAULT_SPOT_TOLERANCE, CrossDateMatch
 from pricelab.parity import (DividendCurve, Moneyness, ParityLeg, classify_moneyness,
                              implied_dividend, parity_price)
 from pricelab.reporting import ErrorStatus, PricingError
+from pricelab.simplex import SimplexResult
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
 
 # The result must carry an error estimate within _REL_TOL of itself (or
@@ -265,6 +271,25 @@ def cv_grid(points, values) -> CvGrid:
     if grid.best is not None and seed_cv == grid.score:
         grid = CvGrid((seed.eps1, seed.eps2), seed_cv)
     return grid
+
+
+def nelder_mead(objective, x0, *, xatol, fatol, maxiter, maxfev=math.inf) -> SimplexResult:
+    """scipy's Nelder-Mead on objective(u, v), called with Python floats.
+    Its simplex subtracts inf from inf when several vertices score +inf,
+    which numpy warns about and the package's search does silently; VG's
+    objective overflows silently only inside vg_calibrate's errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(lambda x: objective(float(x[0]), float(x[1])), x0=x0,
+                          method="Nelder-Mead", options={"xatol": xatol, "fatol": fatol,
+                                                         "maxiter": maxiter, "maxfev": maxfev})
+    return SimplexResult(tuple(float(c) for c in result.x), float(result.fun), result.nfev,
+                         result.nit, result.status, result.message)
+
+
+def simplex_bits(result: SimplexResult) -> tuple:
+    """A search's result with every float by its bits."""
+    x, fun, nfev, nit, status, message = result
+    return tuple(c.hex() for c in x), fun.hex(), nfev, nit, status, message
 
 
 def implied_vol_brentq(

@@ -43,6 +43,10 @@ from pricelab.variance_gamma import (
 
 CALL, PUT = OptionKind.CALL, OptionKind.PUT
 
+# Every Nelder-Mead search a criterion runs, LOO-CV's and VG's, is run
+# again through scipy at teardown and must give its result bit for bit.
+pytestmark = pytest.mark.usefixtures("simplex_searches")
+
 # Criteria 7 and 8 share one synthetic world and one protocol run; the
 # first test to need it pays the cost and the stash serves the other.
 _WORLD: dict = {}
@@ -53,15 +57,15 @@ def cv_grids_match_the_brute_force_grid(monkeypatch):
     """Every LOO-CV grid a criterion searches (criterion 6's selector, and
     NWCV's and BSNWCV's in the protocol runs) must be the brute-force
     grid's, bit for bit."""
-    screened = kernel.loo_cv_grid
+    screened = kernel._cv_grid
 
-    def checked(points, values):
-        grid = screened(points, values)
+    def checked(points, values, objective):
+        grid = screened(points, values, objective)
         expected = cv_grid(points, values)
         assert (grid.best, grid.score.hex()) == (expected.best, expected.score.hex())
         return grid
 
-    monkeypatch.setattr(kernel, "loo_cv_grid", checked)
+    monkeypatch.setattr(kernel, "_cv_grid", checked)
 
 
 @contextlib.contextmanager

@@ -107,6 +107,17 @@ def test_nw_labels_price_outside_hull(bs_day):
         assert lo <= inside.price <= hi
 
 
+def test_each_search_records_how_it_ended_in_the_fit_meta(bs_day, vg_day, simplex_searches):
+    for label in (L.NWCV, L.BSNWCV):
+        est = fit(label, CALL, bs_day.quotes, bs_day.env)
+        *_, result = simplex_searches[-1]
+        assert (est.meta["cv_evaluations"], est.meta["cv_converged"]) == (result.nfev, True)
+    est = fit(L.VG, PUT, vg_day.quotes, vg_day.env)
+    *_, result = simplex_searches[-1]
+    assert (est.meta["evaluations"], est.meta["converged"]) == (result.nfev, True)
+    assert len(simplex_searches) == 3
+
+
 def test_nw_far_query_fails_cleanly(bs_day):
     est = fit(L.NW, CALL, bs_day.quotes, bs_day.env)
     result = predict(est, 1e9, 0.5)

@@ -363,7 +363,8 @@ def test_run_protocol_gives_the_reports_of_a_brute_force_cv_grid(noisy_days, mon
     # reports must be those of scoring every candidate.
     config = ProtocolConfig(labels=NON_VG_LABELS, trim=trim)
     screened = run_protocol(noisy_days, config)
-    monkeypatch.setattr(kernel, "loo_cv_grid", oracles.cv_grid)
+    monkeypatch.setattr(kernel, "_cv_grid",
+                        lambda points, values, objective: oracles.cv_grid(points, values))
     brute = run_protocol(noisy_days, config)
     assert screened.errors == brute.errors
     assert screened.reports.keys() == brute.reports.keys()

@@ -638,7 +638,8 @@ def test_each_vector_gets_the_bandwidths_of_a_brute_force_grid_search(monkeypatc
         for values in (prices, vols):
             screened = loo_cv_bandwidths(points, values)
             with monkeypatch.context() as patch:
-                patch.setattr(kernel, "loo_cv_grid", oracles.cv_grid)
+                patch.setattr(kernel, "_cv_grid",
+                              lambda points, values, objective: oracles.cv_grid(points, values))
                 brute = loo_cv_bandwidths(points, values)
             assert (screened.eps1.hex(), screened.eps2.hex()) == (brute.eps1.hex(), brute.eps2.hex())
 
@@ -866,6 +867,20 @@ def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
         calls.append(0)
         loo_cv_grid(np.column_stack([puts.strikes, puts.taus]), puts.mids)
     assert all(1 <= count <= 20 for count in calls), calls
+
+
+def test_a_search_builds_one_exact_objective_for_its_grid_and_its_simplex(monkeypatch):
+    built = []
+
+    def counting(points, values):
+        built.append(len(values))
+        return _cv_objective(points, values)
+
+    monkeypatch.setattr(kernel, "_cv_objective", counting)
+    puts = synth_chain("bs", noise=0.005)[0].of_kind(OptionKind.PUT)
+    puts = puts.select(puts.taus > 0.0)
+    loo_cv_bandwidths(np.column_stack([puts.strikes, puts.taus]), puts.mids)
+    assert built == [len(puts.mids)]
 
 
 def test_the_bandwidths_the_searches_visit_get_the_oracles_bits(monkeypatch):

@@ -176,7 +176,7 @@ def counts(monkeypatch):
     monkeypatch.setattr(black_scholes, "implied_vols",
                         counting("inversions", black_scholes.implied_vols))
     monkeypatch.setattr(surface, "_triangulate", counting("triangulations", surface._triangulate))
-    monkeypatch.setattr(kernel, "loo_cv_grid", counting("cv_grids", kernel.loo_cv_grid))
+    monkeypatch.setattr(kernel, "_cv_grid", counting("cv_grids", kernel._cv_grid))
     return tally
 
 

@@ -318,9 +318,9 @@ def test_calibration_failure_when_every_start_stalls(monkeypatch):
     import pricelab.variance_gamma as vg
 
     def stalled(*args, **kwargs):
-        return SimpleNamespace(success=False, message="out of budget")
+        return SimpleNamespace(status=2, message="out of budget")
 
-    monkeypatch.setattr(vg, "minimize", stalled)
+    monkeypatch.setattr(vg, "nelder_mead", stalled)
     with pytest.raises(CalibrationFailure, match="out of budget"):
         vg_calibrate([(100.0, 0.5, 5.0)], CALL, 100.0, 0.02, 0.01)
 
