@@ -5,7 +5,7 @@ nodes, one needs a near-expiry extension of the domain, and one lies
 outside the training hull altogether.
 """
 
-from pricelab.estimators import EstimatorLabel, fit, predict
+from pricelab.estimators import EstimatorLabel, TrainingSet, predict
 from pricelab.market_data import OptionKind
 from pricelab.parity import estimate_dividend_curve
 from pricelab.synth import synth_chain
@@ -23,8 +23,8 @@ def describe(prediction):
 def main():
     day = synth_chain("bs", dividend=0.013)[0]
     curve = estimate_dividend_curve(day)
-    puts = day.of_kind(PUT)
-    print(f"training on {len(puts)} puts from one synthetic day (flat vol 0.2)")
+    puts = TrainingSet(PUT, day, curve)
+    print(f"training on {len(puts.chain)} puts from one synthetic day (flat vol 0.2)")
 
     queries = [
         ("between grid nodes", 102.5, 0.4986301369863014),
@@ -33,12 +33,10 @@ def main():
     ]
 
     # VG calibration wants a day the model can actually explain; see the
-    # vg_pricing demo for that. Everything else fits in milliseconds.
+    # vg_pricing demo for that. Everything else fits in milliseconds, and
+    # the labels fitted on one TrainingSet share its vols and geometries.
     labels = [label for label in EstimatorLabel if label is not EstimatorLabel.VG]
-    estimators = {
-        label: fit(label, PUT, puts.quotes, day.env, curve=curve)
-        for label in labels
-    }
+    estimators = {label: puts.fit(label) for label in labels}
     width = max(len(name) for name, _, _ in queries)
     header = " ".join(f"{label.value:>22}" for label in estimators)
     print(f"\n{'query':<{width}} {header}")

@@ -55,7 +55,8 @@ def main():
     day = synth_chain("vg", theta=0.0, sigma=0.3, alpha=3.0,
                       strikes=list(np.linspace(90.0, 120.0, 10)),
                       maturities_days=(91, 182, 273, 365))[0]
-    quotes = [(q.strike, q.tau, q.mid) for q in day.quotes if q.kind is PUT]
+    puts = day.of_kind(PUT)
+    quotes = list(zip(puts.strikes.tolist(), puts.taus.tolist(), puts.mids.tolist()))
     start = time.perf_counter()
     fitted, objective = vg_calibrate(quotes, PUT, day.env.spot, day.env.rate,
                                      day.env.div_hist, init=(0.0, 0.3, 2.0))

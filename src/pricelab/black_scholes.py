@@ -194,22 +194,18 @@ def _brentq_lanes(
     xblk, fblk, spre, scur = np.zeros(n), np.zeros(n), np.zeros(n), np.zeros(n)
     for _ in range(_BRENT_MAXITER):
         # A sign change makes the previous iterate the contrapoint.
-        # Each update is skipped when no lane takes it: a call on a
-        # handful of lanes costs numpy's dispatch, not arithmetic.
         flip = np.signbit(fpre) != np.signbit(fcur)
-        if np.count_nonzero(flip):
-            np.copyto(xblk, xpre, where=flip)
-            np.copyto(fblk, fpre, where=flip)
-            np.copyto(spre, xcur - xpre, where=flip)
-            np.copyto(scur, spre, where=flip)
+        np.copyto(xblk, xpre, where=flip)
+        np.copyto(fblk, fpre, where=flip)
+        np.copyto(spre, xcur - xpre, where=flip)
+        np.copyto(scur, spre, where=flip)
         # The contrapoint becomes xcur where its residual is smaller.
         swap = abs(fblk) < abs(fcur)
-        if np.count_nonzero(swap):
-            xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
-            np.copyto(xcur, xblk, where=swap)
-            np.copyto(fcur, fblk, where=swap)
-            np.copyto(xblk, xpre, where=swap)
-            np.copyto(fblk, fpre, where=swap)
+        xpre, fpre = np.where(swap, xcur, xpre), np.where(swap, fcur, fpre)
+        np.copyto(xcur, xblk, where=swap)
+        np.copyto(fcur, fblk, where=swap)
+        np.copyto(xblk, xpre, where=swap)
+        np.copyto(fblk, fpre, where=swap)
 
         # (xtol + rtol |xcur|) / 2, halved term by term: the same bits.
         delta = _BRENT_XTOL / 2.0 + _BRENT_RTOL / 2.0 * abs(xcur)

@@ -14,22 +14,25 @@ bandwidths as a column and its normalization, so that a query costs a
 dozen numpy calls: one pass each subtracts, scales and squares both
 coordinates, and one exponential pass also gives the log of the sum.
 
-Far from the data most log-weights lie below -700, where np.exp is slow:
-a result that underflows to zero costs several times a normal one, and a
-subnormal result about a hundred times. _exp therefore returns np.exp at
-once when every argument is above -700, and otherwise exponentiates
-arguments clamped at -700, zeroes those at or below it, and sends only
-the few in (-746, -700], whose results may be subnormal, through np.exp
-one gathered array at a time. Every weight is bit-identical to np.exp.
-
 Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
 searched on a log grid around the Silverman seed and refined with
 Nelder-Mead in log-bandwidth space. Both are deterministic. The grid
-stage (loo_cv_grid) scores exactly (_cv_objective) only the seed and
-the candidates that a cheap screen (_cv_screen) cannot rule out. The
+stage (_cv_grid) scores exactly (_cv_objective) only the seed and the
+candidates that a cheap screen (_cv_screen) cannot rule out. The
 simplex is pricelab's own (simplex.nelder_mead), with scipy's iterates
 bit for bit, and one exact objective serves both stages of a search.
+
+Far from the data most log-weights lie below -700, where np.exp is slow:
+a result that underflows to zero costs several times a normal one, and a
+subnormal result about a hundred times. On the CV objective's (kept row,
+sample) tables that cost dominates, so the objective exponentiates
+through _exp: np.exp at once when every argument is above -700, and
+otherwise arguments clamped at -700, zeroed at or below it, with only
+the few in (-746, -700], whose results may be subnormal, sent through
+np.exp as one gathered array. Every weight is bit-identical to np.exp.
+A query's few hundred weights go to np.exp directly, which costs less
+there than _exp's mask, gather and scatter.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     logw *= -0.5
     top = float(logw.max())
     if math.isfinite(top):
-        shifted = _exp(np.subtract(logw, top, out=logw))
+        shifted = np.exp(np.subtract(logw, top, out=logw), out=logw)
         total = shifted.sum()
         # True weight sum includes the Gaussian normalization the estimate cancels.
         if top + math.log(total) + model._log_norm >= _LOG_FLOOR:
@@ -263,25 +266,17 @@ def _cv_inputs(points, values) -> tuple[np.ndarray, np.ndarray]:
     return points, values
 
 
-@dataclass(frozen=True)
-class CvGrid:
-    """The grid stage of one LOO-CV bandwidth search: the best candidate
-    (eps1, eps2), None when every candidate underflowed, and its score."""
+def _cv_screen(points: np.ndarray, values: np.ndarray, eps1s: np.ndarray,
+               eps2s: np.ndarray) -> np.ndarray:
+    """The candidates of the grid eps1s x eps2s that the exact objective
+    must score, as an (eps1, eps2) mask.
 
-    best: tuple[float, float] | None
-    score: float
-
-
-def _cv_screen(points: np.ndarray, values: np.ndarray, eps1s: np.ndarray, eps2s: np.ndarray):
-    """The LOO-CV scores of every candidate of the grid eps1s x eps2s,
-    computed cheaply, each with a bound on its distance from the exact
-    objective's score.
-
-    Returns (scores, bounds, underflow, sure), each an (eps1, eps2)
-    table. underflow marks the candidates at which the exact objective
-    certainly returns +inf, sure those at which its score certainly lies
-    within bounds of scores. A candidate that is neither needs the exact
-    objective.
+    Each candidate's LOO-CV score is computed cheaply, with a bound on
+    its distance from the exact objective's score. Where that bound
+    certainly holds, the candidate is sure. A candidate is ruled out
+    where the exact objective certainly returns +inf, or where it is sure
+    and its score certainly lies above one that some sure candidate
+    certainly reaches. The exact objective must score the rest.
 
     A weight is a strike factor times a tau factor. Per eps1, one pass
     over the (sample, kept row) table exponentiates the strike terms, each
@@ -393,34 +388,27 @@ def _cv_screen(points: np.ndarray, values: np.ndarray, eps1s: np.ndarray, eps2s:
                                        + _SCREEN_TOL * (errors * errors).sum() + scores[i])
             sure[i] = ((log_denominator >= _LOG_FLOOR + pad) & np.isfinite(log_norm[i])
                        & ~underflow[i] & np.isfinite(scores[i]) & np.isfinite(bounds[i]))
-    return scores, bounds, underflow, sure
-
-
-def loo_cv_grid(points, values) -> CvGrid:
-    """The grid stage of loo_cv_bandwidths: the 15x15 log grid spanning
-    six decades around the Silverman seed, exact ties resolved to the
-    seed.
-
-    The screen (_cv_screen) rules out the candidates that certainly score
-    +inf or more than another; the exact objective scores the rest and
-    the seed in grid order, as a brute-force grid would.
-
-    Raises ValueError on the inputs loo_cv_bandwidths rejects.
-    """
-    points, values = _cv_inputs(points, values)
-    return _cv_grid(points, values, _cv_objective(points, values))
-
-
-def _cv_grid(points: np.ndarray, values: np.ndarray, objective) -> CvGrid:
-    """loo_cv_grid on checked inputs, scored by their exact objective."""
-    seed = silverman_bandwidths(points)
-    eps1s, eps2s = seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
-    scores, bounds, underflow, sure = _cv_screen(points, values, eps1s, eps2s)
     with np.errstate(invalid="ignore"):
         # A score that some sure candidate certainly reaches.
         ceiling = np.where(sure, scores + bounds, np.inf).min()
         contender = np.where(sure, scores - bounds, np.inf) <= ceiling
-    rescore = ~underflow & (contender | ~sure)
+    return ~underflow & (contender | ~sure)
+
+
+def _cv_grid(points: np.ndarray, values: np.ndarray,
+             objective) -> tuple[tuple[float, float] | None, float]:
+    """The grid stage of loo_cv_bandwidths on checked inputs: the 15x15
+    log grid spanning six decades around the Silverman seed, exact ties
+    resolved to the seed. Returns the best candidate (eps1, eps2), None
+    when every candidate underflows, and its score.
+
+    The exact objective scores the seed and the candidates that the
+    screen (_cv_screen) cannot rule out, in grid order, as a brute-force
+    grid would.
+    """
+    seed = silverman_bandwidths(points)
+    eps1s, eps2s = seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
+    rescore = _cv_screen(points, values, eps1s, eps2s)
     rescore[_CV_SEED, _CV_SEED] = True
     best, score = None, math.inf
     for i1, i2 in zip(*np.nonzero(rescore)):
@@ -432,14 +420,14 @@ def _cv_grid(points: np.ndarray, values: np.ndarray, objective) -> CvGrid:
             best, score = eps, cv
     if best is not None and seed_cv == score:
         best = (seed.eps1, seed.eps2)
-    return CvGrid(best, score)
+    return best, score
 
 
 def loo_cv_bandwidths(points, values, meta: dict | None = None) -> Bandwidths:
     """Bandwidths minimizing the leave-one-out squared relative error.
 
     Zero-valued samples are excluded from the CV sum (the relative error
-    is undefined there). The search is loo_cv_grid's grid, then
+    is undefined there). The search is _cv_grid's grid, then
     Nelder-Mead in log-bandwidth space from its best point; a vertex
     whose bandwidth would pass the float range scores +inf. Given a
     meta dict, it records cv_evaluations, Nelder-Mead's count of exact
@@ -451,13 +439,13 @@ def loo_cv_bandwidths(points, values, meta: dict | None = None) -> Bandwidths:
     """
     points, values = _cv_inputs(points, values)
     objective = _cv_objective(points, values)
-    grid = _cv_grid(points, values, objective)
-    if grid.best is None:
+    best, best_score = _cv_grid(points, values, objective)
+    if best is None:
         raise NumericalUnderflow("every bandwidth candidate underflowed")
-    if grid.score == 0.0:
+    if best_score == 0.0:
         if meta is not None:
             meta.update(cv_evaluations=0, cv_converged=True)
-        return Bandwidths(*grid.best)
+        return Bandwidths(*best)
 
     def score(u1: float, u2: float) -> float:
         try:
@@ -467,10 +455,10 @@ def loo_cv_bandwidths(points, values, meta: dict | None = None) -> Bandwidths:
         return objective(eps1, eps2)
 
     # np.log, not math.log: the two can differ in the last bit.
-    result = nelder_mead(score, np.log(grid.best), xatol=1e-4, fatol=1e-12, maxiter=400)
+    result = nelder_mead(score, np.log(best), xatol=1e-4, fatol=1e-12, maxiter=400)
     if meta is not None:
         meta.update(cv_evaluations=result.nfev, cv_converged=result.status == 0)
     # Only a finite score shows that result.x maps back to float bandwidths.
-    if math.isfinite(result.fun) and result.fun <= grid.score:
+    if math.isfinite(result.fun) and result.fun <= best_score:
         return Bandwidths(math.exp(result.x[0]), math.exp(result.x[1]))
-    return Bandwidths(*grid.best)
+    return Bandwidths(*best)

@@ -20,10 +20,8 @@ it: where a day quotes a contract more than once, its last quote counts.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -156,27 +154,9 @@ class DividendCurve:
             raise ValueError("knot maturities must be strictly increasing")
         self.taus = taus
         self.yields = yields
-        self._knots = taus.tolist(), yields.tolist()
 
     def value_at(self, tau: float) -> float:
-        """np.interp(tau, taus, yields), bit for bit, by bisection on
-        Python floats: without numpy's call overhead."""
-        taus, yields = self._knots
-        if tau != tau and len(taus) > 1:  # NaN; one knot gives its yield
-            return float(tau)
-        j = bisect.bisect_right(taus, tau)
-        if j == 0:
-            return yields[0]
-        if j == len(taus) or taus[j - 1] == tau:
-            return yields[j - 1]
-        x0, x1, y0, y1 = taus[j - 1], taus[j], yields[j - 1], yields[j]
-        slope = (y1 - y0) / (x1 - x0)
-        value = slope * (tau - x0) + y0
-        if math.isnan(value):  # np.interp retries from the right knot
-            value = slope * (tau - x1) + y1
-            if math.isnan(value) and y0 == y1:
-                value = y0
-        return float(value)
+        return float(np.interp(tau, self.taus, self.yields))
 
     def __repr__(self) -> str:
         knots = ", ".join(f"{t:g}: {q:g}" for t, q in zip(self.taus, self.yields))
@@ -212,12 +192,7 @@ def estimate_dividend_curve(chain: DailyChain) -> DividendCurve:
             except ValueError:
                 continue
         if estimates:
-            # np.median's bits at a fraction of its cost on one to four
-            # floats. np.median sums from +0.0, so a -0.0 median (an argument
-            # of exactly 1) comes out +0.0; and it answers NaN where
-            # statistics.median would sort a NaN anywhere.
-            nan = any(map(math.isnan, estimates))
-            knots.append((tau, math.nan if nan else 0.0 + statistics.median(estimates)))
+            knots.append((tau, float(np.median(estimates))))
     if not knots:
         raise NoAtmPairs(f"no at-the-money call/put pairs on {chain.env.date}")
     return DividendCurve([t for t, _ in knots], [q for _, q in knots])

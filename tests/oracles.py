@@ -16,9 +16,9 @@ an oracle: it evaluates the package's own kernel._cv_objective at given
 bandwidths, so tests can compare the bandwidths two selectors chose.
 cv_grid(points, values) is the grid stage of the bandwidth search by
 brute force: the exact objective (kernel._cv_objective) at each of the
-225 candidates in grid order. kernel.loo_cv_grid screens the grid and
+225 candidates in grid order. kernel._cv_grid screens the grid and
 scores exactly only the candidates the screen cannot rule out, and must
-return the same CvGrid bit for bit.
+return the same (best, score) bit for bit.
 
 nelder_mead(objective, x0, ...) is scipy's minimize(method="Nelder-Mead"),
 which the package's searches called before simplex.nelder_mead replaced
@@ -30,7 +30,7 @@ are the chain operations as they were defined on OptionQuote records,
 one record at a time, before chains became columns. They return records
 (the filters), a mask, (vols, NaN count) and {tau: ParityLeg list}; the
 column forms must give the same records and the same bits.
-dividend_knots is estimate_dividend_curve's former median, np.median
+dividend_knots is estimate_dividend_curve on the records: np.median
 over each maturity's estimates from atm_pairs; the curve's knots must
 have its bits.
 
@@ -87,8 +87,8 @@ from pricelab.black_scholes import (
 )
 from pricelab.errors import (ChainParseError, DegenerateGeometry, NoArbitrageViolation,
                              NoConvergence, NumericalUnderflow)
-from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, CvGrid, NwModel,
-                             _cv_inputs, silverman_bandwidths)
+from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, NwModel, _cv_inputs,
+                             silverman_bandwidths)
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
 from pricelab.harness import DEFAULT_SPOT_TOLERANCE, CrossDateMatch
@@ -250,27 +250,28 @@ def cv_objective_at(points, values, bandwidths: Bandwidths) -> float:
     return _package_cv_objective(points, values)(bandwidths.eps1, bandwidths.eps2)
 
 
-def cv_grid(points, values) -> CvGrid:
+def cv_grid(points, values) -> tuple[tuple[float, float] | None, float]:
     """The LOO-CV grid stage by brute force: every one of the 15x15
     candidates scored by the package's exact objective, in grid order,
     the first strictly smallest score kept, exact ties resolved to the
-    seed."""
+    seed. Returns (best, score), best None when every candidate
+    underflows."""
     points, values = _cv_inputs(points, values)
     seed = silverman_bandwidths(points)
     factors = np.logspace(-_CV_GRID_DECADES, _CV_GRID_DECADES, _CV_GRID_SIZE)
     objective = _package_cv_objective(points, values)
-    grid, seed_cv = CvGrid(None, float("inf")), None
+    best, score, seed_cv = None, float("inf"), None
     for f1 in factors:
         for f2 in factors:
             eps = (seed.eps1 * f1, seed.eps2 * f2)
             cv = objective(*eps)
             if f1 == 1.0 and f2 == 1.0:
                 seed_cv = cv
-            if cv < grid.score:
-                grid = CvGrid(eps, cv)
-    if grid.best is not None and seed_cv == grid.score:
-        grid = CvGrid((seed.eps1, seed.eps2), seed_cv)
-    return grid
+            if cv < score:
+                best, score = eps, cv
+    if best is not None and seed_cv == score:
+        best = (seed.eps1, seed.eps2)
+    return best, score
 
 
 def nelder_mead(objective, x0, *, xatol, fatol, maxiter, maxfev=math.inf) -> SimplexResult:
@@ -399,8 +400,8 @@ def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
 
 def dividend_knots(chain: DailyChain) -> list[tuple[float, float]]:
     """The dividend curve's (tau, yield) knots as estimate_dividend_curve
-    found them before it took statistics.median: np.median of each
-    maturity's implied dividends, over atm_pairs above."""
+    finds them: np.median of each maturity's implied dividends, over
+    atm_pairs above."""
     knots = []
     for tau, legs in sorted(atm_pairs(chain).items()):
         estimates = []

@@ -62,7 +62,7 @@ def cv_grids_match_the_brute_force_grid(monkeypatch):
     def checked(points, values, objective):
         grid = screened(points, values, objective)
         expected = cv_grid(points, values)
-        assert (grid.best, grid.score.hex()) == (expected.best, expected.score.hex())
+        assert (grid[0], grid[1].hex()) == (expected[0], expected[1].hex())
         return grid
 
     monkeypatch.setattr(kernel, "_cv_grid", checked)

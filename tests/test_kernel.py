@@ -23,7 +23,6 @@ from pricelab.kernel import (
     _cv_objective,
     _exp,
     loo_cv_bandwidths,
-    loo_cv_grid,
     nw_estimate,
     silverman_bandwidths,
 )
@@ -654,35 +653,43 @@ def test_a_search_whose_simplex_passes_the_float_range_keeps_finite_bandwidths(o
         for values in (prices, vols):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                grid = loo_cv_grid(points, values)
+                _, score = cv_grid(points, values)
                 chosen = loo_cv_bandwidths(points, values)
                 assert math.isfinite(chosen.eps1) and math.isfinite(chosen.eps2)
-                assert _cv_objective(points, values)(chosen.eps1, chosen.eps2) <= grid.score
+                assert _cv_objective(points, values)(chosen.eps1, chosen.eps2) <= score
+
+
+def cv_grid(points, values):
+    """The search's grid stage, kernel._cv_grid, on the inputs that
+    loo_cv_bandwidths checks, scored by their exact objective: (best,
+    score)."""
+    points, values = kernel._cv_inputs(points, values)
+    return kernel._cv_grid(points, values, kernel._cv_objective(points, values))
 
 
 def grid_bits(grid):
-    return (None if grid.best is None else tuple(float(eps).hex() for eps in grid.best),
-            grid.score.hex())
+    best, score = grid
+    return None if best is None else tuple(float(eps).hex() for eps in best), score.hex()
 
 
 def assert_grids_match_the_oracle(points, vectors):
-    """loo_cv_grid against the brute-force grid, one vector at a time: the
-    same CvGrid bit for bit, or the same exception. Returns the grids,
-    None where both raised."""
+    """The screened grid against the brute-force grid, one vector at a
+    time: the same (best, score) bit for bit, or the same exception.
+    Returns the grids, None where both raised."""
     grids = []
     for values in vectors:
         try:
             expected = oracles.cv_grid(points, values)
         except (DegenerateDispersion, ValueError) as error:
             with pytest.raises(type(error)):
-                loo_cv_grid(points, values)
+                cv_grid(points, values)
             grids.append(None)
             continue
-        got = loo_cv_grid(points, values)
+        got = cv_grid(points, values)
         assert got == expected
         assert grid_bits(got) == grid_bits(expected)
         # Python floats, so that Bandwidths built from them hold no numpy scalar.
-        assert all(type(eps) is float for eps in got.best or ())
+        assert all(type(eps) is float for eps in got[0] or ())
         grids.append(got)
     return grids
 
@@ -752,18 +759,18 @@ def test_cv_grids_match_the_brute_force_grid_where_every_candidate_underflows():
     far = points.copy()
     far[np.flatnonzero(prices)[0], 0] = 1e7
     grids = assert_grids_match_the_oracle(far, [prices, vols])
-    assert [grid.best for grid in grids] == [None, None]
+    assert [best for best, _ in grids] == [None, None]
     # A tiny value's ratio overflows at every candidate: its vector finds no
     # best, while the other vector is scored as usual.
     tiny = prices.copy()
     tiny[np.flatnonzero(tiny)[0]] = 1e-300
     grids = assert_grids_match_the_oracle(points, [tiny, vols])
-    assert grids[0].best is None and grids[1].best is not None
+    assert grids[0][0] is None and grids[1][0] is not None
     # Scaled down by 1e-160, the smallest candidates' eps1 * eps2 is 0.0;
     # their Gaussian normalization is then summed from logs, and each
     # underflows or is scored like any other.
     grids = assert_grids_match_the_oracle(points * 1e-160, [prices, vols])
-    assert all(grid.best is not None for grid in grids)
+    assert all(best is not None for best, _ in grids)
 
 
 @pytest.mark.parametrize("scale", [(1e151, 1e152), (1e-160, 1e-160)])
@@ -793,9 +800,9 @@ def test_a_gaussian_normalization_outside_the_float_range_is_summed_from_logs(sc
     if scale[0] > 1.0:
         # 1 / (2 pi eps1 eps2) < 1e-300 bounds the weight sums below the
         # floor at every candidate.
-        assert [grid.best for grid in grids] == [None, None]
+        assert [best for best, _ in grids] == [None, None]
     else:
-        assert all(grid.best is not None for grid in grids)
+        assert all(best is not None for best, _ in grids)
 
 
 def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
@@ -822,7 +829,7 @@ def test_cv_grids_match_the_brute_force_grid_near_the_underflow_floor():
             return seed.eps1 * _CV_FACTORS, seed.eps2 * _CV_FACTORS
 
         start = 5.0
-        best = oracles.cv_grid(moved(start), prices).best
+        best, _ = oracles.cv_grid(moved(start), prices)
         eps1s, eps2s = cell(start)
         i1, i2 = int(np.flatnonzero(eps1s == best[0])[0]), int(np.flatnonzero(eps2s == best[1])[0])
 
@@ -865,7 +872,7 @@ def test_the_grid_scores_a_few_candidates_exactly(monkeypatch):
     for chain in synth_chain("bs", n_days=2):
         puts = chain.select((chain.kinds == OptionKind.PUT) & (chain.taus > 0.0))
         calls.append(0)
-        loo_cv_grid(np.column_stack([puts.strikes, puts.taus]), puts.mids)
+        cv_grid(np.column_stack([puts.strikes, puts.taus]), puts.mids)
     assert all(1 <= count <= 20 for count in calls), calls
 
 
