@@ -230,19 +230,16 @@ def _brentq_lanes(
         # with both differences negated, which changes no bits).
         abs_spre = abs(spre)
         interpolate = (abs_spre > delta) & (abs(fcur) < abs(fpre))
-        if np.count_nonzero(interpolate):
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                to_pre = xpre - xcur
-                f_to_pre = fpre - fcur
-                dpre = f_to_pre / to_pre
-                dblk = (fblk - fcur) / to_blk
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                secant = -fcur * to_pre / f_to_pre
-            np.copyto(stry, secant, where=xpre == xblk)
-            good = interpolate & (2.0 * abs(stry) < np.minimum(abs_spre, 3.0 * abs_sbis - delta))
-            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-        else:
-            spre, scur = sbis, sbis.copy()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            to_pre = xpre - xcur
+            f_to_pre = fpre - fcur
+            dpre = f_to_pre / to_pre
+            dblk = (fblk - fcur) / to_blk
+            stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            secant = -fcur * to_pre / f_to_pre
+        np.copyto(stry, secant, where=xpre == xblk)
+        good = interpolate & (2.0 * abs(stry) < np.minimum(abs_spre, 3.0 * abs_sbis - delta))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
 
         xpre, fpre = xcur, fcur
         # sbis is nonzero on an active lane, so copysign is zeros.c's

@@ -31,7 +31,7 @@ from pathlib import Path
 from . import market_data, reporting, synth
 from .errors import NoAtmPairs, PricelabError
 from .estimators import EstimatorLabel, PricingEstimator, TrainingSet, predict, prediction_status
-from .harness import DEFAULT_MASTER_SEED, apply_config, prepare_day, read_config, run_protocol
+from .harness import DEFAULT_MASTER_SEED, apply_config, cast_text, prepare_day, read_config, run_protocol
 from .market_data import load_chains, save_chains
 from .parity import estimate_dividend_curve, itm_parity_audit
 from .variance_gamma import vg_eta
@@ -43,17 +43,9 @@ def _master_seed(args: argparse.Namespace) -> str | None:
     """PRICELAB_SEED when set, else --seed, as text: None when neither is."""
     env = os.environ.get(_ENV_SEED)
     if env is not None:
-        _cast(_ENV_SEED, int, env)
+        cast_text(_ENV_SEED, int, env)
         return env
     return args.seed
-
-
-def _cast(name: str, cast, text: str):
-    """cast(text), or a ValueError naming the flag or variable and its text."""
-    try:
-        return cast(text)
-    except ValueError as exc:
-        raise ValueError(f"bad {name} {text!r}: {exc}") from None
 
 
 def _load_input(path: str) -> list[market_data.DailyChain]:
@@ -66,7 +58,7 @@ def _single_day(chains, date_text: str | None):
     if not chains:
         raise ValueError("the input holds no quotes")
     if date_text:
-        wanted = _cast("--date", dt.date.fromisoformat, date_text)
+        wanted = cast_text("--date", dt.date.fromisoformat, date_text)
         for chain in chains:
             if chain.env.date == wanted:
                 return chain
@@ -102,11 +94,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         sigma=args.sigma,
         theta=args.theta,
         alpha=args.alpha,
-        maturities_days=_cast("--maturities", lambda t: tuple(map(int, t.split(","))), args.maturities),
-        start_date=_cast("--start-date", dt.date.fromisoformat, args.start_date),
+        maturities_days=cast_text("--maturities", lambda t: tuple(map(int, t.split(","))), args.maturities),
+        start_date=cast_text("--start-date", dt.date.fromisoformat, args.start_date),
         n_days=args.days,
         noise=args.noise,
-        seed=DEFAULT_MASTER_SEED if seed is None else _cast("--seed", int, seed),
+        seed=DEFAULT_MASTER_SEED if seed is None else cast_text("--seed", int, seed),
     )
     out = _out_dir(args) / "chains.csv"
     save_chains(chains, out)

@@ -65,6 +65,7 @@ __all__ = [
     "cross_date_report",
     "read_config",
     "apply_config",
+    "cast_text",
 ]
 
 
@@ -378,8 +379,14 @@ def apply_config(settings: dict[str, str], base: ProtocolConfig = ProtocolConfig
     for key, text in settings.items():
         if key not in _CASTS:
             raise ValueError(f"unknown config key {key!r}")
-        try:
-            updates[key] = _CASTS[key](text)
-        except ValueError as exc:
-            raise ValueError(f"bad {key} {text!r}: {exc}") from None
+        updates[key] = cast_text(key, _CASTS[key], text)
     return dataclasses.replace(base, **updates)
+
+
+def cast_text(name: str, cast, text: str):
+    """cast(text), or a ValueError naming the key, flag or variable and
+    its text."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise ValueError(f"bad {name} {text!r}: {exc}") from None

@@ -27,12 +27,11 @@ Far from the data most log-weights lie below -700, where np.exp is slow:
 a result that underflows to zero costs several times a normal one, and a
 subnormal result about a hundred times. On the CV objective's (kept row,
 sample) tables that cost dominates, so the objective exponentiates
-through _exp: np.exp at once when every argument is above -700, and
-otherwise arguments clamped at -700, zeroed at or below it, with only
-the few in (-746, -700], whose results may be subnormal, sent through
-np.exp as one gathered array. Every weight is bit-identical to np.exp.
-A query's few hundred weights go to np.exp directly, which costs less
-there than _exp's mask, gather and scatter.
+through _exp: arguments clamped at -700, zeroed at or below it, with
+only the few in (-746, -700], whose results may be subnormal, sent
+through np.exp as one gathered array. Every weight is bit-identical to
+np.exp. A query's few hundred weights go to np.exp directly, which costs
+less there than _exp's mask, gather and scatter.
 """
 
 from __future__ import annotations
@@ -129,8 +128,6 @@ def _exp(x: np.ndarray) -> np.ndarray:
     """np.exp(x), bit for bit, for a C-contiguous array of log-weights
     x <= 0 (never NaN), computed in place: x is overwritten and returned."""
     live = x > _EXP_NORMAL
-    if live.all():
-        return np.exp(x, out=x)
     flat = x.reshape(-1)
     band = np.flatnonzero(live != (x > _EXP_ZERO))
     band_values = np.exp(flat[band])

@@ -147,7 +147,8 @@ def write_report_csv(report: ErrorReport, path: str | Path) -> None:
 
 
 def read_report_csv(path: str | Path) -> ErrorReport:
-    """Inverse of write_report_csv.
+    """Inverse of write_report_csv. A leading byte-order mark and rows
+    whose every field is blank are skipped.
 
     Raises ValueError naming the file and line of a row that is not a
     two-field stat or cdf row, and of a file that ends before giving the
@@ -158,10 +159,10 @@ def read_report_csv(path: str | Path) -> ErrorReport:
     cdf: dict[float, float] = {}
     extra: dict[str, float] = {}
     in_cdf = False
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
-            if not row:
+            if not "".join(row).strip():
                 continue
             try:
                 if len(row) != 2:

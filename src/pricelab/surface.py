@@ -23,7 +23,8 @@ piecewise-linear interpolation along the line's parameter.
 
 There is one path from points to values. NormalizedGeometry merges
 coincident points and triangulates them (or spans their segment) once,
-without values: its in_domain is the hull test every estimator uses.
+without values: its in_domain is the hull test every estimator uses,
+written once (NormalizedSurface.in_domain) and shared by both classes.
 Its surface() attaches values at the same points and gives a
 NormalizedSurface, so all the labels fitted on one set of points share
 one triangulation. normalized_li_values builds a geometry for a single
@@ -332,8 +333,7 @@ class NormalizedGeometry:
         except DegenerateGeometry:
             self._shape = _Line(merged)
 
-    def in_domain(self, strike: float, tau: float) -> bool:
-        return self._shape.find(strike / self.spot, tau) is not None
+    in_domain = NormalizedSurface.in_domain
 
     def surface(self, values, value_scale: float) -> NormalizedSurface:
         """The interpolant of values (one per point, in the order the points

@@ -32,16 +32,6 @@ DEFAULT_MATURITIES_DAYS = (30, 91, 182, 365)
 DEFAULT_VOLUME = 1000
 
 
-def _weekdays(start: dt.date, count: int) -> list[dt.date]:
-    days = []
-    current = start
-    while len(days) < count:
-        if current.weekday() < 5:
-            days.append(current)
-        current += dt.timedelta(days=1)
-    return days
-
-
 def synth_chain(
     model: str,
     *,
@@ -85,7 +75,7 @@ def synth_chain(
     vg_params = VgParams(theta, sigma, alpha) if model == "VG" else None
 
     chains = []
-    for date in _weekdays(start_date, n_days):
+    for date in np.busday_offset(start_date, np.arange(n_days), roll="forward").tolist():
         rng = np.random.default_rng(day_seed(seed, date)) if noise > 0.0 else None
         quotes = []
         for ttm_days in maturities_days:

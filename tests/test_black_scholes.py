@@ -344,22 +344,28 @@ def test_implied_vols_match_brentq_oracle_on_grid(rate):
 def test_brentq_lanes_takes_scipys_steps():
     # Given the same function values, every lane must stop where scipy's
     # brentq stops, bit for bit: roots left and right of the bracket's
-    # middle, near its ends, and both interpolation kinds.
+    # middle, near its ends, and both interpolation kinds. In the second
+    # call each bracket is centred on its root exactly, so |f| is the same
+    # at both ends and no lane interpolates on the first step.
     def f(x, lanes):
         c, d = lanes
         return np.sinh(x - c) * d + (x - c) ** 3
 
     rng = np.random.default_rng(3)
     n = 400
-    lanes = np.array([rng.uniform(-4.5, 7.5, n), rng.uniform(0.01, 5.0, n)])
-    xa, xb = np.full(n, -5.0), rng.uniform(7.6, 9.0, n)
-    roots, f_roots = _brentq_lanes(f, lanes, xa, xb, f(xa, lanes), f(xb, lanes))
-    for i in range(n):
-        def g(x, i=i):
-            return float(f(np.array([x]), lanes[:, i : i + 1])[0])
-        expected = brentq(g, -5.0, float(xb[i]), xtol=1e-14, rtol=8.9e-16)
-        assert roots[i] == expected
-        assert f_roots[i] == g(expected)
+    centres = np.array([-3.0, -0.75, 0.5, 1.25, 6.0])
+    for lanes, xb in [
+        (np.array([rng.uniform(-4.5, 7.5, n), rng.uniform(0.01, 5.0, n)]), rng.uniform(7.6, 9.0, n)),
+        (np.array([centres, rng.uniform(0.01, 5.0, centres.size)]), 2.0 * centres + 5.0),
+    ]:
+        xa = np.full(xb.size, -5.0)
+        roots, f_roots = _brentq_lanes(f, lanes, xa, xb, f(xa, lanes), f(xb, lanes))
+        for i in range(xb.size):
+            def g(x, i=i):
+                return float(f(np.array([x]), lanes[:, i : i + 1])[0])
+            expected = brentq(g, -5.0, float(xb[i]), xtol=1e-14, rtol=8.9e-16)
+            assert roots[i] == expected
+            assert f_roots[i] == g(expected)
 
 
 def test_fill_implied_vols_evaluates_the_curve_once_per_tau(bs_day):

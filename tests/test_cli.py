@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import datetime as dt
 
 import pytest
 
@@ -78,6 +79,11 @@ def test_synth_vg_prices_one_day_maturities(tmp_path, capsys):
 def test_synth_chain_rejects_bad_arguments(overrides, message):
     with pytest.raises(ValueError, match=message):
         synth.synth_chain(**{"model": "bs", **overrides})
+
+
+def test_synth_chain_rolls_a_weekend_start_forward_and_skips_weekends():
+    chains = synth.synth_chain("bs", start_date=dt.date(2012, 1, 7), n_days=6)  # a Saturday
+    assert [c.env.date for c in chains] == [dt.date(2012, 1, d) for d in (9, 10, 11, 12, 13, 16)]
 
 
 def test_ingest_normalizes(tmp_path, capsys):

@@ -122,6 +122,9 @@ def test_read_report_csv_skips_blank_lines(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(["", lines[0], "", *lines[1:], ""]) + "\n")
     assert read_report_csv(path) == report
+    # A leading byte-order mark, and rows whose every field is blank.
+    path.write_text("\ufeff" + "\n".join([lines[0], " , ", *lines[1:], ","]) + "\n", encoding="utf-8")
+    assert read_report_csv(path) == report
 
 
 def test_report_csv_round_trip_preserves_none(tmp_path):
