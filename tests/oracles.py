@@ -6,6 +6,11 @@ black_scholes must agree with it.
 
 gamma_expectation is adaptive quadrature over the Gamma clock, an
 oracle independent of the package's log-clock trapezoid rule.
+vg_conditional_price is the VG integrand as it was before the package
+skipped ndtr where ndtr is exactly 0.0 or 1.0: ndtr on every clock
+column, and both np.where passes whatever the clocks. vg_maturity_prices
+is one maturity's trapezoid on it, and vg_mc_price its Monte Carlo
+average. The package's prices and standard errors must have their bits.
 
 nw_estimate and _cv_objective are the kernel module's straightforward
 forms: every weight from np.exp, the weight sum from logsumexp, the CV
@@ -72,7 +77,7 @@ from scipy.integrate import quad
 from scipy.interpolate import LinearNDInterpolator
 from scipy.optimize import brentq, minimize
 from scipy.spatial import Delaunay
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, logsumexp, ndtr
 
 from pricelab.black_scholes import (
     _PRICE_TOL,
@@ -97,6 +102,8 @@ from pricelab.parity import (DividendCurve, Moneyness, ParityLeg, classify_money
 from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.simplex import SimplexResult
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
+from pricelab.variance_gamma import (_LOG_CLOCK_MIN, _LOG_CLOCK_STEP, _TAIL_EXPONENT, VgParams,
+                                     _legs)
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -173,6 +180,56 @@ def gamma_expectation(f: Callable[[float], float] | None, shape: float, rate: fl
         f"quadrature error estimate {abserr} exceeds tolerance for value {value}"
     )
     return value
+
+
+def vg_conditional_price(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
+                         log_weight=0.0) -> np.ndarray:
+    """Conditional price at each clock times e^log_weight, ndtr called on
+    every clock column, given _legs of one strike or their columns."""
+    a, leg_spot, leg_strike, zero_limit = legs
+    sigma = params.sigma
+    growth = params.theta + 0.5 * sigma * sigma
+
+    positive = clocks > 0.0
+    g = np.where(positive, clocks, 1.0)
+    scale = sigma * np.sqrt(g)
+    d_plus = (a + (params.theta + sigma * sigma) * g) / scale
+    d_minus = (a + params.theta * g) / scale
+    weight = np.exp(log_weight)
+    lift = np.exp(growth * g + log_weight)
+    if kind is OptionKind.CALL:
+        values = leg_spot * lift * ndtr(d_plus) - leg_strike * weight * ndtr(d_minus)
+    else:
+        values = leg_strike * weight * ndtr(-d_minus) - leg_spot * lift * ndtr(-d_plus)
+    return np.where(positive, values, zero_limit * weight)
+
+
+def vg_maturity_prices(kind: OptionKind, spot: float, strikes, rate: float, dividend: float,
+                       tau: float, params: VgParams) -> np.ndarray:
+    """One maturity's trapezoid prices over x = log(clock) on the package's
+    grid, vg_conditional_price less its zero-clock limit summed per strike."""
+    legs = np.array([_legs(kind, spot, k, rate, dividend, tau, params) for k in strikes])
+    columns = legs.T[:, :, None]
+    zero_limit = columns[3]
+    alpha = params.alpha
+    growth = params.theta + 0.5 * params.sigma * params.sigma
+    x_max = math.log(_TAIL_EXPONENT / (alpha - max(growth, 0.0)))
+    x = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
+    clocks = np.exp(x)
+    log_density = tau * math.log(alpha) - gammaln(tau) + tau * x - alpha * clocks
+    values = vg_conditional_price(kind, columns, params, clocks, log_density)
+    remainder = np.sum(values - zero_limit * np.exp(log_density), axis=1)
+    return np.maximum(legs[:, 3] + _LOG_CLOCK_STEP * remainder, 0.0)
+
+
+def vg_mc_price(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float,
+                tau: float, params: VgParams, n: int, seed: int) -> tuple[float, float]:
+    """(price, n-1 standard error) of vg_conditional_price averaged over the
+    clocks that vg_price_mc draws for (n, seed)."""
+    legs = _legs(kind, spot, strike, rate, dividend, tau, params)
+    clocks = np.random.default_rng(seed).gamma(shape=tau, scale=1.0 / params.alpha, size=n)
+    values = vg_conditional_price(kind, legs, params, clocks)
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
 
 
 _LOG_FLOOR = math.log(1e-300)

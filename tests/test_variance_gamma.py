@@ -10,11 +10,14 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
-from oracles import gamma_expectation
+from oracles import gamma_expectation, vg_conditional_price, vg_maturity_prices, vg_mc_price
 from pricelab.errors import CalibrationFailure, DomainViolation
 from pricelab.market_data import OptionKind
 from pricelab.variance_gamma import (
+    _NDTR_SATURATED,
     VgParams,
+    _conditional_price_vec,
+    _legs,
     _maturity_prices,
     has_finite_variance,
     vg_calibrate,
@@ -167,11 +170,87 @@ def test_prices_keep_their_pinned_bits(kind, strike, days, triple, quad_hex, mc_
 @pytest.mark.parametrize("days, triple", [(2, (0.0, 0.3, 3.0)), (91, (-0.1, 0.25, 2.0)),
                                           (730, (-0.3, 0.15, 0.5))])
 def test_maturity_prices_match_a_scalar_loop_bit_for_bit(kind, days, triple):
+    # The strike at the forward has log-forwardness 0: its d's never
+    # saturate, so the group calls ndtr on every clock column, far left of
+    # where a deep out-of-the-money strike alone would start calling it.
     params, tau = VgParams(*triple), days / 365.0
-    strikes = [60.0, 85.0, 92.5, 100.0, 104.0, 117.5, 150.0]
+    at_forward = 100.0 * math.exp((0.02 - 0.01 + params.eta) * tau)
+    assert abs(_legs(kind, 100.0, at_forward, 0.02, 0.01, tau, params)[0]) < 1e-15
+    strikes = [20.0, 60.0, 85.0, 92.5, 100.0, at_forward, 104.0, 117.5, 150.0, 400.0]
     grouped = _maturity_prices(kind, 100.0, strikes, 0.02, 0.01, tau, params)
     for strike, price in zip(strikes, grouped):
         assert price == vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params)
+
+
+def test_ndtr_is_exactly_zero_or_one_beyond_the_saturation_bound():
+    # The integrand takes ndtr's value from the sign of d wherever every
+    # |d| of a clock column is at least the bound, which keeps the prices'
+    # bits only while scipy's ndtr is exactly 1.0 and +0.0 there. At -37.6
+    # it is still a subnormal, so no lower round bound would do.
+    bound = _NDTR_SATURATED
+    points = np.array([bound, np.nextafter(bound, np.inf), 40.0, 1e3, 1e300, np.inf])
+    assert np.all(ndtr(points) == 1.0)
+    assert np.all(ndtr(-points) == 0.0)
+    assert not np.any(np.signbit(ndtr(-points)))
+    assert ndtr(-37.6) != 0.0
+
+
+@pytest.mark.parametrize("kind", [CALL, PUT])
+def test_integrand_keeps_its_bits_on_clocks_in_any_order(kind):
+    # Unsorted clocks, exact zeros, a NaN log-forwardness, and a column
+    # where d+ = 40 but d- = 0 (a = 800, clock 800/0.045): the ndtr values
+    # taken from the sign of d must be ndtr's own, whatever the rows and
+    # columns.
+    params = VgParams(-0.045, 0.3, 1.0)
+    rng = np.random.default_rng(29)
+    clocks = np.exp(rng.uniform(-70.0, 16.0, 400))
+    clocks[::37] = 0.0
+    clocks[5] = 800.0 / 0.045
+    rows = np.column_stack([rng.uniform(-900.0, 900.0, 6), rng.uniform(0.0, 200.0, (6, 2)),
+                            rng.uniform(0.0, 50.0, 6)])
+    rows[1, 0], rows[2, 0], rows[3, 0] = 800.0, 0.0, np.nan
+    log_weight = rng.uniform(-30.0, 0.0, clocks.size)
+    cases = [(tuple(row), 0.0) for row in rows] + [(rows.T[:, :, None], log_weight)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for legs, log_w in cases:
+            values, weight = _conditional_price_vec(kind, legs, params, clocks, log_w)
+            oracle = vg_conditional_price(kind, legs, params, clocks, log_w)
+            assert np.array_equal(values.view(np.int64), oracle.view(np.int64))
+            assert np.array_equal(weight, np.exp(log_w))
+
+
+# Days from 1 to 1,095 and strikes from deep out of the money to either
+# side of the spot: 1,440 options over the two kinds.
+_BITS_DAYS = (1, 2, 4, 7, 30, 91, 182, 365, 730, 1095)
+_BITS_STRIKES = (50.0, 80.0, 95.0, 99.99, 100.0, 100.01, 105.0, 120.0, 200.0)
+
+
+@pytest.mark.parametrize("kind", [CALL, PUT])
+@pytest.mark.parametrize(
+    "triple",
+    [(0.0, 0.3, 3.0), (-0.1, 0.25, 2.0), (0.4545, 0.3, 0.5), (-0.3, 0.15, 0.5),
+     (0.1, 0.5, 1.0), (-0.052, 0.209, 1.83), (0.0, 0.3 / math.sqrt(3.0), 1.0), (0.2, 0.05, 4.0)],
+)
+def test_prices_keep_the_bits_of_ndtr_on_every_clock(kind, triple):
+    params = VgParams(*triple)
+    for days in _BITS_DAYS:
+        tau = days / 365.0
+        grouped = _maturity_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, tau, params)
+        oracle = vg_maturity_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, tau, params)
+        assert [p.hex() for p in grouped] == [p.hex() for p in oracle]
+        if days == 1:
+            # Monte Carlo draws clocks of exactly 0 here, which take the
+            # integrand's zero-clock limit.
+            assert np.any(np.random.default_rng(days).gamma(tau, 1.0 / params.alpha, 200) == 0.0)
+        for strike in _BITS_STRIKES:
+            lone = vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params)
+            assert lone.hex() == float(vg_maturity_prices(kind, 100.0, (strike,), 0.02, 0.01,
+                                                          tau, params)[0]).hex()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                mc = vg_price_mc(kind, 100.0, strike, 0.02, 0.01, tau, params, n=200, seed=days)
+            expected = vg_mc_price(kind, 100.0, strike, 0.02, 0.01, tau, params, 200, days)
+            assert (mc.price.hex(), mc.stderr.hex()) == tuple(v.hex() for v in expected)
 
 
 @pytest.mark.parametrize("days", [1, 2, 3])
