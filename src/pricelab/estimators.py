@@ -81,6 +81,11 @@ class Prediction:
     extrapolated: bool = False
 
 
+# The predictions without a price; frozen, so every query shares them.
+FAILED_PREDICTION = Prediction(None, PredictStatus.FAILED)
+_OUTSIDE_HULL_PREDICTION = Prediction(None, PredictStatus.OUTSIDE_HULL)
+
+
 @dataclass(frozen=True)
 class PricingEstimator:
     """A fitted estimator: immutable, so predictions are safe to run
@@ -231,7 +236,7 @@ def _nw(select_bandwidths):
         bandwidths = select_bandwidths(np.column_stack([strikes, taus]), values, meta)
         model = NwModel(strikes, taus, values, bandwidths)
         meta["bandwidths"] = (bandwidths.eps1, bandwidths.eps2)
-        return lambda k, t: nw_estimate(model, k, t), geometry().in_domain, meta
+        return partial(nw_estimate, model), geometry().in_domain, meta
 
     return build
 
@@ -303,14 +308,14 @@ def predict(estimator: PricingEstimator, strike: float, tau: float) -> Predictio
     try:
         value = estimator.price_fn(strike, tau)
     except ESTIMATOR_ERRORS:
-        return Prediction(price=None, status=PredictStatus.FAILED)
+        return FAILED_PREDICTION
     if value is OUTSIDE_HULL:
-        return Prediction(price=None, status=PredictStatus.OUTSIDE_HULL)
+        return _OUTSIDE_HULL_PREDICTION
     value = float(value)
     if not math.isfinite(value):
-        return Prediction(price=None, status=PredictStatus.FAILED)
+        return FAILED_PREDICTION
     extrapolated = estimator.hull_fn is not None and not estimator.hull_fn(strike, tau)
-    return Prediction(price=value, status=PredictStatus.PRICED, extrapolated=extrapolated)
+    return Prediction(value, PredictStatus.PRICED, extrapolated)
 
 
 def prediction_status(prediction: Prediction) -> ErrorStatus:

@@ -30,8 +30,8 @@ import numpy as np
 
 from .black_scholes import fill_implied_vols
 from .errors import NoAtmPairs
-from .estimators import (ESTIMATOR_ERRORS, EstimatorLabel, Prediction, PredictStatus,
-                         TrainingSet, predict, prediction_status)
+from .estimators import (ESTIMATOR_ERRORS, FAILED_PREDICTION, EstimatorLabel, TrainingSet,
+                         predict, prediction_status)
 from .market_data import (
     DEFAULT_MAX_IV,
     DEFAULT_MIN_PRICE,
@@ -204,7 +204,6 @@ def evaluate_day(
     test = np.array(split.test, dtype=np.intp)
     held_out = list(zip(day.strikes[test].tolist(), day.taus[test].tolist(),
                         day.mids[test].tolist()))
-    failed = Prediction(price=None, status=PredictStatus.FAILED)
 
     records: list[PricingError] = []
     for label in labels:
@@ -213,7 +212,7 @@ def evaluate_day(
         except ESTIMATOR_ERRORS:
             estimator = None
         for strike, tau, mid in held_out:
-            prediction = (failed if estimator is None or tau <= 0.0
+            prediction = (FAILED_PREDICTION if estimator is None or tau <= 0.0
                           else predict(estimator, strike, tau))
             est_price = prediction.price
             records.append(

@@ -9,10 +9,15 @@ values,
 with Gaussian factors rho. Weights are computed in log space with
 max-subtraction, so far-from-data queries stay well conditioned; only
 when the true weight sum drops below 1e-300 is the query declared
-unanswerable. NwModel keeps its samples as one (2, n) array, its
-bandwidths as a column and its normalization, so that a query costs a
-dozen numpy calls: one pass each subtracts, scales and squares both
-coordinates, and one exponential pass also gives the log of the sum.
+unanswerable. A query costs about a dozen numpy calls on the 1-D sample
+columns: each coordinate's differences are scaled and squared in place,
+the strike terms gain the tau terms, and one exponential pass also gives
+the log of the sum. NwModel keeps its normalization and a "quiet box":
+the queries within _QUIET_SPAN bandwidths of every sample in each
+coordinate, whose log-weights cannot leave the float range. Those run
+with no np.errstate; any other query (NaN, inf, far away, or near a
+tiny bandwidth's samples) runs the same computation with overflow
+ignored, where a square past the float range weighs exactly zero.
 
 Two bandwidth selectors are provided: Silverman's rule per coordinate,
 and leave-one-out cross-validation of the squared relative error,
@@ -37,6 +42,7 @@ less there than _exp's mask, gather and scatter.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +59,10 @@ _MARGIN = 1e-9
 # hit the slow path again.
 _EXP_ZERO = -746.0
 _EXP_NORMAL = -700.0
+# A query within 9e153 bandwidths of every sample in each coordinate
+# squares each scaled distance to at most 8.1e307, and their sum is at most
+# 1.62e308, below the float maximum of 1.797e308: nothing overflows.
+_QUIET_SPAN = 9e153
 _SILVERMAN_FACTOR = 0.9
 _IQR_SCALE = 1.34
 
@@ -87,30 +97,30 @@ class Bandwidths:
 
 @dataclass(frozen=True)
 class NwModel:
-    """Samples plus bandwidths, and read-only caches built from them;
-    immutable, safe to share across threads."""
+    """Samples plus bandwidths, and caches built from them; immutable,
+    safe to share across threads. The sample columns are read-only
+    copies, so the quiet box cannot go stale."""
 
     strikes: np.ndarray
     taus: np.ndarray
     values: np.ndarray
     bandwidths: Bandwidths
-    _points: np.ndarray = field(init=False, repr=False, compare=False)
-    _scale: np.ndarray = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
+    _quiet_box: tuple[float, float, float, float] = field(init=False, repr=False,
+                                                          compare=False)
 
     def __post_init__(self):
-        strikes = np.asarray(self.strikes, dtype=float)
-        taus = np.asarray(self.taus, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        strikes, taus, values = (np.array(column, dtype=float)
+                                 for column in (self.strikes, self.taus, self.values))
         if not (strikes.shape == taus.shape == values.shape and strikes.ndim == 1):
             raise ValueError("strikes, taus, values must be equal-length 1-D arrays")
         if strikes.size == 0:
             raise ValueError("at least one sample required")
+        strikes.flags.writeable = taus.flags.writeable = values.flags.writeable = False
         eps1, eps2 = self.bandwidths.eps1, self.bandwidths.eps2
-        points, scale = np.stack([strikes, taus]), np.array([[eps1], [eps2]], dtype=float)
-        points.flags.writeable = scale.flags.writeable = False
-        for name, value in zip(["strikes", "taus", "values", "_points", "_scale", "_log_norm"],
-                               [strikes, taus, values, points, scale, _log_norm(eps1, eps2)]):
+        box = _quiet_range(strikes, eps1) + _quiet_range(taus, eps2)
+        for name, value in zip(["strikes", "taus", "values", "_log_norm", "_quiet_box"],
+                               [strikes, taus, values, _log_norm(eps1, eps2), box]):
             object.__setattr__(self, name, value)
 
     def __reduce__(self):  # as its fields: a copy builds its own caches
@@ -122,6 +132,23 @@ class NwModel:
         return self.bandwidths == other.bandwidths and all(map(
             np.array_equal, (self.strikes, self.taus, self.values),
             (other.strikes, other.taus, other.values)))
+
+
+def _quiet_range(samples: np.ndarray, eps: float) -> tuple[float, float]:
+    """(low, high): the queries q for which every computed difference q - s
+    from a sample s lies within _QUIET_SPAN eps and the float range. Float
+    subtraction is monotone, so the edges' differences from the farthest
+    samples bound all others; each edge is pulled in while rounding leaves
+    its difference past the span. Empty (low > high, or NaN) when no query
+    qualifies."""
+    span = min(_QUIET_SPAN * float(eps), sys.float_info.max)
+    first, last = float(samples.min()), float(samples.max())
+    low, high = last - span, first + span
+    while low - last < -span:
+        low = math.nextafter(low, math.inf)
+    while high - first > span:
+        high = math.nextafter(high, -math.inf)
+    return low, high
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -148,6 +175,20 @@ def _log_norm(eps1: float, eps2: float) -> float:
     return -(math.log(2.0 * math.pi) + math.log(eps1) + math.log(eps2))
 
 
+def _log_weights(model: NwModel, strike: float, tau: float) -> np.ndarray:
+    """-((strike - strikes) / eps1)**2 / 2 - ((tau - taus) / eps2)**2 / 2,
+    with one rounding order: the strike term plus the tau term, halved."""
+    z = np.subtract(strike, model.strikes)
+    z /= model.bandwidths.eps1
+    np.square(z, out=z)
+    z2 = np.subtract(tau, model.taus)
+    z2 /= model.bandwidths.eps2
+    np.square(z2, out=z2)
+    z += z2
+    z *= -0.5
+    return z
+
+
 def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     """Evaluate the regression at one query.
 
@@ -158,17 +199,17 @@ def nw_estimate(model: NwModel, strike: float, tau: float) -> float:
     Raises NumericalUnderflow when every kernel weight underflows the
     1e-300 floor (query absurdly far from the data).
     """
-    # A square, or a sum of two, past the float range weighs exactly zero.
-    with np.errstate(over="ignore"):
-        z = np.subtract(((strike,), (tau,)), model._points)
-        z /= model._scale
-        np.square(z, out=z)
-        logw = z[0] + z[1]
-    logw *= -0.5
-    top = float(logw.max())
+    low1, high1, low2, high2 = model._quiet_box
+    if low1 <= strike <= high1 and low2 <= tau <= high2:
+        logw = _log_weights(model, strike, tau)
+    else:
+        # A square, or a sum of two, past the float range weighs exactly zero.
+        with np.errstate(over="ignore"):
+            logw = _log_weights(model, strike, tau)
+    top = float(np.maximum.reduce(logw))
     if math.isfinite(top):
         shifted = np.exp(np.subtract(logw, top, out=logw), out=logw)
-        total = shifted.sum()
+        total = np.add.reduce(shifted)
         # True weight sum includes the Gaussian normalization the estimate cancels.
         if top + math.log(total) + model._log_norm >= _LOG_FLOOR:
             return max(float(shifted @ model.values / total), 0.0)

@@ -3,7 +3,10 @@
 import csv
 import dataclasses
 import datetime as dt
+import hashlib
+import warnings
 
+import numpy as np
 import pytest
 
 from pricelab import cli, synth
@@ -598,3 +601,57 @@ def test_price_statuses_match_evaluate_day(tmp_path, capsys):
                         for r in records]
         seen.update(status for status, _ in rows)
     assert seen == {"priced", "extrapolated", "outside_hull"}
+
+
+def test_far_price_queries_raise_no_floating_point_warning(tmp_path, capsys):
+    # The CI step of the same name, in process. The kernel query path must
+    # cover a square past the float range (1e300) and two finite squares
+    # whose sum overflows: the last query is about 1.2e154 of the day's NW
+    # and BSNW bandwidths (about 7.6 and 0.13) away in both coordinates.
+    source = synth_into(capsys, tmp_path, "--days", 4, "--noise", 0.005)
+    queries = tmp_path / "far_queries.csv"
+    queries.write_text("strike,tau\n95.0,0.25\n1e300,0.5\n9.2e154,1.5e153\n")
+    for label in ("NW", "BSNW"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, "price", "--input", source, "--date", "2012-01-03",
+                               "--label", label, "--queries", queries,
+                               "--output-dir", tmp_path / label)
+        assert code == 0, err
+        with (tmp_path / label / "prices.csv").open(newline="") as handle:
+            rows = [(row["strike"], row["tau"], row["price"] != "", row["status"])
+                    for row in csv.DictReader(handle)]
+        assert rows == [("95.0", "0.25", True, "priced"), ("1e+300", "0.5", False, "failed"),
+                        ("9.2e+154", "1.5e+153", False, "failed")], label
+
+
+# SHA-256 of prices.csv from `pricelab price` on one synth day (--noise
+# 0.005) over a 12 x 10 grid of strikes 60..140 and taus 0.05..1.4, which
+# reaches inside and outside every hull: the bytes of the per-query path.
+_PINNED_GRID_PRICES = {
+    "LI": "b29a85fd910fb45c48c49f4c1fcf333a8222787805f8c59ce45fc21d2c30f8c7",
+    "LIB": "a2d0eb16bca6bb4d19a8938d4841d774a1d9ac1f28da34f32f74fa02b24bdd77",
+    "BS": "0e31dfef3bcca47708c04918531390a1928ba52ed5088d68d357a2f5c2fe6504",
+    "NW": "bd016b5c6d307b5293449d63e82f6d7ff01023810670dbcab78da43ffb9f6f64",
+    "BSNW": "349c891c26803faca1e4efc69eb8022d26cab7fe90edad67612ed00d8340bd05",
+    "NWCV": "f3e688122dbfefc509522d45004c9732357037d63f5edf39caa0109fa7c821e3",
+    "BSNWCV": "35afd80ec968f3eece01c40b9bb979998e036bf0b92cafc07aca904b89d67d1f",
+}
+
+
+def test_price_grid_bytes_stay_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PRICELAB_SEED", raising=False)
+    source = synth_into(capsys, tmp_path, "--noise", 0.005)
+    queries = tmp_path / "grid_queries.csv"
+    queries.write_text("strike,tau\n" + "".join(
+        f"{float(k)!r},{float(t)!r}\n"
+        for k in np.linspace(60.0, 140.0, 12) for t in np.linspace(0.05, 1.4, 10)))
+    statuses = set()
+    for label, digest in _PINNED_GRID_PRICES.items():
+        code, _, err = run(capsys, "price", "--input", source, "--label", label,
+                           "--queries", queries, "--output-dir", tmp_path / label)
+        assert code == 0, err
+        written = (tmp_path / label / "prices.csv").read_bytes()
+        assert hashlib.sha256(written).hexdigest() == digest, label
+        statuses.update(row.rsplit(b",", 1)[1] for row in written.splitlines()[1:])
+    assert statuses == {b"priced", b"extrapolated", b"outside_hull", b"failed"}

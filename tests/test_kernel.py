@@ -465,13 +465,59 @@ def test_nw_estimate_where_two_finite_squares_sum_past_the_float_range():
     assert outcomes == ["underflow", (3.0).hex(), (4.0).hex()]
 
 
+def test_nw_estimate_matches_the_oracle_on_both_sides_of_the_quiet_box():
+    # Inside a model's quiet box no log-weight can overflow, so a query
+    # there runs with overflow raising; outside it a weight past the float
+    # range is zero. On either side the estimate has the oracle's bits, or
+    # underflows where the oracle does, and no warning escapes.
+    rng = np.random.default_rng(131)
+    models = [sample_model(rng, n=25, eps=eps) for eps in [
+        (1e-160, 1e-160), (1e-160, 0.3), (1e-3, 1e-3), (0.1, 0.01), (5.0, 0.3), (1e3, 1e3),
+        (1e160, 0.3), (1e160, 1e160)]]
+    # A span just over half a unit in the last place of 1.0: the edge
+    # 1.0 + span rounds to 1.0 + ulp(1.0), twice the span away from the
+    # sample, whose scaled square would pass the float range. The box keeps
+    # the float below 1.0, half an ulp away.
+    tiny = 0.55 * math.ulp(1.0) / kernel._QUIET_SPAN
+    # Samples at -1e308 and 1e308: a huge bandwidth's box must still keep
+    # each difference within the float range.
+    models.append(NwModel([-1e308, 1e308], [-1e308, 1e308], [2.0, 3.0], Bandwidths(1e160, 1e160)))
+    models.append(NwModel([1.0], [1.0], [2.0], Bandwidths(tiny, tiny)))
+    largest = np.finfo(float).max
+    low1, high1, low2, high2 = models[0]._quiet_box
+    assert low1 > high1 and low2 > high2
+    assert models[-3]._quiet_box == (-largest, largest, -largest, largest)
+    assert models[-1]._quiet_box == (math.nextafter(1.0, 0.0), 1.0) * 2
+    sides = []
+    for model in models:
+        low1, high1, low2, high2 = model._quiet_box
+        strike, tau = float(np.median(model.strikes)), float(np.median(model.taus))
+        queries = [(strike, tau), (math.nan, tau), (strike, math.nan), (math.inf, tau),
+                   (strike, -math.inf), (1e300, tau), (strike, 1e300), (1e300, 1e300)]
+        for edge in (low1, high1):
+            queries += [(math.nextafter(edge, side), tau) for side in (-math.inf, math.inf)]
+            queries.append((edge, tau))
+        for edge in (low2, high2):
+            queries += [(strike, math.nextafter(edge, side)) for side in (-math.inf, math.inf)]
+            queries.append((strike, edge))
+        for query in queries:
+            with np.errstate(all="ignore"):
+                expected = oracle_outcome(model, *query)
+            quiet = low1 <= query[0] <= high1 and low2 <= query[1] <= high2
+            with warnings.catch_warnings(), np.errstate(over="raise" if quiet else "warn"):
+                warnings.simplefilter("error")
+                assert estimate_outcome(model, *query) == expected, (model.bandwidths, query)
+            sides.append(quiet)
+    assert 0.3 < np.mean(sides) < 0.7
+
+
 def test_nw_model_keeps_its_value_semantics():
     model = sample_model(np.random.default_rng(97), n=30)
     assert repr(model) == (f"NwModel(strikes={model.strikes!r}, taus={model.taus!r}, "
                            f"values={model.values!r}, bandwidths={model.bandwidths!r})")
-    # The caches take no part in ==: the rebuilt ones are other arrays.
+    # The caches take no part in ==; the columns are the model's own copies.
     same = dataclasses.replace(model)
-    assert same == model and same._points is not model._points
+    assert same == model and same.strikes is not model.strikes
     wider = dataclasses.replace(model, bandwidths=Bandwidths(9.0, 0.7))
     assert wider != model
     # == compares the samples by value: equal arrays, not the same ones.
@@ -488,14 +534,13 @@ def test_nw_model_keeps_its_value_semantics():
     copy = pickle.loads(pickle.dumps(model))
     queries = [(95.0, 0.3), (110.0, 1.2), (160.0, 0.5), (1e6, 0.5)]
     for built, reference in [(same, model), (wider, fresh), (copy, model)]:
-        assert np.array_equal(built._points, np.stack([reference.strikes, reference.taus]))
-        assert built._scale.tolist() == [[reference.bandwidths.eps1], [reference.bandwidths.eps2]]
+        assert built._quiet_box == reference._quiet_box
         assert built._log_norm == reference._log_norm
         for strike, tau in queries:
             assert estimate_outcome(built, strike, tau) == estimate_outcome(reference, strike, tau)
-        for cache in (built._points, built._scale):
+        for column in (built.strikes, built.taus, built.values):
             with pytest.raises(ValueError, match="read-only"):
-                cache[0, 0] = 1.0
+                column[0] = 1.0
     assert [estimate_outcome(model, *query) == "underflow" for query in queries] == [
         False, False, False, True]
 
