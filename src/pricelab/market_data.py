@@ -18,15 +18,16 @@ requested, blank where the input has none. It only passes through:
 pricelab inverts its own vols and never reads it.
 
 A DailyChain holds a day's quotes as columns, one array per field, and
-the filters and the protocol work on masks and slices of them.
-load_chains parses a file a block of rows at a time, each block a column
-at a time, and builds no per-quote object. Each row check is written
-once, as a mask over a block's rows in one ordered table: the first row
-that any mask rejects names the error, with the message of its first
-failing check. DailyChain.quotes is the same quotes as OptionQuote
-records, a view for callers that want one object per quote: built from
-the columns on first use and kept. DailyChain.contract_mids is the one
-table of a day's contracts, and the one place that picks their quotes.
+nothing else, however it was built; the filters and the protocol work on
+masks and slices of them. load_chains parses a file a block of rows at a
+time, each block a column at a time, and builds no per-quote object, nor
+does synth_chain. Each row check is written once, as a mask over a
+block's rows in one ordered table: the first row that any mask rejects
+names the error, with the message of its first failing check.
+DailyChain.quotes is the same quotes as OptionQuote records, for callers
+that want one object per quote: it builds them from the columns on each
+call. DailyChain.contract_mids is the one table of a day's contracts, and
+the one place that picks their quotes.
 """
 
 from __future__ import annotations
@@ -125,11 +126,11 @@ class DailyChain:
     Entry i of every column belongs to quote i: kinds (OptionKind
     members), strikes, expiries (datetime64[D]), ttm_days, bids, asks,
     volumes (int64) and implied_vols (NaN where the quote has none). The
-    columns are read-only. DailyChain(env, quotes) builds them from
-    OptionQuote records and keeps those records as .quotes; a chain parsed
-    from a file or selected from another builds its records from its
-    columns on first use of .quotes. Two chains are equal when their
-    environments and columns are.
+    columns are read-only, and they are all a chain holds, however it was
+    built: DailyChain(env, quotes) takes OptionQuote records, keeps their
+    columns and drops the records, and .quotes builds records from the
+    columns on each call. Two chains are equal when their environments
+    and columns are.
     """
 
     _COLUMNS = ("kinds", "strikes", "expiries", "ttm_days", "bids", "asks", "volumes",
@@ -149,13 +150,11 @@ class DailyChain:
             np.array([math.nan if q.implied_vol is None else q.implied_vol for q in quotes],
                      dtype=float),
         )
-        self._quotes = quotes
 
     @classmethod
     def _of_columns(cls, env: MarketEnv, *columns: np.ndarray) -> "DailyChain":
         chain = cls.__new__(cls)
         chain._set_columns(env, *columns)
-        chain._quotes = None
         return chain
 
     def _set_columns(self, env: MarketEnv, *columns: np.ndarray) -> None:
@@ -166,24 +165,23 @@ class DailyChain:
 
     @property
     def quotes(self) -> tuple[OptionQuote, ...]:
-        """The quotes as OptionQuote records, in column order."""
-        if self._quotes is None:
-            vols = [None if math.isnan(v) else v for v in self.implied_vols.tolist()]
-            self._quotes = tuple(map(
-                OptionQuote, self.kinds.tolist(), self.strikes.tolist(),
-                self.expiries.tolist(), self.ttm_days.tolist(), self.bids.tolist(),
-                self.asks.tolist(), self.volumes.tolist(), vols,
-            ))
-        return self._quotes
+        """The quotes as OptionQuote records, in column order, built from
+        the columns on each call: the chain keeps none."""
+        vols = [None if math.isnan(v) else v for v in self.implied_vols.tolist()]
+        return tuple(map(
+            OptionQuote, self.kinds.tolist(), self.strikes.tolist(), self.expiries.tolist(),
+            self.ttm_days.tolist(), self.bids.tolist(), self.asks.tolist(),
+            self.volumes.tolist(), vols,
+        ))
 
     @property
     def mids(self) -> np.ndarray:
-        """Mid prices, rounded as OptionQuote.mid rounds them."""
+        """Mid prices from the columns, rounded as OptionQuote.mid rounds them."""
         return 0.5 * (self.bids + self.asks)
 
     @property
     def taus(self) -> np.ndarray:
-        """Times to expiry in years, rounded as OptionQuote.tau rounds them."""
+        """Times to expiry in years from the columns, rounded as OptionQuote.tau rounds them."""
         return self.ttm_days / DAYS_PER_YEAR
 
     def __len__(self) -> int:
@@ -221,10 +219,19 @@ class DailyChain:
 
 
 def quote_sort_key(q: OptionQuote):
-    """Canonical within-day quote order: kind, then expiry, then strike.
-    Loading and saving both normalize to it, so chain files have one
-    well-defined byte representation."""
+    """Canonical within-day quote order, for callers that hold records:
+    kind, then expiry, then strike. Chains hold columns, which the package
+    puts in this order with _quote_order; no package code sorts records."""
     return (q.kind.value, q.expiry, q.strike)
+
+
+def _quote_order(kinds: np.ndarray, strikes: np.ndarray, expiries: np.ndarray,
+                 *major: np.ndarray) -> np.ndarray:
+    """The stable sort that puts quotes in canonical order: by the major
+    keys (the most significant last), then kind (calls first), expiry and
+    strike. Loading, saving and synth_chain all order quotes by it, so
+    chain files have one well-defined byte representation."""
+    return np.lexsort((strikes, expiries, kinds == OptionKind.PUT, *major))
 
 
 # Rows parsed per block. One block's text is alive at a time, so a parse
@@ -396,9 +403,7 @@ def load_chains(path: str | Path) -> list[DailyChain]:
     dates, *columns = (np.concatenate(column) for column in zip(*blocks))
     kinds, strikes, expiries = columns[:3]
     days, day_of_row = np.unique(dates, return_inverse=True)
-    # By day, then in quote_sort_key's order; lexsort is stable, so equal
-    # keys keep their file order.
-    order = np.lexsort((strikes, expiries, kinds == OptionKind.PUT, day_of_row))
+    order = _quote_order(kinds, strikes, expiries, day_of_row)
     columns = [column[order] for column in columns]
     stops = np.cumsum(np.bincount(day_of_row)).tolist()
     return [
@@ -424,8 +429,7 @@ def save_chains(chains: Iterable[DailyChain], path: str | Path, include_iv: bool
             env = chain.env
             date, spot, rate, div_hist = (env.date.isoformat(), repr(float(env.spot)),
                                           repr(float(env.rate)), repr(float(env.div_hist)))
-            # quote_sort_key's order; lexsort is stable, as sorted() is.
-            order = np.lexsort((chain.strikes, chain.expiries, chain.kinds == OptionKind.PUT))
+            order = _quote_order(chain.kinds, chain.strikes, chain.expiries)
             picked = (chain.kinds, chain.strikes, chain.expiries, chain.bids, chain.asks,
                       chain.volumes, chain.implied_vols)
             for kind, strike, expiry, bid, ask, volume, vol in zip(

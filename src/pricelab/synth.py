@@ -5,7 +5,8 @@ priced by a constant-volatility lognormal model or a Variance-Gamma
 model. With zero noise bid = ask = model price, so every derived
 quantity (implied vol, dividend, parity) is recoverable exactly; with
 noise the mid is scaled by a lognormal factor drawn from a per-day
-seeded generator.
+seeded generator. A day is built as columns, in canonical quote order,
+and no per-quote record.
 """
 
 from __future__ import annotations
@@ -18,14 +19,7 @@ import numpy as np
 
 from .black_scholes import bs_price
 from .harness import day_seed
-from .market_data import (
-    DAYS_PER_YEAR,
-    DailyChain,
-    MarketEnv,
-    OptionKind,
-    OptionQuote,
-    quote_sort_key,
-)
+from .market_data import DAYS_PER_YEAR, DailyChain, MarketEnv, OptionKind, _quote_order
 from .variance_gamma import VgParams, vg_price_quadrature
 
 DEFAULT_MATURITIES_DAYS = (30, 91, 182, 365)
@@ -73,37 +67,33 @@ def synth_chain(
         raise ValueError("noise must be non-negative")
 
     vg_params = VgParams(theta, sigma, alpha) if model == "VG" else None
+    # Each day prices its quotes, and draws their noise, in this order.
+    grid = [(kind, strike, days) for days in maturities_days for strike in strikes
+            for kind in (OptionKind.CALL, OptionKind.PUT)]
+    kinds = np.array([kind for kind, _, _ in grid], dtype=object)
+    grid_strikes = np.array([strike for _, strike, _ in grid], dtype=float)
+    ttm_days = np.array([days for _, _, days in grid], dtype=np.int64)
 
     chains = []
     for date in np.busday_offset(start_date, np.arange(n_days), roll="forward").tolist():
         rng = np.random.default_rng(day_seed(seed, date)) if noise > 0.0 else None
-        quotes = []
-        for ttm_days in maturities_days:
-            tau = ttm_days / DAYS_PER_YEAR
-            expiry = date + dt.timedelta(days=int(ttm_days))
-            for strike in strikes:
-                for kind in (OptionKind.CALL, OptionKind.PUT):
-                    if model == "BS":
-                        price = bs_price(kind, spot, strike, rate, dividend, sigma, tau)
-                    else:
-                        price = vg_price_quadrature(
-                            kind, spot, strike, rate, dividend, tau, vg_params
-                        )
-                    if rng is not None:
-                        price *= math.exp(noise * rng.standard_normal())
-                    quotes.append(
-                        OptionQuote(
-                            kind=kind,
-                            strike=float(strike),
-                            expiry=expiry,
-                            ttm_days=int(ttm_days),
-                            bid=price,
-                            ask=price,
-                            volume=volume,
-                        )
-                    )
+        prices = []
+        for kind, strike, days in grid:
+            tau = days / DAYS_PER_YEAR
+            if model == "BS":
+                price = bs_price(kind, spot, strike, rate, dividend, sigma, tau)
+            else:
+                price = vg_price_quadrature(kind, spot, strike, rate, dividend, tau, vg_params)
+            if rng is not None:
+                price *= math.exp(noise * rng.standard_normal())
+            prices.append(price)
+        prices = np.array(prices, dtype=float)
+        expiries = np.datetime64(date, "D") + ttm_days
         env = MarketEnv(date=date, spot=spot, rate=rate, div_hist=dividend)
+        chain = DailyChain._of_columns(env, kinds, grid_strikes, expiries, ttm_days, prices,
+                                       prices, np.full(len(grid), volume, dtype=np.int64),
+                                       np.full(len(grid), math.nan))
         # Canonical quote order, so generated chains match their own
         # saved-and-reloaded form exactly.
-        chains.append(DailyChain(env, tuple(sorted(quotes, key=quote_sort_key))))
+        chains.append(chain.select(_quote_order(kinds, grid_strikes, expiries)))
     return chains

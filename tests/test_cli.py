@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import random
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from pricelab.harness import (
 )
 from pricelab.market_data import DailyChain, OptionKind, load_chains, save_chains
 from pricelab.reporting import aggregate, read_report_csv, write_report_csv
+
+NON_VG_LABELS = "LI,LIB,BS,NW,BSNW,NWCV,BSNWCV"
 
 
 def run(capsys, *argv):
@@ -89,12 +92,83 @@ def test_synth_chain_rolls_a_weekend_start_forward_and_skips_weekends():
     assert [c.env.date for c in chains] == [dt.date(2012, 1, d) for d in (9, 10, 11, 12, 13, 16)]
 
 
+# SHA-256 of the chains.csv that synth_chain and save_chains write for each
+# world: the bytes of the synthetic files, BS and VG, that tests start from.
+_PINNED_SYNTH_FILES = {
+    "bs": (dict(model="bs", n_days=4, noise=0.005),
+           "3e51f1f86598370b66092e04abcc5f399fd9dbd0df87da86df8fb9525ffa7fac"),
+    "vg": (dict(model="vg", n_days=2, noise=0.01),
+           "4bdd37690d4893cd2105e5e1c38a6fb23a5d8e3127b90e553c13f94e667b2ff4"),
+    "bs-one-maturity": (dict(model="bs", maturities_days=(91,), n_days=3),
+                        "63990fdca4d403629a6a551bcbc546aa3b270fb42f86999a9812ae00f181294d"),
+}
+
+
+@pytest.mark.parametrize("world", _PINNED_SYNTH_FILES)
+def test_synth_files_stay_pinned(tmp_path, world):
+    arguments, digest = _PINNED_SYNTH_FILES[world]
+    path = tmp_path / "chains.csv"
+    save_chains(synth.synth_chain(**arguments), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_ingest_normalizes(tmp_path, capsys):
     source = synth_into(capsys, tmp_path / "raw")
     code, out, _ = run(capsys, "ingest", "--input", source, "--output-dir", tmp_path / "clean")
     assert code == 0
     assert "104 quotes over 1 days" in out
     assert (tmp_path / "clean" / "chains.csv").read_bytes() == source.read_bytes()
+
+
+def ci_world(capsys, monkeypatch, directory):
+    """The CI steps' world: pricelab synth --days 4 --noise 0.005."""
+    monkeypatch.delenv("PRICELAB_SEED", raising=False)
+    return synth_into(capsys, directory, "--days", 4, "--noise", 0.005)
+
+
+def outputs_of(capsys, source, directory):
+    """Every file that ingest, a seven-label evaluate --trim and audit
+    write for source, by its path under directory."""
+    for command, *flags in (("ingest",), ("evaluate", "--trim", "--labels", NON_VG_LABELS),
+                            ("audit",)):
+        code, _, err = run(capsys, command, "--input", source, *flags,
+                           "--output-dir", directory / command)
+        assert code == 0, err
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_row_order_changes_no_output(tmp_path, capsys, monkeypatch):
+    """The CI step of this name: the data rows shuffled with a fixed seed,
+    the header kept first. The loader's grouping by day and sort within
+    each day must undo it."""
+    source = ci_world(capsys, monkeypatch, tmp_path / "world")
+    with source.open(newline="") as handle:
+        header, *rows = handle.readlines()
+    random.Random(19).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    with shuffled.open("w", newline="") as handle:
+        handle.writelines([header] + rows)
+    assert shuffled.read_bytes() != source.read_bytes()
+    expected = outputs_of(capsys, source, tmp_path / "sorted")
+    assert len(expected) == 1 + 28 + 1  # chains.csv, 7 labels x 4 partitions, audit.csv
+    assert outputs_of(capsys, shuffled, tmp_path / "shuffled") == expected
+
+
+def test_ingest_is_a_fixed_point_and_rejects_a_repeated_column(tmp_path, capsys, monkeypatch):
+    """The CI step of this name."""
+    source = ci_world(capsys, monkeypatch, tmp_path / "world")
+    ingested = tmp_path / "ingested" / "chains.csv"
+    for path, directory in ((source, ingested.parent), (ingested, tmp_path / "reingested")):
+        code, _, err = run(capsys, "ingest", "--input", path, "--output-dir", directory)
+        assert code == 0, err
+    assert (tmp_path / "reingested" / "chains.csv").read_bytes() == ingested.read_bytes()
+
+    header, *rows = source.read_text().splitlines()
+    twice = tmp_path / "twice.csv"
+    twice.write_text("\n".join([header + ",strike"] + [row + ",1.0" for row in rows]) + "\n")
+    code, _, err = run(capsys, "ingest", "--input", twice, "--output-dir", tmp_path / "twice")
+    assert code == 2 and "repeated ['strike']" in err, err
 
 
 def test_audit_reports_parity_errors(tmp_path, capsys):
