@@ -57,7 +57,7 @@ def synth_chain(
         raise ValueError(f"unknown model {model!r}, expected BS or VG")
     if strikes is None:
         strikes = [float(s) for s in np.linspace(0.7 * spot, 1.3 * spot, 13)]
-    if not strikes or min(strikes) <= 0.0:
+    if not strikes or not all(0.0 < s < math.inf for s in strikes):
         raise ValueError("strikes must be positive")
     if any(m <= 0 for m in maturities_days):
         raise ValueError("maturities must be positive day counts")

@@ -36,20 +36,20 @@ log(clock) on a fixed grid to the integrand less its zero-clock limit
 density that remainder decays like e^{(T + 1/2) x} to the left and like
 e^{-(alpha - w) e^x} to the right, with w = theta + sigma^2/2, so the
 rule converges geometrically (Trefethen & Weideman, SIAM Review 2014),
-even at the shortest maturities. The rule prices all strikes of one
-maturity as one (strikes x nodes) array; a single strike is the
-one-row case. vg_price_mc averages the integrand over seeded clock
-draws.
+even at the shortest maturities. The nodes depend only on the
+parameters, so the rule prices any mix of maturities as one (options x
+nodes) array, a day's quotes in calibration and one option as the
+one-row case. vg_price_mc averages the integrand over seeded draws.
 
 Away from the forward, |d+-| grows like |log-forwardness| / (sigma
 sqrt(clock)) as the clock falls, and scipy's ndtr is exactly 1.0 or 0.0
-wherever |d| >= 38 (a test pins this). So the integrand finds the first
-clock column in which some strike's |d+| or |d-| is below 38, or NaN,
-and calls ndtr only from there on; every column before it takes ndtr's
-value from the sign of d. On perfbench's VG days that skips ndtr on
-about three quarters of the grid's nodes. The values taken are ndtr's
-own bits, in every row and whatever the order of the clocks, so no
-price moves.
+wherever |d| >= 38 (a test pins this). A closed-form bound gives the
+leading clocks on which every row's |d| is at least 38, with the sign
+of its log-forwardness, which gives ndtr's value there; d+- and ndtr
+are computed only after them. On perfbench's VG days that skips about
+three quarters of the grid's nodes, all but two of those it could. The
+values taken are ndtr's own bits, in every row and whatever the order
+of the clocks, so no price moves.
 
 Prices depend on the triple only through theta/alpha and sigma^2/alpha:
 (c theta, c sigma^2, c alpha) rescales the clock by 1/c and the
@@ -89,6 +89,14 @@ _TAIL_EXPONENT = 800.0
 # scipy's ndtr is exactly 1.0 at and beyond this argument, and 0.0 at and
 # beyond its negative; at -37.6 it is still a subnormal, 1.07e-309.
 _NDTR_SATURATED = 38.0
+_PREFIX_BOUND = 40.0
+_SIGMA_FLOOR = np.finfo(float).tiny / math.sqrt(math.ulp(0.0))
+
+# Options are priced in blocks of at most this many (option, node) pairs,
+# so that each float64 temporary stays under 128 KiB, glibc's default mmap
+# threshold. Larger ones page-fault afresh on every evaluation: on a 2-CPU
+# Xeon a day of 197 puts fitted in 1.18 s as one array, 0.74 s in blocks.
+_BLOCK_PAIRS = 12_288
 
 _DEFAULT_MC_PATHS = 10_000
 _DEFAULT_INIT = (0.0, 0.3, 2.0)
@@ -155,23 +163,33 @@ def _legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: f
     return a, leg_spot, leg_strike, max(leg_strike - leg_spot, 0.0)
 
 
-def _ndtr_from(d: np.ndarray, cut: int) -> np.ndarray:
-    """ndtr(d), given that every |d| in the clock columns before cut is at
-    least _NDTR_SATURATED: there ndtr is exactly 1.0 or 0.0, so the sign
-    of d gives its bits and only the columns from cut on call it."""
-    cdf = np.empty(d.shape)
-    np.greater(d[..., :cut], 0.0, out=cdf[..., :cut])
-    ndtr(d[..., cut:], out=cdf[..., cut:])
-    return cdf
+def _saturated_prefix(a, params: VgParams, g: np.ndarray) -> int:
+    """Number of leading clocks g at which every row's |d+-| is at least
+    _NDTR_SATURATED, with the sign of its log-forwardness a: those below
+    the root of c g + _PREFIX_BOUND sigma sqrt(g) = min |a|, since |d+-|
+    >= (|a| - c g) / (sigma sqrt(g)) with c = max(|theta + sigma^2|,
+    |theta|). c widened by 2^-20 and a bound 5% above the saturation keep
+    the rounding of d and of the root inside; below _SIGMA_FLOOR, sigma
+    sqrt(g) can be subnormal. A zero or NaN a gives no prefix."""
+    sigma = params.sigma
+    if sigma < _SIGMA_FLOOR:
+        return 0
+    reach = float(np.min(np.abs(a)))
+    c = max(abs(params.theta + sigma * sigma), abs(params.theta)) * (1.0 + 2.0 ** -20)
+    b = _PREFIX_BOUND * sigma
+    root = 2.0 * reach / (b + math.hypot(b, 2.0 * math.sqrt(c) * math.sqrt(reach)))
+    below = g < root * root
+    return below.size if below.all() else int(below.argmin())
 
 
 def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
-                           log_weight=0.0) -> tuple[np.ndarray, np.ndarray]:
+                           log_weight=0.0, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """Conditional price at each clock times e^log_weight, the integrand of
     both pricing routes, given _legs of one strike or their strike columns
     (which broadcast against the clocks); returned with e^log_weight. The
     weight joins the growth factor's exponent, so a Gamma log-density
-    cannot overflow against it; Monte Carlo passes 0."""
+    cannot overflow against it; Monte Carlo passes 0. Given rows, log_weight
+    has one row per maturity, spread to the strike columns after the exp."""
     a, leg_spot, leg_strike, zero_limit = legs
     sigma = params.sigma
     growth = params.theta + 0.5 * sigma * sigma
@@ -179,46 +197,61 @@ def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.
     positive = clocks > 0.0
     every_clock_positive = positive.all()
     g = clocks if every_clock_positive else np.where(positive, clocks, 1.0)
-    scale = sigma * np.sqrt(g)
-    d_plus = (a + (params.theta + sigma * sigma) * g) / scale
-    d_minus = (a + params.theta * g) / scale
-    # cut is the first clock column in which some row has a d below the
-    # saturation bound (a NaN is below it: ndtr(nan) is NaN).
-    saturated = (np.abs(d_plus) >= _NDTR_SATURATED) & (np.abs(d_minus) >= _NDTR_SATURATED)
-    open_columns = ~saturated.reshape(-1, saturated.shape[-1]).all(axis=0)
-    cut = int(np.argmax(open_columns)) if open_columns.any() else open_columns.size
     weight = np.exp(log_weight)
     lift = np.exp(growth * g + log_weight)
+    if rows is not None:
+        weight, lift = weight[rows], lift[rows]
+    # ndtr is exactly 1.0 or 0.0 on the saturated prefix, so the sign of a
+    # gives its bits there and d+- are computed only from the cut on.
+    cut = _saturated_prefix(a, params, g)
+    tail = g[cut:]
+    scale = sigma * np.sqrt(tail)
+    d_plus = (a + (params.theta + sigma * sigma) * tail) / scale
+    d_minus = (a + params.theta * tail) / scale
+
+    def cdf(prefix, d):
+        out = np.empty(np.broadcast_shapes(np.shape(a), g.shape))
+        out[..., :cut] = prefix
+        ndtr(d, out=out[..., cut:])
+        return out
+
     if kind is OptionKind.CALL:
-        values = (leg_spot * lift * _ndtr_from(d_plus, cut)
-                  - leg_strike * weight * _ndtr_from(d_minus, cut))
+        values = (leg_spot * lift * cdf(a > 0.0, d_plus)
+                  - leg_strike * weight * cdf(a > 0.0, d_minus))
     else:
-        values = (leg_strike * weight * _ndtr_from(-d_minus, cut)
-                  - leg_spot * lift * _ndtr_from(-d_plus, cut))
+        values = (leg_strike * weight * cdf(a < 0.0, -d_minus)
+                  - leg_spot * lift * cdf(a < 0.0, -d_plus))
     if not every_clock_positive:
         values = np.where(positive, values, zero_limit * weight)
     return values, weight
 
 
-def _maturity_prices(kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
-                     dividend: float, tau: float, params: VgParams) -> np.ndarray:
-    """Trapezoid prices of one maturity's strikes over the Gamma clock in
-    x = log(clock), as one (strikes x nodes) array. Each row is computed
-    exactly as a lone strike would be, so the prices do not depend on
-    which strikes are priced together."""
-    legs = np.array([_legs(kind, spot, k, rate, dividend, tau, params) for k in strikes])
+def _trapezoid_prices(kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
+                      dividend: float, maturities: Sequence[float],
+                      rows: np.ndarray | list[int], params: VgParams) -> np.ndarray:
+    """Trapezoid prices over the Gamma clock in x = log(clock) of options at
+    strikes[i] and maturities[rows[i]], in (options x nodes) arrays with
+    the Gamma density computed once per maturity. Each row is computed as
+    a lone option's would be, so no price depends on the others."""
+    legs = np.array([_legs(kind, spot, k, rate, dividend, maturities[r], params)
+                     for k, r in zip(strikes, rows)])
     columns = legs.T[:, :, None]
-    zero_limit = columns[3]
     alpha = params.alpha
     growth = params.theta + 0.5 * params.sigma * params.sigma
     x_max = math.log(_TAIL_EXPONENT / (alpha - max(growth, 0.0)))
     x = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
     clocks = np.exp(x)
-    log_density = tau * math.log(alpha) - gammaln(tau) + tau * x - alpha * clocks
-    values, density = _conditional_price_vec(kind, columns, params, clocks, log_density)
-    # Less its zero-clock limit the integrand vanishes at both ends, so the
-    # trapezoid rule is a plain sum; the limit integrates to itself.
-    remainder = np.sum(values - zero_limit * density, axis=1)
+    taus = np.array(maturities)[:, None]
+    log_density = taus * math.log(alpha) - gammaln(taus) + taus * x - alpha * clocks
+    block = max(1, _BLOCK_PAIRS // x.size)
+    remainder = np.empty(len(legs))
+    for start in range(0, len(legs), block):
+        part = slice(start, start + block)
+        values, density = _conditional_price_vec(kind, columns[:, part], params, clocks,
+                                                 log_density, rows[part])
+        # Less its zero-clock limit the integrand vanishes at both ends, so
+        # the trapezoid rule is a plain sum; the limit integrates to itself.
+        remainder[part] = np.sum(values - columns[3, part] * density, axis=1)
     return np.maximum(legs[:, 3] + _LOG_CLOCK_STEP * remainder, 0.0)
 
 
@@ -226,7 +259,8 @@ def vg_price_quadrature(kind: OptionKind, spot: float, strike: float, rate: floa
                         dividend: float, tau: float, params: VgParams) -> float:
     """Price by the trapezoid rule over the Gamma clock in x = log(clock).
     Deterministic; tiny negative rounding residue is clamped to zero."""
-    return float(_maturity_prices(kind, spot, (strike,), rate, dividend, tau, params)[0])
+    return float(_trapezoid_prices(kind, spot, (strike,), rate, dividend, (tau,), [0],
+                                   params)[0])
 
 
 def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
@@ -272,7 +306,7 @@ def vg_calibrate(
     identified coordinates (theta/alpha, sigma/sqrt(alpha)), pricing the
     alpha = 1 triple and scoring inadmissible points +inf so the simplex
     stays inside the domain. The quotes are grouped by tau once, and each
-    maturity's strikes are priced in one array. Deterministic given the
+    evaluation prices all of them in one array. Deterministic given the
     start. Returns the fitted law at the start's alpha, and the attained
     objective. Given a meta dict, it records the simplex's evaluations
     and whether it converged, before any CalibrationFailure.
@@ -290,23 +324,23 @@ def vg_calibrate(
     except DomainViolation as exc:
         raise ValueError(f"inadmissible start {init}: {exc}") from None
 
-    by_tau: dict[float, tuple[list[float], list[float]]] = {}
-    for strike, tau, price in quotes:
-        strikes, prices = by_tau.setdefault(tau, ([], []))
-        strikes.append(strike)
-        prices.append(price)
-    groups = [(tau, strikes, np.asarray(prices)) for tau, (strikes, prices) in by_tau.items()]
+    # The quotes by maturity in first-seen order; each maturity's errors are
+    # summed by one dot product.
+    maturities = list(dict.fromkeys(tau for _, tau, _ in quotes))
+    row_of = {tau: row for row, tau in enumerate(maturities)}
+    rows, strikes, prices = zip(*sorted(((row_of[tau], strike, price)
+                                         for strike, tau, price in quotes), key=lambda q: q[0]))
+    rows, prices = np.array(rows), np.array(prices)
+    ends = np.cumsum(np.bincount(rows)).tolist()
+    parts = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
 
     def objective(theta: float, sigma: float) -> float:
         if sigma <= 0.0 or theta + 0.5 * sigma * sigma >= 1.0:
             return float("inf")
         params = VgParams(theta, sigma, 1.0)
-        total = 0.0
-        for tau, strikes, prices in groups:
-            model = _maturity_prices(kind, spot, strikes, rate, dividend, tau, params)
-            ratios = (model - prices) / prices
-            total += float(ratios @ ratios)
-        return total
+        model = _trapezoid_prices(kind, spot, strikes, rate, dividend, maturities, rows, params)
+        ratios = (model - prices) / prices
+        return sum(float(ratios[part] @ ratios[part]) for part in parts)
 
     theta0, sigma0, alpha0 = init
     # A quoted price near the float floor can send its relative error past

@@ -11,6 +11,11 @@ skipped ndtr where ndtr is exactly 0.0 or 1.0: ndtr on every clock
 column, and both np.where passes whatever the clocks. vg_maturity_prices
 is one maturity's trapezoid on it, and vg_mc_price its Monte Carlo
 average. The package's prices and standard errors must have their bits.
+vg_calibration_objective is the VG calibration's objective as it was
+before one array priced all of a day's quotes: vg_maturity_prices per
+maturity in first-seen order, one dot product of each maturity's
+relative errors, summed in a Python float. The calibration must take
+the simplex steps it takes, bit for bit.
 
 nw_estimate and _cv_objective are the kernel module's straightforward
 forms: every weight from np.exp, the weight sum from logsumexp, the CV
@@ -230,6 +235,33 @@ def vg_mc_price(kind: OptionKind, spot: float, strike: float, rate: float, divid
     clocks = np.random.default_rng(seed).gamma(shape=tau, scale=1.0 / params.alpha, size=n)
     values = vg_conditional_price(kind, legs, params, clocks)
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+
+
+
+def vg_calibration_objective(quotes, kind: OptionKind, spot: float, rate: float,
+                             dividend: float) -> Callable[[float, float], float]:
+    """Sum of squared relative errors of the alpha = 1 triple over
+    (strike, tau, price) quotes, +inf outside the domain, priced one
+    maturity at a time."""
+    by_tau: dict[float, tuple[list[float], list[float]]] = {}
+    for strike, tau, price in quotes:
+        strikes, prices = by_tau.setdefault(tau, ([], []))
+        strikes.append(strike)
+        prices.append(price)
+    groups = [(tau, strikes, np.asarray(prices)) for tau, (strikes, prices) in by_tau.items()]
+
+    def objective(theta: float, sigma: float) -> float:
+        if sigma <= 0.0 or theta + 0.5 * sigma * sigma >= 1.0:
+            return float("inf")
+        params = VgParams(theta, sigma, 1.0)
+        total = 0.0
+        for tau, strikes, prices in groups:
+            model = vg_maturity_prices(kind, spot, strikes, rate, dividend, tau, params)
+            ratios = (model - prices) / prices
+            total += float(ratios @ ratios)
+        return total
+
+    return objective
 
 
 _LOG_FLOOR = math.log(1e-300)

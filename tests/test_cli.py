@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import datetime as dt
 import hashlib
+import math
 import random
 import warnings
 
@@ -81,6 +82,10 @@ def test_synth_vg_prices_one_day_maturities(tmp_path, capsys):
     (dict(maturities_days=(30, 0)), "maturities must be positive day counts"),
     (dict(n_days=0), "n_days must be at least one"),
     (dict(noise=-0.01), "noise must be non-negative"),
+    # A NaN compares false with anything, so min() let it through in either place.
+    (dict(strikes=[math.nan, 100.0]), "strikes must be positive"),
+    (dict(strikes=[100.0, math.nan]), "strikes must be positive"),
+    (dict(strikes=[90.0, math.inf]), "strikes must be positive"),
 ])
 def test_synth_chain_rejects_bad_arguments(overrides, message):
     with pytest.raises(ValueError, match=message):

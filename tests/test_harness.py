@@ -387,6 +387,18 @@ def test_run_protocol_deterministic_and_parallel(bs_days):
         assert one.errors and two.errors == one.errors
 
 
+def test_vg_reports_do_not_depend_on_warnings_or_the_worker_count(tmp_path, monkeypatch):
+    # The suite turns every RuntimeWarning into an error, in this process
+    # and, through the environment, in worker processes however started.
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+    days = synth_chain("vg", n_days=3)
+    one = run_protocol(days, ProtocolConfig(labels=("VG",), trim=True))
+    two = run_protocol(days, ProtocolConfig(labels=("VG",), trim=True, workers=2))
+    assert one.errors and two.errors == one.errors
+    written = list(zip(one.write(tmp_path / "one"), two.write(tmp_path / "two")))
+    assert written and all(a.read_bytes() == b.read_bytes() for a, b in written)
+
+
 @pytest.mark.parametrize(
     "workers, n_days, cpus, pool_size",
     [(64, 3, 16, 3), (64, 5, 4, 4), (3, 5, 16, 3), (8, 5, None, None), (8, 1, 16, None)],

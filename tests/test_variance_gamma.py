@@ -7,18 +7,27 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 
-from oracles import gamma_expectation, vg_conditional_price, vg_maturity_prices, vg_mc_price
+import pricelab.variance_gamma as vg
+from oracles import (gamma_expectation, vg_calibration_objective, vg_conditional_price,
+                     vg_maturity_prices, vg_mc_price)
+from pricelab import simplex
 from pricelab.errors import CalibrationFailure, DomainViolation
 from pricelab.market_data import OptionKind
 from pricelab.variance_gamma import (
+    _LOG_CLOCK_MIN,
+    _LOG_CLOCK_STEP,
     _NDTR_SATURATED,
+    _TAIL_EXPONENT,
     VgParams,
     _conditional_price_vec,
     _legs,
-    _maturity_prices,
+    _saturated_prefix,
+    _trapezoid_prices,
     has_finite_variance,
     vg_calibrate,
     vg_eta,
@@ -171,22 +180,36 @@ def test_prices_keep_their_pinned_bits(kind, strike, days, triple, quad_hex, mc_
                                           (730, (-0.3, 0.15, 0.5))])
 def test_maturity_prices_match_a_scalar_loop_bit_for_bit(kind, days, triple):
     # The strike at the forward has log-forwardness 0: its d's never
-    # saturate, so the group calls ndtr on every clock column, far left of
+    # saturate, so the array calls ndtr on every clock column, far left of
     # where a deep out-of-the-money strike alone would start calling it.
+    # Options of three other maturities, 1 day to 3 years, share the array
+    # in an order that interleaves the maturities; without the strike at
+    # the forward, the array skips ndtr on a prefix that a lone option
+    # may find longer. Thrice over, they fill more than one block of rows.
     params, tau = VgParams(*triple), days / 365.0
     at_forward = 100.0 * math.exp((0.02 - 0.01 + params.eta) * tau)
     assert abs(_legs(kind, 100.0, at_forward, 0.02, 0.01, tau, params)[0]) < 1e-15
     strikes = [20.0, 60.0, 85.0, 92.5, 100.0, at_forward, 104.0, 117.5, 150.0, 400.0]
-    grouped = _maturity_prices(kind, 100.0, strikes, 0.02, 0.01, tau, params)
-    for strike, price in zip(strikes, grouped):
-        assert price == vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params)
+    others = [(60.0, 1 / 365), (100.0, 3.0), (140.0, 30 / 365), (98.0, 1 / 365), (300.0, 3.0)]
+    options = [(strike, tau) for strike in strikes]
+    options[1:1], options[6:6] = others[:3], others[3:]
+    away = [option for option in options if option[0] != at_forward]
+    for chosen in (options, away, 3 * away):
+        maturities = list(dict.fromkeys(t for _, t in chosen))
+        rows = [maturities.index(t) for _, t in chosen]
+        grouped = _trapezoid_prices(kind, 100.0, [k for k, _ in chosen], 0.02, 0.01, maturities,
+                                    rows, params)
+        for (strike, t), price in zip(chosen, grouped):
+            assert price.hex() == vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, t,
+                                                      params).hex()
 
 
 def test_ndtr_is_exactly_zero_or_one_beyond_the_saturation_bound():
-    # The integrand takes ndtr's value from the sign of d wherever every
-    # |d| of a clock column is at least the bound, which keeps the prices'
-    # bits only while scipy's ndtr is exactly 1.0 and +0.0 there. At -37.6
-    # it is still a subnormal, so no lower round bound would do.
+    # The integrand takes ndtr's value from the sign of d on the clock
+    # columns where every |d| is at least the bound (the saturated prefix),
+    # which keeps the prices' bits only while scipy's ndtr is exactly 1.0
+    # and +0.0 there. At -37.6 it is still a subnormal, so no lower round
+    # bound would do.
     bound = _NDTR_SATURATED
     points = np.array([bound, np.nextafter(bound, np.inf), 40.0, 1e3, 1e300, np.inf])
     assert np.all(ndtr(points) == 1.0)
@@ -219,6 +242,130 @@ def test_integrand_keeps_its_bits_on_clocks_in_any_order(kind):
             assert np.array_equal(weight, np.exp(log_w))
 
 
+# Log-forwardness rows: at the forward, at the edges of the float range,
+# deep out of the money either way, and not a number. 1e-320 and 5.4e-322
+# (110 of the least subnormal) are subnormal: with sigma sqrt(g) near
+# 1/40 of the latter, its rounding alone can take |d| below 38.
+_EDGE_FORWARDNESS = (0.0, 1e-300, -1e-300, 1e-320, -1e-320, 5.4e-322, -5.4e-322, 1e-8, -1e-8,
+                     900.0, -900.0, math.nan, math.inf, -math.inf)
+
+
+@st.composite
+def _laws(draw):
+    """An admissible (theta, sigma, alpha): sigma from 1e-300 to 10, and
+    theta 0 (the symmetric law), anywhere below alpha - sigma^2/2, or
+    within 1e-3 of it."""
+    alpha = 10.0 ** draw(st.floats(-3.0, 3.0))
+    sigma = 10.0 ** draw(st.floats(-300.0, 1.0))
+    if draw(st.booleans()):
+        theta = alpha - 0.5 * sigma * sigma - 10.0 ** draw(st.floats(-12.0, -3.0))
+    else:
+        theta = draw(st.one_of(st.just(0.0), st.floats(-50.0, alpha - 0.5 * sigma * sigma)))
+    try:
+        return VgParams(theta, sigma, alpha)
+    except DomainViolation:
+        return VgParams(-0.5 * sigma * sigma, sigma, alpha)
+
+
+def _about_the_root(params, reach):
+    """Sorted clocks packed about the root of c g + 38 sigma sqrt(g) = reach,
+    where |d| of the row of least |a| can first fall below 38 (None if the
+    root is 0 or not finite)."""
+    theta, sigma = params.theta, params.sigma
+    c, b = max(abs(theta + sigma * sigma), abs(theta)), _NDTR_SATURATED * sigma
+    root = 2.0 * reach / (b + math.hypot(b, 2.0 * math.sqrt(c) * math.sqrt(reach)))
+    root *= root
+    if not 0.0 < root < math.inf:
+        return None
+    near = root * (1.0 + np.array([-0.2, -0.1, -0.05, -1e-2, -1e-6, -1e-10, -1e-13, 1e-13,
+                                   1e-10, 1e-6]))
+    down, up = [root], [root]
+    for _ in range(8):
+        down.append(math.nextafter(down[-1], 0.0))
+        up.append(math.nextafter(up[-1], math.inf))
+    return np.sort(np.concatenate([near, down, up]))
+
+
+@st.composite
+def _prefix_cases(draw):
+    """(params, a, clocks). a is a column of log-forwardness rows, or one
+    float as Monte Carlo passes it. The clocks are the quadrature's sorted
+    grid, sorted clocks about the root, or unsorted: seeded Gamma draws,
+    or drawn values with exact zeros and subnormals."""
+    params = draw(_laws())
+    forwardness = st.one_of(st.sampled_from(_EDGE_FORWARDNESS), st.floats(-1e3, 1e3))
+    rows = draw(st.lists(forwardness, min_size=1, max_size=6))
+    a = rows[0] if len(rows) == 1 and draw(st.booleans()) else np.array(rows)[:, None]
+    shape = draw(st.sampled_from(("grid", "root", "root", "gamma", "drawn")))
+    reach = float(np.min(np.abs(a)))
+    clocks = _about_the_root(params, reach) if shape == "root" and reach > 0.0 else None
+    if shape == "gamma":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        clocks = rng.gamma(10.0 ** draw(st.floats(-3.0, 1.0)), 1.0 / params.alpha, 300)
+    elif shape == "drawn":
+        values = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-310, 1e-300]),
+                           st.floats(0.0, 1e6))
+        clocks = np.array(draw(st.lists(values, min_size=1, max_size=80)))
+    elif clocks is None:
+        growth = params.theta + 0.5 * params.sigma * params.sigma
+        x_max = math.log(_TAIL_EXPONENT / (params.alpha - max(growth, 0.0)))
+        clocks = np.exp(np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP))
+    return params, a, clocks
+
+
+def _root_case(triple, a):
+    params = VgParams(*triple)
+    return params, np.array([[a]]), _about_the_root(params, a)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=_prefix_cases())
+# A sigma so small that c g all but cancels a before the root: only the
+# widened c keeps the rounding of d's numerator out of the prefix. And a
+# subnormal a, whose root has a subnormal sigma sqrt(g): the sigma floor.
+@example(case=_root_case((-3.613693690103395, 2.5684731041672143e-28, 1.0), 5.447209314859791))
+@example(case=_root_case((0.0, 1e-200, 1.0), 5.4e-322))
+def test_the_saturated_prefix_only_holds_columns_where_ndtr_is_zero_or_one(case):
+    params, a, clocks = case
+    g = np.where(clocks > 0.0, clocks, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cut = _saturated_prefix(a, params, g)
+    assert 0 <= cut <= g.size
+    # A zero or NaN row leaves no prefix, and so do rows all infinite;
+    # an infinite row among finite ones saturates on every column.
+    if np.any(np.isnan(a) | (a == 0.0)) or np.all(np.isinf(a)):
+        assert cut == 0
+    sigma, prefix = params.sigma, g[:cut]
+    scale = sigma * np.sqrt(prefix)
+    with np.errstate(all="ignore"):
+        for d in ((a + (params.theta + sigma * sigma) * prefix) / scale,
+                  (a + params.theta * prefix) / scale):
+            assert np.all(np.abs(d) >= _NDTR_SATURATED)
+            assert np.all(np.sign(d) == np.sign(a))
+
+
+@pytest.mark.parametrize("triple", [(0.0, 0.3 / math.sqrt(3.0), 1.0), (-0.052, 0.209, 1.83),
+                                    (0.4545, 0.3, 0.5)])
+@pytest.mark.parametrize("days", [7, 91, 365])
+def test_the_bound_finds_all_but_two_columns_of_the_saturated_prefix(triple, days):
+    # On the quadrature grid, puts from 70 to 130: the columns before the
+    # first where some |d+-| is below the bound, less at most two.
+    params, tau = VgParams(*triple), days / 365.0
+    a = np.array([[_legs(PUT, 100.0, k, 0.015, 0.01, tau, params)[0]]
+                  for k in np.linspace(70.0, 130.0, 18)])
+    growth = params.theta + 0.5 * params.sigma * params.sigma
+    x_max = math.log(_TAIL_EXPONENT / (params.alpha - max(growth, 0.0)))
+    g = np.exp(np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP))
+    scale = params.sigma * np.sqrt(g)
+    d_plus = (a + (params.theta + params.sigma**2) * g) / scale
+    d_minus = (a + params.theta * g) / scale
+    saturated = ((np.abs(d_plus) >= _NDTR_SATURATED)
+                 & (np.abs(d_minus) >= _NDTR_SATURATED)).all(axis=0)
+    first_open = int(np.argmin(saturated))
+    assert first_open - 2 <= _saturated_prefix(a, params, g) <= first_open
+
+
 # Days from 1 to 1,095 and strikes from deep out of the money to either
 # side of the spot: 1,440 options over the two kinds.
 _BITS_DAYS = (1, 2, 4, 7, 30, 91, 182, 365, 730, 1095)
@@ -235,7 +382,8 @@ def test_prices_keep_the_bits_of_ndtr_on_every_clock(kind, triple):
     params = VgParams(*triple)
     for days in _BITS_DAYS:
         tau = days / 365.0
-        grouped = _maturity_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, tau, params)
+        grouped = _trapezoid_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, (tau,),
+                                    [0] * len(_BITS_STRIKES), params)
         oracle = vg_maturity_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, tau, params)
         assert [p.hex() for p in grouped] == [p.hex() for p in oracle]
         if days == 1:
@@ -414,3 +562,65 @@ def test_a_stalled_calibration_raises_no_floating_point_warning():
         warnings.simplefilter("error")
         with pytest.raises(CalibrationFailure, match="calibration stalled"):
             vg_calibrate(quotes, CALL, 100.0, 0.02, 0.5)
+
+
+def _quotes(kind, triple, strikes, days):
+    truth = VgParams(*triple)
+    return kind, [(strike, d / 365.0,
+                   vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, d / 365.0, truth))
+                  for d in days for strike in strikes]
+
+
+_FIVE_MATURITIES = (7, 30, 91, 182, 730)
+_ORACLE_QUOTE_SETS = {
+    "puts-1-maturity": _quotes(PUT, (-0.1, 0.2, 2.0), (90.0, 95.0, 100.0, 105.0), (91,)),
+    "calls-3-maturities": _quotes(CALL, (0.1, 0.3, 2.0), (95.0, 100.0, 110.0), (30, 91, 365)),
+    # Maturities interleaved, so no maturity's quotes are contiguous.
+    "puts-5-maturities": (PUT, [q for pair in zip(
+        _quotes(PUT, (-0.2, 0.25, 1.0), (85.0, 95.0, 105.0), _FIVE_MATURITIES)[1],
+        _quotes(PUT, (-0.2, 0.25, 1.0), (90.0, 100.0, 110.0), _FIVE_MATURITIES[::-1])[1])
+        for q in pair]),
+    "calls-repeated-quote": (CALL, _quotes(CALL, (0.0, 0.3, 3.0), (100.0, 105.0), (30, 91))[1]
+                             + _quotes(CALL, (0.0, 0.3, 3.0), (105.0,), (30,))[1]),
+    "calls-5-maturities": _quotes(CALL, (-0.052, 0.209, 1.83), (100.0, 120.0), (1, 7, 30, 91, 365)),
+    # theta + sigma^2/2 = 0.999 alpha: the search runs out of iterations.
+    "puts-15-stall": _quotes(PUT, (0.4545, 0.3, 0.5), (85.0, 90.0, 95.0, 100.0, 105.0),
+                             (30, 91, 182)),
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_QUOTE_SETS))
+def test_calibration_takes_the_steps_of_the_per_maturity_objective(name, monkeypatch):
+    # Every objective value the search sees, and the search's end, must be
+    # the per-maturity objective's, bit for bit.
+    kind, quotes = _ORACLE_QUOTE_SETS[name]
+    searches, scores = [], []
+
+    def recording(objective, x0, **options):
+        def scored(u, v):
+            scores.append(((u, v), objective(u, v)))
+            return scores[-1][1]
+
+        searches.append((x0, options))
+        return simplex.nelder_mead(scored, x0, **options)
+
+    monkeypatch.setattr(vg, "nelder_mead", recording)
+    meta = {}
+    try:
+        fitted, objective = vg_calibrate(quotes, kind, 100.0, 0.02, 0.01, meta=meta)
+    except CalibrationFailure:
+        fitted = objective = None
+    [(x0, options)] = searches
+    oracle = vg_calibration_objective(quotes, kind, 100.0, 0.02, 0.01)
+    with np.errstate(over="ignore"):
+        assert [score.hex() for _, score in scores] == [oracle(*x).hex() for x, _ in scores]
+        expected = simplex.nelder_mead(oracle, x0, **options)
+    assert meta == {"evaluations": expected.nfev, "converged": expected.status == 0}
+    if name == "puts-15-stall":
+        assert fitted is None and expected.status == 2
+        return
+    alpha = 2.0
+    theta, sigma = expected.x
+    assert objective.hex() == expected.fun.hex()
+    assert (fitted.theta.hex(), fitted.sigma.hex(), fitted.alpha) == (
+        (alpha * theta).hex(), (math.sqrt(alpha) * sigma).hex(), alpha)
