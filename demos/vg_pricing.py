@@ -58,8 +58,7 @@ def main():
     puts = day.of_kind(PUT)
     quotes = list(zip(puts.strikes.tolist(), puts.taus.tolist(), puts.mids.tolist()))
     start = time.perf_counter()
-    fitted, objective = vg_calibrate(quotes, PUT, day.env.spot, day.env.rate,
-                                     day.env.div_hist, init=(0.0, 0.3, 2.0))
+    fitted, objective = vg_calibrate(quotes, PUT, day.env.spot, day.env.rate, day.env.div_hist)
     took = time.perf_counter() - start
     worst = max(
         abs(vg_price_quadrature(PUT, day.env.spot, k, day.env.rate,

@@ -50,24 +50,6 @@ DEFAULT_TRAIN_FRACTION = 0.9
 DEFAULT_SPOT_TOLERANCE = 0.05
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-__all__ = [
-    "DEFAULT_MASTER_SEED",
-    "DEFAULT_TRAIN_FRACTION",
-    "DaySplit",
-    "ProtocolConfig",
-    "ProtocolResult",
-    "CrossDateMatch",
-    "day_seed",
-    "split_day",
-    "prepare_day",
-    "evaluate_day",
-    "run_protocol",
-    "cross_date_report",
-    "read_config",
-    "apply_config",
-    "cast_text",
-]
-
 
 def day_seed(master_seed: int, date: dt.date) -> int:
     """Stable 63-bit seed for one day, independent of platform and run."""
@@ -105,6 +87,15 @@ def split_day(
     )
 
 
+def _require_each_once(what: str, names: Sequence[str]) -> None:
+    """Raise ValueError unless names lists at least one name, and none twice."""
+    if not names:
+        raise ValueError(f"at least one {what} is required")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"{what}s listed more than once: {', '.join(repeated)}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     master_seed: int = DEFAULT_MASTER_SEED
@@ -120,15 +111,11 @@ class ProtocolConfig:
     workers: int = 1
 
     def __post_init__(self):
-        labels = self.resolved_labels()
-        if not labels:
-            raise ValueError("at least one label is required")
-        repeated = sorted({label.value for label in labels if labels.count(label) > 1})
-        if repeated:
-            raise ValueError(f"labels listed more than once: {', '.join(repeated)}")
+        _require_each_once("label", [label.value for label in self.resolved_labels()])
         for name in self.partitions:
             if name not in PARTITIONS:
                 raise ValueError(f"unknown partition {name!r}, expected one of {sorted(PARTITIONS)}")
+        _require_each_once("partition", self.partitions)
         if not (0.0 < self.fraction < 1.0):
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
         if self.workers < 1:

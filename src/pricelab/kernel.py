@@ -331,12 +331,13 @@ def _cv_screen(points: np.ndarray, values: np.ndarray, eps1s: np.ndarray,
     sorted_taus = taus[order]
     starts = np.flatnonzero(np.concatenate([[True], sorted_taus[1:] != sorted_taus[:-1]]))
     ends = np.append(starts[1:], n)
-    # Squared distances in units of the widest bandwidth, so that neither
-    # they nor the scales below leave the float range at any unit.
+    # Squared distances in units of the widest bandwidth, so that the scales
+    # below stay in the float range; a square past it is +inf, weight 0.
     unit = eps1s.max()
     excess = strikes[order][:, None] - strikes[rows]
-    excess /= unit
-    np.square(excess, out=excess)
+    with np.errstate(over="ignore"):
+        excess /= unit
+        np.square(excess, out=excess)
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
     # A row leaves its own sample out.

@@ -6,16 +6,18 @@ For European options on the same strike and expiry,
 
 so a call/put pair reveals the market's dividend yield:
 
-    q = -(1/tau) log[(C - P + K e^{-r tau}) / S].
+    q = -(1/tau) log[(C - P + K e^{-r tau}) / S],
 
-At-the-money pairs give the cleanest read (their prices carry the most
-time value relative to intrinsic), so the per-day dividend curve is the
-per-maturity median over ATM pairs. The same identity prices an
-illiquid in-the-money option off its liquid out-of-the-money
-counterpart; itm_parity_audit, which pricelab audit runs, measures how
-well that works over any number of (chain, curve) days. Both read a
-contract's quote from DailyChain.contract_mids, the one place that picks
-it: where a day quotes a contract more than once, its last quote counts.
+which implied_dividend(call_mid, put_mid, spot, strike, rate, tau)
+computes, taking the market in parity_price's order. At-the-money pairs
+give the cleanest read (their prices carry the most time value relative
+to intrinsic), so the per-day dividend curve is the per-maturity median
+over ATM pairs. The same identity prices an illiquid in-the-money
+option off its liquid out-of-the-money counterpart; itm_parity_audit,
+which pricelab audit runs, measures how well that works over any number
+of (chain, curve) days. Both read a contract's quote from
+DailyChain.contract_mids, the one place that picks it: where a day
+quotes a contract more than once, its last quote counts.
 """
 
 from __future__ import annotations
@@ -49,16 +51,6 @@ class MoneynessClass:
     label: Moneyness
 
 
-@dataclass(frozen=True)
-class ParityLeg:
-    """A call/put pair on one strike and expiry."""
-
-    strike: float
-    tau: float
-    call_mid: float
-    put_mid: float
-
-
 def parity_price(
     kind: OptionKind,
     counterpart_mid: float,
@@ -80,17 +72,18 @@ def parity_price(
     return counterpart_mid - carry
 
 
-def implied_dividend(leg: ParityLeg, spot: float, rate: float) -> float:
-    """Dividend yield implied by one call/put pair.
+def implied_dividend(call_mid: float, put_mid: float, spot: float, strike: float, rate: float,
+                     tau: float) -> float:
+    """Dividend yield implied by the call and put mids of one strike and expiry.
 
     Raises ValueError when C - P + K e^{-r tau} is non-positive (crossed
     or stale quotes make the log argument invalid)."""
-    if leg.tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {leg.tau}")
-    argument = (leg.call_mid - leg.put_mid + leg.strike * math.exp(-rate * leg.tau)) / spot
+    if tau <= 0.0:
+        raise ValueError(f"tau must be positive, got {tau}")
+    argument = (call_mid - put_mid + strike * math.exp(-rate * tau)) / spot
     if argument <= 0.0:
         raise ValueError(f"parity log argument {argument} is non-positive; quotes are inconsistent")
-    return -math.log(argument) / leg.tau
+    return -math.log(argument) / tau
 
 
 def forward_price(spot: float, rate: float, dividend: float, tau: float) -> float:
@@ -163,18 +156,18 @@ class DividendCurve:
         return f"DividendCurve({{{knots}}})"
 
 
-def _atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
-    """ATM call/put pairs keyed by tau: the contracts quoted in both
-    kinds, at their contract mids."""
+def _atm_pairs(chain: DailyChain) -> dict[float, list[tuple[float, float, float]]]:
+    """ATM call/put pairs keyed by tau, as (strike, call mid, put mid): the
+    contracts quoted in both kinds, at their contract mids."""
     mids = chain.contract_mids()
     calls, puts = mids[OptionKind.CALL], mids[OptionKind.PUT]
     paired = calls.keys() & puts.keys()
     forwards = _forwards(chain.env, (tau for tau, _ in paired))
-    pairs: dict[float, list[ParityLeg]] = {}
+    pairs: dict[float, list[tuple[float, float, float]]] = {}
     for key in paired:
         tau, strike = key
         if tau > 0.0 and _at_the_money(_log_moneyness(strike, forwards[tau])):
-            pairs.setdefault(tau, []).append(ParityLeg(strike, tau, calls[key], puts[key]))
+            pairs.setdefault(tau, []).append((strike, calls[key], puts[key]))
     return pairs
 
 
@@ -182,19 +175,20 @@ def estimate_dividend_curve(chain: DailyChain) -> DividendCurve:
     """Per-maturity median implied dividend over the day's ATM pairs.
 
     Raises NoAtmPairs when no maturity has a usable pair."""
+    env = chain.env
     pairs = _atm_pairs(chain)
     knots: list[tuple[float, float]] = []
     for tau in sorted(pairs):
         estimates = []
-        for leg in pairs[tau]:
+        for strike, call_mid, put_mid in pairs[tau]:
             try:
-                estimates.append(implied_dividend(leg, chain.env.spot, chain.env.rate))
+                estimates.append(implied_dividend(call_mid, put_mid, env.spot, strike, env.rate, tau))
             except ValueError:
                 continue
         if estimates:
             knots.append((tau, float(np.median(estimates))))
     if not knots:
-        raise NoAtmPairs(f"no at-the-money call/put pairs on {chain.env.date}")
+        raise NoAtmPairs(f"no at-the-money call/put pairs on {env.date}")
     return DividendCurve([t for t, _ in knots], [q for _, q in knots])
 
 

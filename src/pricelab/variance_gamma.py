@@ -58,11 +58,11 @@ unchanged. Only two parameters are identified, as in Madan, Carr & Chang
 (European Finance Review 1998), who fix the clock's variance rate. So
 calibration runs Nelder-Mead over the two coordinates (theta/alpha,
 sigma/sqrt(alpha)) of the alpha = 1 triple, on the sum of squared
-relative pricing errors with an infinite penalty outside the domain, and
-returns the same law at the starting alpha. The simplex is pricelab's
-own (simplex.nelder_mead), with scipy's iterates bit for bit. Distinct
-pairs can still price a sparse quote set almost identically, so treat
-fitted parameters as a pricing device.
+relative pricing errors with an infinite penalty outside the domain, from
+one fixed start, and returns the same law at alpha = 2. The simplex is
+pricelab's own (simplex.nelder_mead), with scipy's iterates bit for bit.
+Distinct pairs can still price a sparse quote set almost identically, so
+treat fitted parameters as a pricing device.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ _SIGMA_FLOOR = np.finfo(float).tiny / math.sqrt(math.ulp(0.0))
 _BLOCK_PAIRS = 12_288
 
 _DEFAULT_MC_PATHS = 10_000
-_DEFAULT_INIT = (0.0, 0.3, 2.0)
+_START = (0.0, 0.3, 2.0)  # calibration's one (theta, sigma, alpha); the fit keeps its alpha
 _CALIBRATION_FATOL = 1e-10
 _CALIBRATION_MAXITER = 2000
 
@@ -142,8 +142,6 @@ def has_finite_variance(params: VgParams) -> bool:
 class VgMcResult:
     price: float
     stderr: float
-    n: int
-    seed: int
 
 
 def _legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float,
@@ -288,7 +286,7 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
     values, _ = _conditional_price_vec(kind, legs, params, clocks)
     price = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n))
-    return VgMcResult(price=price, stderr=stderr, n=n, seed=seed)
+    return VgMcResult(price=price, stderr=stderr)
 
 
 def vg_calibrate(
@@ -297,7 +295,6 @@ def vg_calibrate(
     spot: float,
     rate: float,
     dividend: float,
-    init: tuple[float, float, float] = _DEFAULT_INIT,
     meta: dict | None = None,
 ) -> tuple[VgParams, float]:
     """Fit (theta, sigma, alpha) to (strike, tau, price) triples.
@@ -306,23 +303,20 @@ def vg_calibrate(
     identified coordinates (theta/alpha, sigma/sqrt(alpha)), pricing the
     alpha = 1 triple and scoring inadmissible points +inf so the simplex
     stays inside the domain. The quotes are grouped by tau once, and each
-    evaluation prices all of them in one array. Deterministic given the
-    start. Returns the fitted law at the start's alpha, and the attained
-    objective. Given a meta dict, it records the simplex's evaluations
-    and whether it converged, before any CalibrationFailure.
+    evaluation prices all of them in one array. Deterministic: the search
+    starts at (theta, sigma, alpha) = (0, 0.3, 2). Returns the fitted law
+    at alpha = 2, and the attained objective. Given a meta dict, it records
+    the simplex's evaluations and whether it converged, before any
+    CalibrationFailure.
 
     Raises CalibrationFailure if the simplex stalls before reaching the
-    1e-10 objective spread within 2000 iterations, and ValueError on an
-    inadmissible start or non-positive quoted prices.
+    1e-10 objective spread within 2000 iterations, and ValueError on no
+    quotes or non-positive quoted prices.
     """
     if not quotes:
         raise ValueError("at least one quote required")
     if any(p <= 0.0 for _, _, p in quotes):
         raise ValueError("quoted prices must be positive for relative errors")
-    try:
-        vg_eta(*init)
-    except DomainViolation as exc:
-        raise ValueError(f"inadmissible start {init}: {exc}") from None
 
     # The quotes by maturity in first-seen order; each maturity's errors are
     # summed by one dot product.
@@ -342,7 +336,7 @@ def vg_calibrate(
         ratios = (model - prices) / prices
         return sum(float(ratios[part] @ ratios[part]) for part in parts)
 
-    theta0, sigma0, alpha0 = init
+    theta0, sigma0, alpha0 = _START
     # A quoted price near the float floor can send its relative error past
     # the float range: the objective is then +inf, which the search already
     # treats as the worst point, so the overflow is not a fault to warn about.

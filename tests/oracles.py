@@ -38,8 +38,9 @@ bit.
 filter_liquidity, of_kind, trim_mask, fill_implied_vols and atm_pairs
 are the chain operations as they were defined on OptionQuote records,
 one record at a time, before chains became columns. They return records
-(the filters), a mask, (vols, NaN count) and {tau: ParityLeg list}; the
-column forms must give the same records and the same bits.
+(the filters), a mask, (vols, NaN count) and {tau: [(strike, call mid,
+put mid), ...]}; the column forms must give the same records and the
+same bits.
 dividend_knots is estimate_dividend_curve on the records: np.median
 over each maturity's estimates from atm_pairs; the curve's knots must
 have its bits.
@@ -102,8 +103,8 @@ from pricelab.kernel import (_CV_GRID_DECADES, _CV_GRID_SIZE, Bandwidths, NwMode
 from pricelab.kernel import _cv_objective as _package_cv_objective
 from pricelab.market_data import DailyChain, OptionKind
 from pricelab.harness import DEFAULT_SPOT_TOLERANCE, CrossDateMatch
-from pricelab.parity import (DividendCurve, Moneyness, ParityLeg, classify_moneyness,
-                             implied_dividend, parity_price)
+from pricelab.parity import (DividendCurve, Moneyness, classify_moneyness, implied_dividend,
+                             parity_price)
 from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.simplex import SimplexResult
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
@@ -463,7 +464,7 @@ def fill_implied_vols(chain: DailyChain, curve: DividendCurve):
     return vols, int(np.isnan(vols).sum())
 
 
-def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
+def atm_pairs(chain: DailyChain) -> dict[float, list[tuple[float, float, float]]]:
     calls: dict[tuple, float] = {}
     puts: dict[tuple, float] = {}
     taus: dict[tuple, float] = {}
@@ -474,7 +475,7 @@ def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
             calls[key] = q.mid
         else:
             puts[key] = q.mid
-    pairs: dict[float, list[ParityLeg]] = {}
+    pairs: dict[float, list[tuple[float, float, float]]] = {}
     for key in calls.keys() & puts.keys():
         _, strike = key
         tau = taus[key]
@@ -482,8 +483,7 @@ def atm_pairs(chain: DailyChain) -> dict[float, list[ParityLeg]]:
             continue
         if classify_moneyness(OptionKind.CALL, strike, chain.env, tau).label is not Moneyness.ATM:
             continue
-        pairs.setdefault(tau, []).append(
-            ParityLeg(strike=strike, tau=tau, call_mid=calls[key], put_mid=puts[key]))
+        pairs.setdefault(tau, []).append((strike, calls[key], puts[key]))
     return pairs
 
 
@@ -494,9 +494,10 @@ def dividend_knots(chain: DailyChain) -> list[tuple[float, float]]:
     knots = []
     for tau, legs in sorted(atm_pairs(chain).items()):
         estimates = []
-        for leg in legs:
+        for strike, call_mid, put_mid in legs:
             try:
-                estimates.append(implied_dividend(leg, chain.env.spot, chain.env.rate))
+                estimates.append(implied_dividend(call_mid, put_mid, chain.env.spot, strike,
+                                                  chain.env.rate, tau))
             except ValueError:
                 continue
         if estimates:

@@ -192,9 +192,7 @@ def test_5_vg_calibration_self_consistency(vg_day):
         env = vg_day.env
         quotes = [(q.strike, q.tau, q.mid) for q in vg_day.quotes if q.kind is PUT]
         assert len(quotes) == 40 and all(p >= 0.5 for _, _, p in quotes)
-        params, objective = vg_calibrate(
-            quotes, PUT, env.spot, env.rate, env.div_hist, init=(0.0, 0.3, 2.0)
-        )
+        params, objective = vg_calibrate(quotes, PUT, env.spot, env.rate, env.div_hist)
         assert objective <= 1e-8
         for strike, tau, mid in quotes:
             refit = vg_price_quadrature(PUT, env.spot, strike, env.rate,

@@ -246,13 +246,35 @@ def test_evaluate_rejects_unknown_label(tmp_path, capsys):
         (("--workers", 0), "workers"),
         (("--labels", "NW,nw"), "more than once: NW"),
         (("--labels", ","), "at least one label"),
+        (("--partitions", ","), "at least one partition is required"),
+        (("--partitions", "all,all"), "partitions listed more than once: all"),
     ],
 )
 def test_evaluate_rejects_bad_config_values(tmp_path, capsys, flags, fragment):
     source = synth_into(capsys, tmp_path)
     code, _, err = run(capsys, "evaluate", "--input", source, "--output-dir", tmp_path, *flags)
     assert code == 2
-    assert fragment in err
+    assert fragment in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("report_*.csv"))
+
+
+def test_flags_and_a_config_file_give_the_same_reports(tmp_path, capsys, monkeypatch):
+    """The CI step of this name, with its flags and config lines."""
+    source = ci_world(capsys, monkeypatch, tmp_path / "world")
+    config = tmp_path / "protocol.cfg"
+    config.write_text("\n".join(["labels = LI,NW,NWCV", "partitions = all,hull",
+                                 "master_seed = 7", "trim = true"]) + "\n")
+    reports = []
+    for name, flags in (("flags", ("--labels", "LI,NW,NWCV", "--partitions", "all,hull",
+                                   "--seed", 7, "--trim")),
+                        ("config", ("--config", config))):
+        code, _, err = run(capsys, "evaluate", "--input", source, *flags,
+                           "--output-dir", tmp_path / name)
+        assert code == 0, err
+        reports.append({path.name: path.read_bytes()
+                        for path in sorted((tmp_path / name).iterdir())})
+    assert len(reports[0]) == 6  # 3 labels x 2 partitions
+    assert reports[1] == reports[0]
 
 
 def test_evaluate_rejects_bad_config_file(tmp_path, capsys):

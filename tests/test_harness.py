@@ -584,6 +584,8 @@ def test_read_config_rejects_a_key_set_twice(tmp_path):
         # A repeated label would fit each day twice and count every record twice.
         (dict(labels=("NW", "LI", "NW")), "labels listed more than once: NW"),
         (dict(labels=()), "at least one label"),
+        (dict(partitions=()), "at least one partition is required"),
+        (dict(partitions=("all", "hull", "all")), "partitions listed more than once: all"),
     ],
 )
 def test_protocol_config_rejects_bad_values(overrides, fragment):

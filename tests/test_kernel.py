@@ -27,6 +27,7 @@ from pricelab.kernel import (
     silverman_bandwidths,
 )
 from pricelab.market_data import OptionKind
+from pricelab.simplex import SimplexResult
 from pricelab.synth import synth_chain
 
 
@@ -816,6 +817,58 @@ def test_cv_grids_match_the_brute_force_grid_where_every_candidate_underflows():
     # underflows or is scored like any other.
     grids = assert_grids_match_the_oracle(points * 1e-160, [prices, vols])
     assert all(best is not None for best, _ in grids)
+
+
+def test_cv_grids_match_the_brute_force_grid_where_the_narrowest_eps1s_are_0():
+    # Strikes a few subnormals apart and one zero-valued sample at 1.0: the
+    # interquartile range binds, the Silverman seed's eps1 is below 1e-321,
+    # and the grid's narrowest eps1s round to 0, which the screen leaves to
+    # the exact objective. The far sample lies past 1e154 widest eps1s,
+    # where its squared distance overflows without a warning.
+    rng = np.random.default_rng(113)
+    points, prices, vols = price_and_vol_points(rng, 20, 4, "shuffled")
+    points[:, 0] = (points[:, 0] - 60.0) / 2.5 * 1e-322
+    points[0, 0] = 1.0
+    prices[0] = vols[0] = 0.0
+    seed = silverman_bandwidths(points)
+    assert seed.eps1 < 1e-321 and (seed.eps1 * _CV_FACTORS == 0.0).any()
+    grids = assert_grids_match_the_oracle(points, [prices, vols])
+    assert all(best is not None for best, _ in grids)
+
+
+def test_a_grid_best_that_scores_0_skips_the_simplex(monkeypatch):
+    # Each point quoted twice at one value: at a narrow enough bandwidth a
+    # kept row's leave-one-out estimate is its twin's value, exactly.
+    strikes = np.arange(60.0, 110.0, 5.0)
+    taus = np.array([0.1, 0.3, 0.5, 0.2, 0.4] * 2)
+    points = np.repeat(np.column_stack([strikes, taus]), 2, axis=0)
+    values = np.repeat(1.0 + 0.5 * np.arange(10.0), 2)
+    best, score = oracles.cv_grid(points, values)
+    assert score == 0.0
+
+    def no_simplex(*args, **kwargs):
+        raise AssertionError("a grid best that scores 0 needs no simplex")
+
+    monkeypatch.setattr(kernel, "nelder_mead", no_simplex)
+    meta = {}
+    chosen = loo_cv_bandwidths(points, values, meta)
+    assert (chosen.eps1.hex(), chosen.eps2.hex()) == tuple(float(eps).hex() for eps in best)
+    assert meta == {"cv_evaluations": 0, "cv_converged": True}
+
+
+@pytest.mark.parametrize("fun", ["next above", math.inf, math.nan])
+def test_a_simplex_that_ends_worse_than_the_grid_leaves_the_grids_best(monkeypatch, fun):
+    rng = np.random.default_rng(97)
+    points, prices, _ = price_and_vol_points(rng, 30, 4, "by tau")
+    best, score = oracles.cv_grid(points, prices)
+    if fun == "next above":
+        fun = math.nextafter(score, math.inf)
+    ended = SimplexResult((0.0, 0.0), fun, 17, 9, 2, "out of iterations")
+    monkeypatch.setattr(kernel, "nelder_mead", lambda *args, **kwargs: ended)
+    meta = {}
+    chosen = loo_cv_bandwidths(points, prices, meta)
+    assert (chosen.eps1.hex(), chosen.eps2.hex()) == tuple(float(eps).hex() for eps in best)
+    assert meta == {"cv_evaluations": 17, "cv_converged": False}
 
 
 @pytest.mark.parametrize("scale", [(1e151, 1e152), (1e-160, 1e-160)])

@@ -19,7 +19,6 @@ from pricelab.parity import (
     ATM_LO,
     DividendCurve,
     Moneyness,
-    ParityLeg,
     _atm_pairs,
     classify_moneyness,
     estimate_dividend_curve,
@@ -80,18 +79,17 @@ def test_implied_dividend_recovers_yield():
         vol = float(rng.uniform(0.1, 0.6))
         tau = float(rng.uniform(0.1, 2.5))
         call, put = bs_pair(spot, strike, rate, dividend, vol, tau)
-        leg = ParityLeg(strike=strike, tau=tau, call_mid=call, put_mid=put)
-        assert implied_dividend(leg, spot, rate) == pytest.approx(dividend, abs=1e-11)
+        implied = implied_dividend(call, put, spot, strike, rate, tau)
+        assert implied == pytest.approx(dividend, abs=1e-11)
 
 
 def test_implied_dividend_rejects_inconsistent_quotes():
     # Put quoted above the discounted strike makes the log argument
     # non-positive.
-    leg = ParityLeg(strike=100.0, tau=1.0, call_mid=0.0, put_mid=100.0)
     with pytest.raises(ValueError):
-        implied_dividend(leg, 100.0, 0.02)
+        implied_dividend(0.0, 100.0, 100.0, 100.0, 0.02, 1.0)
     with pytest.raises(ValueError):
-        implied_dividend(ParityLeg(100.0, 0.0, 5.0, 5.0), 100.0, 0.02)
+        implied_dividend(5.0, 5.0, 100.0, 100.0, 0.02, 0.0)
 
 
 def test_forward_price():
@@ -348,7 +346,7 @@ def test_a_repeated_contract_counts_its_last_quote():
     assert chain.contract_mids() == {CALL: {(tau, 100.0): 3.0, (tau, 85.0): 15.6},
                                      PUT: {(tau, 100.0): 2.5, (tau, 85.0): 0.2}}
 
-    assert _atm_pairs(chain) == {tau: [ParityLeg(100.0, tau, 3.0, 2.5)]}
+    assert _atm_pairs(chain) == {tau: [(100.0, 3.0, 2.5)]}
 
     curve = DividendCurve([tau], [0.012])
     records, skipped = itm_parity_records(chain, curve)

@@ -103,7 +103,7 @@ CURVE = DividendCurve([0.1, 0.5], [0.012, 0.008])
 
 
 def pairs_by_tau(pairs):
-    return {tau: sorted(legs, key=lambda leg: leg.strike) for tau, legs in pairs.items()}
+    return {tau: sorted(legs, key=lambda leg: leg[0]) for tau, legs in pairs.items()}
 
 
 def later_day(chain, days, spot):

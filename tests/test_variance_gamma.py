@@ -474,7 +474,6 @@ def test_mc_reproducible_and_seed_sensitive():
     assert first == second
     other = vg_price_mc(CALL, 100.0, 105.0, 0.02, 0.01, 0.5, params, n=5000, seed=8)
     assert other.price != first.price
-    assert first.n == 5000 and first.seed == 7
     with pytest.raises(ValueError):
         vg_price_mc(CALL, 100.0, 105.0, 0.02, 0.01, 0.5, params, n=1)
 
@@ -537,8 +536,6 @@ def test_calibration_input_contracts():
         vg_calibrate([], CALL, 100.0, 0.02, 0.01)
     with pytest.raises(ValueError):
         vg_calibrate([(100.0, 0.5, 0.0)], CALL, 100.0, 0.02, 0.01)
-    with pytest.raises(ValueError):
-        vg_calibrate([(100.0, 0.5, 5.0)], CALL, 100.0, 0.02, 0.01, init=(5.0, 1.0, 2.0))
 
 
 def test_calibration_failure_when_every_start_stalls(monkeypatch):
