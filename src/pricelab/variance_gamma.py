@@ -37,19 +37,33 @@ density that remainder decays like e^{(T + 1/2) x} to the left and like
 e^{-(alpha - w) e^x} to the right, with w = theta + sigma^2/2, so the
 rule converges geometrically (Trefethen & Weideman, SIAM Review 2014),
 even at the shortest maturities. The nodes depend only on the
-parameters, so the rule prices any mix of maturities as one (options x
-nodes) array, a day's quotes in calibration and one option as the
+parameters, so the rule prices any mix of maturities as (options x
+nodes) arrays, a day's quotes in calibration and one option as the
 one-row case. vg_price_mc averages the integrand over seeded draws.
+
+What the options and the grid fix is built once per set of options, and
+once per fit in calibration (at alpha = 1): per option log(S/K),
+K e^{-r T} and its maturity row; the log-clock nodes and clocks; each
+maturity's Gamma log-density and density; per option its density and
+K e^{-r T} times it. A step computes only what (theta, sigma) changes:
+eta, each maturity's drift and spot leg, the options' log-forwardness,
+spot legs and limits, each maturity's lift e^{w g} times the density,
+and d+- and ndtr past the saturated prefix (below). When a step needs
+more nodes the grid is built anew, longer. numpy's arange fills node i
+with start + i * delta whatever the stop, so a shorter grid is bit for
+bit a prefix of a longer one, and no price depends on the steps before.
 
 Away from the forward, |d+-| grows like |log-forwardness| / (sigma
 sqrt(clock)) as the clock falls, and scipy's ndtr is exactly 1.0 or 0.0
 wherever |d| >= 38 (a test pins this). A closed-form bound gives the
 leading clocks on which every row's |d| is at least 38, with the sign
-of its log-forwardness, which gives ndtr's value there; d+- and ndtr
-are computed only after them. On perfbench's VG days that skips about
-three quarters of the grid's nodes, all but two of those it could. The
-values taken are ndtr's own bits, in every row and whatever the order
-of the clocks, so no price moves.
+of its log-forwardness, which gives ndtr's value there: the integrand is
+the difference of the legs or an exact 0, with no ndtr, d+- or product
+computed. On perfbench's VG days that skips about three quarters of the
+grid's nodes, all but two of those it could. The values taken are
+ndtr's own bits, in every row and whatever the order of the clocks, so
+no price moves; where a leg is not finite, the 0 would not be 0 times
+the leg, so ndtr is then called on every clock.
 
 Prices depend on the triple only through theta/alpha and sigma^2/alpha:
 (c theta, c sigma^2, c alpha) rescales the clock by 1/c and the
@@ -93,9 +107,10 @@ _PREFIX_BOUND = 40.0
 _SIGMA_FLOOR = np.finfo(float).tiny / math.sqrt(math.ulp(0.0))
 
 # Options are priced in blocks of at most this many (option, node) pairs,
-# so that each float64 temporary stays under 128 KiB, glibc's default mmap
-# threshold. Larger ones page-fault afresh on every evaluation: on a 2-CPU
-# Xeon a day of 197 puts fitted in 1.18 s as one array, 0.74 s in blocks.
+# so that each float64 work array stays under 128 KiB, glibc's default mmap
+# threshold. Larger temporaries page-fault afresh on every evaluation: on a
+# 2-CPU Xeon a day of 197 puts fitted in 1.18 s as one array, 0.74 s in
+# blocks. A block's two work arrays are allocated with the grid and reused.
 _BLOCK_PAIRS = 12_288
 
 _DEFAULT_MC_PATHS = 10_000
@@ -144,21 +159,99 @@ class VgMcResult:
     stderr: float
 
 
-def _legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float,
-          tau: float, params: VgParams) -> tuple[float, float, float, float]:
-    """(a, A, B, limit): log-forwardness, the two discounted legs, and the
-    conditional price's limit at zero clock, the legs' intrinsic value.
-    Raises ValueError unless spot, strike and tau are positive."""
-    if spot <= 0.0 or strike <= 0.0:
-        raise ValueError(f"spot and strike must be positive, got ({spot}, {strike})")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    a = math.log(spot / strike) + (rate - dividend + params.eta) * tau
-    leg_spot = spot * math.exp((-dividend + params.eta) * tau)
-    leg_strike = strike * math.exp(-rate * tau)
-    if kind is OptionKind.CALL:
-        return a, leg_spot, leg_strike, max(leg_spot - leg_strike, 0.0)
-    return a, leg_spot, leg_strike, max(leg_strike - leg_spot, 0.0)
+def _node_count(x_max: float) -> int:
+    """Length of np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP), which
+    numpy takes as the ceiling of (stop - start) / step."""
+    return max(0, math.ceil((x_max - _LOG_CLOCK_MIN) / _LOG_CLOCK_STEP))
+
+
+class _Options:
+    """Options of one kind on one underlying at strikes[i] and
+    maturities[rows[i]], with the terms of their trapezoid prices that no
+    (theta, sigma) changes at this alpha (see the module docstring). The
+    grid is built by the first price and anew, longer, when parameters
+    need more nodes; shorter grids are its prefix views. Raises ValueError
+    unless spot, strikes and maturities are positive."""
+
+    def __init__(self, kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
+                 dividend: float, maturities: Sequence[float], rows, alpha: float):
+        for strike in strikes:
+            if spot <= 0.0 or strike <= 0.0:
+                raise ValueError(f"spot and strike must be positive, got ({spot}, {strike})")
+        for tau in maturities:
+            if tau <= 0.0:
+                raise ValueError(f"tau must be positive, got {tau}")
+        self.kind, self.spot, self.rate, self.dividend = kind, spot, rate, dividend
+        self.maturities, self.rows, self.alpha = list(maturities), np.asarray(rows), alpha
+        self.taus = np.array(self.maturities, dtype=float)
+        self.log_moneyness = np.array([math.log(spot / k) for k in strikes])
+        self.strike_legs = np.array([k * math.exp(-rate * self.maturities[r])
+                                     for k, r in zip(strikes, self.rows)])
+        self.clocks = np.empty(0)
+
+    def _grow(self, x_max: float) -> None:
+        x = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
+        self.clocks = np.exp(x)
+        alpha, taus = self.alpha, self.taus[:, None]
+        self.log_density = (taus * math.log(alpha) - gammaln(taus) + taus * x
+                            - alpha * self.clocks)
+        self.row_density = np.exp(self.log_density)[self.rows]
+        self.strike_density = self.strike_legs[:, None] * self.row_density
+        self.strike_density_finite = bool(np.isfinite(self.strike_density).all())
+        # One block's two (options x nodes) work arrays, reused by every step.
+        size = min(len(self.rows) * x.size, max(_BLOCK_PAIRS, x.size))
+        self._values, self._spot_lift = np.empty(size), np.empty(size)
+
+    def legs(self, params: VgParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(a, A, B, limit) per option: log-forwardness, the two discounted
+        legs, and the conditional price's limit at zero clock, the legs'
+        intrinsic value. Each maturity's drift and spot leg are computed
+        once, as the scalar arithmetic of a lone option would, and spread
+        to its options."""
+        drift = (self.rate - self.dividend + params.eta) * self.taus
+        spot_legs = np.array([self.spot * math.exp((-self.dividend + params.eta) * tau)
+                              for tau in self.maturities])
+        a = self.log_moneyness + drift[self.rows]
+        leg_spot = spot_legs[self.rows]
+        if self.kind is OptionKind.CALL:
+            return a, leg_spot, self.strike_legs, np.maximum(leg_spot - self.strike_legs, 0.0)
+        return a, leg_spot, self.strike_legs, np.maximum(self.strike_legs - leg_spot, 0.0)
+
+    def prices(self, params: VgParams) -> np.ndarray:
+        """Trapezoid prices over the Gamma clock in x = log(clock), in blocks
+        of (options x nodes) arrays. Each row is computed as a lone
+        option's would be, so no price depends on the others."""
+        growth = params.theta + 0.5 * params.sigma * params.sigma
+        x_max = math.log(_TAIL_EXPONENT / (self.alpha - max(growth, 0.0)))
+        n = _node_count(x_max)
+        if n > self.clocks.size:
+            self._grow(x_max)
+        a, leg_spot, _, limit = self.legs(params)
+        g = self.clocks[:n]
+        lift = np.exp(growth * g + self.log_density[:, :n])
+        # The prefix's exact 0 needs finite legs; the largest spot leg times
+        # the largest lift bounds every SL.
+        legs_finite = (self.strike_density_finite
+                       and math.isfinite(float(leg_spot.max()) * float(lift.max())))
+        block = max(1, _BLOCK_PAIRS // n)
+        remainder = np.empty(len(a))
+        for start in range(0, len(a), block):
+            part = slice(start, start + block)
+            rows, column = self.rows[part], a[part, None]
+            values = self._values[:rows.size * n].reshape(rows.size, n)
+            spot_lift = self._spot_lift[:rows.size * n].reshape(rows.size, n)
+            # mode="raise" would fill a buffer and copy it; the rows are in range.
+            np.take(lift, rows, axis=0, out=spot_lift, mode="clip")
+            np.multiply(spot_lift, leg_spot[part, None], out=spot_lift)
+            cut = _saturated_prefix(column, params, g) if legs_finite else 0
+            _integrand(self.kind, column, spot_lift, self.strike_density[part, :n], params, g,
+                       cut, values)
+            # Less its zero-clock limit the integrand vanishes at both ends, so
+            # the trapezoid rule is a plain sum; the limit integrates to itself.
+            np.multiply(limit[part, None], self.row_density[part, :n], out=spot_lift)
+            np.subtract(values, spot_lift, out=values)
+            np.add.reduce(values, axis=1, out=remainder[part])
+        return np.maximum(limit + _LOG_CLOCK_STEP * remainder, 0.0)
 
 
 def _saturated_prefix(a, params: VgParams, g: np.ndarray) -> int:
@@ -172,7 +265,7 @@ def _saturated_prefix(a, params: VgParams, g: np.ndarray) -> int:
     sigma = params.sigma
     if sigma < _SIGMA_FLOOR:
         return 0
-    reach = float(np.min(np.abs(a)))
+    reach = float(np.abs(a).min())
     c = max(abs(params.theta + sigma * sigma), abs(params.theta)) * (1.0 + 2.0 ** -20)
     b = _PREFIX_BOUND * sigma
     root = 2.0 * reach / (b + math.hypot(b, 2.0 * math.sqrt(c) * math.sqrt(reach)))
@@ -180,45 +273,73 @@ def _saturated_prefix(a, params: VgParams, g: np.ndarray) -> int:
     return below.size if below.all() else int(below.argmin())
 
 
-def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
-                           log_weight=0.0, rows=None) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional price at each clock times e^log_weight, the integrand of
-    both pricing routes, given _legs of one strike or their strike columns
-    (which broadcast against the clocks); returned with e^log_weight. The
-    weight joins the growth factor's exponent, so a Gamma log-density
-    cannot overflow against it; Monte Carlo passes 0. Given rows, log_weight
-    has one row per maturity, spread to the strike columns after the exp."""
-    a, leg_spot, leg_strike, zero_limit = legs
-    sigma = params.sigma
-    growth = params.theta + 0.5 * sigma * sigma
+def _integrand(kind: OptionKind, a: np.ndarray, spot_lift: np.ndarray,
+               strike_weight: np.ndarray, params: VgParams, g: np.ndarray, cut: int,
+               values: np.ndarray) -> None:
+    """The conditional price at positive clocks g, written to values (rows
+    x clocks): SL Phi(d+) - KW Phi(d-) for a call, KW Phi(-d-) - SL Phi(-d+)
+    for a put, given each row's log-forwardness a (a column) and its two
+    weighted legs SL and KW. spot_lift's columns from the cut on are
+    overwritten.
 
+    The first cut clocks must lie on the saturated prefix, with both legs
+    finite there. ndtr is exactly 1.0 or 0.0 on it, so the sign of a gives
+    the value, KW - SL (SL - KW for a call) or an exact 0, which is KW 0 -
+    SL 0 for finite legs; d+- and ndtr are computed only from the cut on."""
+    call = kind is OptionKind.CALL
+    if cut:
+        head = values[:, :cut]
+        if call:
+            np.subtract(spot_lift[:, :cut], strike_weight[:, :cut], out=head)
+            head[a[:, 0] < 0.0] = 0.0
+        else:
+            np.subtract(strike_weight[:, :cut], spot_lift[:, :cut], out=head)
+            head[a[:, 0] > 0.0] = 0.0
+    sigma, tail = params.sigma, g[cut:]
+    scale = sigma * np.sqrt(tail)
+    if not call:
+        # ndtr(-d) for a put: the numerator over -scale is -d to the bit.
+        np.negative(scale, out=scale)
+    # The spot leg's term is made in values; the strike leg's then in
+    # spot_lift, whose tail it no longer needs.
+    spot_term, strike_term = values[:, cut:], spot_lift[:, cut:]
+    np.add(a, (params.theta + sigma * sigma) * tail, out=spot_term)
+    np.divide(spot_term, scale, out=spot_term)
+    ndtr(spot_term, out=spot_term)
+    np.multiply(strike_term, spot_term, out=spot_term)
+    np.add(a, params.theta * tail, out=strike_term)
+    np.divide(strike_term, scale, out=strike_term)
+    ndtr(strike_term, out=strike_term)
+    np.multiply(strike_weight[:, cut:], strike_term, out=strike_term)
+    if call:
+        np.subtract(spot_term, strike_term, out=spot_term)
+    else:
+        np.subtract(strike_term, spot_term, out=spot_term)
+
+
+def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
+                           log_weight=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional price at each clock times e^log_weight, given the legs
+    of one strike or their columns (which broadcast against the clocks);
+    returned with e^log_weight. The weight joins the growth factor's
+    exponent, so a density cannot overflow against it. Monte Carlo's
+    integrand: its clocks come in any order, and a zero clock takes the
+    zero-clock limit."""
+    a, leg_spot, leg_strike, zero_limit = legs
+    growth = params.theta + 0.5 * params.sigma * params.sigma
     positive = clocks > 0.0
     every_clock_positive = positive.all()
     g = clocks if every_clock_positive else np.where(positive, clocks, 1.0)
     weight = np.exp(log_weight)
-    lift = np.exp(growth * g + log_weight)
-    if rows is not None:
-        weight, lift = weight[rows], lift[rows]
-    # ndtr is exactly 1.0 or 0.0 on the saturated prefix, so the sign of a
-    # gives its bits there and d+- are computed only from the cut on.
-    cut = _saturated_prefix(a, params, g)
-    tail = g[cut:]
-    scale = sigma * np.sqrt(tail)
-    d_plus = (a + (params.theta + sigma * sigma) * tail) / scale
-    d_minus = (a + params.theta * tail) / scale
-
-    def cdf(prefix, d):
-        out = np.empty(np.broadcast_shapes(np.shape(a), g.shape))
-        out[..., :cut] = prefix
-        ndtr(d, out=out[..., cut:])
-        return out
-
-    if kind is OptionKind.CALL:
-        values = (leg_spot * lift * cdf(a > 0.0, d_plus)
-                  - leg_strike * weight * cdf(a > 0.0, d_minus))
-    else:
-        values = (leg_strike * weight * cdf(a < 0.0, -d_minus)
-                  - leg_spot * lift * cdf(a < 0.0, -d_plus))
+    spot_lift = leg_spot * np.exp(growth * g + log_weight)
+    strike_weight = leg_strike * weight
+    shape = spot_lift.shape
+    spot_lift, a = np.atleast_2d(spot_lift), np.reshape(a, (-1, 1))
+    legs_finite = np.isfinite(spot_lift).all() and np.isfinite(strike_weight).all()
+    values = np.empty(spot_lift.shape)
+    _integrand(kind, a, spot_lift, np.broadcast_to(strike_weight, spot_lift.shape), params, g,
+               _saturated_prefix(a, params, g) if legs_finite else 0, values)
+    values = values.reshape(shape)
     if not every_clock_positive:
         values = np.where(positive, values, zero_limit * weight)
     return values, weight
@@ -227,30 +348,10 @@ def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.
 def _trapezoid_prices(kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
                       dividend: float, maturities: Sequence[float],
                       rows: np.ndarray | list[int], params: VgParams) -> np.ndarray:
-    """Trapezoid prices over the Gamma clock in x = log(clock) of options at
-    strikes[i] and maturities[rows[i]], in (options x nodes) arrays with
-    the Gamma density computed once per maturity. Each row is computed as
-    a lone option's would be, so no price depends on the others."""
-    legs = np.array([_legs(kind, spot, k, rate, dividend, maturities[r], params)
-                     for k, r in zip(strikes, rows)])
-    columns = legs.T[:, :, None]
-    alpha = params.alpha
-    growth = params.theta + 0.5 * params.sigma * params.sigma
-    x_max = math.log(_TAIL_EXPONENT / (alpha - max(growth, 0.0)))
-    x = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
-    clocks = np.exp(x)
-    taus = np.array(maturities)[:, None]
-    log_density = taus * math.log(alpha) - gammaln(taus) + taus * x - alpha * clocks
-    block = max(1, _BLOCK_PAIRS // x.size)
-    remainder = np.empty(len(legs))
-    for start in range(0, len(legs), block):
-        part = slice(start, start + block)
-        values, density = _conditional_price_vec(kind, columns[:, part], params, clocks,
-                                                 log_density, rows[part])
-        # Less its zero-clock limit the integrand vanishes at both ends, so
-        # the trapezoid rule is a plain sum; the limit integrates to itself.
-        remainder[part] = np.sum(values - columns[3, part] * density, axis=1)
-    return np.maximum(legs[:, 3] + _LOG_CLOCK_STEP * remainder, 0.0)
+    """Trapezoid prices of options at strikes[i] and maturities[rows[i]],
+    each computed as a lone option's would be."""
+    return _Options(kind, spot, strikes, rate, dividend, maturities, rows,
+                    params.alpha).prices(params)
 
 
 def vg_price_quadrature(kind: OptionKind, spot: float, strike: float, rate: float,
@@ -273,7 +374,7 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
     """
     if n < 2:
         raise ValueError(f"need at least two paths, got {n}")
-    legs = _legs(kind, spot, strike, rate, dividend, tau, params)
+    legs = _Options(kind, spot, (strike,), rate, dividend, (tau,), [0], params.alpha).legs(params)
     if not has_finite_variance(params):
         warnings.warn(
             "2 theta + sigma^2 >= alpha: payoff variance is infinite and the "
@@ -302,12 +403,13 @@ def vg_calibrate(
     Minimizes sum |(model - price)/price|^2 with Nelder-Mead over the two
     identified coordinates (theta/alpha, sigma/sqrt(alpha)), pricing the
     alpha = 1 triple and scoring inadmissible points +inf so the simplex
-    stays inside the domain. The quotes are grouped by tau once, and each
-    evaluation prices all of them in one array. Deterministic: the search
-    starts at (theta, sigma, alpha) = (0, 0.3, 2). Returns the fitted law
-    at alpha = 2, and the attained objective. Given a meta dict, it records
-    the simplex's evaluations and whether it converged, before any
-    CalibrationFailure.
+    stays inside the domain. The quotes are grouped by tau, and what they
+    and the clock grid fix is built once. Each evaluation prices all of
+    them: as one array up to about 16 quotes, in blocks of that many on
+    larger days. Deterministic: the search starts at (theta, sigma, alpha)
+    = (0, 0.3, 2). Returns the fitted law at alpha = 2, and the attained
+    objective. Given a meta dict, it records the simplex's evaluations and
+    whether it converged, before any CalibrationFailure.
 
     Raises CalibrationFailure if the simplex stalls before reaching the
     1e-10 objective spread within 2000 iterations, and ValueError on no
@@ -327,12 +429,12 @@ def vg_calibrate(
     rows, prices = np.array(rows), np.array(prices)
     ends = np.cumsum(np.bincount(rows)).tolist()
     parts = [slice(start, end) for start, end in zip([0] + ends[:-1], ends)]
+    options = _Options(kind, spot, strikes, rate, dividend, maturities, rows, 1.0)
 
     def objective(theta: float, sigma: float) -> float:
         if sigma <= 0.0 or theta + 0.5 * sigma * sigma >= 1.0:
             return float("inf")
-        params = VgParams(theta, sigma, 1.0)
-        model = _trapezoid_prices(kind, spot, strikes, rate, dividend, maturities, rows, params)
+        model = options.prices(VgParams(theta, sigma, 1.0))
         ratios = (model - prices) / prices
         return sum(float(ratios[part] @ ratios[part]) for part in parts)
 

@@ -108,8 +108,7 @@ from pricelab.parity import (DividendCurve, Moneyness, classify_moneyness, impli
 from pricelab.reporting import ErrorStatus, PricingError
 from pricelab.simplex import SimplexResult
 from pricelab.surface import _DUPLICATE_TOL, OUTSIDE_HULL, _Line, _Triangles
-from pricelab.variance_gamma import (_LOG_CLOCK_MIN, _LOG_CLOCK_STEP, _TAIL_EXPONENT, VgParams,
-                                     _legs)
+from pricelab.variance_gamma import _LOG_CLOCK_MIN, _LOG_CLOCK_STEP, _TAIL_EXPONENT, VgParams
 
 # The result must carry an error estimate within _REL_TOL of itself (or
 # the caller's absolute floor) after at most _QUAD_LIMIT subdivisions.
@@ -188,10 +187,23 @@ def gamma_expectation(f: Callable[[float], float] | None, shape: float, rate: fl
     return value
 
 
+def vg_legs(kind: OptionKind, spot: float, strike: float, rate: float, dividend: float,
+            tau: float, params: VgParams) -> tuple[float, float, float, float]:
+    """(a, A, B, limit) of one option in scalar arithmetic: log-forwardness,
+    the two discounted legs, and the conditional price's limit at zero
+    clock, the legs' intrinsic value."""
+    a = math.log(spot / strike) + (rate - dividend + params.eta) * tau
+    leg_spot = spot * math.exp((-dividend + params.eta) * tau)
+    leg_strike = strike * math.exp(-rate * tau)
+    if kind is OptionKind.CALL:
+        return a, leg_spot, leg_strike, max(leg_spot - leg_strike, 0.0)
+    return a, leg_spot, leg_strike, max(leg_strike - leg_spot, 0.0)
+
+
 def vg_conditional_price(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
                          log_weight=0.0) -> np.ndarray:
     """Conditional price at each clock times e^log_weight, ndtr called on
-    every clock column, given _legs of one strike or their columns."""
+    every clock column, given vg_legs of one strike or their columns."""
     a, leg_spot, leg_strike, zero_limit = legs
     sigma = params.sigma
     growth = params.theta + 0.5 * sigma * sigma
@@ -214,7 +226,7 @@ def vg_maturity_prices(kind: OptionKind, spot: float, strikes, rate: float, divi
                        tau: float, params: VgParams) -> np.ndarray:
     """One maturity's trapezoid prices over x = log(clock) on the package's
     grid, vg_conditional_price less its zero-clock limit summed per strike."""
-    legs = np.array([_legs(kind, spot, k, rate, dividend, tau, params) for k in strikes])
+    legs = np.array([vg_legs(kind, spot, k, rate, dividend, tau, params) for k in strikes])
     columns = legs.T[:, :, None]
     zero_limit = columns[3]
     alpha = params.alpha
@@ -232,7 +244,7 @@ def vg_mc_price(kind: OptionKind, spot: float, strike: float, rate: float, divid
                 tau: float, params: VgParams, n: int, seed: int) -> tuple[float, float]:
     """(price, n-1 standard error) of vg_conditional_price averaged over the
     clocks that vg_price_mc draws for (n, seed)."""
-    legs = _legs(kind, spot, strike, rate, dividend, tau, params)
+    legs = vg_legs(kind, spot, strike, rate, dividend, tau, params)
     clocks = np.random.default_rng(seed).gamma(shape=tau, scale=1.0 / params.alpha, size=n)
     values = vg_conditional_price(kind, legs, params, clocks)
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))

@@ -228,6 +228,27 @@ def test_evaluate_then_report(tmp_path, capsys):
     assert "LI" in rendered and "BS" in rendered
 
 
+def test_a_byte_order_mark_changes_no_report(tmp_path, capsys, monkeypatch):
+    """The report half of the CI step "A byte-order mark changes no
+    output": the CI world's seven-label reports, and copies that start with
+    the UTF-8 byte-order mark EF BB BF as Excel's "CSV UTF-8" writes them,
+    render the same text."""
+    source = ci_world(capsys, monkeypatch, tmp_path / "world")
+    reports, marked = tmp_path / "reports", tmp_path / "bom_reports"
+    code, _, err = run(capsys, "evaluate", "--input", source, "--trim", "--labels",
+                       NON_VG_LABELS, "--output-dir", reports)
+    assert code == 0, err
+    marked.mkdir()
+    for report in sorted(reports.glob("*.csv")):
+        (marked / report.name).write_bytes(b"\xef\xbb\xbf" + report.read_bytes())
+    assert len(list(marked.glob("*.csv"))) == 28  # 7 labels x 4 partitions
+    code, expected, err = run(capsys, "report", "--input", reports)
+    assert code == 0, err
+    code, rendered, err = run(capsys, "report", "--input", marked)
+    assert code == 0, err
+    assert rendered == expected
+
+
 def test_evaluate_rejects_unknown_label(tmp_path, capsys):
     source = synth_into(capsys, tmp_path)
     code, _, err = run(capsys, "evaluate", "--input", source,

@@ -15,6 +15,7 @@ from scipy.stats import gamma as gamma_dist
 import pricelab.variance_gamma as vg
 from oracles import (gamma_expectation, vg_calibration_objective, vg_conditional_price,
                      vg_maturity_prices, vg_mc_price)
+from oracles import vg_legs as _legs
 from pricelab import simplex
 from pricelab.errors import CalibrationFailure, DomainViolation
 from pricelab.market_data import OptionKind
@@ -25,7 +26,7 @@ from pricelab.variance_gamma import (
     _TAIL_EXPONENT,
     VgParams,
     _conditional_price_vec,
-    _legs,
+    _node_count,
     _saturated_prefix,
     _trapezoid_prices,
     has_finite_variance,
@@ -366,6 +367,43 @@ def test_the_bound_finds_all_but_two_columns_of_the_saturated_prefix(triple, day
     assert first_open - 2 <= _saturated_prefix(a, params, g) <= first_open
 
 
+@pytest.mark.parametrize("kind", [CALL, PUT])
+def test_an_infinite_leg_takes_ndtr_on_every_clock(kind):
+    # A spot of 1e308 carried at a dividend of -50% overflows the spot leg.
+    # On the saturated prefix the integrand is then 0 times an infinite leg,
+    # NaN, and not the exact 0 that the sign of a gives for finite legs.
+    params = VgParams(0.0, 0.3, 3.0)
+    clocks = np.exp(np.linspace(-70.0, 5.0, 300))
+    with np.errstate(all="ignore"):
+        grouped = _trapezoid_prices(kind, 1e308, [100.0, 1e300], 0.02, -0.5, (2.0,), [0, 0],
+                                    params)
+        oracle = vg_maturity_prices(kind, 1e308, [100.0, 1e300], 0.02, -0.5, 2.0, params)
+        for legs in ((5.0, math.inf, 1.0, 0.0), (-5.0, 1.0, math.inf, math.inf)):
+            values, _ = _conditional_price_vec(kind, legs, params, clocks)
+            expected = vg_conditional_price(kind, legs, params, clocks)
+            assert np.array_equal(values, expected, equal_nan=True)
+    assert [p.hex() for p in grouped] == [p.hex() for p in oracle]
+
+
+_GRID_STOP_MAX = math.log(_TAIL_EXPONENT / math.ulp(0.5)) + 1.0  # past any growth below 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(growth=st.one_of(st.floats(-5.0, 1.0, exclude_max=True),
+                        st.floats(1.0 - 1e-12, 1.0, exclude_max=True)))
+@example(growth=math.nextafter(1.0, 0.0))
+@example(growth=0.0)
+def test_a_clock_grid_is_a_prefix_of_every_longer_one(growth):
+    # A fit builds its grid once and grows it when a step's stop asks for
+    # more nodes; shorter grids are its prefix views. That keeps prices'
+    # bits only while arange fills node i whatever the stop.
+    x_max = math.log(_TAIL_EXPONENT / (1.0 - max(growth, 0.0)))
+    grid = np.arange(_LOG_CLOCK_MIN, x_max, _LOG_CLOCK_STEP)
+    assert _node_count(x_max) == grid.size
+    longest = np.arange(_LOG_CLOCK_MIN, _GRID_STOP_MAX, _LOG_CLOCK_STEP)
+    assert np.array_equal(grid.view(np.int64), longest[:grid.size].view(np.int64))
+
+
 # Days from 1 to 1,095 and strikes from deep out of the money to either
 # side of the spot: 1,440 options over the two kinds.
 _BITS_DAYS = (1, 2, 4, 7, 30, 91, 182, 365, 730, 1095)
@@ -621,3 +659,38 @@ def test_calibration_takes_the_steps_of_the_per_maturity_objective(name, monkeyp
     assert objective.hex() == expected.fun.hex()
     assert (fitted.theta.hex(), fitted.sigma.hex(), fitted.alpha) == (
         (alpha * theta).hex(), (math.sqrt(alpha) * sigma).hex(), alpha)
+
+
+@pytest.mark.parametrize("name", ["puts-15-stall", "calls-5-maturities"])
+def test_a_fit_prices_its_steps_alike_in_any_order(name, monkeypatch):
+    # A fit builds its options' and grid's terms once and reuses them on
+    # every step, growing the grid when a step needs more nodes (on the
+    # stall's path, 8 times in its first 70 steps). Replayed forwards and
+    # then reversed on one fit, the search's path keeps the per-maturity
+    # objective's bits.
+    kind, quotes = _ORACLE_QUOTE_SETS[name]
+    path, scores = [], []
+
+    def recording(objective, x0, **options):
+        def scored(u, v):
+            path.append((u, v))
+            return objective(u, v)
+
+        return simplex.nelder_mead(scored, x0, **options)
+
+    def replaying(objective, x0, **options):
+        scores.extend(objective(*x).hex() for x in path + path[::-1])
+        return SimpleNamespace(status=0, nfev=2 * len(path), x=x0, fun=0.0)
+
+    monkeypatch.setattr(vg, "nelder_mead", recording)
+    with np.errstate(over="ignore"):
+        try:
+            vg_calibrate(quotes, kind, 100.0, 0.02, 0.01)
+        except CalibrationFailure:
+            pass
+        oracle = vg_calibration_objective(quotes, kind, 100.0, 0.02, 0.01)
+        expected = [oracle(*x).hex() for x in path]
+        monkeypatch.setattr(vg, "nelder_mead", replaying)
+        vg_calibrate(quotes, kind, 100.0, 0.02, 0.01)
+    assert len(set(path)) > 100
+    assert scores == expected + expected[::-1]
