@@ -17,13 +17,16 @@ dividend yield, sqrt(t) Phi(d+) / phi(d+), which quantifies how much a
 misjudged dividend distorts a fitted vol surface, and inverts the map
 (implied volatility).
 
-The inversion is array code: implied_vols inverts a whole chain in one
-pass, one lane per quote, and the scalar implied_vol is its one-element
-case. Each lane brackets its root in [1e-6, 5], doubling the upper end
-up to 160, and runs Brent's method (Brent, Algorithms for Minimization
-without Derivatives, 1973) exactly as scipy's brentq does: the same
-updates in the same order and the same tolerances, with each lane
-keeping its own iterates and leaving the active set when it converges.
+The inversion is array code: implied_vols inverts the quotes of any
+number of days in one pass, one lane per quote, each lane with its own
+spot and rate, and the scalar implied_vol is its one-element case.
+fill_implied_vols_of_days hands it the quotes of many days at once, and
+fill_implied_vols is its one-day case. Each lane brackets its root in
+[1e-6, 5], doubling the upper end up to 160, and runs Brent's method
+(Brent, Algorithms for Minimization without Derivatives, 1973) exactly
+as scipy's brentq does: the same updates in the same order and the same
+tolerances, with each lane keeping its own iterates and leaving the
+active set when it converges.
 One Newton step then polishes the root, and the result must reprice
 the quote to within 1e-10 max(1, price). Inside the search the normal
 CDF comes from scipy's ndtr on arrays, so a lane's price can differ
@@ -254,16 +257,18 @@ def _brentq_lanes(
 def implied_vols(
     kinds: Sequence[OptionKind],
     prices: ArrayLike,
-    spot: float,
+    spot: float | ArrayLike,
     strikes: ArrayLike,
-    rate: float,
+    rate: float | ArrayLike,
     dividends: ArrayLike,
     taus: ArrayLike,
 ) -> np.ndarray:
-    """Invert the pricing map at every quote of a chain in one array pass.
+    """Invert the pricing map at every quote given in one array pass.
 
-    kinds, prices, strikes, dividends and taus hold one entry per quote.
-    Each quote takes the steps of the scalar contract, lane by lane:
+    kinds, prices, strikes, dividends and taus hold one entry per quote;
+    spot and rate hold one value for all quotes or one per quote, so the
+    quotes of several days can be inverted together. Each quote takes
+    the steps of the scalar contract, lane by lane:
     the price must lie strictly inside the no-arbitrage band; a price
     equal to the sigma = 1e-6 price gives 1e-6 and one below it has no
     root; the upper end of the bracket starts at 5 and doubles up to
@@ -275,15 +280,20 @@ def implied_vols(
     prices, strikes, dividends, taus = (
         np.asarray(x, dtype=float) for x in (prices, strikes, dividends, taus)
     )
+    spots, rates = (np.broadcast_to(np.asarray(x, dtype=float), prices.shape) for x in (spot, rate))
     vols = np.full(prices.size, np.nan)
     valid = (0.0 < taus) & (taus < math.inf) & (0.0 < strikes) & (strikes < math.inf)
-    index = np.flatnonzero(valid & (spot > 0.0))
+    index = np.flatnonzero(valid & (spots > 0.0))
     sign = np.array([1.0 if kinds[i] is OptionKind.CALL else -1.0 for i in index])
+    spot, rate = spots[index], rates[index]
     strike, dividend, tau, quote = strikes[index], dividends[index], taus[index], prices[index]
     # The discounts come from math.exp, as in no_arbitrage_band, so the
     # band test decides exactly as the scalar one does.
-    disc_spot = np.array([spot * math.exp(-q * t) for q, t in zip(dividend.tolist(), tau.tolist())])
-    disc_strike = np.array([k * math.exp(-rate * t) for k, t in zip(strike.tolist(), tau.tolist())])
+    tau_list = tau.tolist()
+    disc_spot = np.array([s * math.exp(-q * t)
+                          for s, q, t in zip(spot.tolist(), dividend.tolist(), tau_list)])
+    disc_strike = np.array([k * math.exp(-r * t)
+                            for k, r, t in zip(strike.tolist(), rate.tolist(), tau_list)])
     sqrt_tau = np.sqrt(tau)
     lanes = np.array([
         sign * (np.log(spot / strike) + (rate - dividend) * tau),
@@ -373,23 +383,43 @@ def implied_vol(
 
 
 def fill_implied_vols(chain: DailyChain, curve: DividendCurve) -> tuple[np.ndarray, int]:
-    """Implied vols of the chain's quotes, one per quote in quote order.
+    """Implied vols of the chain's quotes, one per quote in quote order:
+    fill_implied_vols_of_days on one day.
 
-    The dividend curve is evaluated once per distinct positive tau. The
-    vol is NaN where a quote cannot be inverted (zero time to expiry,
+    The vol is NaN where a quote cannot be inverted (zero time to expiry,
     price at or outside the band); the second return value counts those
     quotes.
     """
-    env = chain.env
-    taus = chain.taus
-    by_tau = {tau: curve.value_at(tau) for tau in set(taus.tolist()) if tau > 0.0}
-    vols = implied_vols(
-        chain.kinds,
-        chain.mids,
-        env.spot,
-        chain.strikes,
-        env.rate,
-        [by_tau.get(tau, 0.0) for tau in taus.tolist()],  # no vol exists at tau <= 0
-        taus,
-    )
+    [vols] = fill_implied_vols_of_days([(chain, curve)])
     return vols, int(np.isnan(vols).sum())
+
+
+def fill_implied_vols_of_days(
+    days: Sequence[tuple[DailyChain, DividendCurve]],
+) -> list[np.ndarray]:
+    """Implied vols of the quotes of every (chain, dividend curve) day,
+    one array per day in input order, one vol per quote in quote order.
+
+    One implied_vols call inverts the quotes of all the days, each lane
+    with its own day's spot and rate. Each day's curve is evaluated once
+    per distinct positive tau of that day; a quote at tau <= 0 has no vol.
+    """
+    if not days:  # np.concatenate needs at least one array
+        return []
+    chains = [chain for chain, _ in days]
+    dividends = []
+    for chain, curve in days:
+        taus = chain.taus.tolist()
+        by_tau = {tau: curve.value_at(tau) for tau in set(taus) if tau > 0.0}
+        dividends.extend(by_tau.get(tau, 0.0) for tau in taus)  # no vol exists at tau <= 0
+    sizes = [len(chain) for chain in chains]
+    vols = implied_vols(
+        np.concatenate([chain.kinds for chain in chains]),
+        np.concatenate([chain.mids for chain in chains]),
+        np.repeat([chain.env.spot for chain in chains], sizes),
+        np.concatenate([chain.strikes for chain in chains]),
+        np.repeat([chain.env.rate for chain in chains], sizes),
+        dividends,
+        np.concatenate([chain.taus for chain in chains]),
+    )
+    return np.split(vols, np.cumsum(sizes)[:-1])

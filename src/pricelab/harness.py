@@ -5,10 +5,13 @@ seed derived deterministically from (master seed, date), every label is
 fit on the training side and asked to price the test side, and each test
 quote becomes one PricingError record. evaluate_day is the one place a
 day's fits run: it builds the day's one TrainingSet and fits every label
-through it, so its implied vols are inverted once (in trim mode they are
-prepare_day's own) and each distinct set of training points is
-triangulated once. Aggregation slices the records by partition (all,
-in-hull, outside-hull, price above one dollar).
+through it, so each distinct set of training points is triangulated
+once. run_protocol prepares every day before it evaluates any: in trim
+mode prepare_days inverts the vols of all the days' quotes in one array
+pass, and each day's fits reuse that day's; untrimmed, a day's
+TrainingSet inverts its training vols once, on first use. The prepared
+days are then evaluated independently. Aggregation slices the records
+by partition (all, in-hull, outside-hull, price above one dollar).
 
 The protocol is reproducible end to end: the same input file and master
 seed produce byte-identical report files, regardless of worker count.
@@ -28,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .black_scholes import fill_implied_vols
+from .black_scholes import fill_implied_vols_of_days
 from .errors import NoAtmPairs
 from .estimators import (ESTIMATOR_ERRORS, FAILED_PREDICTION, EstimatorLabel, TrainingSet,
                          predict, prediction_status)
@@ -128,29 +131,43 @@ class ProtocolConfig:
 def prepare_day(
     chain: DailyChain, config: ProtocolConfig
 ) -> tuple[DailyChain, DividendCurve, np.ndarray | None]:
-    """Shape one raw day for evaluation.
+    """Shape one raw day for evaluation: prepare_days on one day."""
+    [prepared] = prepare_days([chain], config)
+    return prepared
 
-    Applies the liquidity filter, estimates the dividend curve from the
-    filtered chain (both kinds; historical_curve when no ATM pairs exist),
-    keeps the requested kind, optionally inverts its vols and trims, then
-    keeps the positive-mid quotes. The returned chain is exactly what
-    split indices refer to. With the trim on, the vols it inverted come
-    back too, one per returned quote (none is NaN, the trim drops those);
-    without it the vols are None.
+
+def prepare_days(
+    chains: Sequence[DailyChain], config: ProtocolConfig
+) -> list[tuple[DailyChain, DividendCurve, np.ndarray | None]]:
+    """Shape raw days for evaluation, one (day, curve, vols) per chain in
+    input order.
+
+    Each day takes the liquidity filter, then the dividend curve estimated
+    from the filtered chain (both kinds; historical_curve when no ATM
+    pairs exist), then keeps the requested kind and its positive-mid
+    quotes. The returned day is exactly what split indices refer to.
+    With the trim on, one fill_implied_vols_of_days call inverts the kept
+    quotes of every day together, each day is trimmed on its own vols,
+    and the vols of the quotes it keeps come back with it, one per
+    returned quote (none is NaN, the trim drops those); without the trim
+    the vols are None.
     """
-    liquid = filter_liquidity(chain, config.min_ttm_days, config.min_volume)
-    try:
-        curve = estimate_dividend_curve(liquid)
-    except NoAtmPairs:
-        curve = historical_curve(liquid.env)
-    day = liquid.of_kind(config.kind)
-    keep = day.mids > 0.0
-    vols = None
-    if config.trim:
-        vols, _ = fill_implied_vols(day, curve)
-        keep &= trim_mask(day, vols, config.max_iv, config.min_price)
-        vols = vols[keep]
-    return day.select(keep), curve, vols
+    shaped = []
+    for chain in chains:
+        liquid = filter_liquidity(chain, config.min_ttm_days, config.min_volume)
+        try:
+            curve = estimate_dividend_curve(liquid)
+        except NoAtmPairs:
+            curve = historical_curve(liquid.env)
+        day = liquid.of_kind(config.kind)
+        shaped.append((day.select(day.mids > 0.0), curve))
+    if not config.trim:
+        return [(day, curve, None) for day, curve in shaped]
+    prepared = []
+    for (day, curve), vols in zip(shaped, fill_implied_vols_of_days(shaped)):
+        keep = trim_mask(day, vols, config.max_iv, config.min_price)
+        prepared.append((day.select(keep), curve, vols[keep]))
+    return prepared
 
 
 def evaluate_day(
@@ -214,8 +231,7 @@ def evaluate_day(
 
 
 def _evaluate_one_day(args) -> list[PricingError]:
-    chain, config = args
-    day, curve, vols = prepare_day(chain, config)
+    (day, curve, vols), config = args
     if len(day) < 2:
         return []
     split = split_day(len(day), day.env.date, config.master_seed, config.fraction)
@@ -247,11 +263,14 @@ class ProtocolResult:
 def run_protocol(chains: Sequence[DailyChain], config: ProtocolConfig = ProtocolConfig()) -> ProtocolResult:
     """Evaluate every label over every day and aggregate by partition.
 
-    Days run independently (optionally across a worker pool, at most one
-    process per day and per CPU); results are collected in input order,
-    so the outcome does not depend on scheduling.
+    prepare_days shapes every day first, in this process, so that one
+    array pass inverts the vols of all the days. The prepared days are
+    then evaluated independently (optionally across a worker pool, at
+    most one process per day and per CPU); results are collected in input
+    order, so the outcome does not depend on scheduling.
     """
-    jobs = [(chain, config) for chain in sorted(chains, key=lambda c: c.env.date)]
+    chains = sorted(chains, key=lambda c: c.env.date)
+    jobs = [(day, config) for day in prepare_days(chains, config)]
     workers = min(config.workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,6 +18,7 @@ from pricelab.black_scholes import (
     _brentq_lanes,
     bs_price,
     fill_implied_vols,
+    fill_implied_vols_of_days,
     implied_vol,
     implied_vols,
     iv_dividend_sensitivity,
@@ -457,3 +458,62 @@ def test_fill_implied_vols_fails_exactly_where_the_oracle_raises(problem):
             repriced = bs_price(q.kind, env.spot, q.strike, env.rate, dividend, vol, q.tau)
             assert abs(repriced - q.mid) <= 1e-10 * max(1.0, q.mid)
     assert failed == raised
+
+
+# Where a drawn quote's mid lies against its no-arbitrage band.
+_MID_PLACES = ("model", "model", "model", "lower edge", "upper edge", "below", "above", "nan")
+
+
+@st.composite
+def quoted_days(draw):
+    """2 to 4 days of calls and puts, with their own spots, rates and
+    dividend curves, quoting mids at, inside and outside the band, a NaN
+    mid, quotes expiring today, and one day with no quotes at all."""
+    days = []
+    for n in range(draw(st.integers(2, 4))):
+        spot = draw(st.sampled_from((80.0, 100.0, 123.4)))
+        rate = draw(st.sampled_from((-0.01, 0.0, 0.02, 0.05)))
+        curve = DividendCurve([0.1, 0.6], draw(st.lists(st.sampled_from((0.0, 0.01, 0.035)),
+                                                        min_size=2, max_size=2)))
+        env = MarketEnv(_DAY + dt.timedelta(days=n), spot, rate, 0.01)
+        quotes = []
+        for _ in range(draw(st.integers(1, 10))):
+            kind = draw(st.sampled_from((CALL, PUT)))
+            strike = spot * draw(st.sampled_from((0.7, 0.95, 1.0, 1.1, 1.4)))
+            ttm_days = draw(st.sampled_from((0, 7, 91, 365)))
+            tau = ttm_days / DAYS_PER_YEAR
+            place = draw(st.sampled_from(_MID_PLACES))
+            if ttm_days == 0 or place == "nan":
+                mid = math.nan if place == "nan" else 1.0
+            else:
+                dividend = curve.value_at(tau)
+                lo, hi = no_arbitrage_band(kind, spot, strike, rate, dividend, tau)
+                vol = draw(st.sampled_from((0.05, 0.25, 0.9)))
+                mid = {"model": bs_price(kind, spot, strike, rate, dividend, vol, tau),
+                       "lower edge": lo, "upper edge": hi, "below": lo - 0.01,
+                       "above": hi * 1.01}[place]
+            quotes.append(OptionQuote(kind, strike, env.date + dt.timedelta(days=ttm_days),
+                                      ttm_days, mid, mid, 500))
+        days.append((DailyChain(env, tuple(quotes)), curve))
+    empty = (DailyChain(MarketEnv(_DAY, 100.0, 0.02, 0.01)), DividendCurve([0.0], [0.01]))
+    days.insert(draw(st.integers(0, len(days))), empty)
+    return days
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(quoted_days())
+def test_one_pass_over_many_days_gives_each_day_its_own_vols(days):
+    together = fill_implied_vols_of_days(days)
+    assert len(together) == len(days)
+    for (chain, curve), vols in zip(days, together):
+        alone, failed = fill_implied_vols(chain, curve)
+        assert vols.tobytes() == alone.tobytes()
+        assert failed == int(np.isnan(vols).sum())
+        # Per-quote spot and rate arrays invert as the scalar form does.
+        env, n = chain.env, len(chain)
+        dividends = [curve.value_at(tau) if tau > 0.0 else 0.0 for tau in chain.taus.tolist()]
+        scalar = implied_vols(chain.kinds, chain.mids, env.spot, chain.strikes, env.rate,
+                              dividends, chain.taus)
+        lanes = implied_vols(chain.kinds, chain.mids, np.full(n, env.spot), chain.strikes,
+                             np.full(n, env.rate), dividends, chain.taus)
+        assert scalar.tobytes() == lanes.tobytes() == alone.tobytes()

@@ -249,6 +249,31 @@ def test_a_byte_order_mark_changes_no_report(tmp_path, capsys, monkeypatch):
     assert rendered == expected
 
 
+@pytest.mark.parametrize("rows", ["none", "all of volume 0"])
+def test_a_trimmed_evaluate_with_no_quote_to_invert_writes_count_0_reports(tmp_path, capsys,
+                                                                          rows):
+    """A header-only chain file, and one whose every quote has volume 0 so
+    the liquidity filter leaves no quote to invert: the trimmed run
+    exits 0 with a count-0 report per label and partition."""
+    world = synth_into(capsys, tmp_path / "world", "--days", 2)
+    header, *lines = world.read_text().splitlines(keepends=True)
+    if rows == "none":
+        lines = []
+    else:
+        lines = [",".join(fields[:6] + ["0"] + fields[7:])
+                 for fields in (line.split(",") for line in lines)]
+    source = tmp_path / "chains.csv"
+    source.write_text(header + "".join(lines))
+    out_dir = tmp_path / "reports"
+    code, out, err = run(capsys, "evaluate", "--input", source, "--trim", "--labels", "LI,BS",
+                         "--output-dir", out_dir)
+    assert code == 0, err
+    assert "wrote 8 reports" in out
+    reports = [read_report_csv(path) for path in sorted(out_dir.glob("report_*.csv"))]
+    assert len(reports) == 8
+    assert all(report.count == 0 for report in reports)
+
+
 def test_evaluate_rejects_unknown_label(tmp_path, capsys):
     source = synth_into(capsys, tmp_path)
     code, _, err = run(capsys, "evaluate", "--input", source,

@@ -20,6 +20,7 @@ from pricelab.harness import (
     day_seed,
     evaluate_day,
     prepare_day,
+    prepare_days,
     read_config,
     run_protocol,
     split_day,
@@ -321,6 +322,33 @@ def test_run_protocol_aggregates(bs_days):
     bs_hull = result.report("BS", "hull")
     assert bs_hull.n_errors > 0
     assert bs_hull.mean < 1e-4  # percent
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_run_protocol_on_no_days_returns_no_records(trim):
+    result = run_protocol([], ProtocolConfig(trim=trim))
+    assert result.errors == []
+    assert all(report.count == 0 for report in result.reports.values())
+
+
+@pytest.mark.parametrize("trim", [False, True])
+def test_prepare_days_gives_each_day_what_prepare_day_gives_it_alone(noisy_days, bs_days, trim):
+    # A day with no quotes among them, and days in no date order: the
+    # results come back in input order.
+    empty = DailyChain(bs_days[0].env)
+    chains = [noisy_days[1], empty, bs_days[2], noisy_days[0]]
+    config = ProtocolConfig(trim=trim)
+    prepared = prepare_days(chains, config)
+    assert len(prepared) == len(chains)
+    for chain, (day, curve, vols) in zip(chains, prepared):
+        alone_day, alone_curve, alone_vols = prepare_day(chain, config)
+        assert day == alone_day and day.env == chain.env
+        assert (curve.taus.tobytes(), curve.yields.tobytes()) == (alone_curve.taus.tobytes(),
+                                                                  alone_curve.yields.tobytes())
+        if trim:
+            assert vols.tobytes() == alone_vols.tobytes() and len(vols) == len(day)
+        else:
+            assert vols is None and alone_vols is None
 
 
 # (count, n_errors, mean, median, max) of each non-VG label's reports on
