@@ -24,6 +24,7 @@ from .variance_gamma import VgParams, vg_price_quadrature
 
 DEFAULT_MATURITIES_DAYS = (30, 91, 182, 365)
 DEFAULT_VOLUME = 1000
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # math.exp raises OverflowError beyond it
 
 
 def synth_chain(
@@ -51,11 +52,27 @@ def synth_chain(
     Strikes default to thirteen points spanning 70 to 130 percent of
     spot. noise scales the mid by exp(noise * z) with z standard normal,
     drawn from a generator seeded per (seed, date).
+
+    Raises ValueError, naming the parameter, where the chain file would
+    not load back: a non-finite or non-positive input, a price the model
+    cannot give as a finite float, or a noise that sends a price past the
+    float range.
     """
     model = model.upper()
     if model not in ("BS", "VG"):
         raise ValueError(f"unknown model {model!r}, expected BS or VG")
+    # A chain file holds finite numbers only, so each parameter must be one.
+    numbers = dict(spot=spot, rate=rate, dividend=dividend, sigma=sigma, noise=noise)
+    if model == "VG":
+        numbers.update(theta=theta, alpha=alpha)
+    for name, value in numbers.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if spot <= 0.0:
+        raise ValueError(f"spot must be positive, got {spot}")
     if strikes is None:
+        if not math.isfinite(1.3 * spot):
+            raise ValueError(f"spot {spot} sends the default strikes past the float range")
         strikes = [float(s) for s in np.linspace(0.7 * spot, 1.3 * spot, 13)]
     if not strikes or not all(0.0 < s < math.inf for s in strikes):
         raise ValueError("strikes must be positive")
@@ -80,12 +97,22 @@ def synth_chain(
         prices = []
         for kind, strike, days in grid:
             tau = days / DAYS_PER_YEAR
-            if model == "BS":
-                price = bs_price(kind, spot, strike, rate, dividend, sigma, tau)
-            else:
-                price = vg_price_quadrature(kind, spot, strike, rate, dividend, tau, vg_params)
+            try:
+                if model == "BS":
+                    price = bs_price(kind, spot, strike, rate, dividend, sigma, tau)
+                else:
+                    price = vg_price_quadrature(kind, spot, strike, rate, dividend, tau,
+                                                vg_params)
+            except ArithmeticError as exc:
+                raise ValueError(f"the {model} model cannot price ({strike}, {days} days) "
+                                 f"at these parameters: {exc}") from None
+            if not math.isfinite(price):
+                raise ValueError(f"the {model} model prices ({strike}, {days} days) at {price}")
             if rng is not None:
-                price *= math.exp(noise * rng.standard_normal())
+                factor = noise * rng.standard_normal()
+                price = price * math.exp(factor) if factor < _LOG_FLOAT_MAX else math.inf
+                if not math.isfinite(price):
+                    raise ValueError(f"noise {noise} sends a price past the float range")
             prices.append(price)
         prices = np.array(prices, dtype=float)
         expiries = np.datetime64(date, "D") + ttm_days

@@ -29,17 +29,17 @@ price needs. The stronger condition 2 theta + sigma^2 < alpha makes the
 discounted payoff square-integrable, which Monte Carlo standard errors
 implicitly assume.
 
-Both pricing routes average one integrand, the conditional price given
-the clock. vg_price_quadrature applies the trapezoid rule in x =
-log(clock) on a fixed grid to the integrand less its zero-clock limit
-(the legs' intrinsic value, added back exactly); against the Gamma
-density that remainder decays like e^{(T + 1/2) x} to the left and like
+Both averages call one integrand, _integrand, the conditional price
+given the clock. The trapezoid rule (_Options.prices) applies it in x =
+log(clock) on a fixed grid, less its zero-clock limit (the legs'
+intrinsic value, added back exactly); against the Gamma density that
+remainder decays like e^{(T + 1/2) x} to the left and like
 e^{-(alpha - w) e^x} to the right, with w = theta + sigma^2/2, so the
 rule converges geometrically (Trefethen & Weideman, SIAM Review 2014),
 even at the shortest maturities. The nodes depend only on the
 parameters, so the rule prices any mix of maturities as (options x
-nodes) arrays, a day's quotes in calibration and one option as the
-one-row case. vg_price_mc averages the integrand over seeded draws.
+nodes) arrays: a day's quotes in calibration, one option in
+vg_price_quadrature. vg_price_mc calls it on seeded draws, as drawn.
 
 What the options and the grid fix is built once per set of options, and
 once per fit in calibration (at alpha = 1): per option log(S/K),
@@ -56,14 +56,14 @@ bit a prefix of a longer one, and no price depends on the steps before.
 Away from the forward, |d+-| grows like |log-forwardness| / (sigma
 sqrt(clock)) as the clock falls, and scipy's ndtr is exactly 1.0 or 0.0
 wherever |d| >= 38 (a test pins this). A closed-form bound gives the
-leading clocks on which every row's |d| is at least 38, with the sign
-of its log-forwardness, which gives ndtr's value there: the integrand is
-the difference of the legs or an exact 0, with no ndtr, d+- or product
-computed. On perfbench's VG days that skips about three quarters of the
-grid's nodes, all but two of those it could. The values taken are
-ndtr's own bits, in every row and whatever the order of the clocks, so
-no price moves; where a leg is not finite, the 0 would not be 0 times
-the leg, so ndtr is then called on every clock.
+grid's leading clocks on which every row's |d| is at least 38, with the
+sign of its log-forwardness, which gives ndtr's value there: the
+integrand is the difference of the legs or an exact 0, with no ndtr, d+-
+or product computed. On perfbench's VG days that skips about three
+quarters of the grid's nodes, all but two of those it could. The values
+taken are ndtr's own bits, in every row, so no price moves; where a leg
+is not finite, the 0 would not be 0 times the leg, so ndtr is then
+called on every clock, as on Monte Carlo's unsorted draws.
 
 Prices depend on the triple only through theta/alpha and sigma^2/alpha:
 (c theta, c sigma^2, c alpha) rescales the clock by 1/c and the
@@ -99,6 +99,8 @@ from .simplex import nelder_mead
 _LOG_CLOCK_STEP = 0.1
 _LOG_CLOCK_MIN = -70.0
 _TAIL_EXPONENT = 800.0
+# Past this maturity tau * _LOG_CLOCK_MIN, in the Gamma log-density, overflows.
+_TAU_MAX = np.finfo(float).max / -_LOG_CLOCK_MIN
 
 # scipy's ndtr is exactly 1.0 at and beyond this argument, and 0.0 at and
 # beyond its negative; at -37.6 it is still a subnormal, 1.07e-309.
@@ -171,7 +173,8 @@ class _Options:
     (theta, sigma) changes at this alpha (see the module docstring). The
     grid is built by the first price and anew, longer, when parameters
     need more nodes; shorter grids are its prefix views. Raises ValueError
-    unless spot, strikes and maturities are positive."""
+    unless spot, strikes and maturities are positive (OverflowError past
+    _TAU_MAX)."""
 
     def __init__(self, kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
                  dividend: float, maturities: Sequence[float], rows, alpha: float):
@@ -181,6 +184,8 @@ class _Options:
         for tau in maturities:
             if tau <= 0.0:
                 raise ValueError(f"tau must be positive, got {tau}")
+            if tau > _TAU_MAX:
+                raise OverflowError(f"tau {tau} is past the Gamma density's float range")
         self.kind, self.spot, self.rate, self.dividend = kind, spot, rate, dividend
         self.maturities, self.rows, self.alpha = list(maturities), np.asarray(rows), alpha
         self.taus = np.array(self.maturities, dtype=float)
@@ -224,6 +229,8 @@ class _Options:
         growth = params.theta + 0.5 * params.sigma * params.sigma
         x_max = math.log(_TAIL_EXPONENT / (self.alpha - max(growth, 0.0)))
         n = _node_count(x_max)
+        if not n:  # an alpha so large that the grid holds no node: the clock is 0
+            return self.legs(params)[3]
         if n > self.clocks.size:
             self._grow(x_max)
         a, leg_spot, _, limit = self.legs(params)
@@ -255,7 +262,7 @@ class _Options:
 
 
 def _saturated_prefix(a, params: VgParams, g: np.ndarray) -> int:
-    """Number of leading clocks g at which every row's |d+-| is at least
+    """Number of leading grid clocks g at which every row's |d+-| is at least
     _NDTR_SATURATED, with the sign of its log-forwardness a: those below
     the root of c g + _PREFIX_BOUND sigma sqrt(g) = min |a|, since |d+-|
     >= (|a| - c g) / (sigma sqrt(g)) with c = max(|theta + sigma^2|,
@@ -279,13 +286,14 @@ def _integrand(kind: OptionKind, a: np.ndarray, spot_lift: np.ndarray,
     """The conditional price at positive clocks g, written to values (rows
     x clocks): SL Phi(d+) - KW Phi(d-) for a call, KW Phi(-d-) - SL Phi(-d+)
     for a put, given each row's log-forwardness a (a column) and its two
-    weighted legs SL and KW. spot_lift's columns from the cut on are
-    overwritten.
+    weighted legs SL and KW (KW may be a column). spot_lift's columns from
+    the cut on are overwritten.
 
-    The first cut clocks must lie on the saturated prefix, with both legs
-    finite there. ndtr is exactly 1.0 or 0.0 on it, so the sign of a gives
-    the value, KW - SL (SL - KW for a call) or an exact 0, which is KW 0 -
-    SL 0 for finite legs; d+- and ndtr are computed only from the cut on."""
+    The first cut clocks must lie on the grid's saturated prefix, with both
+    legs finite there; a cut of 0 takes clocks in any order. ndtr is exactly
+    1.0 or 0.0 on it, so the sign of a gives the value, KW - SL (SL - KW for
+    a call) or an exact 0, which is KW 0 - SL 0 for finite legs; d+- and
+    ndtr are computed only from the cut on."""
     call = kind is OptionKind.CALL
     if cut:
         head = values[:, :cut]
@@ -303,13 +311,15 @@ def _integrand(kind: OptionKind, a: np.ndarray, spot_lift: np.ndarray,
     # The spot leg's term is made in values; the strike leg's then in
     # spot_lift, whose tail it no longer needs.
     spot_term, strike_term = values[:, cut:], spot_lift[:, cut:]
-    np.add(a, (params.theta + sigma * sigma) * tail, out=spot_term)
-    np.divide(spot_term, scale, out=spot_term)
-    ndtr(spot_term, out=spot_term)
-    np.multiply(strike_term, spot_term, out=spot_term)
-    np.add(a, params.theta * tail, out=strike_term)
-    np.divide(strike_term, scale, out=strike_term)
-    ndtr(strike_term, out=strike_term)
+    # A d+- that overflows (subnormal sigma sqrt(g)) has the exact ndtr 0 or 1.
+    with np.errstate(over="ignore"):
+        np.add(a, (params.theta + sigma * sigma) * tail, out=spot_term)
+        np.divide(spot_term, scale, out=spot_term)
+        ndtr(spot_term, out=spot_term)
+        np.multiply(strike_term, spot_term, out=spot_term)
+        np.add(a, params.theta * tail, out=strike_term)
+        np.divide(strike_term, scale, out=strike_term)
+        ndtr(strike_term, out=strike_term)
     np.multiply(strike_weight[:, cut:], strike_term, out=strike_term)
     if call:
         np.subtract(spot_term, strike_term, out=spot_term)
@@ -317,49 +327,12 @@ def _integrand(kind: OptionKind, a: np.ndarray, spot_lift: np.ndarray,
         np.subtract(strike_term, spot_term, out=spot_term)
 
 
-def _conditional_price_vec(kind: OptionKind, legs, params: VgParams, clocks: np.ndarray,
-                           log_weight=0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional price at each clock times e^log_weight, given the legs
-    of one strike or their columns (which broadcast against the clocks);
-    returned with e^log_weight. The weight joins the growth factor's
-    exponent, so a density cannot overflow against it. Monte Carlo's
-    integrand: its clocks come in any order, and a zero clock takes the
-    zero-clock limit."""
-    a, leg_spot, leg_strike, zero_limit = legs
-    growth = params.theta + 0.5 * params.sigma * params.sigma
-    positive = clocks > 0.0
-    every_clock_positive = positive.all()
-    g = clocks if every_clock_positive else np.where(positive, clocks, 1.0)
-    weight = np.exp(log_weight)
-    spot_lift = leg_spot * np.exp(growth * g + log_weight)
-    strike_weight = leg_strike * weight
-    shape = spot_lift.shape
-    spot_lift, a = np.atleast_2d(spot_lift), np.reshape(a, (-1, 1))
-    legs_finite = np.isfinite(spot_lift).all() and np.isfinite(strike_weight).all()
-    values = np.empty(spot_lift.shape)
-    _integrand(kind, a, spot_lift, np.broadcast_to(strike_weight, spot_lift.shape), params, g,
-               _saturated_prefix(a, params, g) if legs_finite else 0, values)
-    values = values.reshape(shape)
-    if not every_clock_positive:
-        values = np.where(positive, values, zero_limit * weight)
-    return values, weight
-
-
-def _trapezoid_prices(kind: OptionKind, spot: float, strikes: Sequence[float], rate: float,
-                      dividend: float, maturities: Sequence[float],
-                      rows: np.ndarray | list[int], params: VgParams) -> np.ndarray:
-    """Trapezoid prices of options at strikes[i] and maturities[rows[i]],
-    each computed as a lone option's would be."""
-    return _Options(kind, spot, strikes, rate, dividend, maturities, rows,
-                    params.alpha).prices(params)
-
-
 def vg_price_quadrature(kind: OptionKind, spot: float, strike: float, rate: float,
                         dividend: float, tau: float, params: VgParams) -> float:
     """Price by the trapezoid rule over the Gamma clock in x = log(clock).
     Deterministic; tiny negative rounding residue is clamped to zero."""
-    return float(_trapezoid_prices(kind, spot, (strike,), rate, dividend, (tau,), [0],
-                                   params)[0])
+    return float(_Options(kind, spot, (strike,), rate, dividend, (tau,), [0],
+                          params.alpha).prices(params)[0])
 
 
 def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
@@ -374,7 +347,8 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
     """
     if n < 2:
         raise ValueError(f"need at least two paths, got {n}")
-    legs = _Options(kind, spot, (strike,), rate, dividend, (tau,), [0], params.alpha).legs(params)
+    a, leg_spot, leg_strike, limit = _Options(kind, spot, (strike,), rate, dividend, (tau,), [0],
+                                              params.alpha).legs(params)
     if not has_finite_variance(params):
         warnings.warn(
             "2 theta + sigma^2 >= alpha: payoff variance is infinite and the "
@@ -384,7 +358,13 @@ def vg_price_mc(kind: OptionKind, spot: float, strike: float, rate: float,
         )
     rng = np.random.default_rng(seed)
     clocks = rng.gamma(shape=tau, scale=1.0 / params.alpha, size=n)
-    values, _ = _conditional_price_vec(kind, legs, params, clocks)
+    # ndtr on every clock, in the order drawn; a zero clock takes the limit.
+    positive = clocks > 0.0
+    g = np.where(positive, clocks, 1.0)
+    spot_lift = leg_spot[:, None] * np.exp((params.theta + 0.5 * params.sigma * params.sigma) * g)
+    values = np.empty(spot_lift.shape)
+    _integrand(kind, a[:, None], spot_lift, leg_strike[:, None], params, g, 0, values)
+    values = np.where(positive, values[0], limit)
     price = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / math.sqrt(n))
     return VgMcResult(price=price, stderr=stderr)

@@ -86,10 +86,56 @@ def test_synth_vg_prices_one_day_maturities(tmp_path, capsys):
     (dict(strikes=[math.nan, 100.0]), "strikes must be positive"),
     (dict(strikes=[100.0, math.nan]), "strikes must be positive"),
     (dict(strikes=[90.0, math.inf]), "strikes must be positive"),
+    # Each of these used to write a file that load_chains rejects, or crash.
+    (dict(rate=math.nan), "rate must be finite, got nan"),
+    (dict(rate=math.inf), "rate must be finite, got inf"),
+    (dict(dividend=math.nan), "dividend must be finite, got nan"),
+    (dict(sigma=math.nan), "sigma must be finite, got nan"),
+    (dict(sigma=math.inf), "sigma must be finite, got inf"),
+    (dict(noise=math.inf), "noise must be finite, got inf"),
+    (dict(noise=math.nan), "noise must be finite, got nan"),
+    (dict(spot=math.nan), "spot must be finite, got nan"),
+    (dict(spot=0.0), "spot must be positive, got 0.0"),
+    (dict(spot=1.5e308), r"spot 1.5e\+308 sends the default strikes past the float range"),
+    (dict(noise=1e308), r"noise 1e\+308 sends a price past the float range"),
+    (dict(rate=-1e300), r"the BS model cannot price \(70.0, 30 days\) at these parameters"),
+    (dict(model="vg", rate=math.nan), "rate must be finite, got nan"),
+    (dict(model="vg", dividend=math.inf), "dividend must be finite, got inf"),
+    (dict(model="vg", alpha=math.nan), "alpha must be finite, got nan"),
+    (dict(model="vg", sigma=math.nan), "sigma must be finite, got nan"),
+    (dict(model="vg", theta=-math.inf), "theta must be finite, got -inf"),
+    (dict(model="vg", noise=1e308), r"noise 1e\+308 sends a price past the float range"),
 ])
 def test_synth_chain_rejects_bad_arguments(overrides, message):
     with pytest.raises(ValueError, match=message):
         synth.synth_chain(**{"model": "bs", **overrides})
+
+
+# Flags of synth at the edges of their range: each run must exit 2 with a
+# one-line error, or write a file that load_chains reads back.
+_SYNTH_EDGE_FLAGS = [
+    ("--rate", "nan"), ("--dividend", "nan"), ("--sigma", "nan"), ("--sigma", "inf"),
+    ("--noise", "inf"), ("--noise", "nan"), ("--noise", "1e308"), ("--noise", "800"),
+    ("--noise", "50"), ("--rate", "inf"), ("--rate=-1e300",), ("--rate", "1e300"),
+    ("--dividend=-inf",), ("--dividend", "1e300"), ("--spot", "inf"), ("--spot", "1e300"),
+    ("--spot", "1e-310"), ("--spot=-1",), ("--spot", "1.5e308"), ("--sigma", "1e300"),
+    ("--sigma", "1e-300"),
+    ("--model", "vg", "--rate", "nan"), ("--model", "vg", "--dividend", "inf"),
+    ("--model", "vg", "--alpha", "nan"), ("--model", "vg", "--sigma", "nan"),
+    ("--model", "vg", "--alpha", "inf"), ("--model", "vg", "--alpha", "1e300"),
+    ("--model", "vg", "--alpha", "1e-300"), ("--model", "vg", "--sigma", "1e-300"),
+    ("--model", "vg", "--dividend=-1e300"), ("--model", "vg", "--noise", "1e308"),
+]
+
+
+@pytest.mark.parametrize("flags", _SYNTH_EDGE_FLAGS, ids=" ".join)
+def test_synth_exits_2_or_writes_a_file_it_can_load(tmp_path, capsys, flags):
+    code, _, err = run(capsys, "synth", "--output-dir", tmp_path, *flags)
+    if code == 0:
+        assert len(load_chains(tmp_path / "chains.csv")) == 1
+    else:
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("pricelab synth: error: "), err
 
 
 def test_synth_chain_rolls_a_weekend_start_forward_and_skips_weekends():
@@ -751,14 +797,21 @@ def test_price_statuses_match_evaluate_day(tmp_path, capsys):
 
 
 def test_far_price_queries_raise_no_floating_point_warning(tmp_path, capsys):
-    # The CI step of the same name, in process. The kernel query path must
-    # cover a square past the float range (1e300) and two finite squares
-    # whose sum overflows: the last query is about 1.2e154 of the day's NW
-    # and BSNW bandwidths (about 7.6 and 0.13) away in both coordinates.
-    source = synth_into(capsys, tmp_path, "--days", 4, "--noise", 0.005)
+    # The CI step of the same name, in process, with VG on a day of its own
+    # model and one more query. The kernel query path must cover a square
+    # past the float range (1e300) and two finite squares whose sum
+    # overflows: the third query is about 1.2e154 of the day's NW and BSNW
+    # bandwidths (about 7.6 and 0.13) away in both coordinates. At tau
+    # 1e308 the VG Gamma log-density passes the float range.
+    bs_source = synth_into(capsys, tmp_path / "bs", "--days", 4, "--noise", 0.005)
+    vg_source = synth_into(capsys, tmp_path / "vg", "--model", "vg")
     queries = tmp_path / "far_queries.csv"
-    queries.write_text("strike,tau\n95.0,0.25\n1e300,0.5\n9.2e154,1.5e153\n")
-    for label in ("NW", "BSNW"):
+    queries.write_text("strike,tau\n95.0,0.25\n1e300,0.5\n9.2e154,1.5e153\n100,1e308\n")
+    far = [("9.2e+154", "1.5e+153", False, "failed"), ("100.0", "1e+308", False, "failed")]
+    kernel_rows = [("95.0", "0.25", True, "priced"), ("1e+300", "0.5", False, "failed")] + far
+    vg_rows = [("95.0", "0.25", True, "priced"), ("1e+300", "0.5", True, "extrapolated")] + far
+    for label, source, expected in (("NW", bs_source, kernel_rows),
+                                    ("BSNW", bs_source, kernel_rows), ("VG", vg_source, vg_rows)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, _, err = run(capsys, "price", "--input", source, "--date", "2012-01-03",
@@ -768,8 +821,7 @@ def test_far_price_queries_raise_no_floating_point_warning(tmp_path, capsys):
         with (tmp_path / label / "prices.csv").open(newline="") as handle:
             rows = [(row["strike"], row["tau"], row["price"] != "", row["status"])
                     for row in csv.DictReader(handle)]
-        assert rows == [("95.0", "0.25", True, "priced"), ("1e+300", "0.5", False, "failed"),
-                        ("9.2e+154", "1.5e+153", False, "failed")], label
+        assert rows == expected, label
 
 
 # SHA-256 of prices.csv from `pricelab price` on one synth day (--noise

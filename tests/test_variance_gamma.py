@@ -24,11 +24,12 @@ from pricelab.variance_gamma import (
     _LOG_CLOCK_STEP,
     _NDTR_SATURATED,
     _TAIL_EXPONENT,
+    _TAU_MAX,
     VgParams,
-    _conditional_price_vec,
+    _integrand,
     _node_count,
+    _Options,
     _saturated_prefix,
-    _trapezoid_prices,
     has_finite_variance,
     vg_calibrate,
     vg_eta,
@@ -198,8 +199,8 @@ def test_maturity_prices_match_a_scalar_loop_bit_for_bit(kind, days, triple):
     for chosen in (options, away, 3 * away):
         maturities = list(dict.fromkeys(t for _, t in chosen))
         rows = [maturities.index(t) for _, t in chosen]
-        grouped = _trapezoid_prices(kind, 100.0, [k for k, _ in chosen], 0.02, 0.01, maturities,
-                                    rows, params)
+        grouped = _Options(kind, 100.0, [k for k, _ in chosen], 0.02, 0.01, maturities, rows,
+                           params.alpha).prices(params)
         for (strike, t), price in zip(chosen, grouped):
             assert price.hex() == vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, t,
                                                       params).hex()
@@ -219,12 +220,26 @@ def test_ndtr_is_exactly_zero_or_one_beyond_the_saturation_bound():
     assert ndtr(-37.6) != 0.0
 
 
+def _monte_carlo_integrand(kind, legs, params, clocks):
+    """The integrand at each clock as vg_price_mc takes it, given vg_legs
+    of one strike: _integrand with a cut of 0 on the clocks in the order
+    drawn, and the zero-clock limit at a clock of exactly 0."""
+    a, leg_spot, leg_strike, limit = legs
+    positive = clocks > 0.0
+    g = np.where(positive, clocks, 1.0)
+    growth = params.theta + 0.5 * params.sigma * params.sigma
+    spot_lift = leg_spot * np.exp(growth * g)[None, :]
+    values = np.empty(spot_lift.shape)
+    _integrand(kind, np.array([[a]]), spot_lift, np.array([[leg_strike]]), params, g, 0, values)
+    return np.where(positive, values[0], limit)
+
+
 @pytest.mark.parametrize("kind", [CALL, PUT])
 def test_integrand_keeps_its_bits_on_clocks_in_any_order(kind):
-    # Unsorted clocks, exact zeros, a NaN log-forwardness, and a column
-    # where d+ = 40 but d- = 0 (a = 800, clock 800/0.045): the ndtr values
-    # taken from the sign of d must be ndtr's own, whatever the rows and
-    # columns.
+    # Monte Carlo's unsorted clocks, exact zeros, a NaN log-forwardness, and
+    # a column where d+ = 40 but d- = 0 (a = 800, clock 800/0.045): with
+    # ndtr on every clock the values must be the oracle's, whatever the
+    # rows and columns.
     params = VgParams(-0.045, 0.3, 1.0)
     rng = np.random.default_rng(29)
     clocks = np.exp(rng.uniform(-70.0, 16.0, 400))
@@ -233,14 +248,11 @@ def test_integrand_keeps_its_bits_on_clocks_in_any_order(kind):
     rows = np.column_stack([rng.uniform(-900.0, 900.0, 6), rng.uniform(0.0, 200.0, (6, 2)),
                             rng.uniform(0.0, 50.0, 6)])
     rows[1, 0], rows[2, 0], rows[3, 0] = 800.0, 0.0, np.nan
-    log_weight = rng.uniform(-30.0, 0.0, clocks.size)
-    cases = [(tuple(row), 0.0) for row in rows] + [(rows.T[:, :, None], log_weight)]
     with np.errstate(invalid="ignore", over="ignore"):
-        for legs, log_w in cases:
-            values, weight = _conditional_price_vec(kind, legs, params, clocks, log_w)
-            oracle = vg_conditional_price(kind, legs, params, clocks, log_w)
+        for legs in map(tuple, rows):
+            values = _monte_carlo_integrand(kind, legs, params, clocks)
+            oracle = vg_conditional_price(kind, legs, params, clocks)
             assert np.array_equal(values.view(np.int64), oracle.view(np.int64))
-            assert np.array_equal(weight, np.exp(log_w))
 
 
 # Log-forwardness rows: at the forward, at the edges of the float range,
@@ -290,9 +302,10 @@ def _about_the_root(params, reach):
 @st.composite
 def _prefix_cases(draw):
     """(params, a, clocks). a is a column of log-forwardness rows, or one
-    float as Monte Carlo passes it. The clocks are the quadrature's sorted
-    grid, sorted clocks about the root, or unsorted: seeded Gamma draws,
-    or drawn values with exact zeros and subnormals."""
+    float. The clocks are the quadrature's sorted grid, sorted clocks about
+    the root, or unsorted: seeded Gamma draws, or drawn values with exact
+    zeros and subnormals. The package gives the bound only the grid, but
+    it holds on any clocks."""
     params = draw(_laws())
     forwardness = st.one_of(st.sampled_from(_EDGE_FORWARDNESS), st.floats(-1e3, 1e3))
     rows = draw(st.lists(forwardness, min_size=1, max_size=6))
@@ -372,17 +385,62 @@ def test_an_infinite_leg_takes_ndtr_on_every_clock(kind):
     # A spot of 1e308 carried at a dividend of -50% overflows the spot leg.
     # On the saturated prefix the integrand is then 0 times an infinite leg,
     # NaN, and not the exact 0 that the sign of a gives for finite legs.
+    # Monte Carlo, which calls ndtr on every clock, gives the oracle's NaNs.
     params = VgParams(0.0, 0.3, 3.0)
     clocks = np.exp(np.linspace(-70.0, 5.0, 300))
     with np.errstate(all="ignore"):
-        grouped = _trapezoid_prices(kind, 1e308, [100.0, 1e300], 0.02, -0.5, (2.0,), [0, 0],
-                                    params)
+        grouped = _Options(kind, 1e308, [100.0, 1e300], 0.02, -0.5, (2.0,), [0, 0],
+                           params.alpha).prices(params)
         oracle = vg_maturity_prices(kind, 1e308, [100.0, 1e300], 0.02, -0.5, 2.0, params)
         for legs in ((5.0, math.inf, 1.0, 0.0), (-5.0, 1.0, math.inf, math.inf)):
-            values, _ = _conditional_price_vec(kind, legs, params, clocks)
+            values = _monte_carlo_integrand(kind, legs, params, clocks)
             expected = vg_conditional_price(kind, legs, params, clocks)
             assert np.array_equal(values, expected, equal_nan=True)
     assert [p.hex() for p in grouped] == [p.hex() for p in oracle]
+
+
+@pytest.mark.parametrize("kind", [CALL, PUT])
+@pytest.mark.parametrize("rate, dividend, triple", [(0.0, 0.0, (0.0, 0.3, 3.0)),
+                                                    (0.02, 0.5, (0.5, 0.3, 2.0)),
+                                                    (0.0, 0.0, (-0.1, 0.2, 2.0))])
+def test_a_maturity_past_the_density_range_is_refused(kind, rate, dividend, triple):
+    # Up to _TAU_MAX the Gamma log-density stays in the float range and a
+    # price comes back with no floating-point warning (the test run makes
+    # one an error) or as an ArithmeticError; beyond it the option is
+    # refused before any array is built.
+    params = VgParams(*triple)
+    try:
+        vg_price_quadrature(kind, 100.0, 100.0, rate, dividend, _TAU_MAX, params)
+    except ArithmeticError:
+        pass
+    with pytest.raises(OverflowError, match="float range"):
+        vg_price_quadrature(kind, 100.0, 100.0, rate, dividend,
+                            math.nextafter(_TAU_MAX, math.inf), params)
+
+
+@pytest.mark.parametrize("kind", [CALL, PUT])
+def test_a_tiny_sigma_keeps_the_oracles_bits_without_a_warning(kind):
+    # Below _SIGMA_FLOOR, sigma sqrt(g) can be subnormal and d+- overflow to
+    # the infinity of its sign, whose ndtr is the exact 0 or 1. The test run
+    # makes a floating-point warning an error; the oracles run without one.
+    params, tau, strikes = VgParams(0.0, 1e-300, 2.0), 0.25, (90.0, 110.0)
+    with np.errstate(all="ignore"):
+        oracle = vg_maturity_prices(kind, 100.0, strikes, 0.02, 0.01, tau, params)
+        oracle_mc = [vg_mc_price(kind, 100.0, k, 0.02, 0.01, tau, params, 200, 5) for k in strikes]
+    for strike, price, (mc_price, mc_stderr) in zip(strikes, oracle, oracle_mc):
+        assert vg_price_quadrature(kind, 100.0, strike, 0.02, 0.01, tau, params).hex() == price.hex()
+        mc = vg_price_mc(kind, 100.0, strike, 0.02, 0.01, tau, params, n=200, seed=5)
+        assert (mc.price.hex(), mc.stderr.hex()) == (mc_price.hex(), mc_stderr.hex())
+
+
+@pytest.mark.parametrize("alpha", [1e34, 1e300])
+def test_an_alpha_past_the_grid_prices_at_the_zero_clock_limit(alpha):
+    # The clock's mass lies below the grid's first node: the grid is empty.
+    params = VgParams(-0.1, 0.2, alpha)
+    assert _node_count(math.log(_TAIL_EXPONENT / alpha)) == 0
+    for kind in (CALL, PUT):
+        price = vg_price_quadrature(kind, 100.0, 95.0, 0.02, 0.01, 0.5, params)
+        assert price == _legs(kind, 100.0, 95.0, 0.02, 0.01, 0.5, params)[3]
 
 
 _GRID_STOP_MAX = math.log(_TAIL_EXPONENT / math.ulp(0.5)) + 1.0  # past any growth below 1
@@ -420,8 +478,8 @@ def test_prices_keep_the_bits_of_ndtr_on_every_clock(kind, triple):
     params = VgParams(*triple)
     for days in _BITS_DAYS:
         tau = days / 365.0
-        grouped = _trapezoid_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, (tau,),
-                                    [0] * len(_BITS_STRIKES), params)
+        grouped = _Options(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, (tau,),
+                           [0] * len(_BITS_STRIKES), params.alpha).prices(params)
         oracle = vg_maturity_prices(kind, 100.0, _BITS_STRIKES, 0.02, 0.01, tau, params)
         assert [p.hex() for p in grouped] == [p.hex() for p in oracle]
         if days == 1:
